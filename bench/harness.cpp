@@ -19,12 +19,8 @@
 // directions: these are deterministic, drift means behavior changed), or
 // a *_stall_frac metric moved past --stall-tol (absolute). --skip-wall
 // drops the wall check for noisy shared CI runners; run_all.sh uses it.
-// Two suffix rules refine the metric gate: *_info metrics (host facts
-// like core counts) are recorded but never gated, and *_speedup metrics
-// (wall-time ratios, e.g. solver_storm_mt's threads_speedup) are gated
-// against an absolute --speedup-floor (default 3.0) instead of the
-// relative tolerance — and only when the current host has at least
-// threads_info hardware cores (--skip-speedup drops the rule entirely).
+// *_info metrics (host facts and wall-time ratios) are recorded but never
+// gated.
 // `perturb` rescales every wall_ms so CI can prove the gate actually
 // fails on an injected slowdown (see tools/CMakeLists.txt).
 #include <chrono>
@@ -37,7 +33,6 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "numaio.h"
@@ -501,26 +496,20 @@ BenchResult bench_solver_storm() {
   });
 }
 
-/// Parallel-solver speedup bench: 16 resource-disjoint shards (each a
-/// spanning flow plus ~40 churned flows) in ONE partitioned solver, every
-/// shard mutated each round so all 16 components re-solve per solve().
-/// The identical seeded churn runs twice — SolveOptions{threads=1} and
-/// {threads=8} — and `threads_speedup` is the wall ratio, the headline
-/// number of the parallel engine. The determinism contract rides along:
-/// `mt_checksum_delta` pins the two runs' probe checksums bit-identical
-/// (gated at 0), and the component counters pin the decomposition shape.
-/// `*_info` metrics (hardware cores, requested threads) are recorded but
-/// never gated; compare() floor-gates `*_speedup` only when the current
-/// host actually has `threads_info` cores — a laptop or 1-core CI box
-/// cannot measure parallel speedup, and a wall-noise relative gate on a
-/// ratio of wall times would be meaningless anyway.
+/// Component-partitioning bench: 16 resource-disjoint shards (each a
+/// spanning flow plus ~40 churned flows) in ONE solver, every shard
+/// mutated each round so all 16 components re-solve per solve(). The
+/// identical seeded churn runs twice — SolveOptions{partition=true} and
+/// the monolithic default — and `partition_speedup_info` is the wall
+/// ratio (monolithic / partitioned), recorded but never gated. The
+/// checksums and component counters come from the partitioned run and
+/// pin the decomposition shape.
 BenchResult bench_solver_storm_mt() {
   using namespace numaio::sim;
   constexpr int kShards = 16;
   constexpr int kResPerShard = 6;
   constexpr int kFlowsPerShard = 40;
   constexpr int kRounds = 200;
-  constexpr int kThreads = 8;
 
   struct RunOut {
     double wall_ms = 0.0;
@@ -528,11 +517,8 @@ BenchResult bench_solver_storm_mt() {
     double agg = 0.0;
     FlowSolver::SolveStats stats;
   };
-  const auto run_churn = [&](int threads) {
-    SolveOptions options;
-    options.threads = threads;
-    options.partition = true;
-    FlowSolver solver(options);
+  const auto run_churn = [&](bool partition) {
+    FlowSolver solver(SolveOptions{.partition = partition});
     Rng rng(0x3417);
     std::vector<std::vector<ResourceId>> res(kShards);
     std::vector<std::vector<FlowId>> live(kShards);
@@ -593,22 +579,18 @@ BenchResult bench_solver_storm_mt() {
 
   BenchResult r;
   const auto start = Clock::now();
-  const RunOut t1 = run_churn(1);
-  const RunOut t8 = run_churn(kThreads);
+  const RunOut part = run_churn(true);
+  const RunOut mono = run_churn(false);
   r.wall_ms = ms_since(start);
   r.metrics = std::map<std::string, double>{
       {"events", static_cast<double>(kRounds * kShards)},
-      {"rate_checksum_gbps", t1.checksum},
-      {"mt_checksum_delta", std::fabs(t1.checksum - t8.checksum)},
-      {"agg_final_gbps", t1.agg},
-      {"components", static_cast<double>(t8.stats.components)},
+      {"rate_checksum_gbps", part.checksum},
+      {"agg_final_gbps", part.agg},
+      {"components", static_cast<double>(part.stats.components)},
       {"largest_component_flows",
-       static_cast<double>(t8.stats.largest_component_flows)},
-      {"parallel_batches", static_cast<double>(t8.stats.parallel_batches)},
-      {"threads_speedup", t8.wall_ms > 0.0 ? t1.wall_ms / t8.wall_ms : 0.0},
-      {"threads_info", static_cast<double>(kThreads)},
-      {"hw_concurrency_info",
-       static_cast<double>(std::thread::hardware_concurrency())}};
+       static_cast<double>(part.stats.largest_component_flows)},
+      {"partition_speedup_info",
+       part.wall_ms > 0.0 ? mono.wall_ms / part.wall_ms : 0.0}};
   return r;
 }
 
@@ -721,12 +703,12 @@ BenchResult bench_fleet_storm() {
 }
 
 /// The fleet-scale request path (DESIGN.md §12): thousands of tenants at
-/// six-figure offered rps over 16 hosts, batched admission epochs over
-/// sharded tenant state, coarse service modeling, class-spread placement
-/// and a mid-run host crash. sched_rps carries the throughput contract —
-/// the perf guard holds it to an absolute 1e5 floor (it is simulated-time
-/// deterministic, so the floor gates capability, not host noise) — and
-/// placement_p99_ms pins the admission -> first-dispatch tail.
+/// six-figure offered rps over 24 hosts, batched admission epochs, coarse
+/// service modeling, class-spread placement and a mid-run host crash.
+/// sched_rps carries the throughput contract — the perf guard holds it
+/// to an absolute floor (it is simulated-time deterministic, so the floor
+/// gates capability, not host noise) — and placement_p99_ms pins the
+/// admission -> first-dispatch tail.
 BenchResult bench_fleet_scale() {
   using namespace numaio::fleet;
   return timed(2, [&] {
@@ -736,17 +718,12 @@ BenchResult bench_fleet_scale() {
     // Past 10^6 scheduled req/s: RPC-sized payloads and wide per-host
     // concurrency so slot turnover, not payload drain, sets the pace,
     // and a finer completion grid so alarm rounding stays a small tax.
-    // Event lanes follow the machine; the lane count never changes the
-    // metrics below (the engine's invariance property), only the wall.
     for (auto& t : storm.tenants) t.request_bytes = 32 * numaio::sim::kKiB;
     storm.config.max_inflight_per_host = 128;
     storm.config.completion_grid = 0.25e6;
     // One admission epoch delivers ~2,800 arrivals; the queue must hold
     // an epoch's worth plus slack or everything past 512 sheds on entry.
     storm.config.queue_depth = 4096;
-    const unsigned hw = std::thread::hardware_concurrency();
-    storm.config.event_lanes = std::max(
-        1, std::min(storm.config.num_hosts, static_cast<int>(hw ? hw : 1)));
     FleetSim sim(storm.config, storm.tenants);
     sim.set_fault_plan(storm.plan);
     const FleetReport report = sim.run();
@@ -785,17 +762,9 @@ struct CompareOptions {
   double wall_tol = 0.20;      ///< Relative; slowdowns only.
   double metric_tol = 0.01;    ///< Relative, either direction.
   double stall_tol = 0.02;     ///< Absolute, for *_stall_frac metrics.
-  double speedup_floor = 3.0;  ///< Minimum for *_speedup metrics.
   double rps_floor = 5.0e5;    ///< Minimum for fleet_scale's sched_rps.
   bool skip_wall = false;
-  bool skip_speedup = false;   ///< Drop the *_speedup floor gate.
 };
-
-double metric_or(const BenchResult& r, const std::string& name,
-                 double fallback) {
-  const auto it = r.metrics.find(name);
-  return it == r.metrics.end() ? fallback : it->second;
-}
 
 bool ends_with(const std::string& text, const std::string& suffix) {
   return text.size() >= suffix.size() &&
@@ -838,33 +807,11 @@ int compare(const BenchSet& base, const BenchSet& current,
         continue;
       }
       const double cur_value = mit->second;
-      // *_info metrics are facts about the measuring host (core count,
-      // requested threads): recorded for context, never gated — the
-      // baseline may have been refreshed on different hardware.
+      // *_info metrics are facts about the measuring host or ratios of
+      // its wall times: recorded for context, never gated — the baseline
+      // may have been refreshed on different hardware.
       if (ends_with(metric, "_info")) continue;
-      // *_speedup metrics are ratios of two wall times: a relative gate
-      // against the baseline would gate noise on noise. They get an
-      // absolute floor instead, and only when the current host has the
-      // cores the bench asked for (threads_info) — a smaller box cannot
-      // measure parallel speedup, so the gate would only report the
-      // host's size, not a regression.
-      if (ends_with(metric, "_speedup")) {
-        const double hw = metric_or(c, "hw_concurrency_info", 0.0);
-        const double want = metric_or(c, "threads_info", 0.0);
-        if (options.skip_speedup || hw < want) {
-          std::printf("skip %-26s %s %.2fx (host has %.0f of %.0f cores)\n",
-                      name.c_str(), metric.c_str(), cur_value, hw, want);
-        } else if (cur_value < options.speedup_floor) {
-          std::printf("FAIL %-26s %s %.2fx < %.2fx floor\n", name.c_str(),
-                      metric.c_str(), cur_value, options.speedup_floor);
-          ++failures;
-        } else {
-          std::printf("ok   %-26s %s %.2fx (floor %.2fx)\n", name.c_str(),
-                      metric.c_str(), cur_value, options.speedup_floor);
-        }
-        continue;
-      }
-      // fleet_scale's sched_rps is the ISSUE 9 throughput contract: an
+      // fleet_scale's sched_rps is the throughput contract: an
       // absolute floor, not a relative band. It is computed from
       // simulated time, so unlike wall-clock it cannot regress from host
       // noise — falling below the floor means the request path itself
@@ -956,7 +903,7 @@ int usage() {
       "usage: bench_harness run [--out FILE] [--reps N]\n"
       "       bench_harness compare BASELINE CURRENT [--wall-tol F]\n"
       "               [--metric-tol F] [--stall-tol F] [--skip-wall]\n"
-      "               [--speedup-floor F] [--skip-speedup] [--rps-floor F]\n"
+      "               [--rps-floor F]\n"
       "       bench_harness perturb IN OUT --wall-scale F\n");
   return 2;
 }
@@ -994,12 +941,9 @@ int main(int argc, char** argv) {
           std::stod(flag_value(args, "--metric-tol", "0.01"));
       options.stall_tol =
           std::stod(flag_value(args, "--stall-tol", "0.02"));
-      options.speedup_floor =
-          std::stod(flag_value(args, "--speedup-floor", "3.0"));
       options.rps_floor =
           std::stod(flag_value(args, "--rps-floor", "5.0e5"));
       options.skip_wall = take_switch(args, "--skip-wall");
-      options.skip_speedup = take_switch(args, "--skip-speedup");
       if (args.size() != 2) return usage();
       return compare(load_bench_json(args[0]), load_bench_json(args[1]),
                      options);

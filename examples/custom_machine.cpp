@@ -31,9 +31,8 @@ int main() {
   std::printf("%s\n", nm::render_interconnect(topo).c_str());
 
   // 2. Derive the fabric character from the wiring (no calibration data).
-  //    SolveOptions picks the contention solver's execution engine; the
-  //    partitioned engine solves disconnected flow groups independently
-  //    (and in parallel when threads > 1) with bit-identical rates.
+  //    SolveOptions configures the contention solver; the partitioned
+  //    solver re-solves only the flow groups a mutation touched.
   sim::SolveOptions solve;
   solve.partition = true;
   fabric::Machine machine{fabric::derived_profile(topo), solve};

@@ -19,10 +19,9 @@ namespace numaio::fabric {
 
 class Machine {
  public:
-  /// `solve` configures the owned solver's execution engine (threads /
-  /// component partitioning; simcore/solve_options.h). The default is
-  /// the serial monolithic solver — bit-identical to the historical
-  /// allocation.
+  /// `solve` configures the owned solver (component partitioning;
+  /// simcore/solve_options.h). The default is the monolithic solver —
+  /// bit-identical to the historical allocation.
   explicit Machine(HostProfile profile, const sim::SolveOptions& solve = {});
 
   Machine(const Machine&) = delete;

@@ -90,15 +90,6 @@ void FaultPlan::validate(int num_nodes, int num_devices, int num_hosts) const {
   }
 }
 
-FaultPlan FaultPlan::random(std::uint64_t seed, int num_nodes,
-                            int num_devices, const RandomPlanConfig& config) {
-  RandomPlanConfig merged = config;
-  merged.seed = seed;
-  merged.num_nodes = num_nodes;
-  merged.num_devices = num_devices;
-  return random(merged);
-}
-
 FaultPlan FaultPlan::random(const RandomPlanConfig& config) {
   const int num_nodes = config.num_nodes;
   const int num_devices = config.num_devices;

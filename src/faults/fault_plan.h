@@ -10,7 +10,7 @@
 // capacity transitions on a fabric::Machine so all degradation flows
 // through the existing FlowSolver contention math.
 //
-// Determinism guarantee: FaultPlan::random(seed, ...) is a pure function
+// Determinism guarantee: FaultPlan::random(config) is a pure function
 // of its arguments, and the injector's applied-transition trace renders to
 // byte-identical text across runs with the same seed.
 #pragma once
@@ -66,8 +66,7 @@ struct FaultEvent {
 /// Standard config aggregate (DESIGN.md §11 "Config aggregates"), same
 /// shape as mem::StreamConfig / io::StreamSpec / sim::SolveOptions.
 struct RandomPlanConfig {
-  /// Seed and host shape for the config-aggregate random() overload; the
-  /// deprecated positional overload overwrites these from its arguments.
+  /// Seed and host shape of the plan.
   std::uint64_t seed = 0;
   int num_nodes = 0;
   /// Device-stall events are only drawn when num_devices > 0.
@@ -107,13 +106,6 @@ class FaultPlan {
   /// config aggregate carries the seed and host shape (seed / num_nodes /
   /// num_devices) alongside the event-distribution knobs.
   static FaultPlan random(const RandomPlanConfig& config);
-
-  /// Deprecated: positional seed/shape arguments predate the config
-  /// aggregate; prefer random(RandomPlanConfig). This overload copies
-  /// `config` and overwrites its seed/num_nodes/num_devices fields from
-  /// the positional arguments.
-  static FaultPlan random(std::uint64_t seed, int num_nodes, int num_devices,
-                          const RandomPlanConfig& config = {});
 
   /// Deterministic one-line-per-event rendering (for logs and tests).
   std::string to_string() const;

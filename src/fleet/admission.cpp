@@ -23,82 +23,58 @@ double TokenBucket::tokens(sim::Ns now) {
   return tokens_;
 }
 
-void PriorityFifo::push(QueueItem item, std::uint64_t seq) {
-  std::deque<Entry>& level = levels_[item.priority];
-  assert(level.empty() || level.back().seq < seq);
-  level.push_back(Entry{item, seq});
-  ++size_;
+BoundedQueue::PushResult BoundedQueue::push(QueueItem item) {
+  PushResult result;
+  if (depth_ >= max_depth_) {
+    assert(depth_ > 0);
+    result.shed = true;
+    // The back of the lowest level is the latest arrival at the lowest
+    // priority. An incoming item that does not outrank it would be that
+    // latest arrival itself, so it is the one shed.
+    if (item.priority <= levels_.begin()->first) {
+      result.victim = item;
+      return result;
+    }
+    result.victim = pop_victim();
+  }
+  levels_[item.priority].push_back(item);
+  ++depth_;
+  result.accepted = true;
+  return result;
 }
 
-const PriorityFifo::Entry& PriorityFifo::best() const {
-  assert(!empty());
+QueueItem BoundedQueue::pop() {
+  assert(depth_ > 0);
   // Highest priority level; FIFO order within it makes front the earliest.
-  return levels_.rbegin()->second.front();
-}
-
-const PriorityFifo::Entry& PriorityFifo::victim() const {
-  assert(!empty());
-  // Lowest priority level; its back is the latest arrival at that level.
-  return levels_.begin()->second.back();
-}
-
-QueueItem PriorityFifo::pop_best() {
-  assert(!empty());
   auto it = std::prev(levels_.end());
-  const QueueItem item = it->second.front().item;
+  const QueueItem item = it->second.front();
   it->second.pop_front();
   if (it->second.empty()) levels_.erase(it);
-  --size_;
+  --depth_;
   return item;
 }
 
-QueueItem PriorityFifo::pop_victim() {
-  assert(!empty());
+QueueItem BoundedQueue::pop_victim() {
   auto it = levels_.begin();
-  const QueueItem item = it->second.back().item;
+  const QueueItem item = it->second.back();
   it->second.pop_back();
   if (it->second.empty()) levels_.erase(it);
-  --size_;
+  --depth_;
   return item;
 }
 
-bool PriorityFifo::remove(int request) {
+bool BoundedQueue::remove(int request) {
   for (auto it = levels_.begin(); it != levels_.end(); ++it) {
-    std::deque<Entry>& level = it->second;
+    std::deque<QueueItem>& level = it->second;
     for (auto e = level.begin(); e != level.end(); ++e) {
-      if (e->item.request != request) continue;
+      if (e->request != request) continue;
       level.erase(e);
       if (level.empty()) levels_.erase(it);
-      --size_;
+      --depth_;
       return true;
     }
   }
   return false;
 }
-
-BoundedQueue::PushResult BoundedQueue::push(QueueItem item) {
-  PushResult result;
-  if (depth() < max_depth_) {
-    fifo_.push(item, next_seq_++);
-    result.accepted = true;
-    return result;
-  }
-  assert(!fifo_.empty());
-  result.shed = true;
-  if (item.priority <= fifo_.victim().item.priority) {
-    // The incoming item does not outrank the current minimum: it is the
-    // latest arrival at the lowest priority, so it is the one shed.
-    result.victim = item;
-    return result;
-  }
-  result.victim = fifo_.pop_victim();
-  fifo_.push(item, next_seq_++);
-  result.accepted = true;
-  return result;
-}
-
-QueueItem BoundedQueue::pop() { return fifo_.pop_best(); }
-
-bool BoundedQueue::remove(int request) { return fifo_.remove(request); }
 
 }  // namespace numaio::fleet

@@ -12,10 +12,8 @@
 // whole fleet (ISSUE 10).
 #pragma once
 
-#include <cstdint>
 #include <deque>
 #include <map>
-#include <vector>
 
 #include "simcore/units.h"
 
@@ -43,53 +41,10 @@ class TokenBucket {
   sim::Ns last_ = 0.0;
 };
 
-/// One queued admission ticket. `request` is an opaque caller-side id;
-/// `tenant` keys the sharded QueueSet's shard choice (fleet/queue_set.h)
-/// and is ignored by the single BoundedQueue.
+/// One queued admission ticket. `request` is an opaque caller-side id.
 struct QueueItem {
   int request = -1;
   int priority = 0;  ///< Higher survives longer; shedding starts lowest.
-  int tenant = 0;
-};
-
-/// Priority-indexed FIFO: one arrival-ordered level per distinct priority.
-/// The two ends the fleet cares about are both O(log levels): best() is
-/// the pop order (highest priority, earliest sequence) and victim() is the
-/// shed order (lowest priority, latest sequence). Sequence numbers are
-/// assigned by the caller, so a sharded queue can thread one *global*
-/// arrival order through many per-shard fifos and still recover the exact
-/// single-queue pop/shed sequence (fleet/queue_set.h).
-class PriorityFifo {
- public:
-  struct Entry {
-    QueueItem item;
-    std::uint64_t seq = 0;
-  };
-
-  /// Appends `item` at its priority level. `seq` must be strictly greater
-  /// than every sequence previously pushed at that priority.
-  void push(QueueItem item, std::uint64_t seq);
-
-  bool empty() const { return size_ == 0; }
-  int size() const { return size_; }
-
-  /// Highest-priority, earliest-seq entry. Requires !empty().
-  const Entry& best() const;
-  /// Lowest-priority, latest-seq entry (the shed candidate). Requires
-  /// !empty().
-  const Entry& victim() const;
-
-  QueueItem pop_best();
-  QueueItem pop_victim();
-
-  /// Removes the entry for `request` (e.g. its deadline passed while
-  /// queued). O(depth) worst case — removal is the rare path. Returns
-  /// false when not present.
-  bool remove(int request);
-
- private:
-  std::map<int, std::deque<Entry>> levels_;  ///< priority -> FIFO.
-  int size_ = 0;
 };
 
 /// Fixed-depth priority queue with lowest-priority-first eviction.
@@ -100,8 +55,7 @@ class PriorityFifo {
 /// incoming item itself unless it outranks the current minimum. The
 /// invariant the fleet contract rests on: a shed item's priority is <=
 /// every priority still queued at that instant, and depth() never exceeds
-/// max_depth. This single-queue form is the documented reference the
-/// sharded QueueSet is property-tested against.
+/// max_depth.
 class BoundedQueue {
  public:
   explicit BoundedQueue(int max_depth) : max_depth_(max_depth) {}
@@ -117,17 +71,23 @@ class BoundedQueue {
   QueueItem pop();
 
   /// Removes the entry for `request` (e.g. its deadline passed while
-  /// queued). Returns false when not present.
+  /// queued). O(depth) worst case — removal is the rare path. Returns
+  /// false when not present.
   bool remove(int request);
 
-  bool empty() const { return fifo_.empty(); }
-  int depth() const { return fifo_.size(); }
+  bool empty() const { return depth_ == 0; }
+  int depth() const { return depth_; }
   int max_depth() const { return max_depth_; }
 
  private:
+  /// Removes the back of the lowest level: the shed victim.
+  QueueItem pop_victim();
+
   int max_depth_;
-  std::uint64_t next_seq_ = 0;
-  PriorityFifo fifo_;
+  int depth_ = 0;
+  /// priority -> arrival-ordered FIFO. Pop takes the front of the
+  /// highest level, shed the back of the lowest.
+  std::map<int, std::deque<QueueItem>> levels_;
 };
 
 }  // namespace numaio::fleet

@@ -13,16 +13,13 @@
 #include "faults/injector.h"
 #include "fleet/admission.h"
 #include "fleet/placement.h"
-#include "fleet/queue_set.h"
-#include "fleet/shard.h"
 #include "io/fio.h"
 #include "io/nic.h"
 #include "io/testbed.h"
 #include "model/online.h"
+#include "simcore/alarm_engine.h"
 #include "simcore/rng.h"
-#include "simcore/sharded_event_engine.h"
 #include "simcore/stats.h"
-#include "simcore/thread_pool.h"
 
 namespace numaio::fleet {
 
@@ -47,12 +44,6 @@ Status FleetConfig::validate() const {
   if (queue_depth < 1 || max_inflight_per_host < 1) {
     return usage("queue depth and per-host inflight must be >= 1");
   }
-  if (shards < 1) return usage("shards must be >= 1");
-  // Zero shards/lanes used to be conceivable as "pick for me"; rejecting
-  // them with a typed kUsage keeps "1 = serial reference" unambiguous
-  // instead of silently clamping.
-  if (queue_shards < 1) return usage("queue shards must be >= 1");
-  if (event_lanes < 1) return usage("event lanes must be >= 1");
   if (alt_sku_every < 0) return usage("alt SKU cadence must be >= 0");
   if (completion_grid < 0.0) return usage("completion grid must be >= 0");
   if (batch_window < 0.0) return usage("batch window must be >= 0");
@@ -122,9 +113,9 @@ struct HostState {
   /// serve nodes — per host since a mixed fleet has per-SKU values.
   double coarse_capacity = 0.0;
   const std::vector<topo::NodeId>* serve_nodes = nullptr;
-  /// Lane-drain scratch (DESIGN.md §13): the host's event lane advances
-  /// the fluid state and parks finished requests here; the serial merge
-  /// barrier commits them. Only the lane touches these between barriers.
+  /// Alarm-round scratch (DESIGN.md §13): the host's completion alarm
+  /// advances the fluid state and parks finished requests here; the
+  /// merge hook commits them in host order once the round is over.
   std::vector<Request*> finished;
   bool due = false;
 
@@ -132,32 +123,18 @@ struct HostState {
       : tb(std::move(testbed)), breaker(breaker_cfg) {}
 };
 
-/// Per-tenant bookkeeping that stays on the main event loop. Quota
-/// buckets and retry budgets live in the ShardSet arenas instead
-/// (fleet/shard.h), so batched epochs can drain them shard-parallel.
+/// Per-tenant state: arrival stream, quota bucket, retry budget, stats.
 struct TenantRuntime {
   sim::Rng arrivals;
+  TokenBucket bucket;
+  int retry_budget;
   TenantStats stats;
   std::vector<double> latencies;
-  explicit TenantRuntime(sim::Rng rng) : arrivals(rng) {}
+  TenantRuntime(sim::Rng rng, const TenantSpec& spec)
+      : arrivals(rng),
+        bucket(spec.quota_rate_per_s, spec.quota_burst),
+        retry_budget(spec.retry_budget) {}
 };
-
-/// One shared fork-join pool serves both batched admission (ShardSet
-/// drains) and event-lane rounds; null when every path is serial.
-std::unique_ptr<sim::ThreadPool> make_fleet_pool(const FleetConfig& config) {
-  int threads = 1;
-  if (config.batch_window > 0.0 && config.shards > 1) {
-    threads = std::max(threads, std::min(config.shards, 8));
-  }
-  if (config.event_lanes > 1) {
-    threads = std::max(threads,
-                       std::min(config.event_lanes, config.num_hosts));
-  }
-  if (threads <= 1) return nullptr;
-  return std::make_unique<sim::ThreadPool>(threads);
-}
-
-constexpr int kProjectionEvent = 1;  ///< Lane-event kind: completion alarm.
 
 class FleetRuntime {
  public:
@@ -167,24 +144,18 @@ class FleetRuntime {
       : config_(config),
         specs_(tenants),
         obs_(obs),
-        pool_(make_fleet_pool(config)),
-        engine_(config.num_hosts,
-                config.event_lanes > 1 ? pool_.get() : nullptr),
-        queue_(config.queue_depth, config.queue_shards),
-        shards_(std::span<const TenantSpec>(tenants), config.shards),
+        queue_(config.queue_depth),
         placer_(config.num_hosts,
                 PlacerConfig{/*rel_gap=*/0.08, config.summary_refresh}),
         backoff_rng_(sim::Rng(config.seed).fork(0x666c656574u, 1)),
         workload_rng_(sim::Rng(config.seed).fork(0x666c656574u, 2)) {
     build_hosts();
-    engine_.set_lane_handler(
-        [this](int lane, const sim::ShardedEventEngine::LaneEvent& ev) {
-          on_lane_event(lane, ev);
-        });
+    engine_.set_alarm_handler(
+        [this](const sim::AlarmEngine::Alarm& alarm) { on_alarm(alarm); });
     engine_.set_merge_hook([this](sim::Ns at) { on_merge(at); });
     for (std::size_t t = 0; t < specs_.size(); ++t) {
       tenants_.emplace_back(
-          sim::Rng(config_.seed).fork(0x666c656574u, 0x100 + t));
+          sim::Rng(config_.seed).fork(0x666c656574u, 0x100 + t), specs_[t]);
       tenants_.back().stats.name = specs_[t].name;
       tenants_.back().stats.priority = specs_[t].priority;
     }
@@ -229,10 +200,10 @@ class FleetRuntime {
     hosts_.reserve(static_cast<std::size_t>(config_.num_hosts));
     for (int h = 0; h < config_.num_hosts; ++h) {
       const bool alt = host_is_alt(h);
-      hosts_.emplace_back(std::make_unique<io::Testbed>(
-                              alt ? io::Testbed::dl585_lite(config_.solve)
-                                  : io::Testbed::dl585(config_.solve)),
-                          config_.breaker);
+      hosts_.emplace_back(
+          std::make_unique<io::Testbed>(alt ? io::Testbed::dl585_lite()
+                                            : io::Testbed::dl585()),
+          config_.breaker);
       hosts_.back().sku = alt ? 1 : 0;
       if (obs_ != nullptr) {
         // Metrics-only tap on each host's solver (solver.* families in
@@ -336,13 +307,8 @@ class FleetRuntime {
     m_place_fallback_ = m.counter("placement.class_fallback");
     m_summary_refreshes_ = m.counter("placement.summary_refreshes");
     g_class_count_ = m.gauge("placement.class_count");
-    g_queue_shards_ = m.gauge("fleet.queue_shards");
-    m_shard_steals_ = m.counter("fleet.queue_shard_steals");
-    g_shard_max_depth_ = m.gauge("fleet.queue_shard_max_depth");
-    g_lanes_ = m.gauge("engine.lanes");
     m_lane_events_ = m.counter("engine.lane_events");
     m_lane_rounds_ = m.counter("engine.lane_rounds");
-    m_lane_parallel_ = m.counter("engine.lane_parallel_batches");
   }
 
   // --- small helpers -----------------------------------------------------
@@ -419,9 +385,9 @@ class FleetRuntime {
   }
 
   /// Schedules the host's next flow completion (earliest projected finish
-  /// under the current rates and capacity factor) as a lane event on the
-  /// host's lane. With completion_grid > 0 the alarm rounds up to the
-  /// next grid instant so completions across hosts share rounds.
+  /// under the current rates and capacity factor) as a completion alarm.
+  /// With completion_grid > 0 the alarm rounds up to the next grid
+  /// instant so completions across hosts share rounds.
   void reproject(int h, sim::Ns now) {
     HostState& hs = hosts_[static_cast<std::size_t>(h)];
     const std::uint64_t generation = ++hs.projection;
@@ -452,27 +418,26 @@ class FleetRuntime {
       at = std::ceil(at / config_.completion_grid) * config_.completion_grid;
       at = std::max(at, now);
     }
-    engine_.schedule_lane(h, at, kProjectionEvent, 0, 0, generation);
+    engine_.schedule_alarm(h, at, generation);
   }
 
-  /// Lane side of a completion alarm: runs on the host's event lane,
-  /// possibly concurrently with other lanes. Touches only this host's
-  /// state — integrate progress, park finished requests — and leaves all
+  /// First half of a completion alarm. Touches only this host's state —
+  /// integrate progress, park finished requests — and leaves all
   /// publication (traces, metrics, breaker, re-dispatch) to on_merge.
-  void on_lane_event(int h, const sim::ShardedEventEngine::LaneEvent& ev) {
-    if (ev.kind != kProjectionEvent) return;
+  void on_alarm(const sim::AlarmEngine::Alarm& alarm) {
+    const int h = alarm.host;
     HostState& hs = hosts_[static_cast<std::size_t>(h)];
-    if (hs.projection != ev.gen) return;  // superseded alarm
-    advance_host(h, ev.at);
+    if (hs.projection != alarm.gen) return;  // superseded alarm
+    advance_host(h, alarm.at);
     hs.due = true;
     for (Request* req : hs.inflight) {
       if (req->remaining <= kDoneBytes) hs.finished.push_back(req);
     }
   }
 
-  /// Merge barrier after each lane round: commits every due host's
-  /// finished requests in host order (worker-count invariant), reprojects
-  /// the survivors, then re-dispatches freed capacity once.
+  /// Merge hook after each alarm round: commits every due host's
+  /// finished requests in host order, reprojects the survivors, then
+  /// re-dispatches freed capacity once.
   void on_merge(sim::Ns now) {
     bool any = false;
     for (int h = 0; h < config_.num_hosts; ++h) {
@@ -592,12 +557,11 @@ class FleetRuntime {
       fail_request(req, now, "retries", cause);
       return;
     }
-    int& retry_budget = shards_.retry_budget(req.tenant);
-    if (retry_budget <= 0) {
+    if (tenant.retry_budget <= 0) {
       fail_request(req, now, "retry-budget", cause);
       return;
     }
-    --retry_budget;
+    --tenant.retry_budget;
     ++tenant.stats.retries;
     ++retries_;
     if (obs_ != nullptr) obs_->metrics.add(m_retries_);
@@ -655,8 +619,8 @@ class FleetRuntime {
   }
 
   void enqueue(Request& req, sim::Ns now) {
-    const QueueSet::PushResult result =
-        queue_.push(QueueItem{req.id, req.priority, req.tenant});
+    const BoundedQueue::PushResult result =
+        queue_.push(QueueItem{req.id, req.priority});
     if (result.shed) {
       Request& victim =
           requests_[static_cast<std::size_t>(result.victim.request)];
@@ -688,8 +652,8 @@ class FleetRuntime {
       batch_ids_.push_back(req.id);
       arm_epoch(now);
     } else {
-      const Status verdict = admission_status(
-          shards_.bucket(t).try_take(now), "tenant quota exceeded");
+      const Status verdict = admission_status(tenant.bucket.try_take(now),
+                                              "tenant quota exceeded");
       finish_admission(req, now, verdict.ok(), /*batched=*/false);
       if (verdict.ok()) try_dispatch(now);
     }
@@ -725,7 +689,7 @@ class FleetRuntime {
       // In-flight attempts carry their own deadline-clamped timeout.
       if (r.done || r.inflight) return;
       if (r.queued) {
-        queue_.remove(r.id, r.tenant);
+        queue_.remove(r.id);
         r.queued = false;
         note_queue_depth();
       }
@@ -745,10 +709,9 @@ class FleetRuntime {
     engine_.schedule_at(at, [this] { drain_epoch(engine_.now()); });
   }
 
-  /// Drains one admission epoch: all parked arrivals get their quota
-  /// verdicts in one sharded sweep (fleet/shard.h), then verdicts apply
-  /// in arrival order on this thread — trace bytes are invariant to the
-  /// shard count. One span replaces per-request admit/reject events.
+  /// Drains one admission epoch: every parked arrival gets its quota
+  /// verdict and applies it, in arrival order. One span replaces the
+  /// per-request admit/reject events.
   void drain_epoch(sim::Ns now) {
     epoch_armed_ = false;
     if (batch_ids_.empty()) return;
@@ -758,24 +721,16 @@ class FleetRuntime {
       obs::EventFields fields;
       fields.t_sim = now;
       fields.bytes = static_cast<long long>(count);
-      // The shard count stays out of the detail string on purpose: trace
-      // bytes are contracted to be invariant to it (DESIGN.md §12).
       const std::string detail = std::to_string(count) + " arrivals";
       fields.detail = detail;
       span = trace()->begin_span("fleet.admit_batch", run_span_, fields);
     }
-    arrivals_.clear();
+    long long admitted = 0;
     for (const int id : batch_ids_) {
-      const Request& req = requests_[static_cast<std::size_t>(id)];
+      Request& req = requests_[static_cast<std::size_t>(id)];
       // Buckets refill to the original submit time: verdicts match what
       // the per-request path would have said at arrival.
-      arrivals_.push_back(ShardSet::Arrival{req.tenant, req.submit});
-    }
-    shards_.admit_batch(arrivals_, verdicts_, pool_.get());
-    long long admitted = 0;
-    for (std::size_t i = 0; i < count; ++i) {
-      Request& req = requests_[static_cast<std::size_t>(batch_ids_[i])];
-      const bool ok = verdicts_[i] != 0;
+      const bool ok = tenant_of(req).bucket.try_take(req.submit);
       finish_admission(req, now, ok, /*batched=*/true);
       if (ok) ++admitted;
     }
@@ -1041,26 +996,16 @@ class FleetRuntime {
       report.placement_p50 = sim::percentile(placement_lat_, 0.5);
       report.placement_p99 = sim::percentile(placement_lat_, 0.99);
     }
-    report.queue_steals = queue_.cross_shard_steals();
-    report.max_shard_depth = queue_.max_shard_depth();
-    report.lane_rounds = engine_.lane_rounds();
-    report.lane_parallel_batches = engine_.parallel_batches();
+    report.lane_rounds = engine_.rounds();
     if (obs_ != nullptr) {
       obs_->metrics.set(
           g_goodput_,
           horizon_s > 0.0 ? static_cast<double>(report.completed) / horizon_s
                           : 0.0);
-      obs_->metrics.set(g_queue_shards_, queue_.num_shards());
-      obs_->metrics.add(m_shard_steals_,
-                        static_cast<double>(queue_.cross_shard_steals()));
-      obs_->metrics.set(g_shard_max_depth_, queue_.max_shard_depth());
-      obs_->metrics.set(g_lanes_, engine_.num_lanes());
       obs_->metrics.add(m_lane_events_,
-                        static_cast<double>(engine_.lane_events_fired()));
+                        static_cast<double>(engine_.alarms_fired()));
       obs_->metrics.add(m_lane_rounds_,
-                        static_cast<double>(engine_.lane_rounds()));
-      obs_->metrics.add(m_lane_parallel_,
-                        static_cast<double>(engine_.parallel_batches()));
+                        static_cast<double>(engine_.rounds()));
     }
     return report;
   }
@@ -1068,18 +1013,14 @@ class FleetRuntime {
   const FleetConfig& config_;
   const std::vector<TenantSpec>& specs_;
   obs::Context* obs_;
-  /// Shared fork-join pool (admission drains + lane rounds). Declared
-  /// before engine_, which captures the raw pointer at construction.
-  std::unique_ptr<sim::ThreadPool> pool_;
-  sim::ShardedEventEngine engine_;
+  sim::AlarmEngine engine_;
   std::vector<HostState> hosts_;
   std::vector<TenantRuntime> tenants_;
   /// Request arena: deque for stable addresses with chunked allocation
   /// (a scale run creates millions; one heap node per request was
   /// measurable). Event callbacks hold (id, generation) pairs.
   std::deque<Request> requests_;
-  QueueSet queue_;
-  ShardSet shards_;
+  BoundedQueue queue_;
   ClassPlacer placer_;
   std::unique_ptr<faults::FaultInjector> injector_;
   sim::Rng backoff_rng_;
@@ -1087,8 +1028,6 @@ class FleetRuntime {
   // Batched-admission epoch state (batch_window > 0).
   std::vector<int> batch_ids_;  ///< Arrivals parked until the next drain.
   bool epoch_armed_ = false;
-  std::vector<ShardSet::Arrival> arrivals_;   ///< Scratch per epoch.
-  std::vector<unsigned char> verdicts_;       ///< Scratch per epoch.
   // Coarse service model / class placement state, per SKU (0 = DL585,
   // 1 = lite).
   double coarse_capacity_[2] = {0.0, 0.0};  ///< Gbps an unloaded host serves.
@@ -1131,13 +1070,8 @@ class FleetRuntime {
   obs::MetricsRegistry::Id m_place_fallback_ = obs::MetricsRegistry::kNone;
   obs::MetricsRegistry::Id m_summary_refreshes_ = obs::MetricsRegistry::kNone;
   obs::MetricsRegistry::Id g_class_count_ = obs::MetricsRegistry::kNone;
-  obs::MetricsRegistry::Id g_queue_shards_ = obs::MetricsRegistry::kNone;
-  obs::MetricsRegistry::Id m_shard_steals_ = obs::MetricsRegistry::kNone;
-  obs::MetricsRegistry::Id g_shard_max_depth_ = obs::MetricsRegistry::kNone;
-  obs::MetricsRegistry::Id g_lanes_ = obs::MetricsRegistry::kNone;
   obs::MetricsRegistry::Id m_lane_events_ = obs::MetricsRegistry::kNone;
   obs::MetricsRegistry::Id m_lane_rounds_ = obs::MetricsRegistry::kNone;
-  obs::MetricsRegistry::Id m_lane_parallel_ = obs::MetricsRegistry::kNone;
 };
 
 FleetReport FleetRuntime::run() {
@@ -1280,18 +1214,15 @@ StormScenario make_scale_storm(int num_hosts, int num_tenants,
   storm.config.retry.max_backoff = 0.02e9;
   storm.config.breaker.failure_threshold = 8;
   storm.config.breaker.open_cooldown = 0.05e9;
-  // The ISSUE 9 request path: batched admission over sharded tenant
-  // state, coarse service, class-spread placement.
-  storm.config.shards = 8;
+  // The scale request path: batched admission, coarse service,
+  // class-spread placement.
   storm.config.batch_window = 2.0e6;
   storm.config.service_model = ServiceModel::kCoarse;
   storm.config.placement = PlacementPolicy::kClassSpread;
   storm.config.summary_refresh = 10.0e6;
-  // The ISSUE 10 additions: sharded post-admission queue, per-host event
-  // lanes with grid-aligned completion alarms (0.5 ms — a quarter of the
-  // admission epoch, 1/500th of the deadline), and a mixed fleet (every
-  // third host is the lite SKU) so gap_classes yields >1 class.
-  storm.config.queue_shards = 8;
+  // Grid-aligned completion alarms (0.5 ms — a quarter of the admission
+  // epoch, 1/500th of the deadline) and a mixed fleet (every third host
+  // is the lite SKU) so gap_classes yields >1 class.
   storm.config.completion_grid = 0.5e6;
   storm.config.alt_sku_every = 3;
 

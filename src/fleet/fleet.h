@@ -43,7 +43,6 @@
 #include "fleet/breaker.h"
 #include "obs/obs.h"
 #include "simcore/retry.h"
-#include "simcore/solve_options.h"
 #include "simcore/status.h"
 #include "simcore/units.h"
 
@@ -100,17 +99,6 @@ struct FleetConfig {
   /// Arrivals stop here; the run then drains (every pending request
   /// completes or hits its deadline).
   sim::Ns horizon = 10.0e9;
-  /// Solver execution engine for every host's machine (threads / component
-  /// partitioning; simcore/solve_options.h). The fleet owns its testbeds,
-  /// so unlike model::OnlineConfig this is a concrete value: the default
-  /// keeps the serial monolithic solver.
-  sim::SolveOptions solve{};
-  /// Admission sharding (DESIGN.md §12): per-tenant quota buckets and
-  /// retry budgets split into this many tenant-hash-keyed shards, each
-  /// with its own arena. Results — and deterministic trace bytes — are
-  /// invariant to the shard count; shards only let a batched epoch fan
-  /// the quota math across the deterministic sim::ThreadPool.
-  int shards = 1;
   /// Batched admission: > 0 drains arrivals in epochs at fixed
   /// multiples of this window, emitting one `fleet.admit_batch` span
   /// per epoch instead of per-request admit/reject events. 0 keeps the
@@ -124,20 +112,6 @@ struct FleetConfig {
   /// (capacity head-room, breaker state, windowed p99) refresh at most
   /// once per this much simulated time, pulled lazily at placement.
   sim::Ns summary_refresh = 50.0e6;
-  /// Post-admission queue sharding (DESIGN.md §13): the bounded queue
-  /// splits into this many tenant-hash-keyed arenas (fleet/queue_set.h)
-  /// sharing one global depth bound and arrival order, with a two-level
-  /// shed (local candidate, then a cross-shard steal pass). Pop and shed
-  /// order — and therefore traces — are bit-identical to the single
-  /// queue for any value.
-  int queue_shards = 1;
-  /// Event-lane drain workers (DESIGN.md §13): per-host completion
-  /// alarms live on sim::ShardedEventEngine lanes (one per host) and
-  /// due lanes drain as deterministic fork-join rounds across this many
-  /// pool workers. 1 keeps every round serial — the reference path the
-  /// parallel drains are property-tested against. Traces, verdicts and
-  /// stats are invariant to this value by construction.
-  int event_lanes = 1;
   /// 0 keeps the uniform DL585 fleet. k > 0 gives every k-th host
   /// (h % k == k - 1) the lite SKU (io::Testbed::dl585_lite — a
   /// previous-generation NIC with ~55% of the ConnectX-3's ceilings), so
@@ -146,11 +120,10 @@ struct FleetConfig {
   int alt_sku_every = 0;
   /// Completion-alarm quantization (DESIGN.md §13): > 0 rounds every
   /// projected flow-completion alarm up to the next multiple of this
-  /// grid, so completions across hosts share instants and one fork-join
-  /// round drains many lanes at once. A request occupies its slot until
-  /// the grid instant (at most one grid step of added latency); 0 keeps
-  /// exact per-completion alarms. Results are identical for any
-  /// event_lanes value either way.
+  /// grid, so completions across hosts share instants and one alarm
+  /// round commits them all before a single re-dispatch. A request
+  /// occupies its slot until the grid instant (at most one grid step of
+  /// added latency); 0 keeps exact per-completion alarms.
   sim::Ns completion_grid = 0.0;
 
   /// Typed validation of every knob above: ok() or kUsage with the
@@ -200,11 +173,7 @@ struct FleetReport {
   sim::Ns placement_p50 = 0.0;
   sim::Ns placement_p99 = 0.0;
   sim::Ns makespan = 0.0;       ///< Simulated time when the run drained.
-  /// Sharded-path counters (DESIGN.md §13).
-  long long queue_steals = 0;   ///< Shed victims taken from another shard.
-  int max_shard_depth = 0;      ///< Deepest any single queue shard got.
-  long long lane_rounds = 0;    ///< Fork-join lane-drain rounds.
-  long long lane_parallel_batches = 0;  ///< Rounds fanned across workers.
+  long long lane_rounds = 0;    ///< Completion-alarm rounds (DESIGN.md §13).
 
   /// Human-readable table (the CLI's `fleet` output).
   std::string summary() const;
@@ -263,10 +232,9 @@ struct StormScenario {
 StormScenario make_storm(int num_hosts, int num_tenants, double offered_rps,
                          std::uint64_t seed, sim::Ns horizon);
 
-/// The ISSUE 9 scale scenario: thousands of small-request tenants over
-/// the batched (2 ms epochs), sharded (8), coarse-service,
-/// class-placed request path, with one host crashing mid-run and
-/// recovering at half capacity. Small requests (256 KiB) put per-host
+/// The scale scenario: thousands of small-request tenants over the
+/// batched (2 ms epochs), coarse-service, class-placed request path, with
+/// one host crashing mid-run and recovering at half capacity. Small requests (256 KiB) put per-host
 /// service capacity near 10^4 req/s, so the fleet clears >= 10^5
 /// scheduled requests/s — the bench floor ci/perf_guard.sh gates.
 StormScenario make_scale_storm(int num_hosts, int num_tenants,

@@ -6,6 +6,7 @@
 #include <functional>
 #include <limits>
 #include <map>
+#include <span>
 #include <stdexcept>
 
 #include "io/nic.h"
@@ -68,34 +69,18 @@ struct StreamSetup {
 
 StreamShape shape_stream(fabric::Machine& machine, const StreamSpec& spec) {
   assert(spec.device != nullptr);
-  if (spec.placements.empty()) {
-    return shape_stream(machine, *spec.device, spec.engine, spec.cpu_node,
-                        spec.mem_node, spec.options);
-  }
-  return shape_stream(
-      machine, *spec.device, spec.engine, spec.cpu_node,
-      std::span<const std::pair<NodeId, sim::Bytes>>(spec.placements),
-      spec.options);
-}
-
-StreamShape shape_stream(fabric::Machine& machine, const PcieDevice& device,
-                         const std::string& engine, NodeId cpu_node,
-                         NodeId mem_node, const StreamOptions& options) {
-  const std::pair<NodeId, sim::Bytes> whole{mem_node, 1};
-  return shape_stream(machine, device, engine, cpu_node,
-                      std::span<const std::pair<NodeId, sim::Bytes>>(&whole, 1),
-                      options);
-}
-
-StreamShape shape_stream(
-    fabric::Machine& machine, const PcieDevice& device,
-    const std::string& engine, NodeId cpu_node,
-    std::span<const std::pair<NodeId, sim::Bytes>> placements,
-    const StreamOptions& options) {
-  assert(!placements.empty());
-  const EngineSpec& spec = device.engine(engine);
+  const PcieDevice& device = *spec.device;
+  const StreamOptions& options = spec.options;
+  const NodeId cpu_node = spec.cpu_node;
+  // Without placements the buffer lives whole on mem_node.
+  const std::pair<NodeId, sim::Bytes> whole{spec.mem_node, 1};
+  const std::span<const std::pair<NodeId, sim::Bytes>> placements =
+      spec.placements.empty()
+          ? std::span<const std::pair<NodeId, sim::Bytes>>(&whole, 1)
+          : std::span<const std::pair<NodeId, sim::Bytes>>(spec.placements);
+  const EngineSpec& eng = device.engine(spec.engine);
   const NodeId attach = device.attach_node();
-  const double rho = spec.residual_for(cpu_node) * options.rho_factor;
+  const double rho = eng.residual_for(cpu_node) * options.rho_factor;
   assert(rho > 0.0);
 
   sim::Bytes total = 0;
@@ -111,15 +96,15 @@ StreamShape shape_stream(
   for (const auto& [node, bytes] : placements) {
     const double share =
         static_cast<double>(bytes) / static_cast<double>(total);
-    const sim::Ns lat = spec.to_device ? machine.path(node, attach).dma_lat
-                                       : machine.path(attach, node).dma_lat;
-    const double window_rate = spec.window_bits / lat;
-    shape.tau += share / (rho * std::min(spec.device_cap, window_rate));
-    if (spec.stream_window_bits > 0.0) {
+    const sim::Ns lat = eng.to_device ? machine.path(node, attach).dma_lat
+                                      : machine.path(attach, node).dma_lat;
+    const double window_rate = eng.window_bits / lat;
+    shape.tau += share / (rho * std::min(eng.device_cap, window_rate));
+    if (eng.stream_window_bits > 0.0) {
       inv_window_cap +=
-          share * (lat + spec.stream_extra_rtt_ns) / spec.stream_window_bits;
+          share * (lat + eng.stream_extra_rtt_ns) / eng.stream_window_bits;
     }
-    auto leg = machine.dma_usages(node, attach, spec.to_device);
+    auto leg = machine.dma_usages(node, attach, eng.to_device);
     for (sim::Usage& u : leg) u.weight *= share;
     shape.usages.insert(shape.usages.end(), leg.begin(), leg.end());
   }
@@ -127,24 +112,24 @@ StreamShape shape_stream(
   // Per-stream limits.
   sim::Gbps cap = sim::kUnlimited;
   if (inv_window_cap > 0.0) cap = std::min(cap, 1.0 / inv_window_cap);
-  if (spec.per_stream_cap > 0.0) cap = std::min(cap, spec.per_stream_cap);
-  if (spec.per_iodepth_gbps > 0.0) {
+  if (eng.per_stream_cap > 0.0) cap = std::min(cap, eng.per_stream_cap);
+  if (eng.per_iodepth_gbps > 0.0) {
     const int depth = options.synchronous ? 1 : options.iodepth;
-    cap = std::min(cap, spec.per_iodepth_gbps * depth);
+    cap = std::min(cap, eng.per_iodepth_gbps * depth);
   }
   if (std::isfinite(cap)) cap *= options.stream_cap_factor;
   shape.rate_cap = cap;
 
-  shape.usages.push_back({device.pcie_resource(spec.to_device), 1.0});
-  shape.usages.push_back({device.engine_resource(engine), shape.tau});
+  shape.usages.push_back({device.pcie_resource(eng.to_device), 1.0});
+  shape.usages.push_back({device.engine_resource(spec.engine), shape.tau});
   const double cpu_app =
-      spec.cpu_app_per_gbps + options.extra_cpu_app_per_gbps;
+      eng.cpu_app_per_gbps + options.extra_cpu_app_per_gbps;
   if (cpu_app > 0.0) {
     shape.usages.push_back({machine.cpu(cpu_node), cpu_app});
   }
-  if (spec.cpu_irq_per_gbps > 0.0) {
+  if (eng.cpu_irq_per_gbps > 0.0) {
     shape.usages.push_back(
-        {machine.cpu(device.irq_node()), spec.cpu_irq_per_gbps});
+        {machine.cpu(device.irq_node()), eng.cpu_irq_per_gbps});
   }
   return shape;
 }
@@ -281,9 +266,13 @@ std::vector<FioResult> FioRunner::run_timed(
             1.0 + job_rng.normal(-0.01, spec.jitter_stddev), 0.70, 1.30);
       }
 
-      setup.shape =
-          shape_stream(machine, *setup.device, job.engine, job.cpu_node,
-                       setup.buffer.placement, options);
+      StreamSpec stream;
+      stream.device = setup.device;
+      stream.engine = job.engine;
+      stream.cpu_node = job.cpu_node;
+      stream.placements = setup.buffer.placement;
+      stream.options = options;
+      setup.shape = shape_stream(machine, stream);
       if (has_peer_res) setup.shape.usages.push_back({peer_res, 1.0});
       setup.backoff_rng =
           sim::Rng(job.seed)
@@ -571,9 +560,13 @@ std::vector<FioRunner::ResourceLoad> FioRunner::diagnose(const FioJob& job) {
         job.mem_policy, job.cpu_node));
     StreamOptions options;
     options.iodepth = job.iodepth;
-    const StreamShape shape =
-        shape_stream(machine, *device, job.engine, job.cpu_node,
-                     buffers.back().placement, options);
+    StreamSpec spec;
+    spec.device = device;
+    spec.engine = job.engine;
+    spec.cpu_node = job.cpu_node;
+    spec.placements = buffers.back().placement;
+    spec.options = options;
+    const StreamShape shape = shape_stream(machine, spec);
     flows.push_back(solver.add_flow(shape.usages, shape.rate_cap));
     usages.push_back(shape.usages);
   }

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -124,12 +123,12 @@ struct StreamShape {
 
 /// Config-aggregate description of one stream (DESIGN.md §11 "Config
 /// aggregates", same shape as mem::StreamConfig / faults::RandomPlanConfig
-/// / sim::SolveOptions); the preferred shape_stream entry point. When
-/// `placements` is empty the buffer lives whole on
-/// `mem_node`; otherwise it spans the listed (node, bytes) shares
-/// (interleaved policy) and DMA traffic splits across the per-node paths
-/// in proportion to the page shares, with the engine occupancy / window
-/// limits composing harmonically over them.
+/// / sim::SolveOptions), the shape_stream argument. When `placements` is
+/// empty the buffer lives whole on `mem_node`; otherwise it spans the
+/// listed (node, bytes) shares (interleaved policy) and DMA traffic
+/// splits across the per-node paths in proportion to the page shares,
+/// with the engine occupancy / window limits composing harmonically over
+/// them.
 struct StreamSpec {
   const PcieDevice* device = nullptr;
   std::string engine;
@@ -140,20 +139,6 @@ struct StreamSpec {
 };
 
 StreamShape shape_stream(fabric::Machine& machine, const StreamSpec& spec);
-
-/// Deprecated: positional form kept for existing callers; prefer the
-/// StreamSpec overload above.
-StreamShape shape_stream(fabric::Machine& machine, const PcieDevice& device,
-                         const std::string& engine, NodeId cpu_node,
-                         NodeId mem_node, const StreamOptions& options = {});
-
-/// Deprecated: positional placement-aware form kept for existing callers;
-/// prefer the StreamSpec overload above.
-StreamShape shape_stream(
-    fabric::Machine& machine, const PcieDevice& device,
-    const std::string& engine, NodeId cpu_node,
-    std::span<const std::pair<NodeId, sim::Bytes>> placements,
-    const StreamOptions& options = {});
 
 /// A job with an absolute start time, for open-loop arrival workloads.
 struct TimedJob {

@@ -81,9 +81,12 @@ std::vector<FioResult> HostPair::run_concurrent(
       setup.buf_a = host_->alloc_local(2 * sim::kMiB, job.local_node);
       setup.buf_b = host_->alloc_local(2 * sim::kMiB, b_node);
 
-      const StreamShape shape_a =
-          shape_stream(*machine_, *nic_a_, job.engine, job.local_node,
-                       setup.buf_a.home());
+      StreamSpec spec_a;
+      spec_a.device = nic_a_.get();
+      spec_a.engine = job.engine;
+      spec_a.cpu_node = job.local_node;
+      spec_a.mem_node = setup.buf_a.home();
+      const StreamShape shape_a = shape_stream(*machine_, spec_a);
 
       std::vector<sim::Usage> usages = shape_a.usages;
       usages.push_back({a_sends ? wire_ab_ : wire_ba_, 1.0});
@@ -106,9 +109,12 @@ std::vector<FioResult> HostPair::run_concurrent(
                                       : target_b_from_mem_,
                           b_lat / spec.window_bits});
       } else {
-        const StreamShape shape_b =
-            shape_stream(*machine_, *nic_b_, peer_name, b_node,
-                         setup.buf_b.home());
+        StreamSpec spec_b;
+        spec_b.device = nic_b_.get();
+        spec_b.engine = peer_name;
+        spec_b.cpu_node = b_node;
+        spec_b.mem_node = setup.buf_b.home();
+        const StreamShape shape_b = shape_stream(*machine_, spec_b);
         usages.insert(usages.end(), shape_b.usages.begin(),
                       shape_b.usages.end());
         cap = std::min(cap, shape_b.rate_cap);

@@ -12,21 +12,16 @@ Testbed::Testbed(std::unique_ptr<fabric::Machine> machine, NodeId device_node,
                     : make_connectx3(*machine_, device_node)),
       ssds_(make_nytro_pair(*machine_, device_node)) {}
 
-Testbed Testbed::dl585(const sim::SolveOptions& solve) {
-  return dl585_with_devices_on(7, solve);
+Testbed Testbed::dl585() { return dl585_with_devices_on(7); }
+
+Testbed Testbed::dl585_with_devices_on(NodeId node) {
+  return Testbed(std::make_unique<fabric::Machine>(fabric::dl585_profile()),
+                 node);
 }
 
-Testbed Testbed::dl585_with_devices_on(NodeId node,
-                                       const sim::SolveOptions& solve) {
-  return Testbed(
-      std::make_unique<fabric::Machine>(fabric::dl585_profile(), solve),
-      node);
-}
-
-Testbed Testbed::dl585_lite(const sim::SolveOptions& solve) {
-  return Testbed(
-      std::make_unique<fabric::Machine>(fabric::dl585_profile(), solve),
-      /*device_node=*/7, /*lite_nic=*/true);
+Testbed Testbed::dl585_lite() {
+  return Testbed(std::make_unique<fabric::Machine>(fabric::dl585_profile()),
+                 /*device_node=*/7, /*lite_nic=*/true);
 }
 
 std::vector<const PcieDevice*> Testbed::ssds() const {

@@ -11,28 +11,23 @@
 #include "io/fio.h"
 #include "io/nic.h"
 #include "io/ssd.h"
-#include "simcore/solve_options.h"
 
 namespace numaio::io {
 
 class Testbed {
  public:
-  /// The paper's configuration: devices on node 7. `solve` configures
-  /// the machine solver's execution engine (threads / component
-  /// partitioning; simcore/solve_options.h); the default stays the
-  /// serial monolithic solver.
-  static Testbed dl585(const sim::SolveOptions& solve = {});
+  /// The paper's configuration: devices on node 7.
+  static Testbed dl585();
 
   /// A DL585-calibrated rig with devices attached to another I/O-hub node
   /// (node 1 carries the second hub).
-  static Testbed dl585_with_devices_on(NodeId node,
-                                       const sim::SolveOptions& solve = {});
+  static Testbed dl585_with_devices_on(NodeId node);
 
   /// The mixed-fleet "lite" SKU: the same DL585 fabric but carrying the
   /// previous-generation NIC (io::make_connectx3_lite, ~55% of the
   /// ConnectX-3's ceilings). Distinct enough that fleet-level gap
   /// classification separates the two SKUs into different classes.
-  static Testbed dl585_lite(const sim::SolveOptions& solve = {});
+  static Testbed dl585_lite();
 
   fabric::Machine& machine() { return *machine_; }
   nm::Host& host() { return *host_; }

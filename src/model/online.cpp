@@ -162,9 +162,6 @@ int OnlineScheduler::active_on(NodeId node) const {
 
 OnlineReport OnlineScheduler::run(std::span<const IoTask> tasks) {
   fabric::Machine& machine = host_.machine();
-  if (config_.solve.has_value()) {
-    machine.solver().set_options(*config_.solve);
-  }
   sim::FluidSimulation fluid(machine.solver());
   if (faults_ != nullptr) faults_->arm(fluid);
 

@@ -16,7 +16,6 @@
 // continues on the new node after `migration_cost`.
 #pragma once
 
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -26,7 +25,6 @@
 #include "model/classify.h"
 #include "model/workload.h"
 #include "nm/host.h"
-#include "simcore/solve_options.h"
 
 namespace numaio::model {
 
@@ -48,12 +46,6 @@ struct OnlineConfig {
   /// Classes whose model average is within this fraction of the best
   /// remote-aware class join the placement pool.
   double class_tolerance = 0.25;
-  /// When set, run() reconfigures the host solver's execution engine
-  /// (threads / component partitioning; simcore/solve_options.h) before
-  /// simulating. Unset inherits whatever the host's machine was built
-  /// with — so a Testbed configured via --solver-threads keeps its
-  /// setting through a default-configured scheduler.
-  std::optional<sim::SolveOptions> solve;
 };
 
 struct TaskOutcome {

@@ -27,14 +27,13 @@
 #include "obs/stream.h"
 
 // Simulation core: units, RNG, statistics, retry policy, status codes,
-// and the solver execution engine (SolveOptions / ThreadPool).
+// and the solver options (SolveOptions).
 #include "simcore/fluid_sim.h"
 #include "simcore/retry.h"
 #include "simcore/rng.h"
 #include "simcore/solve_options.h"
 #include "simcore/stats.h"
 #include "simcore/status.h"
-#include "simcore/thread_pool.h"
 #include "simcore/units.h"
 
 // NUMA topology: graphs, presets, routing, latency.

@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -165,6 +166,11 @@ void send_all(int fd, const std::string& data) {
   }
 }
 
+/// How long the accept thread waits for a client's request. It serves
+/// one connection at a time, so this bounds how long an idle client can
+/// stall every other scrape.
+constexpr int kRecvTimeoutMs = 250;
+
 std::string http_response(const char* status, const char* content_type,
                           const std::string& body) {
   std::ostringstream out;
@@ -233,17 +239,23 @@ void TelemetryServer::serve_loop() {
       if (errno == EINTR) continue;
       return;  // listener shut down (or broken): exit the thread
     }
-    char buf[1024];
+    timeval timeout{};
+    timeout.tv_usec = kRecvTimeoutMs * 1000;
+    ::setsockopt(client, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
+    char buf[1024];  // the request cap: one read of at most 1 KiB
     const ssize_t n = ::recv(client, buf, sizeof buf - 1, 0);
+    if (n <= 0) {
+      // Timed out, reset, or closed before sending a request.
+      ::close(client);
+      continue;
+    }
+    buf[n] = '\0';
+    // "GET /path HTTP/1.x" — we only care about the path.
     std::string target = "/";
-    if (n > 0) {
-      buf[n] = '\0';
-      // "GET /path HTTP/1.x" — we only care about the path.
-      const char* sp1 = std::strchr(buf, ' ');
-      if (sp1 != nullptr) {
-        const char* sp2 = std::strchr(sp1 + 1, ' ');
-        if (sp2 != nullptr) target.assign(sp1 + 1, sp2);
-      }
+    const char* sp1 = std::strchr(buf, ' ');
+    if (sp1 != nullptr) {
+      const char* sp2 = std::strchr(sp1 + 1, ' ');
+      if (sp2 != nullptr) target.assign(sp1 + 1, sp2);
     }
     std::string response;
     if (target == "/metrics") {

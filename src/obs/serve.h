@@ -28,7 +28,11 @@
 //                    connection) serving GET /metrics (Prometheus text
 //                    exposition 0.0.4), /report (the rolling markdown)
 //                    and /healthz from the hub. Enough for a Prometheus
-//                    scrape job or `curl`; not a web server.
+//                    scrape job or `curl`; not a web server. A request
+//                    is one read of at most 1 KiB, and a client that
+//                    sends nothing is dropped after a fixed receive
+//                    timeout, so an idle connection delays other scrapes
+//                    by at most that long.
 //
 // Wiring lives in the CLI: `numaio_cli serve` and `fleet --serve-port`
 // (docs/OBSERVABILITY.md "Live telemetry"). Port 0 binds an ephemeral

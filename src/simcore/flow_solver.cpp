@@ -7,8 +7,6 @@
 #include <limits>
 #include <utility>
 
-#include "simcore/thread_pool.h"
-
 namespace numaio::sim {
 
 namespace {
@@ -25,48 +23,10 @@ constexpr double kEps = 1e-12;
 constexpr std::size_t kRebuildMinRemovals = 16;
 }  // namespace
 
-/// Per-worker water-filling scratch. alignas(64) puts each worker's hot
-/// cursors (stamp, partial counters, the vector headers) on its own cache
-/// line; the vectors' payloads are separate heap blocks already, so two
-/// workers solving components concurrently never write the same line.
-struct alignas(64) FlowSolver::SolveScratch {
-  std::vector<FlowId> worklist;     ///< Monolithic-mode flow list.
-  std::vector<ResourceId> touched;  ///< Resources with live weight.
-  std::vector<double> weight;
-  std::vector<Gbps> residual;
-  std::vector<std::uint64_t> touch_stamp;  ///< Per resource.
-  std::vector<std::uint64_t> cand_stamp;   ///< Per flow slot.
-  std::uint64_t stamp = 0;
-  // Per-solve partial counters, summed into stats_ after the join so
-  // workers never contend on the shared SolveStats block.
-  std::uint64_t rounds = 0;
-  std::uint64_t flows_scanned = 0;
-  std::uint64_t resource_touches = 0;
-  std::uint64_t scratch_grows = 0;
-};
-
-FlowSolver::FlowSolver(const SolveOptions& options)
-    : options_(options.normalized()) {
-  scratch_.reserve(static_cast<std::size_t>(options_.threads));
-  for (int w = 0; w < options_.threads; ++w) {
-    scratch_.push_back(std::make_unique<SolveScratch>());
-  }
-}
-
-FlowSolver::~FlowSolver() = default;
-FlowSolver::FlowSolver(FlowSolver&&) noexcept = default;
-FlowSolver& FlowSolver::operator=(FlowSolver&&) noexcept = default;
-
 void FlowSolver::set_options(const SolveOptions& options) {
-  const SolveOptions next = options.normalized();
-  if (next == options_) return;
-  const bool was_partition = options_.partition;
-  options_ = next;
-  pool_.reset();  // lazily recreated at the new width
-  while (scratch_.size() < static_cast<std::size_t>(options_.threads)) {
-    scratch_.push_back(std::make_unique<SolveScratch>());
-  }
-  if (options_.partition && !was_partition) {
+  if (options.partition == options_.partition) return;
+  options_ = options;
+  if (options_.partition) {
     // Components were not maintained while partitioning was off; derive
     // them from the live flows at the next solve.
     dsu_parent_.resize(resources_.size());
@@ -76,8 +36,7 @@ void FlowSolver::set_options(const SolveOptions& options) {
     need_rebuild_ = true;
   }
   // A partition toggle changes the floating-point association of the
-  // result, and any real change retires the current execution plan, so
-  // the cached rates cannot be reused.
+  // result, so the cached rates cannot be reused.
   bump_epoch();
   all_dirty_ = true;
   detached_dirty_ = true;
@@ -405,7 +364,6 @@ void FlowSolver::set_observer(obs::Context* obs) {
   m_touches_ = obs_->metrics.counter("solver.resource_touches");
   m_components_ = obs_->metrics.gauge("solver.components");
   m_largest_comp_ = obs_->metrics.gauge("solver.largest_component_flows");
-  m_parallel_batches_ = obs_->metrics.counter("solver.parallel_batches");
   m_rebuilds_ = obs_->metrics.counter("solver.component_rebuilds");
 }
 
@@ -451,22 +409,11 @@ void FlowSolver::solve_uncached() const {
   std::fill(rates_.begin(), rates_.end(), 0.0);
   if (live_flows_ == 0) return;
 
-  SolveScratch& s = *scratch_[0];
-  s.rounds = 0;
-  s.flows_scanned = 0;
-  s.resource_touches = 0;
-  s.scratch_grows = 0;
-  ensure_size(s.weight, resources_.size(), s.scratch_grows);
-  ensure_size(s.residual, resources_.size(), s.scratch_grows);
-  ensure_size(s.touch_stamp, resources_.size(), s.scratch_grows);
-  ensure_size(s.cand_stamp, flows_.size(), s.scratch_grows);
+  prepare_scratch();
+  SolveScratch& s = scratch_;
   if (s.worklist.capacity() < live_flows_) {
     ++s.scratch_grows;
     s.worklist.reserve(live_flows_);
-  }
-  if (s.touched.capacity() < resources_.size()) {
-    ++s.scratch_grows;
-    s.touched.reserve(resources_.size());
   }
 
   // One span holding every live flow in insertion order (== the old
@@ -476,8 +423,28 @@ void FlowSolver::solve_uncached() const {
   for (FlowId f = head_; f != kNoFlow; f = flows_[f].next) {
     s.worklist.push_back(f);
   }
-  solve_span(s.worklist.data(), s.worklist.size(), s);
+  solve_span(s.worklist.data(), s.worklist.size());
+  publish_scratch();
+}
 
+void FlowSolver::prepare_scratch() const {
+  SolveScratch& s = scratch_;
+  s.rounds = 0;
+  s.flows_scanned = 0;
+  s.resource_touches = 0;
+  s.scratch_grows = 0;
+  ensure_size(s.weight, resources_.size(), s.scratch_grows);
+  ensure_size(s.residual, resources_.size(), s.scratch_grows);
+  ensure_size(s.touch_stamp, resources_.size(), s.scratch_grows);
+  ensure_size(s.cand_stamp, flows_.size(), s.scratch_grows);
+  if (s.touched.capacity() < resources_.size()) {
+    ++s.scratch_grows;
+    s.touched.reserve(resources_.size());
+  }
+}
+
+void FlowSolver::publish_scratch() const {
+  const SolveScratch& s = scratch_;
   stats_.rounds += s.rounds;
   stats_.flows_scanned += s.flows_scanned;
   stats_.resource_touches += s.resource_touches;
@@ -523,12 +490,11 @@ void FlowSolver::solve_partitioned() const {
   ensure_size(comp_flows_, resources_.size(), stats_.scratch_grows);
   ensure_size(bucket_slot_, resources_.size(), stats_.scratch_grows);
 
-  // Bucket pass (serial): walk live flows once in insertion order,
-  // counting components and collecting the dirty ones' flows. A bucket's
-  // flow order is therefore insertion order, and bucket order is the
+  // Bucket pass: walk live flows once in insertion order, counting
+  // components and collecting the dirty ones' flows. A bucket's flow
+  // order is therefore insertion order, and bucket order is the
   // first-appearance order of dirty components — both pure functions of
-  // the mutation history, which is what makes the parallel solve
-  // deterministic.
+  // the mutation history.
   const std::uint64_t tok = ++bucket_token_;
   std::size_t used = 0;  // dirty buckets this solve
   std::uint64_t components = 0;
@@ -571,46 +537,9 @@ void FlowSolver::solve_partitioned() const {
   }
   if (detached_count > 0) ++components;
 
-  // Size every active worker's scratch serially: the workers themselves
-  // never allocate, so parallel solves stay malloc-free and the arrays
-  // (one block per worker, alignas(64) headers) cannot false-share.
-  const bool parallel = options_.threads > 1 && used > 1;
-  const std::size_t lanes =
-      parallel ? static_cast<std::size_t>(options_.threads) : 1;
-  for (std::size_t w = 0; w < lanes; ++w) {
-    SolveScratch& s = *scratch_[w];
-    s.rounds = 0;
-    s.flows_scanned = 0;
-    s.resource_touches = 0;
-    s.scratch_grows = 0;
-    ensure_size(s.weight, resources_.size(), s.scratch_grows);
-    ensure_size(s.residual, resources_.size(), s.scratch_grows);
-    ensure_size(s.touch_stamp, resources_.size(), s.scratch_grows);
-    ensure_size(s.cand_stamp, flows_.size(), s.scratch_grows);
-    if (s.touched.capacity() < resources_.size()) {
-      ++s.scratch_grows;
-      s.touched.reserve(resources_.size());
-    }
-  }
-
-  if (parallel) {
-    if (pool_ == nullptr) {
-      pool_ = std::make_unique<ThreadPool>(options_.threads);
-    }
-    ++stats_.parallel_batches;
-    if (obs_ != nullptr) obs_->metrics.add(m_parallel_batches_);
-    Bucket* const buckets = buckets_.data();
-    pool_->run(used, options_.deterministic,
-               [this, buckets](std::size_t i, int worker) {
-                 Bucket& b = buckets[i];
-                 solve_span(b.flows.data(), b.flows.size(),
-                            *scratch_[static_cast<std::size_t>(worker)]);
-               });
-  } else {
-    for (std::size_t i = 0; i < used; ++i) {
-      solve_span(buckets_[i].flows.data(), buckets_[i].flows.size(),
-                 *scratch_[0]);
-    }
+  prepare_scratch();
+  for (std::size_t i = 0; i < used; ++i) {
+    solve_span(buckets_[i].flows.data(), buckets_[i].flows.size());
   }
 
   for (ResourceId r : dirty_roots_) comp_dirty_[r] = 0;
@@ -618,37 +547,19 @@ void FlowSolver::solve_partitioned() const {
   all_dirty_ = false;
   detached_dirty_ = false;
 
-  std::uint64_t rounds = 0;
-  std::uint64_t scanned = 0;
-  std::uint64_t touches = 0;
-  std::uint64_t grows = 0;
-  for (std::size_t w = 0; w < lanes; ++w) {
-    const SolveScratch& s = *scratch_[w];
-    rounds += s.rounds;
-    scanned += s.flows_scanned;
-    touches += s.resource_touches;
-    grows += s.scratch_grows;
-  }
-  stats_.rounds += rounds;
-  stats_.flows_scanned += scanned;
-  stats_.resource_touches += touches;
-  stats_.scratch_grows += grows;
+  publish_scratch();
   stats_.components = components;
   stats_.dirty_components = used;
   stats_.largest_component_flows = largest;
   if (obs_ != nullptr) {
-    obs_->metrics.add(m_rounds_, static_cast<double>(rounds));
-    obs_->metrics.observe(m_rounds_hist_, static_cast<double>(rounds));
-    obs_->metrics.add(m_flows_scanned_, static_cast<double>(scanned));
-    obs_->metrics.add(m_touches_, static_cast<double>(touches));
     obs_->metrics.set(m_components_, static_cast<double>(components));
     obs_->metrics.set(m_largest_comp_, static_cast<double>(largest));
   }
 }
 
-void FlowSolver::solve_span(FlowId* flows, std::size_t n,
-                            SolveScratch& s) const {
+void FlowSolver::solve_span(FlowId* flows, std::size_t n) const {
   if (n == 0) return;
+  SolveScratch& s = scratch_;
 
   // Build per-resource weights walking the span in order, initializing
   // weight/residual lazily at first touch via the stamp so untouched

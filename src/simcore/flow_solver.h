@@ -30,20 +30,17 @@
 //    is reusable member storage: after warm-up a solve performs zero
 //    heap allocations (stats().scratch_grows counts the exceptions).
 //
-// Execution engine (SolveOptions; DESIGN.md §11): with `partition` on,
-// an incremental union-find over resources tracks resource-connected
+// Partitioning (SolveOptions; DESIGN.md §11): with `partition` on, an
+// incremental union-find over resources tracks resource-connected
 // components — flows in disjoint components cannot interact under
 // max-min fairness, so each component solves independently and a
 // mutation dirties only its own component (clean components keep their
-// cached rates across solves). With `threads` > 1 the dirty components
-// of a solve run concurrently on a sim::ThreadPool, each worker using
-// its own cache-line-padded scratch block. Rates are bit-identical
-// across thread counts (each component's arithmetic is self-contained
-// and accumulates in flow-insertion order); they are NOT bit-identical
-// between partition on/off on multi-component graphs, because the
-// monolithic solver's global water-filling delta reassociates the
-// floating-point arithmetic across components. The default options
-// therefore keep partitioning off.
+// cached rates across solves). Each component's arithmetic is
+// self-contained and accumulates in flow-insertion order, but rates are
+// NOT bit-identical between partition on/off on multi-component graphs,
+// because the monolithic solver's global water-filling delta
+// reassociates the floating-point arithmetic across components. The
+// default options therefore keep partitioning off.
 //
 // The default (monolithic) allocation is bit-identical to the historical
 // per-flow-vector solver: live flows are kept on an insertion-order list
@@ -55,7 +52,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -66,8 +62,6 @@
 #include "simcore/units.h"
 
 namespace numaio::sim {
-
-class ThreadPool;
 
 using ResourceId = std::size_t;
 using FlowId = std::size_t;
@@ -93,29 +87,18 @@ class FlowSolver {
     std::uint64_t resource_touches = 0;  ///< Per-usage residual updates.
     std::uint64_t scratch_grows = 0;  ///< Solve-path scratch (re)allocations.
     // Component partitioning (SolveOptions::partition; otherwise 0).
-    std::uint64_t parallel_batches = 0;    ///< Multi-component pool dispatches.
     std::uint64_t component_rebuilds = 0;  ///< Full union-find rebuilds.
     std::uint64_t components = 0;  ///< Components at the last real solve.
     std::uint64_t dirty_components = 0;  ///< Components re-solved by it.
     std::uint64_t largest_component_flows = 0;  ///< Biggest component then.
   };
 
-  FlowSolver() : FlowSolver(SolveOptions{}) {}
-  /// Execution-engine configuration (threads / partitioning /
-  /// determinism); see simcore/solve_options.h. Options are normalized:
-  /// threads > 1 implies partition.
-  explicit FlowSolver(const SolveOptions& options);
-  ~FlowSolver();
+  FlowSolver() = default;
+  /// Partitioning on or off; see simcore/solve_options.h.
+  explicit FlowSolver(const SolveOptions& options) : options_(options) {}
 
-  // Movable (tests and builders hand solvers around by value) but not
-  // copyable: the worker pool and per-worker scratch are identity-bound.
-  FlowSolver(FlowSolver&&) noexcept;
-  FlowSolver& operator=(FlowSolver&&) noexcept;
-  FlowSolver(const FlowSolver&) = delete;
-  FlowSolver& operator=(const FlowSolver&) = delete;
-
-  /// Reconfigures the execution engine in place (flows, resources and
-  /// stats survive). A real change invalidates the solve cache: toggling
+  /// Reconfigures partitioning in place (flows, resources and stats
+  /// survive). A real change invalidates the solve cache: toggling
   /// `partition` changes the floating-point association of the next
   /// solve, so the cached rates cannot be reused. Setting the current
   /// options again is a no-op.
@@ -188,8 +171,8 @@ class FlowSolver {
   /// `solver.cache_hits`, `solver.cache_misses`), wall time
   /// (`solver.solve_us`, cache misses only) and — in partition mode —
   /// component shape (`solver.components`,
-  /// `solver.largest_component_flows` gauges, `solver.parallel_batches`
-  /// and `solver.component_rebuilds` counters). The context must outlive
+  /// `solver.largest_component_flows` gauges, the
+  /// `solver.component_rebuilds` counter). The context must outlive
   /// the solver or be detached first.
   void set_observer(obs::Context* obs);
 
@@ -198,8 +181,7 @@ class FlowSolver {
   /// The returned vector is indexed by FlowId (slot); removed flows
   /// report 0. The reference stays valid until the next mutation +
   /// solve. Logically const but not safe to call concurrently: it reuses
-  /// member scratch (worker threads, when enabled, live entirely inside
-  /// one solve() call).
+  /// member scratch.
   const std::vector<Gbps>& solve() const;
 
   /// Sum of the allocation over all live flows. Free when cached.
@@ -249,9 +231,21 @@ class FlowSolver {
     std::size_t usage = 0;  ///< Arena index of the usage.
   };
 
-  /// Per-worker water-filling scratch (defined in flow_solver.cpp),
-  /// cache-line padded so concurrent component solves never share lines.
-  struct SolveScratch;
+  /// Water-filling scratch, reused across solves.
+  struct SolveScratch {
+    std::vector<FlowId> worklist;     ///< Monolithic-mode flow list.
+    std::vector<ResourceId> touched;  ///< Resources with live weight.
+    std::vector<double> weight;
+    std::vector<Gbps> residual;
+    std::vector<std::uint64_t> touch_stamp;  ///< Per resource.
+    std::vector<std::uint64_t> cand_stamp;   ///< Per flow slot.
+    std::uint64_t stamp = 0;
+    // Per-solve counters, summed into stats_ after the solve.
+    std::uint64_t rounds = 0;
+    std::uint64_t flows_scanned = 0;
+    std::uint64_t resource_touches = 0;
+    std::uint64_t scratch_grows = 0;
+  };
 
   /// One dirty component's work item: its flows in insertion order.
   struct Bucket {
@@ -267,10 +261,15 @@ class FlowSolver {
   static void ensure_size(std::vector<T>& v, std::size_t n,
                           std::uint64_t& grows);
   void solve_uncached() const;
+  /// Sizes scratch_ for the current resource/flow counts and zeroes its
+  /// per-solve counters.
+  void prepare_scratch() const;
+  /// Folds scratch_'s per-solve counters into stats_ and the metrics.
+  void publish_scratch() const;
   /// Water-fills one flow set (a component, or all live flows in
-  /// monolithic mode) using scratch `s`. `flows` is compacted in place
-  /// as flows freeze; only rates_ slots of `flows` are written.
-  void solve_span(FlowId* flows, std::size_t n, SolveScratch& s) const;
+  /// monolithic mode) using scratch_. `flows` is compacted in place as
+  /// flows freeze; only rates_ slots of `flows` are written.
+  void solve_span(FlowId* flows, std::size_t n) const;
   void solve_partitioned() const;
 
   // Union-find over resources (partition mode). find() path-compresses,
@@ -328,11 +327,7 @@ class FlowSolver {
   mutable std::vector<std::size_t> bucket_slot_;    ///< Root -> bucket.
   mutable std::uint64_t bucket_token_ = 0;
 
-  // Per-worker scratch (scratch_[0] doubles as the monolithic scratch)
-  // and the lazily created pool. unique_ptr keeps each worker's block on
-  // its own heap allocation, cache-line aligned via alignas on the type.
-  mutable std::vector<std::unique_ptr<SolveScratch>> scratch_;
-  mutable std::unique_ptr<ThreadPool> pool_;
+  mutable SolveScratch scratch_;
 
   mutable SolveStats stats_;
 
@@ -349,7 +344,6 @@ class FlowSolver {
   obs::MetricsRegistry::Id m_touches_ = obs::MetricsRegistry::kNone;
   obs::MetricsRegistry::Id m_components_ = obs::MetricsRegistry::kNone;
   obs::MetricsRegistry::Id m_largest_comp_ = obs::MetricsRegistry::kNone;
-  obs::MetricsRegistry::Id m_parallel_batches_ = obs::MetricsRegistry::kNone;
   obs::MetricsRegistry::Id m_rebuilds_ = obs::MetricsRegistry::kNone;
 };
 

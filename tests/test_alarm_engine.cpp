@@ -1,0 +1,265 @@
+// AlarmEngine tests (DESIGN.md §13): control-queue ordering, alarms
+// before control at shared instants, the merge hook after each round,
+// (host, seq) drain order within a round, same-host rescheduling from the
+// handler, run_until clock semantics, and a randomized check of the whole
+// drain order against a sorted reference.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstddef>
+#include <cstdint>
+#include <numeric>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "simcore/alarm_engine.h"
+#include "simcore/rng.h"
+#include "simcore/units.h"
+
+namespace numaio::sim {
+namespace {
+
+TEST(AlarmEngineTest, ControlEventsFireInTimeThenFifoOrder) {
+  AlarmEngine eng;
+  std::vector<int> order;
+  eng.schedule_at(20.0, [&] { order.push_back(2); });
+  eng.schedule_at(10.0, [&] {
+    order.push_back(0);
+    EXPECT_DOUBLE_EQ(eng.now(), 10.0);
+  });
+  eng.schedule_at(10.0, [&] { order.push_back(1); });  // same instant: FIFO
+  const Ns end = eng.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+  EXPECT_DOUBLE_EQ(end, 20.0);
+  EXPECT_EQ(eng.pending(), 0u);
+}
+
+TEST(AlarmEngineTest, AlarmsDrainBeforeControlAtTheSameInstant) {
+  AlarmEngine eng;
+  std::vector<std::string> order;
+  eng.set_alarm_handler([&](const AlarmEngine::Alarm& alarm) {
+    order.push_back("host" + std::to_string(alarm.host));
+  });
+  eng.set_merge_hook([&](Ns at) {
+    order.push_back("merge@" + std::to_string(static_cast<int>(at)));
+  });
+  eng.schedule_at(10.0, [&] { order.push_back("control"); });
+  eng.schedule_alarm(1, 10.0, /*gen=*/0);
+  eng.schedule_alarm(0, 10.0, /*gen=*/0);
+  eng.run();
+  // Both alarms fire in host order, then the merge hook, then the
+  // control closure — all at t = 10.
+  EXPECT_EQ(order, (std::vector<std::string>{"host0", "host1", "merge@10",
+                                             "control"}));
+  EXPECT_EQ(eng.rounds(), 1);
+  EXPECT_EQ(eng.alarms_fired(), 2);
+}
+
+TEST(AlarmEngineTest, RoundDrainsHostMajorThenSchedulingOrder) {
+  // Within one instant the drain order is (host, seq), whatever order the
+  // alarms were scheduled in — host by host, each host's alarms FIFO.
+  AlarmEngine eng;
+  std::vector<std::pair<int, std::uint64_t>> fired;
+  eng.set_alarm_handler([&](const AlarmEngine::Alarm& alarm) {
+    fired.emplace_back(alarm.host, alarm.gen);
+  });
+  eng.schedule_alarm(2, 5.0, /*gen=*/20);
+  eng.schedule_alarm(0, 5.0, /*gen=*/1);
+  eng.schedule_alarm(2, 5.0, /*gen=*/21);
+  eng.schedule_alarm(1, 5.0, /*gen=*/10);
+  eng.schedule_alarm(0, 5.0, /*gen=*/2);
+  eng.run();
+  EXPECT_EQ(fired, (std::vector<std::pair<int, std::uint64_t>>{
+                       {0, 1}, {0, 2}, {1, 10}, {2, 20}, {2, 21}}));
+  EXPECT_EQ(eng.rounds(), 1);
+}
+
+TEST(AlarmEngineTest, AlarmHandlerMayRescheduleItsOwnHost) {
+  AlarmEngine eng;
+  std::vector<long long> fired(3, 0);
+  eng.set_alarm_handler([&](const AlarmEngine::Alarm& alarm) {
+    ++fired[static_cast<std::size_t>(alarm.host)];
+    if (alarm.gen > 0) {
+      eng.schedule_alarm(alarm.host, alarm.at + 5.0, alarm.gen - 1);
+    }
+  });
+  for (int host = 0; host < 3; ++host) {
+    eng.schedule_alarm(host, 10.0, /*gen=*/3);
+  }
+  const Ns end = eng.run();
+  // Each host fires at 10, 15, 20, 25.
+  EXPECT_EQ(fired, (std::vector<long long>{4, 4, 4}));
+  EXPECT_DOUBLE_EQ(end, 25.0);
+  EXPECT_EQ(eng.rounds(), 4);  // shared instants batch into rounds
+  EXPECT_EQ(eng.alarms_fired(), 12);
+}
+
+TEST(AlarmEngineTest, RunUntilStopsAndAdvancesTheClock) {
+  AlarmEngine eng;
+  std::vector<Ns> fired;
+  eng.schedule_at(10.0, [&] { fired.push_back(10.0); });
+  eng.schedule_at(30.0, [&] { fired.push_back(30.0); });
+  eng.schedule_alarm(0, 25.0, 0);
+  eng.set_alarm_handler(
+      [&](const AlarmEngine::Alarm& alarm) { fired.push_back(alarm.at); });
+
+  EXPECT_DOUBLE_EQ(eng.run_until(20.0), 20.0);
+  EXPECT_EQ(fired, (std::vector<Ns>{10.0}));
+  EXPECT_EQ(eng.pending(), 2u);
+  EXPECT_DOUBLE_EQ(eng.next_event_time(), 25.0);
+
+  // An empty stretch still advances the clock to `until`.
+  EXPECT_DOUBLE_EQ(eng.run_until(22.0), 22.0);
+
+  EXPECT_DOUBLE_EQ(eng.run(), 30.0);
+  EXPECT_EQ(fired, (std::vector<Ns>{10.0, 25.0, 30.0}));
+  EXPECT_EQ(eng.pending(), 0u);
+}
+
+TEST(AlarmEngineTest, MergeHookMayScheduleAlarmsAndControl) {
+  // Work scheduled from the merge hook lands in later rounds, never lost.
+  AlarmEngine eng;
+  std::vector<std::string> order;
+  eng.set_alarm_handler([&](const AlarmEngine::Alarm& alarm) {
+    order.push_back("host" + std::to_string(alarm.host));
+  });
+  eng.set_merge_hook([&](Ns at) {
+    if (at == 10.0) {
+      eng.schedule_alarm(1, 20.0, 0);
+      eng.schedule_at(15.0, [&] { order.push_back("control"); });
+    }
+  });
+  eng.schedule_alarm(0, 10.0, 0);
+  const Ns end = eng.run();
+  EXPECT_EQ(order, (std::vector<std::string>{"host0", "control", "host1"}));
+  EXPECT_DOUBLE_EQ(end, 20.0);
+}
+
+class AlarmEngineProperty : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(AlarmEngineProperty, DrainMatchesSortedReference) {
+  // Random alarms and control events on a coarse time grid (so instants
+  // are shared), where some control events schedule a later alarm. The
+  // engine's log must equal the order derived by sorting: per instant,
+  // alarms by (host, scheduling order), one merge, then control events in
+  // scheduling order.
+  constexpr int kHosts = 5;
+  constexpr std::size_t kAlarms = 60;
+  constexpr std::size_t kControls = 25;
+  Rng rng(GetParam() * 104729 + 3);
+  struct Planned {
+    Ns at;
+    int host;  ///< Controls: host of the alarm they schedule, or -1.
+  };
+  std::vector<Planned> alarms, controls;
+  for (std::size_t i = 0; i < kAlarms; ++i) {
+    alarms.push_back({5.0 * static_cast<double>(rng.below(12)),
+                      static_cast<int>(rng.below(kHosts))});
+  }
+  for (std::size_t c = 0; c < kControls; ++c) {
+    const Ns at = 5.0 * static_cast<double>(rng.below(12));
+    const int host =
+        rng.below(2) == 0 ? -1 : static_cast<int>(rng.below(kHosts));
+    controls.push_back({at, host});
+  }
+  const auto at_suffix = [](std::string s, Ns at) {
+    s += '@';
+    s += std::to_string(static_cast<int>(at));
+    return s;
+  };
+  const auto alarm_entry = [&](int host, std::uint64_t key, Ns at) {
+    std::string s = "A";
+    s += std::to_string(host);
+    s += ':';
+    s += std::to_string(key);
+    return at_suffix(std::move(s), at);
+  };
+  const auto control_entry = [&](std::size_t c, Ns at) {
+    std::string s = "C";
+    s += std::to_string(c);
+    return at_suffix(std::move(s), at);
+  };
+  const auto merge_entry = [&](Ns at) { return at_suffix("M", at); };
+
+  // The engine. An alarm's gen is its reference key: the setup index for
+  // pre-scheduled alarms, kAlarms + firing order for control-spawned ones.
+  AlarmEngine eng;
+  std::vector<std::string> log;
+  eng.set_alarm_handler([&](const AlarmEngine::Alarm& alarm) {
+    log.push_back(alarm_entry(alarm.host, alarm.gen, alarm.at));
+  });
+  eng.set_merge_hook([&](Ns at) { log.push_back(merge_entry(at)); });
+  for (std::size_t i = 0; i < kAlarms; ++i) {
+    eng.schedule_alarm(alarms[i].host, alarms[i].at, i);
+  }
+  std::uint64_t spawned = 0;
+  for (std::size_t c = 0; c < kControls; ++c) {
+    eng.schedule_at(controls[c].at, [&, c] {
+      log.push_back(control_entry(c, eng.now()));
+      if (controls[c].host >= 0) {
+        eng.schedule_alarm(controls[c].host, eng.now() + 5.0,
+                           kAlarms + spawned++);
+      }
+    });
+  }
+  eng.run();
+
+  // The reference, by sorting.
+  struct Keyed {
+    Ns at;
+    int host;
+    std::uint64_t key;
+  };
+  std::vector<Keyed> all;
+  for (std::size_t i = 0; i < kAlarms; ++i) {
+    all.push_back({alarms[i].at, alarms[i].host, i});
+  }
+  std::vector<std::size_t> control_order(kControls);
+  std::iota(control_order.begin(), control_order.end(), 0);
+  std::stable_sort(control_order.begin(), control_order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return controls[a].at < controls[b].at;
+                   });
+  std::uint64_t k = 0;
+  for (const std::size_t c : control_order) {
+    if (controls[c].host < 0) continue;
+    all.push_back({controls[c].at + 5.0, controls[c].host, kAlarms + k++});
+  }
+  std::sort(all.begin(), all.end(), [](const Keyed& a, const Keyed& b) {
+    if (a.at != b.at) return a.at < b.at;
+    if (a.host != b.host) return a.host < b.host;
+    return a.key < b.key;
+  });
+  std::set<Ns> instants;
+  for (const Keyed& a : all) instants.insert(a.at);
+  for (const Planned& c : controls) instants.insert(c.at);
+  std::vector<std::string> expected;
+  long long rounds = 0;
+  for (const Ns t : instants) {
+    bool any = false;
+    for (const Keyed& a : all) {
+      if (a.at != t) continue;
+      expected.push_back(alarm_entry(a.host, a.key, a.at));
+      any = true;
+    }
+    if (any) {
+      expected.push_back(merge_entry(t));
+      ++rounds;
+    }
+    for (const std::size_t c : control_order) {
+      if (controls[c].at == t) expected.push_back(control_entry(c, t));
+    }
+  }
+
+  EXPECT_EQ(log, expected);
+  EXPECT_EQ(eng.rounds(), rounds);
+  EXPECT_EQ(eng.alarms_fired(), static_cast<long long>(all.size()));
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomSchedules, AlarmEngineProperty,
+                         ::testing::Range<std::uint64_t>(0, 6));
+
+}  // namespace
+}  // namespace numaio::sim

@@ -61,19 +61,27 @@ TEST(FaultPlanTest, KindNames) {
 }
 
 TEST(FaultPlanTest, RandomPlanIsDeterministic) {
-  const FaultPlan a = FaultPlan::random(99, 8, 3);
-  const FaultPlan b = FaultPlan::random(99, 8, 3);
+  RandomPlanConfig config;
+  config.seed = 99;
+  config.num_nodes = 8;
+  config.num_devices = 3;
+  const FaultPlan a = FaultPlan::random(config);
+  const FaultPlan b = FaultPlan::random(config);
   EXPECT_EQ(a.to_string(), b.to_string());
   EXPECT_EQ(a.events().size(), 4u);  // default num_events
-  const FaultPlan c = FaultPlan::random(100, 8, 3);
+  RandomPlanConfig other = config;
+  other.seed = 100;
+  const FaultPlan c = FaultPlan::random(other);
   EXPECT_NE(a.to_string(), c.to_string());
 }
 
 TEST(FaultPlanTest, RandomPlanSkipsDeviceStallsWithoutDevices) {
   for (std::uint64_t seed = 0; seed < 16; ++seed) {
     RandomPlanConfig config;
+    config.seed = seed;
+    config.num_nodes = 8;
     config.num_events = 12;
-    const FaultPlan plan = FaultPlan::random(seed, 8, 0, config);
+    const FaultPlan plan = FaultPlan::random(config);
     for (const FaultEvent& e : plan.events()) {
       EXPECT_NE(e.kind, FaultKind::kDeviceStall);
     }
@@ -231,7 +239,11 @@ TEST(FaultInjectorTest, RestoreReturnsTheMachineToHealthy) {
 TEST(FaultInjectorTest, SameSeedRunsAreByteIdentical) {
   auto run_once = [](std::string* trace) {
     io::Testbed tb = io::Testbed::dl585();
-    FaultPlan plan = FaultPlan::random(42, tb.machine().num_nodes(), 1);
+    RandomPlanConfig config;
+    config.seed = 42;
+    config.num_nodes = tb.machine().num_nodes();
+    config.num_devices = 1;
+    FaultPlan plan = FaultPlan::random(config);
     FaultInjector injector(tb.machine(), std::move(plan));
     injector.register_device(tb.nic().name(), tb.nic().attach_node(),
                              tb.nic().fault_resources());

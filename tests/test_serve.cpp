@@ -13,6 +13,7 @@
 
 #include <chrono>
 #include <cstring>
+#include <future>
 #include <map>
 #include <sstream>
 #include <string>
@@ -31,11 +32,10 @@ namespace {
 
 using test_support::parse_back;
 
-/// Minimal HTTP/1.0 GET over loopback; returns the full response
-/// (status line + headers + body), empty string on connect failure.
-std::string http_get(int port, const std::string& path) {
+/// A connected loopback TCP socket, or -1.
+int connect_loopback(int port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return "";
+  if (fd < 0) return -1;
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(static_cast<std::uint16_t>(port));
@@ -43,8 +43,16 @@ std::string http_get(int port, const std::string& path) {
   if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
                 sizeof(addr)) != 0) {
     ::close(fd);
-    return "";
+    return -1;
   }
+  return fd;
+}
+
+/// Minimal HTTP/1.0 GET over loopback; returns the full response
+/// (status line + headers + body), empty string on connect failure.
+std::string http_get(int port, const std::string& path) {
+  const int fd = connect_loopback(port);
+  if (fd < 0) return "";
   const std::string request = "GET " + path + " HTTP/1.0\r\n\r\n";
   (void)!::send(fd, request.data(), request.size(), 0);
   std::string response;
@@ -159,6 +167,34 @@ TEST(TelemetryServer, ServesHubDocumentsAndRejectsUnknownPaths) {
 
   server.stop();
   server.stop();  // idempotent
+}
+
+TEST(TelemetryServer, IdleClientDoesNotBlockScrapes) {
+  // The accept thread serves one connection at a time. A client that
+  // connects and never sends a request must not hold /healthz and
+  // /metrics hostage: the server's receive timeout drops it.
+  TelemetryHub hub;
+  hub.publish("numaio_x_total 1\n", "");
+  TelemetryServer server(hub);
+  server.start(0);
+  const int idle = connect_loopback(server.port());
+  ASSERT_GE(idle, 0);
+
+  auto scrape = std::async(std::launch::async, [&server] {
+    return http_get(server.port(), "/healthz");
+  });
+  const bool answered = scrape.wait_for(std::chrono::seconds(5)) ==
+                        std::future_status::ready;
+  ::close(idle);  // lets a server without the timeout finish the test
+  ASSERT_TRUE(answered) << "an idle connection blocked /healthz";
+  EXPECT_EQ(body_of(scrape.get()), "ok generation=1\n");
+
+  const int idle_again = connect_loopback(server.port());
+  ASSERT_GE(idle_again, 0);
+  EXPECT_EQ(body_of(http_get(server.port(), "/metrics")),
+            "numaio_x_total 1\n");
+  ::close(idle_again);
+  server.stop();
 }
 
 TEST(TelemetryServe, LiveFleetScrapesAreMonotonicAndParseBack) {
