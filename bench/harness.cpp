@@ -23,6 +23,7 @@
 // gated.
 // `perturb` rescales every wall_ms so CI can prove the gate actually
 // fails on an injected slowdown (see tools/CMakeLists.txt).
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -204,7 +205,7 @@ BenchSet parse_bench_json(const std::string& text) {
 BenchSet load_bench_json(const std::string& path) {
   std::ifstream in(path);
   if (!in) {
-    throw std::runtime_error("cannot open '" + path + "'");
+    throw StatusError(StatusCode::kNoFile, "cannot open '" + path + "'");
   }
   std::ostringstream text;
   text << in.rdbuf();
@@ -873,7 +874,8 @@ int compare(const BenchSet& base, const BenchSet& current,
 }
 
 // ---------------------------------------------------------------------
-// CLI plumbing (kept flag-compatible with numaio_cli's conventions).
+// CLI plumbing, on numaio_cli's exit scheme: 0 ok, 1 runtime failure or
+// regression, 2 usage, 3 unreadable file, 4 malformed input.
 
 std::string flag_value(std::vector<std::string>& args,
                        const std::string& flag,
@@ -886,6 +888,23 @@ std::string flag_value(std::vector<std::string>& args,
     return value;
   }
   return fallback;
+}
+
+/// `flag VALUE` as a number of type T; a malformed VALUE is a usage error
+/// that names the flag.
+template <typename T>
+T number_flag(std::vector<std::string>& args, const std::string& flag,
+              T fallback) {
+  const std::string text = flag_value(args, flag, "");
+  if (text.empty()) return fallback;
+  T value{};
+  const char* const end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) {
+    throw StatusError(StatusCode::kUsage,
+                      flag + " wants a number, got '" + text + "'");
+  }
+  return value;
 }
 
 bool take_switch(std::vector<std::string>& args, const std::string& flag) {
@@ -917,7 +936,7 @@ int main(int argc, char** argv) {
   try {
     if (cmd == "run") {
       const std::string out_path = flag_value(args, "--out", "");
-      const int reps = std::stoi(flag_value(args, "--reps", "25"));
+      const int reps = number_flag(args, "--reps", 25);
       if (!args.empty() || reps < 1) return usage();
       const BenchSet benches = run_benches(reps);
       if (out_path.empty()) {
@@ -925,7 +944,8 @@ int main(int argc, char** argv) {
       } else {
         std::ofstream out(out_path, std::ios::binary);
         if (!out) {
-          throw std::runtime_error("cannot write '" + out_path + "'");
+          throw StatusError(StatusCode::kNoFile,
+                            "cannot write '" + out_path + "'");
         }
         write_bench_json(benches, out);
         std::printf("wrote %zu benches to %s\n", benches.size(),
@@ -935,30 +955,35 @@ int main(int argc, char** argv) {
     }
     if (cmd == "compare") {
       CompareOptions options;
-      options.wall_tol =
-          std::stod(flag_value(args, "--wall-tol", "0.20"));
-      options.metric_tol =
-          std::stod(flag_value(args, "--metric-tol", "0.01"));
-      options.stall_tol =
-          std::stod(flag_value(args, "--stall-tol", "0.02"));
-      options.rps_floor =
-          std::stod(flag_value(args, "--rps-floor", "5.0e5"));
+      options.wall_tol = number_flag(args, "--wall-tol", 0.20);
+      options.metric_tol = number_flag(args, "--metric-tol", 0.01);
+      options.stall_tol = number_flag(args, "--stall-tol", 0.02);
+      options.rps_floor = number_flag(args, "--rps-floor", 5.0e5);
       options.skip_wall = take_switch(args, "--skip-wall");
       if (args.size() != 2) return usage();
       return compare(load_bench_json(args[0]), load_bench_json(args[1]),
                      options);
     }
     if (cmd == "perturb") {
-      const double scale =
-          std::stod(flag_value(args, "--wall-scale", "1.0"));
+      const double scale = number_flag(args, "--wall-scale", 1.0);
       if (args.size() != 2) return usage();
       BenchSet benches = load_bench_json(args[0]);
       for (auto& [name, r] : benches) r.wall_ms *= scale;
       std::ofstream out(args[1], std::ios::binary);
-      if (!out) throw std::runtime_error("cannot write '" + args[1] + "'");
+      if (!out) {
+        throw StatusError(StatusCode::kNoFile,
+                          "cannot write '" + args[1] + "'");
+      }
       write_bench_json(benches, out);
       return 0;
     }
+  } catch (const StatusError& e) {
+    std::fprintf(stderr, "bench_harness %s: %s\n", cmd.c_str(), e.what());
+    return e.status().exit_code();
+  } catch (const std::invalid_argument& e) {
+    // A malformed bench JSON file.
+    std::fprintf(stderr, "bench_harness %s: %s\n", cmd.c_str(), e.what());
+    return static_cast<int>(StatusCode::kParse);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "bench_harness %s: %s\n", cmd.c_str(), e.what());
     return 1;

@@ -1142,6 +1142,30 @@ std::string FleetReport::summary() const {
   return out;
 }
 
+namespace {
+/// The storms' fault plan: one host (host 1, or host 0 alone) dies 30% into
+/// the run and comes back at half capacity for 20% of it while it warms its
+/// caches and rebuilds connections.
+faults::FaultPlan crash_then_recover(int num_hosts, sim::Ns horizon) {
+  faults::FaultPlan plan;
+  const int victim = num_hosts > 1 ? 1 : 0;
+  faults::FaultEvent crash;
+  crash.kind = faults::FaultKind::kHostCrash;
+  crash.host = victim;
+  crash.start = 0.30 * horizon;
+  crash.duration = 0.25 * horizon;
+  plan.add(crash);
+  faults::FaultEvent recover;
+  recover.kind = faults::FaultKind::kHostRecover;
+  recover.host = victim;
+  recover.start = crash.start + crash.duration;
+  recover.duration = 0.20 * horizon;
+  recover.severity = 0.5;
+  plan.add(recover);
+  return plan;
+}
+}  // namespace
+
 StormScenario make_storm(int num_hosts, int num_tenants, double offered_rps,
                          std::uint64_t seed, sim::Ns horizon) {
   StormScenario storm;
@@ -1177,22 +1201,7 @@ StormScenario make_storm(int num_hosts, int num_tenants, double offered_rps,
     storm.tenants.push_back(std::move(spec));
   }
 
-  // One host dies mid-run and comes back at half capacity while it warms
-  // its caches and rebuilds connections.
-  const int victim = num_hosts > 1 ? 1 : 0;
-  faults::FaultEvent crash;
-  crash.kind = faults::FaultKind::kHostCrash;
-  crash.host = victim;
-  crash.start = 0.30 * horizon;
-  crash.duration = 0.25 * horizon;
-  storm.plan.add(crash);
-  faults::FaultEvent recover;
-  recover.kind = faults::FaultKind::kHostRecover;
-  recover.host = victim;
-  recover.start = crash.start + crash.duration;
-  recover.duration = 0.20 * horizon;
-  recover.severity = 0.5;
-  storm.plan.add(recover);
+  storm.plan = crash_then_recover(num_hosts, horizon);
   return storm;
 }
 
@@ -1241,20 +1250,7 @@ StormScenario make_scale_storm(int num_hosts, int num_tenants,
     storm.tenants.push_back(std::move(spec));
   }
 
-  const int victim = num_hosts > 1 ? 1 : 0;
-  faults::FaultEvent crash;
-  crash.kind = faults::FaultKind::kHostCrash;
-  crash.host = victim;
-  crash.start = 0.30 * horizon;
-  crash.duration = 0.25 * horizon;
-  storm.plan.add(crash);
-  faults::FaultEvent recover;
-  recover.kind = faults::FaultKind::kHostRecover;
-  recover.host = victim;
-  recover.start = crash.start + crash.duration;
-  recover.duration = 0.20 * horizon;
-  recover.severity = 0.5;
-  storm.plan.add(recover);
+  storm.plan = crash_then_recover(num_hosts, horizon);
   return storm;
 }
 

@@ -1,11 +1,11 @@
-// Discrete-event engine with a completion-alarm heap next to the usual
-// closure heap (DESIGN.md §13).
+// The discrete-event engine: a clock, a heap of control closures and a
+// heap of completion alarms (DESIGN.md §13).
 //
-// The serial EventEngine orders every event in one heap of closures. A
-// fleet of hosts mostly schedules one kind of event, though: "host h's
-// next flow completion is due at t", superseded whenever the host's flow
-// set changes. This engine keeps those as plain-data alarms on their own
-// min-heap, keyed by (at, host, seq), and drains them in rounds:
+// A fleet of hosts mostly schedules one kind of event: "host h's next
+// flow completion is due at t", superseded whenever the host's flow set
+// changes. The engine keeps those as plain-data alarms on their own
+// min-heap, keyed by (at, host, seq), and everything else as closures on
+// a second heap. It drains them in rounds:
 //
 //  * Alarms — every alarm due at the current instant fires, in (host,
 //    seq) order, through the alarm handler. The handler may only touch
@@ -14,8 +14,9 @@
 //  * Merge hook — runs once after each alarm round, at the round's
 //    instant. It is where alarm results become globally visible (commit
 //    them in host order), and it may schedule alarms and control events.
-//  * Control events — closures on a second heap, exactly like
-//    EventEngine. One fires at a time, in (at, seq) order.
+//  * Control events — closures, keyed by (at, seq): one fires at a time,
+//    same-instant closures in scheduling order. A closure may schedule
+//    further closures, including the next link of a chain.
 //
 // Per instant, alarms drain first, then the merge hook, then control
 // events. An alarm that the hook or a control event schedules at the

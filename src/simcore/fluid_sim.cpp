@@ -78,32 +78,6 @@ void FluidSimulation::complete(TransferId id) {
   if (t.on_complete) t.on_complete(id, now_);
 }
 
-void FluidSimulation::complete_batch() {
-  // Three phases: detach every due flow with one bulk removal (a single
-  // epoch bump — the burst's whole point), flip all completion state,
-  // then fire callbacks. Callbacks run last so a callback that starts a
-  // new transfer can never recycle a FlowId the sweep still holds, and
-  // an abort aimed at a same-instant sibling sees it already done.
-  batch_flows_.clear();
-  for (const TransferId id : due_) {
-    Transfer& t = transfers_[id];
-    assert(t.active);  // nothing runs between the due sweep and here
-    batch_flows_.push_back(t.flow);
-    t.active = false;
-    t.stats.done = true;
-    t.stats.end = now_;
-    t.stats.bytes_moved = t.stats.bytes;
-    const auto it = std::lower_bound(active_.begin(), active_.end(), id);
-    assert(it != active_.end() && *it == id);
-    active_.erase(it);
-  }
-  solver_.remove_flows(batch_flows_);
-  for (const TransferId id : due_) {
-    Transfer& t = transfers_[id];
-    if (t.on_complete) t.on_complete(id, now_);
-  }
-}
-
 void FluidSimulation::schedule_control(Ns at, ControlFn fn) {
   assert(fn);
   Control c{std::max(at, now_), next_control_seq_++, std::move(fn)};
@@ -212,14 +186,8 @@ Ns FluidSimulation::run() {
     // order). complete() may start new transfers via callbacks — they
     // begin now with a full byte count, so they can't be due — and a
     // callback may abort a later due transfer, hence the re-check.
-    // Batch mode detaches the whole burst first (one solver epoch bump)
-    // and fires callbacks after; see set_batch_completions.
-    if (batch_completions_) {
-      complete_batch();
-    } else {
-      for (const TransferId id : due_) {
-        if (transfers_[id].active) complete(id);
-      }
+    for (const TransferId id : due_) {
+      if (transfers_[id].active) complete(id);
     }
   }
   return now_;

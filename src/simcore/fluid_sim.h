@@ -85,21 +85,6 @@ class FluidSimulation {
     Gbps rate = 0.0;
   };
 
-  /// Batched completion application (the ROADMAP's "batch event
-  /// application between solves"): when enabled, all transfers finishing
-  /// at the same instant detach with one FlowSolver::remove_flows call —
-  /// a single epoch bump, so the burst pays one re-solve instead of one
-  /// per completion — and are marked done *before* any completion
-  /// callback runs. Rates and completion times are bit-identical to the
-  /// per-event default (property-tested in tests/test_fluid_sim.cpp).
-  /// The one observable difference: a callback aborting a transfer due
-  /// at the very same instant. Per-event application lets the abort win
-  /// (the later transfer counts aborted); batched application has
-  /// already completed it. Default off to preserve that per-event
-  /// semantic for existing callers.
-  void set_batch_completions(bool on) { batch_completions_ = on; }
-  bool batch_completions() const { return batch_completions_; }
-
   /// Enables per-transfer rate tracing (must be called before run()).
   /// The paper leans on rate stability to justify single long transfers
   /// ("the bandwidth performance is stable over the whole data transfer
@@ -145,13 +130,9 @@ class FluidSimulation {
 
   void activate(TransferId id);
   void complete(TransferId id);
-  /// Completes every transfer in due_ in one sweep: bulk flow removal,
-  /// then state flips, then callbacks (batch-completion mode).
-  void complete_batch();
 
   FlowSolver& solver_;
   bool trace_ = false;
-  bool batch_completions_ = false;
   Ns now_ = 0.0;
   std::vector<Transfer> transfers_;
   std::vector<Pending> pending_;   // kept sorted descending by time
@@ -162,7 +143,6 @@ class FluidSimulation {
   // transfer ever started.
   std::vector<TransferId> active_;
   std::vector<TransferId> due_;  // reusable completion-sweep scratch
-  std::vector<FlowId> batch_flows_;  // bulk-removal scratch (batch mode)
 };
 
 }  // namespace numaio::sim

@@ -1,13 +1,14 @@
-// AlarmEngine tests (DESIGN.md §13): control-queue ordering, alarms
-// before control at shared instants, the merge hook after each round,
-// (host, seq) drain order within a round, same-host rescheduling from the
-// handler, run_until clock semantics, and a randomized check of the whole
-// drain order against a sorted reference.
+// AlarmEngine tests (DESIGN.md §13): the idle engine, control-queue
+// ordering and chaining, alarms before control at shared instants, the
+// merge hook after each round, (host, seq) drain order within a round,
+// same-host rescheduling from the handler, run_until clock semantics, and
+// a randomized check of the whole drain order against a sorted reference.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <numeric>
 #include <set>
 #include <string>
@@ -33,6 +34,32 @@ TEST(AlarmEngineTest, ControlEventsFireInTimeThenFifoOrder) {
   const Ns end = eng.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
   EXPECT_DOUBLE_EQ(end, 20.0);
+  EXPECT_EQ(eng.pending(), 0u);
+}
+
+TEST(AlarmEngineTest, FreshEngineIsIdleAtZero) {
+  AlarmEngine eng;
+  EXPECT_DOUBLE_EQ(eng.now(), 0.0);
+  EXPECT_EQ(eng.pending(), 0u);
+  EXPECT_EQ(eng.next_event_time(), kUnlimited);
+}
+
+TEST(AlarmEngineTest, RunUntilOnAnEmptyEngineAdvancesTheClock) {
+  AlarmEngine eng;
+  EXPECT_DOUBLE_EQ(eng.run_until(500.0), 500.0);
+  EXPECT_DOUBLE_EQ(eng.now(), 500.0);
+  EXPECT_EQ(eng.rounds(), 0);
+}
+
+TEST(AlarmEngineTest, ControlClosureMayScheduleTheNextInAChain) {
+  AlarmEngine eng;
+  int depth = 0;
+  std::function<void()> link = [&] {
+    if (++depth < 10) eng.schedule_at(eng.now() + 1.0, link);
+  };
+  eng.schedule_at(0.0, link);
+  EXPECT_DOUBLE_EQ(eng.run(), 9.0);
+  EXPECT_EQ(depth, 10);
   EXPECT_EQ(eng.pending(), 0u);
 }
 

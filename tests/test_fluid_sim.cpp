@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "simcore/rng.h"
 
 namespace numaio::sim {
@@ -176,81 +180,58 @@ TEST_P(FluidWorkConservation, MakespanMatchesTotalWork) {
 INSTANTIATE_TEST_SUITE_P(Counts, FluidWorkConservation,
                          ::testing::Values(1, 2, 5, 13));
 
-// Batched completion application is contracted to be bit-identical to
-// per-event application (the batched fleet admission path relies on it):
-// same rate traces, same start/end times, same callback firing order —
-// only the number of solver re-solves may differ. The workload starts
-// equal-size clusters on shared links so plenty of completions land on
-// the very same instant, the case batching actually coalesces.
-class FluidBatchEquivalence
+// Same-instant bursts on the one completion path. The workload starts
+// equal-size clusters on shared links, so each cluster's members share a
+// rate from the start and finish at one instant. Completion callbacks
+// fire in time order and, within an instant, in ascending id order, and
+// every transfer moves exactly its payload.
+class FluidBurstCompletions
     : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(FluidBatchEquivalence, BatchedCompletionsMatchPerEventBitForBit) {
-  struct Run {
-    std::vector<FluidSimulation::TransferId> ids;
-    std::vector<FluidSimulation::TransferId> callback_order;
-    std::vector<FluidSimulation::TransferStats> stats;
-    std::vector<std::vector<FluidSimulation::RateSegment>> traces;
-    Ns makespan = 0.0;
-  };
-  const auto execute = [&](bool batched) {
-    Rng rng(GetParam());
-    FlowSolver solver;
-    std::vector<ResourceId> links;
-    for (int i = 0; i < 3; ++i) {
-      links.push_back(solver.add_resource("l", rng.uniform(5.0, 30.0)));
-    }
-    FluidSimulation fluid(solver);
-    fluid.set_batch_completions(batched);
-    fluid.enable_rate_trace();
-    Run run;
-    Ns clock = 0.0;
-    for (int cluster = 0; cluster < 6; ++cluster) {
-      clock += rng.uniform(0.0, 800.0);
-      const std::uint64_t width = 1 + rng.below(3);
-      const Bytes size = 500 + rng.below(4000);
-      const ResourceId link = links[rng.below(3)];
-      for (std::uint64_t w = 0; w < width; ++w) {
-        // Same link, size and start: the whole cluster completes at one
-        // instant once the share equalizes.
-        run.ids.push_back(fluid.start_transfer_at(
-            clock, {{link, 1.0}}, size, kUnlimited,
-            [&run](FluidSimulation::TransferId id, Ns) {
-              run.callback_order.push_back(id);
-            }));
-      }
-    }
-    run.makespan = fluid.run();
-    for (const auto id : run.ids) {
-      run.stats.push_back(fluid.stats(id));
-      run.traces.emplace_back(fluid.trace(id).begin(),
-                              fluid.trace(id).end());
-    }
-    return run;
-  };
-
-  const Run per_event = execute(false);
-  const Run batched = execute(true);
-  EXPECT_EQ(batched.makespan, per_event.makespan);
-  ASSERT_EQ(batched.ids, per_event.ids);
-  EXPECT_EQ(batched.callback_order, per_event.callback_order);
-  for (std::size_t i = 0; i < per_event.ids.size(); ++i) {
-    const FluidSimulation::TransferStats& a = per_event.stats[i];
-    const FluidSimulation::TransferStats& b = batched.stats[i];
-    EXPECT_EQ(b.start, a.start);
-    ASSERT_EQ(b.end, a.end) << "seed " << GetParam() << " transfer " << i;
-    EXPECT_EQ(b.bytes_moved, a.bytes_moved);
-    EXPECT_TRUE(b.done);
-    ASSERT_EQ(batched.traces[i].size(), per_event.traces[i].size());
-    for (std::size_t s = 0; s < per_event.traces[i].size(); ++s) {
-      EXPECT_EQ(batched.traces[i][s].rate, per_event.traces[i][s].rate);
-      EXPECT_EQ(batched.traces[i][s].duration,
-                per_event.traces[i][s].duration);
+TEST_P(FluidBurstCompletions, ClustersFinishTogetherInIdOrder) {
+  Rng rng(GetParam());
+  FlowSolver solver;
+  std::vector<ResourceId> links;
+  for (int i = 0; i < 3; ++i) {
+    links.push_back(solver.add_resource("l", rng.uniform(5.0, 30.0)));
+  }
+  FluidSimulation fluid(solver);
+  std::vector<std::vector<FluidSimulation::TransferId>> clusters;
+  std::vector<std::pair<Ns, FluidSimulation::TransferId>> fired;
+  Ns clock = 0.0;
+  for (int cluster = 0; cluster < 6; ++cluster) {
+    clock += rng.uniform(0.0, 800.0);
+    const std::uint64_t width = 1 + rng.below(3);
+    const Bytes size = 500 + rng.below(4000);
+    const ResourceId link = links[rng.below(3)];
+    clusters.emplace_back();
+    for (std::uint64_t w = 0; w < width; ++w) {
+      clusters.back().push_back(fluid.start_transfer_at(
+          clock, {{link, 1.0}}, size, kUnlimited,
+          [&fired](FluidSimulation::TransferId id, Ns at) {
+            fired.emplace_back(at, id);
+          }));
     }
   }
+  const Ns makespan = fluid.run();
+
+  std::size_t transfers = 0;
+  for (const auto& members : clusters) {
+    transfers += members.size();
+    for (const auto id : members) {
+      const FluidSimulation::TransferStats& st = fluid.stats(id);
+      EXPECT_TRUE(st.done);
+      EXPECT_EQ(st.bytes_moved, st.bytes);
+      EXPECT_EQ(st.end, fluid.stats(members.front()).end)
+          << "seed " << GetParam() << " transfer " << id;
+    }
+  }
+  ASSERT_EQ(fired.size(), transfers);
+  EXPECT_TRUE(std::is_sorted(fired.begin(), fired.end()));
+  EXPECT_EQ(fired.back().first, makespan);
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, FluidBatchEquivalence,
+INSTANTIATE_TEST_SUITE_P(Seeds, FluidBurstCompletions,
                          ::testing::Values(1u, 7u, 42u, 2013u, 90210u));
 
 }  // namespace

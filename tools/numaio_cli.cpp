@@ -1,62 +1,40 @@
 // numaio command-line tool — the "first NUMA characterization software for
 // bulk data I/O tasks" the paper claims as its third contribution, in the
 // spirit of the numactl/numademo family it extends (§II-B, §V-B).
+// `numaio_cli help` (usage() below) lists every subcommand and its flags.
 //
-//   numaio_cli hardware                  numactl --hardware + hwloc views
-//   numaio_cli stream-matrix             Fig-3 STREAM characterization
-//   numaio_cli iomodel [--target N] [--direction read|write]
-//                                        Algorithm 1 + classes (Fig 10)
-//   numaio_cli demo [--node N]           numademo policy table
-//   numaio_cli fio <jobfile>             run a fio-format job file
-//   numaio_cli fleet [--hosts N] [--tenants N] [--rate RPS] ...
-//                                        serve a multi-tenant request storm
-//                                        across N simulated hosts with
-//                                        admission control, shedding and a
-//                                        mid-run host crash (src/fleet)
-//   numaio_cli metrics [--in FILE]       metric registry / captured summary
-//   numaio_cli report [--trace-in FILE] [--format md|json] [--diff FILE]
-//                                        analyzed run report (critical path,
-//                                        contention, class table, fault audit)
-//                                        or deltas against a saved JSON report
-//   numaio_cli export --trace-in FILE [--chrome FILE] [--folded FILE]
-//                                        re-render a capture for Perfetto
-//                                        or flamegraph.pl / speedscope
-//   numaio_cli synth-trace --out FILE    write a deterministic synthetic
-//                                        capture (scale testing); --depth/
-//                                        --fanout build deep span chains
-//   numaio_cli serve [--port P] [--refresh-ms MS] [--rounds N]
-//                                        run fleet storm rounds while a
-//                                        local HTTP endpoint serves live
-//                                        Prometheus text and a rolling
-//                                        report (src/obs/serve.h)
-//   numaio_cli help
+// Every subcommand parses its flags through one strict parser (Args): each
+// flag is consumed as it is read, and whatever is left afterwards — an
+// unknown option, a stray operand — is a usage error (exit 2), so a typo
+// never silently becomes a default.
 //
 // `report --trace-in` and `export --trace-in` stream the JSONL capture
 // through the src/obs record-stream core — the file is re-read pass by
 // pass and never materialized, so they work on arbitrarily large traces.
 //
-// Every subcommand accepts --trace-out FILE (structured span/event trace,
-// JSONL by default, CSV when FILE ends in .csv), --metrics-out FILE
-// (counters/gauges/histograms as JSON), --prom-out FILE (the same
-// snapshot in Prometheus text exposition format), --chrome-out FILE (the
-// trace as Chrome trace-event JSON for Perfetto) and
-// --trace-deterministic (omit the wall-clock field so same-seed runs
-// write byte-identical traces) — the observability layer of src/obs
-// threaded through the measurement pipeline.
+// The global options (--trace-out, --metrics-out, --prom-out, --chrome-out,
+// --trace-deterministic) thread the observability layer of src/obs through
+// the measurement pipeline of any subcommand.
 //
 // Everything runs against the simulated DL585 testbed; on real hardware
 // the same library calls would sit on top of libnuma (see DESIGN.md).
+#include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <initializer_list>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "numaio.h"
@@ -95,8 +73,7 @@ int usage() {
       "        [--duration SECONDS] [--queue-depth N] [--deadline-ms MS]\n"
       "        [--plan FILE] [--print-plan] [--scale]\n"
       "        [--batch-window MS] [--service fluid|coarse]\n"
-      "        [--placement least-loaded|class-spread]\n"
-      "        [--serve-port P] [--refresh-ms MS] [--linger-ms MS]\n"
+      "        [--placement least-loaded|class-spread] [live telemetry]\n"
       "                                   run the fleet serving core: a\n"
       "                                   multi-tenant storm over N hosts\n"
       "                                   with admission control, shedding,\n"
@@ -108,23 +85,17 @@ int usage() {
       "                                   scenario (batched admission,\n"
       "                                   coarse service, class-spread\n"
       "                                   placement, grid-aligned\n"
-      "                                   completion alarms);\n"
-      "                                   --serve-port exposes live\n"
-      "                                   telemetry over HTTP during the\n"
-      "                                   run (0 = ephemeral port)\n"
+      "                                   completion alarms)\n"
       "  faults [--seed S] [--events N] [--jobfile FILE]\n"
       "                                   run I/O under an injected fault plan\n"
-      "  replay <trace.csv> [--serve-port P] [--refresh-ms MS]\n"
-      "         [--linger-ms MS]           replay a transfer trace;\n"
-      "                                   --serve-port exposes live\n"
-      "                                   telemetry during the replay\n"
+      "  replay <trace.csv> [live telemetry]\n"
+      "                                   replay a transfer trace\n"
       "  online [--policy all-local|round-robin|model-spread|model-adaptive]\n"
       "         [--tasks N] [--seed S] [--mean-arrival SECONDS] [--reps N]\n"
-      "         [--serve-port P] [--refresh-ms MS] [--linger-ms MS]\n"
+      "         [live telemetry]\n"
       "                                   place a seeded open-loop workload\n"
       "                                   with the online scheduler (paper\n"
-      "                                   section VI); --serve-port exposes\n"
-      "                                   live telemetry during the run\n"
+      "                                   section VI)\n"
       "  validate [--reps N]              check the methodology end to end\n"
       "  asymmetry [--target N] [--min-ratio R]\n"
       "                                   hunt directional asymmetries\n"
@@ -164,6 +135,10 @@ int usage() {
       "                                   (default port 0 = ephemeral,\n"
       "                                   printed on stdout)\n"
       "  help                             this text\n"
+      "live telemetry (fleet, replay, online):\n"
+      "  --serve-port P [--refresh-ms MS] [--linger-ms MS]\n"
+      "                                   serve the run's telemetry like\n"
+      "                                   `serve` (0 = ephemeral port)\n"
       "global options (any subcommand):\n"
       "  --trace-out FILE                 write a span/event trace (JSONL;\n"
       "                                   CSV when FILE ends in .csv)\n"
@@ -174,146 +149,146 @@ int usage() {
       "                                   exposition format\n"
       "  --chrome-out FILE                write the trace as Chrome\n"
       "                                   trace-event JSON (Perfetto)\n"
+      "every subcommand rejects an unknown option, a flag without its value\n"
+      "and an out-of-range or out-of-set value with exit 2\n"
       "exit codes: 0 ok, 1 runtime failure, 2 usage, 3 unreadable file,\n"
       "            4 malformed input file\n");
   return kExitUsage;
 }
 
-std::string flag_value(const std::vector<std::string>& args,
-                       const std::string& flag, const std::string& fallback) {
-  for (std::size_t i = 0; i + 1 < args.size(); ++i) {
-    if (args[i] == flag) return args[i + 1];
-  }
-  return fallback;
+/// The one number parser behind every numeric flag: the whole of `text`
+/// must parse as T, or the usage error names the flag.
+template <typename T>
+T parse_number(const std::string& flag, const std::string& text) {
+  T value{};
+  const char* const end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec == std::errc() && ptr == end) return value;
+  const char* const kind = std::is_floating_point_v<T> ? "a number"
+                           : std::is_signed_v<T>       ? "an integer"
+                                                       : "an unsigned integer";
+  usage_error(flag + " wants " + kind + ", got '" + text + "'");
 }
 
-/// Removes `flag VALUE` from args and returns VALUE ("" when absent).
-/// Used for the global --trace-out/--metrics-out options so subcommand
-/// parsers never see them.
-std::string take_flag(std::vector<std::string>& args,
-                      const std::string& flag) {
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] != flag) continue;
-    if (i + 1 >= args.size()) {
-      usage_error(flag + " wants a value");
+/// One subcommand's arguments, parsed strictly. Every take*() consumes the
+/// flag it reads together with its value, so once a command has read all
+/// of its flags, finish() rejects whatever is left.
+class Args {
+ public:
+  explicit Args(std::vector<std::string> args) : args_(std::move(args)) {}
+
+  /// `flag VALUE` as T (int, double, std::uint64_t or std::string), or
+  /// `fallback` when the flag is absent.
+  template <typename T>
+  T take(const std::string& flag, T fallback) {
+    const std::optional<std::string> text = take_value(flag);
+    if (!text) return fallback;
+    if constexpr (std::is_same_v<T, std::string>) {
+      return *text;
+    } else {
+      return parse_number<T>(flag, *text);
     }
-    const std::string value = args[i + 1];
-    args.erase(args.begin() + static_cast<std::ptrdiff_t>(i),
-               args.begin() + static_cast<std::ptrdiff_t>(i) + 2);
-    return value;
   }
-  return "";
-}
 
-/// Removes a valueless boolean `flag`; returns whether it was present.
-bool take_switch(std::vector<std::string>& args, const std::string& flag) {
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] != flag) continue;
-    args.erase(args.begin() + static_cast<std::ptrdiff_t>(i));
+  /// A count flag: `flag N` with N >= 1, or `fallback` when absent.
+  int take_count(const std::string& flag, int fallback) {
+    const int count = take(flag, fallback);
+    if (count < 1) usage_error(flag + " wants a positive count");
+    return count;
+  }
+
+  /// A valueless boolean flag; returns whether it was present.
+  bool take_switch(const std::string& flag) {
+    const auto it = std::find(args_.begin(), args_.end(), flag);
+    if (it == args_.end()) return false;
+    args_.erase(it);
     return true;
   }
-  return false;
-}
 
-/// Integer flag with a one-line actionable error instead of a bare stoi
-/// exception escaping as a generic runtime failure.
-int int_flag(const std::vector<std::string>& args, const std::string& flag,
-             int fallback) {
-  const std::string text =
-      flag_value(args, flag, std::to_string(fallback));
-  try {
-    std::size_t pos = 0;
-    const int v = std::stoi(text, &pos);
-    if (pos != text.size()) throw std::invalid_argument(text);
-    return v;
-  } catch (const std::exception&) {
-    usage_error(flag + " wants an integer, got '" + text + "'");
+  /// `flag VALUE` where VALUE must be one of `choices`.
+  std::string take_choice(const std::string& flag,
+                          std::initializer_list<const char*> choices,
+                          const std::string& fallback) {
+    const std::optional<std::string> text = take_value(flag);
+    if (!text) return fallback;
+    std::string wanted;
+    for (const char* choice : choices) {
+      if (*text == choice) return *text;
+      if (!wanted.empty()) wanted += "|";
+      wanted += choice;
+    }
+    usage_error(flag + " wants " + wanted + ", got '" + *text + "'");
+  }
+
+  /// The leading operand (a file path); call after taking every flag.
+  std::string positional(const std::string& what) {
+    if (args_.empty() || is_flag(args_.front())) {
+      finish();  // an unknown option outranks the missing operand
+      usage_error("missing " + what);
+    }
+    std::string operand = std::move(args_.front());
+    args_.erase(args_.begin());
+    return operand;
+  }
+
+  /// Rejects anything the command did not take: an unknown option, a
+  /// repeated flag or a stray operand.
+  void finish() const {
+    if (!args_.empty()) {
+      usage_error("unknown argument '" + args_.front() + "'");
+    }
+  }
+
+ private:
+  static bool is_flag(const std::string& arg) {
+    return arg.rfind("--", 0) == 0;
+  }
+
+  std::optional<std::string> take_value(const std::string& flag) {
+    const auto it = std::find(args_.begin(), args_.end(), flag);
+    if (it == args_.end()) return std::nullopt;
+    if (it + 1 == args_.end() || is_flag(*(it + 1))) {
+      usage_error(flag + " wants a value");
+    }
+    std::string value = std::move(*(it + 1));
+    args_.erase(it, it + 2);
+    return value;
+  }
+
+  std::vector<std::string> args_;
+};
+
+/// Range check for a flag naming a NUMA node.
+void check_node(const std::string& flag, int node, int num_nodes) {
+  if (node < 0 || node >= num_nodes) {
+    usage_error(flag + " wants a node in 0.." + std::to_string(num_nodes - 1) +
+                ", got " + std::to_string(node));
   }
 }
 
-double double_flag(const std::vector<std::string>& args,
-                   const std::string& flag, double fallback) {
-  const std::string text = flag_value(args, flag, "");
-  if (text.empty()) return fallback;
-  try {
-    std::size_t pos = 0;
-    const double v = std::stod(text, &pos);
-    if (pos != text.size()) throw std::invalid_argument(text);
-    return v;
-  } catch (const std::exception&) {
-    usage_error(flag + " wants a number, got '" + text + "'");
-  }
-}
-
-std::uint64_t u64_flag(const std::vector<std::string>& args,
-                       const std::string& flag, std::uint64_t fallback) {
-  const std::string text =
-      flag_value(args, flag, std::to_string(fallback));
-  try {
-    std::size_t pos = 0;
-    const std::uint64_t v = std::stoull(text, &pos);
-    if (pos != text.size()) throw std::invalid_argument(text);
-    return v;
-  } catch (const std::exception&) {
-    usage_error(flag + " wants an unsigned integer, got '" + text + "'");
-  }
-}
-
-// Consuming flag parsers for subcommands that reject unknown options:
-// each removes `flag VALUE` from args, so whatever remains afterwards is
-// by definition unrecognized and the command can fail loudly on it.
-
-int take_int(std::vector<std::string>& args, const std::string& flag,
-             int fallback) {
-  const std::string text = take_flag(args, flag);
-  if (text.empty()) return fallback;
-  try {
-    std::size_t pos = 0;
-    const int v = std::stoi(text, &pos);
-    if (pos != text.size()) throw std::invalid_argument(text);
-    return v;
-  } catch (const std::exception&) {
-    usage_error(flag + " wants an integer, got '" + text + "'");
-  }
-}
-
-double take_double(std::vector<std::string>& args, const std::string& flag,
-                   double fallback) {
-  const std::string text = take_flag(args, flag);
-  if (text.empty()) return fallback;
-  try {
-    std::size_t pos = 0;
-    const double v = std::stod(text, &pos);
-    if (pos != text.size()) throw std::invalid_argument(text);
-    return v;
-  } catch (const std::exception&) {
-    usage_error(flag + " wants a number, got '" + text + "'");
-  }
-}
-
-std::uint64_t take_u64(std::vector<std::string>& args,
-                       const std::string& flag, std::uint64_t fallback) {
-  const std::string text = take_flag(args, flag);
-  if (text.empty()) return fallback;
-  try {
-    std::size_t pos = 0;
-    const std::uint64_t v = std::stoull(text, &pos);
-    if (pos != text.size()) throw std::invalid_argument(text);
-    return v;
-  } catch (const std::exception&) {
-    usage_error(flag + " wants an unsigned integer, got '" + text + "'");
-  }
-}
-
-/// Slurps a file or throws StatusError(kNoFile) with the OS reason.
-std::string read_file(const std::string& path) {
+/// Opens `path` for reading, or throws StatusError(kNoFile) with the OS
+/// reason (exit 3).
+std::ifstream open_input(const std::string& path) {
   std::ifstream in(path);
   if (!in) {
     throw StatusError(StatusCode::kNoFile, "cannot open '" + path + "': " +
                                                std::strerror(errno));
   }
+  return in;
+}
+
+/// Opens `path` for writing, or throws StatusError(kNoFile) (exit 3).
+std::ofstream open_output(const std::string& path) {
+  std::ofstream out(path, std::ios::binary);
+  if (!out) {
+    throw StatusError(StatusCode::kNoFile, "cannot write '" + path + "'");
+  }
+  return out;
+}
+
+std::string read_file(const std::string& path) {
   std::ostringstream text;
-  text << in.rdbuf();
+  text << open_input(path).rdbuf();
   return text.str();
 }
 
@@ -322,15 +297,12 @@ std::string read_file(const std::string& path) {
 /// input; after that the source re-reads the file pass by pass and the
 /// capture is never held in memory.
 obs::JsonlFileSource open_trace_source(const std::string& path) {
-  std::ifstream probe(path);
-  if (!probe) {
-    throw StatusError(StatusCode::kNoFile, "cannot open '" + path + "': " +
-                                               std::strerror(errno));
-  }
+  open_input(path);
   return obs::JsonlFileSource(path);
 }
 
-int cmd_hardware(io::Testbed& tb) {
+int cmd_hardware(io::Testbed& tb, const Args& args) {
+  args.finish();
   std::printf("%s\n", tb.host().hardware_report().c_str());
   std::printf("%s\n", nm::render_hwloc(tb.machine().topology()).c_str());
   std::printf("%s", nm::render_interconnect(tb.machine().topology()).c_str());
@@ -339,24 +311,19 @@ int cmd_hardware(io::Testbed& tb) {
   return 0;
 }
 
-int cmd_stream_matrix(io::Testbed& tb) {
+int cmd_stream_matrix(io::Testbed& tb, const Args& args) {
+  args.finish();
   const auto m = mem::stream_matrix(tb.host(), mem::StreamConfig{});
   std::printf("%s", model::format_matrix(m).c_str());
   return 0;
 }
 
-int cmd_iomodel(io::Testbed& tb, obs::Context& ctx,
-                const std::vector<std::string>& args) {
-  const int target = int_flag(args, "--target", 7);
-  const std::string dir = flag_value(args, "--direction", "write");
-  if (target < 0 || target >= tb.machine().num_nodes()) {
-    std::fprintf(stderr, "iomodel: target node out of range\n");
-    return 2;
-  }
-  if (dir != "read" && dir != "write") {
-    std::fprintf(stderr, "iomodel: --direction must be read or write\n");
-    return 2;
-  }
+int cmd_iomodel(io::Testbed& tb, obs::Context& ctx, Args& args) {
+  const int target = args.take("--target", 7);
+  const std::string dir =
+      args.take_choice("--direction", {"read", "write"}, "write");
+  args.finish();
+  check_node("--target", target, tb.machine().num_nodes());
   const auto direction = dir == "write" ? model::Direction::kDeviceWrite
                                         : model::Direction::kDeviceRead;
   model::IoModelConfig config;
@@ -387,12 +354,10 @@ int cmd_iomodel(io::Testbed& tb, obs::Context& ctx,
   return 0;
 }
 
-int cmd_demo(io::Testbed& tb, const std::vector<std::string>& args) {
-  const int node = int_flag(args, "--node", 7);
-  if (node < 0 || node >= tb.machine().num_nodes()) {
-    std::fprintf(stderr, "demo: node out of range\n");
-    return 2;
-  }
+int cmd_demo(io::Testbed& tb, Args& args) {
+  const int node = args.take("--node", 7);
+  args.finish();
+  check_node("--node", node, tb.machine().num_nodes());
   std::printf("numademo on node %d (Gbps)\n", node);
   std::printf("%-16s %10s %12s %12s\n", "module", "local", "remote-worst",
               "interleaved");
@@ -415,11 +380,12 @@ void print_classes(const model::Classification& classes) {
   }
 }
 
-int cmd_characterize(io::Testbed& tb, obs::Context& ctx,
-                     const std::vector<std::string>& args) {
+int cmd_characterize(io::Testbed& tb, obs::Context& ctx, Args& args) {
   model::CharacterizeConfig config;
-  config.iomodel.repetitions = int_flag(args, "--reps", 100);
+  config.iomodel.repetitions = args.take_count("--reps", 100);
   config.iomodel.obs = &ctx;
+  const std::string out = args.take<std::string>("--out", "");
+  args.finish();
   const model::HostModel host_model = model::characterize_host(
       tb.host(), config);
   std::printf("characterized %s: %d nodes, both directions\n",
@@ -431,7 +397,6 @@ int cmd_characterize(io::Testbed& tb, obs::Context& ctx,
                 host_model.read_classes[static_cast<std::size_t>(t)]
                     .num_classes());
   }
-  const std::string out = flag_value(args, "--out", "");
   if (!out.empty()) {
     model::save_model(host_model, out);  // StatusError(kNoFile) on failure
     std::printf("saved to %s\n", out.c_str());
@@ -439,19 +404,15 @@ int cmd_characterize(io::Testbed& tb, obs::Context& ctx,
   return 0;
 }
 
-int cmd_classes(const std::vector<std::string>& args) {
-  const std::string in = flag_value(args, "--in", "");
-  if (in.empty()) {
-    std::fprintf(stderr, "classes: --in FILE is required\n");
-    return 2;
-  }
+int cmd_classes(Args& args) {
+  const std::string in = args.take<std::string>("--in", "");
+  const int target = args.take("--target", 7);
+  const std::string dir =
+      args.take_choice("--direction", {"read", "write"}, "read");
+  args.finish();
+  if (in.empty()) usage_error("--in FILE is required");
   const model::HostModel host_model = model::load_model(in);
-  const int target = int_flag(args, "--target", 7);
-  const std::string dir = flag_value(args, "--direction", "read");
-  if (target < 0 || target >= host_model.num_nodes) {
-    std::fprintf(stderr, "classes: target out of range\n");
-    return 2;
-  }
+  check_node("--target", target, host_model.num_nodes);
   const auto direction = dir == "write" ? model::Direction::kDeviceWrite
                                         : model::Direction::kDeviceRead;
   std::printf("host %s, device-%s model of node %d:\n",
@@ -460,13 +421,11 @@ int cmd_classes(const std::vector<std::string>& args) {
   return 0;
 }
 
-int cmd_asymmetry(io::Testbed& tb, const std::vector<std::string>& args) {
-  const int target = int_flag(args, "--target", 7);
-  const double min_ratio = double_flag(args, "--min-ratio", 1.15);
-  if (target < 0 || target >= tb.machine().num_nodes()) {
-    std::fprintf(stderr, "asymmetry: target out of range\n");
-    return 2;
-  }
+int cmd_asymmetry(io::Testbed& tb, Args& args) {
+  const int target = args.take("--target", 7);
+  const double min_ratio = args.take("--min-ratio", 1.15);
+  args.finish();
+  check_node("--target", target, tb.machine().num_nodes());
   const auto m = model::iomodel_matrix(tb.host(), target);
   const auto pairs = model::find_asymmetric_pairs(m, min_ratio);
   if (pairs.empty()) {
@@ -480,105 +439,123 @@ int cmd_asymmetry(io::Testbed& tb, const std::vector<std::string>& args) {
   return 0;
 }
 
-int cmd_validate(io::Testbed& tb, const std::vector<std::string>& args) {
+int cmd_validate(io::Testbed& tb, Args& args) {
   model::ValidateConfig config;
-  config.iomodel_repetitions = int_flag(args, "--reps", 100);
+  config.iomodel_repetitions = args.take_count("--reps", 100);
+  args.finish();
   const model::ValidationReport report =
       model::validate_methodology(tb, config);
   std::printf("%s", report.to_string().c_str());
   return report.all_passed() ? 0 : 1;
 }
 
-/// `--serve-port` wiring shared by the subcommands that can expose a live
-/// telemetry endpoint (fleet, replay, online). start() tees a refresh-
-/// cadenced tap (obs/serve.h) with whatever sink main() wired — file
-/// serializer, capture, or none — brings the HTTP server up and prints
-/// (and flushes) the endpoint line before the workload starts, so scripts
-/// can scrape mid-run. finish() flushes the final snapshot, optionally
-/// lingers so late scrapers still land, then stops the server and
-/// restores the previous sink. Both are no-ops when start() was never
-/// called (port < 0).
+/// Live-telemetry endpoint settings: `--serve-port` on fleet, replay and
+/// online, `--port` on serve.
+struct ServeOptions {
+  int port = -1;  ///< < 0: no endpoint.
+  int refresh_ms = 250;
+  int linger_ms = 0;
+};
+
+ServeOptions take_serve_options(Args& args, const std::string& port_flag,
+                                int default_port) {
+  ServeOptions options;
+  options.port = args.take(port_flag, default_port);
+  options.refresh_ms = args.take("--refresh-ms", options.refresh_ms);
+  options.linger_ms = args.take("--linger-ms", options.linger_ms);
+  if (options.port > 65535) usage_error(port_flag + " wants a port <= 65535");
+  if (options.linger_ms < 0) usage_error("--linger-ms wants >= 0");
+  return options;
+}
+
+/// The live telemetry endpoint shared by fleet, replay, online and serve.
+/// start() tees a refresh-cadenced tap (obs/serve.h) with whatever sink
+/// main() wired — file serializer, capture, or none — brings the HTTP
+/// server up and prints (and flushes) the endpoint line before the
+/// workload starts, so scripts can scrape mid-run. finish() flushes the
+/// final snapshot, optionally lingers so late scrapers still land, then
+/// stops the server and restores the previous sink. Both are no-ops when
+/// no port was asked for.
 class ServeTap {
  public:
   ~ServeTap() {
     // Belt and braces: a StatusError thrown mid-run must not leave the
     // context pointed at our dying tee.
-    if (active_) finish(0);
+    options_.linger_ms = 0;
+    finish();
   }
 
-  void start(obs::Context& ctx, int port, int refresh_ms) {
+  void start(obs::Context& ctx, const ServeOptions& options) {
+    if (options.port < 0) return;
     ctx_ = &ctx;
-    refresh_ms_ = refresh_ms;
+    options_ = options;
     tap_ = std::make_unique<obs::TelemetryTap>(hub_, &ctx.metrics,
-                                               refresh_ms);
+                                               options.refresh_ms);
     tap_sink_ = std::make_unique<obs::VisitorSink>(*tap_);
     prev_sink_ = ctx.trace.sink();
     tee_.add(prev_sink_);  // add() ignores nullptr
     tee_.add(tap_sink_.get());
     ctx.trace.set_sink(&tee_);
-    server_.start(port);
+    server_.start(options.port);
     std::printf("serving telemetry on http://127.0.0.1:%d"
                 " (GET /metrics /report /healthz), refresh %d ms\n",
-                server_.port(), refresh_ms_);
+                server_.port(), options.refresh_ms);
     std::fflush(stdout);
     active_ = true;
   }
 
-  void finish(int linger_ms) {
+  /// Publishes the current state now, whatever the refresh cadence.
+  void flush() { tap_->flush(); }
+
+  void finish() {
     if (!active_) return;
     tap_->flush();  // final state stays scrapeable regardless of cadence
-    if (linger_ms > 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(linger_ms));
+    if (options_.linger_ms > 0) {
+      std::this_thread::sleep_for(
+          std::chrono::milliseconds(options_.linger_ms));
     }
     server_.stop();
     ctx_->trace.set_sink(prev_sink_);
     active_ = false;
   }
 
-  bool active() const { return active_; }
+  std::uint64_t generation() const { return hub_.generation(); }
+  std::uint64_t records_seen() const { return tap_->records_seen(); }
 
  private:
   obs::Context* ctx_ = nullptr;
+  ServeOptions options_;
   obs::TelemetryHub hub_;
   obs::TelemetryServer server_{hub_};
   std::unique_ptr<obs::TelemetryTap> tap_;
   std::unique_ptr<obs::VisitorSink> tap_sink_;
   obs::TeeSink tee_;
   obs::TraceSink* prev_sink_ = nullptr;
-  int refresh_ms_ = 250;
   bool active_ = false;
 };
 
-int cmd_replay(io::Testbed& tb, obs::Context& ctx,
-               std::vector<std::string>& args) {
-  const int serve_port = take_int(args, "--serve-port", -1);
-  const int refresh_ms = take_int(args, "--refresh-ms", 250);
-  const int linger_ms = take_int(args, "--linger-ms", 0);
-  if (serve_port > 65535) usage_error("--serve-port wants a port <= 65535");
-  if (linger_ms < 0) usage_error("--linger-ms wants >= 0");
-  if (args.empty()) {
-    std::fprintf(stderr, "replay: missing trace path\n");
-    return kExitUsage;
-  }
-  const auto entries = io::parse_trace(read_file(args.front()));
+int cmd_replay(io::Testbed& tb, obs::Context& ctx, Args& args) {
+  const ServeOptions serve_options =
+      take_serve_options(args, "--serve-port", -1);
+  const std::string path = args.positional("trace path");
+  args.finish();
+  const auto entries = io::parse_trace(read_file(path));
   const auto jobs = io::trace_to_jobs(entries, &tb.nic(), tb.ssds());
   io::FioRunner fio(tb.host());
   fio.set_observer(&ctx);
   ServeTap serve;
-  if (serve_port >= 0) serve.start(ctx, serve_port, refresh_ms);
+  serve.start(ctx, serve_options);
   const auto results = fio.run_timed(jobs);
-  serve.finish(linger_ms);
+  serve.finish();
   double total_gib = 0.0;
   sim::Ns last_end = 0.0;
   for (std::size_t i = 0; i < results.size(); ++i) {
+    const double gib = static_cast<double>(entries[i].bytes) /
+                       static_cast<double>(sim::kGiB);
     std::printf("%8.3fs %-10s node%d %8.1f GiB  %7.2f Gbps\n",
                 entries[i].arrival / 1e9, entries[i].engine.c_str(),
-                entries[i].cpu_node,
-                static_cast<double>(entries[i].bytes) /
-                    static_cast<double>(sim::kGiB),
-                results[i].aggregate);
-    total_gib += static_cast<double>(entries[i].bytes) /
-                 static_cast<double>(sim::kGiB);
+                entries[i].cpu_node, gib, results[i].aggregate);
+    total_gib += gib;
     last_end =
         std::max(last_end, entries[i].arrival + results[i].duration);
   }
@@ -590,39 +567,28 @@ int cmd_replay(io::Testbed& tb, obs::Context& ctx,
 /// `online`: the paper's §VI future-work direction as a subcommand — a
 /// seeded open-loop workload placed by model::OnlineScheduler under a
 /// chosen policy, with the same live telemetry tap `fleet` and `replay`
-/// offer. Strict flag parsing, like `fleet`.
-int cmd_online(io::Testbed& tb, obs::Context& ctx,
-               std::vector<std::string>& args) {
-  const std::string policy_name = take_flag(args, "--policy");
-  const int tasks_n = take_int(args, "--tasks", 24);
-  const std::uint64_t seed = take_u64(args, "--seed", 20130601);
-  const double mean_arrival_s = take_double(args, "--mean-arrival", 2.0);
-  const int reps = take_int(args, "--reps", 100);
-  const int serve_port = take_int(args, "--serve-port", -1);
-  const int refresh_ms = take_int(args, "--refresh-ms", 250);
-  const int linger_ms = take_int(args, "--linger-ms", 0);
-  if (!args.empty()) {
-    usage_error("online: unknown option '" + args.front() + "'");
-  }
-  if (tasks_n < 1) usage_error("--tasks wants a positive count");
+/// offer.
+int cmd_online(io::Testbed& tb, obs::Context& ctx, Args& args) {
+  const std::string policy = args.take_choice(
+      "--policy",
+      {"all-local", "round-robin", "model-spread", "model-adaptive"},
+      "model-adaptive");
+  const int tasks_n = args.take_count("--tasks", 24);
+  const std::uint64_t seed = args.take<std::uint64_t>("--seed", 20130601);
+  const double mean_arrival_s = args.take("--mean-arrival", 2.0);
+  const int reps = args.take_count("--reps", 100);
+  const ServeOptions serve_options =
+      take_serve_options(args, "--serve-port", -1);
+  args.finish();
   if (mean_arrival_s <= 0.0) {
     usage_error("--mean-arrival wants positive seconds");
   }
-  if (reps < 1) usage_error("--reps wants a positive count");
-  if (serve_port > 65535) usage_error("--serve-port wants a port <= 65535");
-  if (linger_ms < 0) usage_error("--linger-ms wants >= 0");
   model::OnlineConfig config;
-  if (policy_name.empty() || policy_name == "model-adaptive") {
-    config.policy = model::OnlinePolicy::kModelAdaptive;
-  } else if (policy_name == "all-local") {
-    config.policy = model::OnlinePolicy::kAllLocal;
-  } else if (policy_name == "round-robin") {
-    config.policy = model::OnlinePolicy::kRoundRobin;
-  } else if (policy_name == "model-spread") {
-    config.policy = model::OnlinePolicy::kModelSpread;
-  } else {
-    usage_error("--policy wants all-local|round-robin|model-spread|"
-                "model-adaptive");
+  for (const model::OnlinePolicy p :
+       {model::OnlinePolicy::kAllLocal, model::OnlinePolicy::kRoundRobin,
+        model::OnlinePolicy::kModelSpread,
+        model::OnlinePolicy::kModelAdaptive}) {
+    if (model::to_string(p) == policy) config.policy = p;
   }
 
   // Boot-time characterization of the NIC's node, both directions — the
@@ -649,9 +615,9 @@ int cmd_online(io::Testbed& tb, obs::Context& ctx,
   scheduler.set_observer(&ctx);
 
   ServeTap serve;
-  if (serve_port >= 0) serve.start(ctx, serve_port, refresh_ms);
+  serve.start(ctx, serve_options);
   const model::OnlineReport report = scheduler.run(tasks);
-  serve.finish(linger_ms);
+  serve.finish();
 
   std::printf(
       "online: %d tasks, policy %s, seed %llu\n"
@@ -664,17 +630,11 @@ int cmd_online(io::Testbed& tb, obs::Context& ctx,
   return 0;
 }
 
-int cmd_fio(io::Testbed& tb, obs::Context& ctx,
-            const std::vector<std::string>& args) {
-  if (args.empty()) {
-    std::fprintf(stderr, "fio: missing job file path\n");
-    return kExitUsage;
-  }
-  io::DeviceSet set;
-  set.nic = &tb.nic();
-  set.ssds = tb.ssds();
-  const io::JobFile file = io::load_job_file(args.front());
-  const auto jobs = io::resolve_jobs(file, set);
+int cmd_fio(io::Testbed& tb, obs::Context& ctx, Args& args) {
+  const std::string path = args.positional("job file path");
+  args.finish();
+  const io::JobFile file = io::load_job_file(path);
+  const auto jobs = io::resolve_jobs(file, {&tb.nic(), tb.ssds()});
 
   io::FioRunner fio(tb.host());
   fio.set_observer(&ctx);
@@ -692,23 +652,21 @@ int cmd_fio(io::Testbed& tb, obs::Context& ctx,
   return 0;
 }
 
-int cmd_faults(io::Testbed& tb, obs::Context& ctx,
-               const std::vector<std::string>& args) {
-  const std::uint64_t seed = u64_flag(args, "--seed", 42);
-  const int events = int_flag(args, "--events", 4);
-  if (events < 1) usage_error("--events wants a positive count");
-
+/// The seeded random fault plan `faults` and `report` inject: `events`
+/// transitions over the testbed's nodes, its NIC and its SSDs.
+faults::FaultPlan random_fault_plan(io::Testbed& tb, std::uint64_t seed,
+                                    int events) {
   faults::RandomPlanConfig plan_config;
   plan_config.seed = seed;
   plan_config.num_nodes = tb.machine().num_nodes();
   plan_config.num_devices = 1 + static_cast<int>(tb.ssds().size());
   plan_config.num_events = events;
-  faults::FaultPlan plan = faults::FaultPlan::random(plan_config);
-  std::printf("fault plan (seed %llu, %d events):\n%s",
-              static_cast<unsigned long long>(seed), events,
-              plan.to_string().c_str());
+  return faults::FaultPlan::random(plan_config);
+}
 
-  faults::FaultInjector injector(tb.machine(), std::move(plan));
+/// Traces `injector` into `ctx` and registers the testbed's NIC and SSDs.
+void attach_devices(faults::FaultInjector& injector, io::Testbed& tb,
+                    obs::Context& ctx) {
   injector.set_observer(&ctx);
   injector.register_device(tb.nic().name(), tb.nic().attach_node(),
                            tb.nic().fault_resources());
@@ -716,30 +674,47 @@ int cmd_faults(io::Testbed& tb, obs::Context& ctx,
     injector.register_device(ssd->name(), ssd->attach_node(),
                              ssd->fault_resources());
   }
+}
+
+/// The degraded-mode job `faults` and `report` run by default: four
+/// rdma-read streams from node 2 with a 30 s per-attempt budget, so
+/// stalls abort and retry instead of hanging the stream forever.
+io::FioJob degraded_rdma_job(io::Testbed& tb) {
+  io::FioJob job;
+  job.devices = {&tb.nic()};
+  job.engine = io::kRdmaRead;
+  job.cpu_node = 2;
+  job.num_streams = 4;
+  job.bytes_per_stream = 40 * sim::kGiB;
+  job.retry.timeout = 30.0e9;
+  return job;
+}
+
+int cmd_faults(io::Testbed& tb, obs::Context& ctx, Args& args) {
+  const std::uint64_t seed = args.take<std::uint64_t>("--seed", 42);
+  const int events = args.take_count("--events", 4);
+  const std::string jobfile = args.take<std::string>("--jobfile", "");
+  args.finish();
+
+  faults::FaultPlan plan = random_fault_plan(tb, seed, events);
+  std::printf("fault plan (seed %llu, %d events):\n%s",
+              static_cast<unsigned long long>(seed), events,
+              plan.to_string().c_str());
+  faults::FaultInjector injector(tb.machine(), std::move(plan));
+  attach_devices(injector, tb, ctx);
 
   std::vector<io::FioJob> jobs;
   std::vector<std::string> names;
-  const std::string jobfile = flag_value(args, "--jobfile", "");
   if (!jobfile.empty()) {
-    io::DeviceSet set;
-    set.nic = &tb.nic();
-    set.ssds = tb.ssds();
     const io::JobFile file = io::load_job_file(jobfile);
-    jobs = io::resolve_jobs(file, set);
+    jobs = io::resolve_jobs(file, {&tb.nic(), tb.ssds()});
     for (const auto& job : file.jobs) names.push_back(job.name);
   } else {
-    io::FioJob job;
-    job.devices = {&tb.nic()};
-    job.engine = io::kRdmaRead;
-    job.cpu_node = 2;
-    job.num_streams = 4;
-    job.bytes_per_stream = 40 * sim::kGiB;
-    jobs.push_back(job);
+    jobs.push_back(degraded_rdma_job(tb));
     names.emplace_back("degraded-rdma");
   }
   // Degraded-mode runs need a per-attempt budget; leave explicit jobfile
-  // timeouts alone but give timeout-less jobs a 30 s one so stalls abort
-  // and retry instead of hanging the stream forever.
+  // timeouts alone but give timeout-less jobs the default job's 30 s.
   for (io::FioJob& job : jobs) {
     if (job.retry.timeout <= 0.0) job.retry.timeout = 30.0e9;
   }
@@ -770,54 +745,56 @@ int cmd_faults(io::Testbed& tb, obs::Context& ctx,
   return 0;
 }
 
+/// The storm shape `fleet` and `serve` share.
+struct StormOptions {
+  int hosts = 4;
+  int tenants = 3;
+  double rate = 900.0;
+  std::uint64_t seed = 42;
+  double duration_s = 0.0;
+};
+
+StormOptions take_storm_options(Args& args, double default_duration_s) {
+  StormOptions storm;
+  storm.hosts = args.take_count("--hosts", storm.hosts);
+  storm.tenants = args.take_count("--tenants", storm.tenants);
+  storm.rate = args.take("--rate", storm.rate);
+  storm.seed = args.take("--seed", storm.seed);
+  storm.duration_s = args.take("--duration", default_duration_s);
+  if (storm.rate <= 0.0) usage_error("--rate wants a positive req/s");
+  if (storm.duration_s <= 0.0) {
+    usage_error("--duration wants positive seconds");
+  }
+  return storm;
+}
+
 /// The fleet serving core (src/fleet): a multi-tenant request storm over
-/// N simulated DL585 hosts. Strict flag parsing: anything left in `args`
-/// after the known flags are consumed is a usage error — this command is
-/// the template for scripting against exit codes, so typos must not
-/// silently become defaults.
-int cmd_fleet(obs::Context& ctx, std::vector<std::string>& args) {
-  const int hosts = take_int(args, "--hosts", 4);
-  const int tenants = take_int(args, "--tenants", 3);
-  const double rate = take_double(args, "--rate", 900.0);
-  const std::uint64_t seed = take_u64(args, "--seed", 42);
-  const double duration_s = take_double(args, "--duration", 4.0);
-  const int queue_depth = take_int(args, "--queue-depth", 0);
-  const double deadline_ms = take_double(args, "--deadline-ms", 0.0);
-  const std::string plan_path = take_flag(args, "--plan");
-  const bool print_plan = take_switch(args, "--print-plan");
-  const int serve_port = take_int(args, "--serve-port", -1);
-  const int refresh_ms = take_int(args, "--refresh-ms", 250);
-  const int linger_ms = take_int(args, "--linger-ms", 0);
-  const bool scale = take_switch(args, "--scale");
-  const double batch_window_ms = take_double(args, "--batch-window", -1.0);
-  const std::string service = take_flag(args, "--service");
-  const std::string placement = take_flag(args, "--placement");
-  if (!args.empty()) {
-    usage_error("fleet: unknown option '" + args.front() + "'");
-  }
-  if (hosts < 1) usage_error("--hosts wants a positive count");
-  if (tenants < 1) usage_error("--tenants wants a positive count");
-  if (rate <= 0.0) usage_error("--rate wants a positive req/s");
-  if (duration_s <= 0.0) usage_error("--duration wants positive seconds");
+/// N simulated DL585 hosts.
+int cmd_fleet(obs::Context& ctx, Args& args) {
+  const StormOptions shape = take_storm_options(args, 4.0);
+  const int queue_depth = args.take("--queue-depth", 0);
+  const double deadline_ms = args.take("--deadline-ms", 0.0);
+  const std::string plan_path = args.take<std::string>("--plan", "");
+  const bool print_plan = args.take_switch("--print-plan");
+  const ServeOptions serve_options =
+      take_serve_options(args, "--serve-port", -1);
+  const bool scale = args.take_switch("--scale");
+  const double batch_window_ms = args.take("--batch-window", -1.0);
+  const std::string service =
+      args.take_choice("--service", {"fluid", "coarse"}, "");
+  const std::string placement =
+      args.take_choice("--placement", {"least-loaded", "class-spread"}, "");
+  args.finish();
   if (deadline_ms < 0.0) usage_error("--deadline-ms wants >= 0");
-  if (serve_port > 65535) usage_error("--serve-port wants a port <= 65535");
-  if (linger_ms < 0) usage_error("--linger-ms wants >= 0");
-  if (!service.empty() && service != "fluid" && service != "coarse") {
-    usage_error("--service wants 'fluid' or 'coarse'");
-  }
-  if (!placement.empty() && placement != "least-loaded" &&
-      placement != "class-spread") {
-    usage_error("--placement wants 'least-loaded' or 'class-spread'");
-  }
 
   // --scale swaps in the scale scenario (batched + coarse +
   // class-spread); the individual flags then override either scenario's
   // defaults.
   fleet::StormScenario storm =
-      scale ? fleet::make_scale_storm(hosts, tenants, rate, seed,
-                                      duration_s * 1e9)
-            : fleet::make_storm(hosts, tenants, rate, seed,
-                                duration_s * 1e9);
+      scale ? fleet::make_scale_storm(shape.hosts, shape.tenants, shape.rate,
+                                      shape.seed, shape.duration_s * 1e9)
+            : fleet::make_storm(shape.hosts, shape.tenants, shape.rate,
+                                shape.seed, shape.duration_s * 1e9);
   if (queue_depth > 0) storm.config.queue_depth = queue_depth;
   if (deadline_ms > 0.0) storm.config.deadline = deadline_ms * 1e6;
   if (batch_window_ms >= 0.0) {
@@ -847,19 +824,18 @@ int cmd_fleet(obs::Context& ctx, std::vector<std::string>& args) {
   sim.set_observer(&ctx);
 
   // --serve-port: expose the run's rolling telemetry snapshot over HTTP
-  // for the duration of the storm (ServeTap above); --linger-ms keeps the
-  // endpoint up after the drain.
+  // for the duration of the storm; --linger-ms keeps the endpoint up
+  // after the drain.
   ServeTap serve;
-  if (serve_port >= 0) serve.start(ctx, serve_port, refresh_ms);
-
+  serve.start(ctx, serve_options);
   const fleet::FleetReport report = sim.run();
-
-  serve.finish(linger_ms);
+  serve.finish();
   std::printf(
       "fleet: %d hosts, %d tenants, %.0f req/s offered, seed %llu, "
       "%.1f s horizon\n\n%s",
-      hosts, tenants, rate, static_cast<unsigned long long>(seed),
-      duration_s, report.summary().c_str());
+      shape.hosts, shape.tenants, shape.rate,
+      static_cast<unsigned long long>(shape.seed), shape.duration_s,
+      report.summary().c_str());
   return 0;
 }
 
@@ -868,67 +844,36 @@ int cmd_fleet(obs::Context& ctx, std::vector<std::string>& args) {
 /// with the live tap attached the whole time, so /metrics and /report
 /// roll forward across rounds; then lingers `--linger-ms` before
 /// shutting the endpoint down.
-int cmd_serve(obs::Context& ctx, std::vector<std::string>& args) {
-  const int port = take_int(args, "--port", 0);
-  const int refresh_ms = take_int(args, "--refresh-ms", 250);
-  const int rounds = take_int(args, "--rounds", 3);
-  const int linger_ms = take_int(args, "--linger-ms", 0);
-  const int hosts = take_int(args, "--hosts", 4);
-  const int tenants = take_int(args, "--tenants", 3);
-  const double rate = take_double(args, "--rate", 900.0);
-  const std::uint64_t seed = take_u64(args, "--seed", 42);
-  const double duration_s = take_double(args, "--duration", 2.0);
-  if (!args.empty()) {
-    usage_error("serve: unknown option '" + args.front() + "'");
-  }
-  if (port < 0 || port > 65535) usage_error("--port wants 0..65535");
-  if (rounds < 1) usage_error("--rounds wants a positive count");
-  if (linger_ms < 0) usage_error("--linger-ms wants >= 0");
-  if (hosts < 1) usage_error("--hosts wants a positive count");
-  if (tenants < 1) usage_error("--tenants wants a positive count");
-  if (rate <= 0.0) usage_error("--rate wants a positive req/s");
-  if (duration_s <= 0.0) usage_error("--duration wants positive seconds");
+int cmd_serve(obs::Context& ctx, Args& args) {
+  const ServeOptions serve_options = take_serve_options(args, "--port", 0);
+  const int rounds = args.take_count("--rounds", 3);
+  const StormOptions shape = take_storm_options(args, 2.0);
+  args.finish();
+  if (serve_options.port < 0) usage_error("--port wants 0..65535");
 
-  obs::TelemetryHub hub;
-  obs::TelemetryTap tap(hub, &ctx.metrics, refresh_ms);
-  obs::VisitorSink tap_sink(tap);
-  obs::TeeSink tee;
-  obs::TraceSink* const prev_sink = ctx.trace.sink();
-  tee.add(prev_sink);  // add() ignores nullptr
-  tee.add(&tap_sink);
-  ctx.trace.set_sink(&tee);
-
-  obs::TelemetryServer server(hub);
-  server.start(port);
-  std::printf("serving telemetry on http://127.0.0.1:%d"
-              " (GET /metrics /report /healthz), refresh %d ms\n",
-              server.port(), refresh_ms);
-  std::fflush(stdout);
-
+  ServeTap serve;
+  serve.start(ctx, serve_options);
   for (int round = 0; round < rounds; ++round) {
     fleet::StormScenario storm = fleet::make_storm(
-        hosts, tenants, rate, seed + static_cast<std::uint64_t>(round),
-        duration_s * 1e9);
+        shape.hosts, shape.tenants, shape.rate,
+        shape.seed + static_cast<std::uint64_t>(round),
+        shape.duration_s * 1e9);
     fleet::FleetSim sim(storm.config, storm.tenants);
     sim.set_fault_plan(std::move(storm.plan));
     sim.set_observer(&ctx);
     const fleet::FleetReport report = sim.run();
-    tap.flush();  // round boundary is always scrapeable
+    serve.flush();  // round boundary is always scrapeable
     std::printf("round %d/%d: %lld submitted, %lld completed, "
                 "accepted p99 %.1f ms / p99.9 %.1f ms (generation %llu)\n",
                 round + 1, rounds, report.submitted, report.completed,
                 report.accepted_p99 / 1e6, report.accepted_p999 / 1e6,
-                static_cast<unsigned long long>(hub.generation()));
+                static_cast<unsigned long long>(serve.generation()));
     std::fflush(stdout);
   }
-  if (linger_ms > 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(linger_ms));
-  }
-  server.stop();
-  ctx.trace.set_sink(prev_sink);
   std::printf("served %llu records across %d rounds, %llu refreshes\n",
-              static_cast<unsigned long long>(tap.records_seen()), rounds,
-              static_cast<unsigned long long>(hub.generation()));
+              static_cast<unsigned long long>(serve.records_seen()), rounds,
+              static_cast<unsigned long long>(serve.generation()));
+  serve.finish();
   return 0;
 }
 
@@ -946,46 +891,29 @@ model::HostModel run_report_workload(io::Testbed& tb, obs::Context& ctx,
   model::HostModel host_model = model::characterize_host(tb.host(),
                                                          characterize);
 
-  faults::RandomPlanConfig plan_config;
-  plan_config.seed = seed;
-  plan_config.num_nodes = tb.machine().num_nodes();
-  plan_config.num_devices = 1 + static_cast<int>(tb.ssds().size());
-  plan_config.num_events = events;
   faults::FaultInjector injector(tb.machine(),
-                                 faults::FaultPlan::random(plan_config));
-  injector.set_observer(&ctx);
-  injector.register_device(tb.nic().name(), tb.nic().attach_node(),
-                           tb.nic().fault_resources());
-  for (const io::PcieDevice* ssd : tb.ssds()) {
-    injector.register_device(ssd->name(), ssd->attach_node(),
-                             ssd->fault_resources());
-  }
-
-  io::FioJob job;
-  job.devices = {&tb.nic()};
-  job.engine = io::kRdmaRead;
-  job.cpu_node = 2;
-  job.num_streams = 4;
-  job.bytes_per_stream = 40 * sim::kGiB;
-  job.retry.timeout = 30.0e9;  // per-attempt budget: abort + retry stalls
+                                 random_fault_plan(tb, seed, events));
+  attach_devices(injector, tb, ctx);
   io::FioRunner fio(tb.host());
   fio.set_fault_injector(&injector);
   fio.set_observer(&ctx);
-  fio.run_concurrent({job});
+  fio.run_concurrent({degraded_rdma_job(tb)});
   injector.restore();
   return host_model;
 }
 
 int cmd_report(io::Testbed& tb, obs::Context& ctx, obs::MemorySink* capture,
-               const std::vector<std::string>& args) {
-  const std::string trace_in = flag_value(args, "--trace-in", "");
-  const std::string format = flag_value(args, "--format", "md");
-  if (format != "md" && format != "json") {
-    usage_error("--format must be md or json, got '" + format + "'");
-  }
+               Args& args) {
+  const std::string trace_in = args.take<std::string>("--trace-in", "");
+  const std::string format = args.take_choice("--format", {"md", "json"}, "md");
   model::RunReportOptions options;
-  options.top_contended = int_flag(args, "--top", 5);
-  if (options.top_contended < 1) usage_error("--top wants a positive count");
+  options.top_contended = args.take_count("--top", 5);
+  const std::uint64_t seed = args.take<std::uint64_t>("--seed", 42);
+  const int events = args.take_count("--events", 4);
+  const int reps = args.take_count("--reps", 12);
+  const std::string diff_in = args.take<std::string>("--diff", "");
+  const std::string out = args.take<std::string>("--out", "");
+  args.finish();
 
   model::RunReport report;
   if (!trace_in.empty()) {
@@ -998,11 +926,6 @@ int cmd_report(io::Testbed& tb, obs::Context& ctx, obs::MemorySink* capture,
     report = model::build_run_report("report --trace-in " + trace_in,
                                      nullptr, source, nullptr);
   } else {
-    const std::uint64_t seed = u64_flag(args, "--seed", 42);
-    const int events = int_flag(args, "--events", 4);
-    const int reps = int_flag(args, "--reps", 12);
-    if (events < 1) usage_error("--events wants a positive count");
-    if (reps < 1) usage_error("--reps wants a positive count");
     const model::HostModel host_model =
         run_report_workload(tb, ctx, seed, events, reps);
     const std::string command =
@@ -1015,7 +938,6 @@ int cmd_report(io::Testbed& tb, obs::Context& ctx, obs::MemorySink* capture,
   // --diff OLD.json: render the current report's diffable surface and
   // print the deltas against a previously saved --format json report
   // instead of the report itself.
-  const std::string diff_in = flag_value(args, "--diff", "");
   std::string text;
   if (!diff_in.empty()) {
     const model::ReportSummary before =
@@ -1027,32 +949,25 @@ int cmd_report(io::Testbed& tb, obs::Context& ctx, obs::MemorySink* capture,
     text = format == "md" ? model::render_markdown(report, options)
                           : model::render_json(report, options);
   }
-  const std::string out = flag_value(args, "--out", "");
   if (out.empty()) {
     std::fputs(text.c_str(), stdout);
   } else {
-    std::ofstream file(out, std::ios::binary);
-    if (!file) {
-      throw StatusError(StatusCode::kNoFile, "cannot write '" + out + "'");
-    }
-    file << text;
+    open_output(out) << text;
   }
   return 0;
 }
 
-int cmd_export(const std::vector<std::string>& args) {
-  const std::string trace_in = flag_value(args, "--trace-in", "");
-  const std::string chrome = flag_value(args, "--chrome", "");
-  const std::string folded = flag_value(args, "--folded", "");
-  const std::string fold_weight = flag_value(args, "--fold-weight", "self");
-  const std::string metrics_in = flag_value(args, "--metrics-in", "");
-  const std::string prom = flag_value(args, "--prom", "");
+int cmd_export(Args& args) {
+  const std::string trace_in = args.take<std::string>("--trace-in", "");
+  const std::string chrome = args.take<std::string>("--chrome", "");
+  const std::string folded = args.take<std::string>("--folded", "");
+  const std::string fold_weight =
+      args.take_choice("--fold-weight", {"wall", "self"}, "self");
+  const std::string metrics_in = args.take<std::string>("--metrics-in", "");
+  const std::string prom = args.take<std::string>("--prom", "");
+  args.finish();
   if (trace_in.empty() && metrics_in.empty()) {
     usage_error("export wants --trace-in FILE and/or --metrics-in FILE");
-  }
-  if (fold_weight != "wall" && fold_weight != "self") {
-    usage_error("--fold-weight must be wall or self, got '" + fold_weight +
-                "'");
   }
   if (!trace_in.empty()) {
     if (chrome.empty() && folded.empty()) {
@@ -1062,19 +977,11 @@ int cmd_export(const std::vector<std::string>& args) {
     // memory, so exports scale to any trace the disk holds.
     obs::JsonlFileSource source = open_trace_source(trace_in);
     if (!chrome.empty()) {
-      std::ofstream file(chrome, std::ios::binary);
-      if (!file) {
-        throw StatusError(StatusCode::kNoFile,
-                          "cannot write '" + chrome + "'");
-      }
+      std::ofstream file = open_output(chrome);
       obs::export_chrome_trace(source, file);
     }
     if (!folded.empty()) {
-      std::ofstream file(folded, std::ios::binary);
-      if (!file) {
-        throw StatusError(StatusCode::kNoFile,
-                          "cannot write '" + folded + "'");
-      }
+      std::ofstream file = open_output(folded);
       const obs::FoldWeight weight = fold_weight == "wall"
                                          ? obs::FoldWeight::kWall
                                          : obs::FoldWeight::kSelf;
@@ -1093,17 +1000,15 @@ int cmd_export(const std::vector<std::string>& args) {
     if (prom.empty()) usage_error("--metrics-in wants --prom FILE");
     const obs::MetricsRegistry registry =
         obs::parse_metrics_json(read_file(metrics_in));
-    std::ofstream file(prom, std::ios::binary);
-    if (!file) {
-      throw StatusError(StatusCode::kNoFile, "cannot write '" + prom + "'");
-    }
+    std::ofstream file = open_output(prom);
     obs::export_prometheus(registry, file);
   }
   return 0;
 }
 
-int cmd_metrics(const std::vector<std::string>& args) {
-  const std::string in = flag_value(args, "--in", "");
+int cmd_metrics(Args& args) {
+  const std::string in = args.take<std::string>("--in", "");
+  args.finish();
   if (in.empty()) {
     // No capture file: print the registry of metric names the pipeline
     // can emit, so scripts know what to look for in --metrics-out files.
@@ -1122,26 +1027,19 @@ int cmd_metrics(const std::vector<std::string>& args) {
   return 0;
 }
 
-int cmd_synth_trace(const std::vector<std::string>& args) {
-  const std::string out = flag_value(args, "--out", "");
-  if (out.empty()) usage_error("synth-trace wants --out FILE");
+int cmd_synth_trace(Args& args) {
   obs::SyntheticTraceConfig config;
-  config.records = u64_flag(args, "--records", config.records);
+  const std::string out = args.take<std::string>("--out", "");
+  config.records = args.take("--records", config.records);
   config.concurrent_streams =
-      int_flag(args, "--streams", config.concurrent_streams);
-  config.seed = u64_flag(args, "--seed", config.seed);
-  config.depth = int_flag(args, "--depth", config.depth);
-  config.fanout = int_flag(args, "--fanout", config.fanout);
-  if (config.concurrent_streams < 1) {
-    usage_error("--streams wants a positive count");
-  }
-  if (config.depth < 1) usage_error("--depth wants a positive depth");
-  if (config.fanout < 1) usage_error("--fanout wants a positive count");
+      args.take_count("--streams", config.concurrent_streams);
+  config.seed = args.take("--seed", config.seed);
+  config.depth = args.take_count("--depth", config.depth);
+  config.fanout = args.take_count("--fanout", config.fanout);
+  args.finish();
+  if (out.empty()) usage_error("synth-trace wants --out FILE");
 
-  std::ofstream file(out, std::ios::binary);
-  if (!file) {
-    throw StatusError(StatusCode::kNoFile, "cannot write '" + out + "'");
-  }
+  std::ofstream file = open_output(out);
   // One generator pass straight into the serializer: records are written
   // as produced, so a 10^8-record capture costs the same memory as a
   // 10-record one.
@@ -1156,17 +1054,13 @@ int cmd_synth_trace(const std::vector<std::string>& args) {
   return 0;
 }
 
-}  // namespace
-
-namespace {
-
 /// Dispatches the subcommand with observability wired through the whole
 /// measurement pipeline; returns the exit code or -1 for unknown commands.
 /// `observing` gates the solver's per-solve timer (the one instrumentation
 /// hook with a wall-clock read on a hot path) so runs without --trace-out/
 /// --metrics-out cost nothing measurable.
-int dispatch(const std::string& cmd, std::vector<std::string>& args,
-             obs::Context& ctx, bool observing, obs::MemorySink* capture) {
+int dispatch(const std::string& cmd, Args& args, obs::Context& ctx,
+             bool observing, obs::MemorySink* capture) {
   if (cmd == "metrics") return cmd_metrics(args);
   if (cmd == "classes") return cmd_classes(args);
   if (cmd == "export") return cmd_export(args);
@@ -1179,8 +1073,8 @@ int dispatch(const std::string& cmd, std::vector<std::string>& args,
   io::Testbed tb = io::Testbed::dl585();
   if (observing) tb.machine().solver().set_observer(&ctx);
   if (cmd == "report") return cmd_report(tb, ctx, capture, args);
-  if (cmd == "hardware") return cmd_hardware(tb);
-  if (cmd == "stream-matrix") return cmd_stream_matrix(tb);
+  if (cmd == "hardware") return cmd_hardware(tb, args);
+  if (cmd == "stream-matrix") return cmd_stream_matrix(tb, args);
   if (cmd == "iomodel") return cmd_iomodel(tb, ctx, args);
   if (cmd == "demo") return cmd_demo(tb, args);
   if (cmd == "fio") return cmd_fio(tb, ctx, args);
@@ -1198,20 +1092,26 @@ int dispatch(const std::string& cmd, std::vector<std::string>& args,
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string cmd = argv[1];
-  std::vector<std::string> args(argv + 2, argv + argc);
-
   if (cmd == "help" || cmd == "--help" || cmd == "-h") {
     usage();
     return 0;
   }
+  const std::vector<std::string> argv_tail(argv + 2, argv + argc);
+  // `report` runs (and captures) its own workload unless it analyzes a
+  // saved --trace-in capture.
+  const bool report_runs =
+      cmd == "report" && std::find(argv_tail.begin(), argv_tail.end(),
+                                   "--trace-in") == argv_tail.end();
+  Args args(argv_tail);
 
   try {
     // Global observability options, valid on every subcommand.
-    const std::string trace_out = take_flag(args, "--trace-out");
-    const std::string metrics_out = take_flag(args, "--metrics-out");
-    const std::string prom_out = take_flag(args, "--prom-out");
-    const std::string chrome_out = take_flag(args, "--chrome-out");
-    const bool deterministic = take_switch(args, "--trace-deterministic");
+    const std::string trace_out = args.take<std::string>("--trace-out", "");
+    const std::string metrics_out =
+        args.take<std::string>("--metrics-out", "");
+    const std::string prom_out = args.take<std::string>("--prom-out", "");
+    const std::string chrome_out = args.take<std::string>("--chrome-out", "");
+    const bool deterministic = args.take_switch("--trace-deterministic");
 
     obs::Context ctx;
     ctx.trace.set_deterministic(deterministic);
@@ -1219,41 +1119,26 @@ int main(int argc, char** argv) {
     // The Chrome exporter and the default `report` run consume the
     // record stream in process, so those paths capture into a MemorySink
     // — teed with the file serializer when --trace-out is also given.
-    const bool need_capture =
-        !chrome_out.empty() ||
-        (cmd == "report" && flag_value(args, "--trace-in", "").empty());
+    const bool need_capture = !chrome_out.empty() || report_runs;
     std::ofstream trace_file;
     std::unique_ptr<obs::TraceSink> file_sink;
     obs::MemorySink capture;
     obs::TeeSink tee;
     if (!trace_out.empty()) {
-      trace_file.open(trace_out, std::ios::binary);
-      if (!trace_file) {
-        throw StatusError(StatusCode::kNoFile,
-                          "cannot write '" + trace_out + "'");
-      }
-      const bool csv = trace_out.size() >= 4 &&
-                       trace_out.compare(trace_out.size() - 4, 4, ".csv") == 0;
-      if (csv) {
+      trace_file = open_output(trace_out);
+      if (trace_out.ends_with(".csv")) {
         file_sink = std::make_unique<obs::CsvSink>(trace_file);
       } else {
         file_sink = std::make_unique<obs::JsonlSink>(trace_file);
       }
     }
-    obs::TraceSink* sink = nullptr;
-    if (file_sink != nullptr && need_capture) {
-      tee.add(file_sink.get());
-      tee.add(&capture);
-      sink = &tee;
-    } else if (file_sink != nullptr) {
-      sink = file_sink.get();
-    } else if (need_capture) {
-      sink = &capture;
-    }
-    if (sink != nullptr) ctx.trace.set_sink(sink);
+    tee.add(file_sink.get());  // add() ignores nullptr
+    if (need_capture) tee.add(&capture);
+    const bool tracing = file_sink != nullptr || need_capture;
+    if (tracing) ctx.trace.set_sink(&tee);
 
-    const bool observing = sink != nullptr || !metrics_out.empty() ||
-                           !prom_out.empty();
+    const bool observing =
+        tracing || !metrics_out.empty() || !prom_out.empty();
     const int rc = dispatch(cmd, args, ctx, observing,
                             need_capture ? &capture : nullptr);
     if (rc < 0) {
@@ -1261,28 +1146,15 @@ int main(int argc, char** argv) {
       return usage();
     }
     if (!metrics_out.empty()) {
-      std::ofstream metrics_file(metrics_out, std::ios::binary);
-      if (!metrics_file) {
-        throw StatusError(StatusCode::kNoFile,
-                          "cannot write '" + metrics_out + "'");
-      }
-      metrics_file << ctx.metrics.to_json() << "\n";
+      open_output(metrics_out) << ctx.metrics.to_json() << "\n";
     }
     if (!prom_out.empty()) {
-      std::ofstream prom_file(prom_out, std::ios::binary);
-      if (!prom_file) {
-        throw StatusError(StatusCode::kNoFile,
-                          "cannot write '" + prom_out + "'");
-      }
-      obs::export_prometheus(ctx.metrics, prom_file);
+      std::ofstream file = open_output(prom_out);
+      obs::export_prometheus(ctx.metrics, file);
     }
     if (!chrome_out.empty()) {
-      std::ofstream chrome_file(chrome_out, std::ios::binary);
-      if (!chrome_file) {
-        throw StatusError(StatusCode::kNoFile,
-                          "cannot write '" + chrome_out + "'");
-      }
-      obs::export_chrome_trace(capture.events, chrome_file);
+      std::ofstream file = open_output(chrome_out);
+      obs::export_chrome_trace(capture.events, file);
     }
     return rc;
   } catch (const StatusError& e) {
