@@ -40,6 +40,16 @@ UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
   "$BUILD_DIR/tests/numaio_tests" \
   --gtest_filter='TokenBucket*:*BoundedQueue*:CircuitBreaker*:AdmissionStatus*:FleetSim*:FleetScale*:*AlarmEngine*:FaultPlanFile*'
 
+# The trace text path runs standalone as well: the JSONL cursor reads
+# keys and strings as string_views into the line and the serializers
+# render into reused buffers, so an out-of-bounds read in the cursor or a
+# render buffer would hide here. Random round trips, mutation fuzz,
+# number-grammar pins and the metrics JSON round trip.
+ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
+UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
+  "$BUILD_DIR/tests/numaio_tests" \
+  --gtest_filter='*TraceRoundTrip*:*ParserFuzz*:ParseTraceJsonl*:Metrics.*'
+
 # halt_on_error: the first sanitizer report fails the test run instead of
 # scrolling past; detect_leaks exercises the Host/Buffer ownership paths.
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \

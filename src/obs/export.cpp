@@ -1,6 +1,5 @@
 #include "obs/export.h"
 
-#include <cstdio>
 #include <map>
 #include <ostream>
 #include <set>
@@ -8,44 +7,16 @@
 
 #include "obs/obs.h"
 #include "obs/stream.h"
+#include "obs/text.h"
 
 namespace numaio::obs {
 
 namespace {
 
-void json_escape(std::ostream& out, std::string_view text) {
-  for (const char c : text) {
-    switch (c) {
-      case '"': out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\n': out << "\\n"; break;
-      case '\t': out << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out << buf;
-        } else {
-          out << c;
-        }
-    }
-  }
-}
-
-std::string number(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
 /// Simulated ns -> the trace-event format's microsecond timestamps, at
 /// nanosecond (3-decimal) resolution. Untimed records render at 0.
-std::string ts_us(double t_sim_ns) {
-  char buf[48];
-  std::snprintf(buf, sizeof buf, "%.3f", t_sim_ns >= 0.0 ? t_sim_ns / 1e3
-                                                         : 0.0);
-  return buf;
+void append_ts(std::string& out, double t_sim_ns) {
+  text::append_us(out, t_sim_ns >= 0.0 ? t_sim_ns : 0.0);
 }
 
 /// Records without a node binding share one dedicated track, numbered
@@ -65,15 +36,24 @@ struct EndStub {
 
 /// Common tail of every emitted trace event: the span/instant payload as
 /// importer-visible args.
-void write_args(std::ostream& out, const Event& begin, const EndStub* end) {
-  out << "\"args\":{\"record\":" << begin.id << ",\"outcome\":\"";
-  json_escape(out, end != nullptr ? end->outcome : begin.outcome);
-  out << "\",\"detail\":\"";
-  json_escape(out, begin.detail);
+void append_args(std::string& out, const Event& begin, const EndStub* end) {
+  out += "\"args\":{\"record\":";
+  text::append_int(out, begin.id);
+  out += ",\"outcome\":\"";
+  text::json_escape(out, end != nullptr ? end->outcome : begin.outcome);
+  out += "\",\"detail\":\"";
+  text::json_escape(out, begin.detail);
   const long long bytes =
       end != nullptr && end->bytes > 0 ? end->bytes : begin.bytes;
-  out << "\",\"node_a\":" << begin.node_a << ",\"node_b\":" << begin.node_b
-      << ",\"dir\":\"" << begin.dir << "\",\"bytes\":" << bytes << "}}";
+  out += "\",\"node_a\":";
+  text::append_int(out, begin.node_a);
+  out += ",\"node_b\":";
+  text::append_int(out, begin.node_b);
+  out += ",\"dir\":\"";
+  out += begin.dir;
+  out += "\",\"bytes\":";
+  text::append_int(out, bytes);
+  out += "}}";
 }
 
 /// Pass 1 over the capture: pair each span with its end stub, collect the
@@ -98,6 +78,8 @@ class IndexPass final : public TraceVisitor {
 /// Pass 2: emit events in record order. Cause records precede their
 /// consequences (§4a guarantee), so a compact (tid, ts) stub stashed for
 /// each cited record is already available when its flow pair renders.
+/// Each record's events are rendered into one reused buffer and reach the
+/// stream in a single write().
 class EmitPass final : public TraceVisitor {
  public:
   EmitPass(const IndexPass& index, std::ostream& out)
@@ -108,6 +90,8 @@ class EmitPass final : public TraceVisitor {
       stubs_[e.id] = {tid_of(e), e.t_sim};
     }
     if (e.kind == 'E') return;  // folded into its begin record
+    std::string& b = buf_;
+    b.clear();
     if (e.kind == 'B') {
       const auto end_it = index_.ends.find(e.id);
       const EndStub* end =
@@ -117,49 +101,59 @@ class EmitPass final : public TraceVisitor {
         const double dur_ns =
             e.t_sim >= 0.0 && end->t_sim >= e.t_sim ? end->t_sim - e.t_sim
                                                     : 0.0;
-        out_ << "{\"ph\":\"X\",\"pid\":0,\"tid\":" << tid_of(e)
-             << ",\"ts\":" << ts_us(e.t_sim) << ",\"dur\":" << ts_us(dur_ns)
-             << ",\"cat\":\"span\",\"name\":\"";
+        b += "{\"ph\":\"X\",\"pid\":0,\"tid\":";
+        text::append_int(b, tid_of(e));
+        b += ",\"ts\":";
+        append_ts(b, e.t_sim);
+        b += ",\"dur\":";
+        append_ts(b, dur_ns);
       } else {
         // Unclosed span: an open slice the importer extends to the end.
-        out_ << "{\"ph\":\"B\",\"pid\":0,\"tid\":" << tid_of(e)
-             << ",\"ts\":" << ts_us(e.t_sim)
-             << ",\"cat\":\"span\",\"name\":\"";
+        b += "{\"ph\":\"B\",\"pid\":0,\"tid\":";
+        text::append_int(b, tid_of(e));
+        b += ",\"ts\":";
+        append_ts(b, e.t_sim);
       }
-      json_escape(out_, e.name);
-      out_ << "\",";
-      write_args(out_, e, end);
-      return;
-    }
-    // Instant record.
-    sep();
-    out_ << "{\"ph\":\"i\",\"s\":\"t\",\"pid\":0,\"tid\":" << tid_of(e)
-         << ",\"ts\":" << ts_us(e.t_sim) << ",\"cat\":\"instant\",\"name\":\"";
-    json_escape(out_, e.name);
-    out_ << "\",";
-    write_args(out_, e, nullptr);
-    // Cause edge -> a flow arrow from the causing record to this one.
-    // The flow id is the consequence's record id, unique per edge.
-    if (e.parent != 0) {
-      const auto cause = stubs_.find(e.parent);
-      if (cause != stubs_.end()) {
-        sep();
-        out_ << "{\"ph\":\"s\",\"pid\":0,\"tid\":" << cause->second.tid
-             << ",\"ts\":" << ts_us(cause->second.t_sim)
-             << ",\"cat\":\"cause\",\"name\":\"cause\",\"id\":" << e.id
-             << "}";
-        sep();
-        out_ << "{\"ph\":\"f\",\"bp\":\"e\",\"pid\":0,\"tid\":" << tid_of(e)
-             << ",\"ts\":" << ts_us(e.t_sim)
-             << ",\"cat\":\"cause\",\"name\":\"cause\",\"id\":" << e.id
-             << "}";
+      b += ",\"cat\":\"span\",\"name\":\"";
+      text::json_escape(b, e.name);
+      b += "\",";
+      append_args(b, e, end);
+    } else {
+      // Instant record.
+      sep();
+      b += "{\"ph\":\"i\",\"s\":\"t\",\"pid\":0,\"tid\":";
+      text::append_int(b, tid_of(e));
+      b += ",\"ts\":";
+      append_ts(b, e.t_sim);
+      b += ",\"cat\":\"instant\",\"name\":\"";
+      text::json_escape(b, e.name);
+      b += "\",";
+      append_args(b, e, nullptr);
+      // Cause edge -> a flow arrow from the causing record to this one.
+      // The flow id is the consequence's record id, unique per edge.
+      if (e.parent != 0) {
+        const auto cause = stubs_.find(e.parent);
+        if (cause != stubs_.end()) {
+          sep();
+          b += "{\"ph\":\"s\",\"pid\":0,\"tid\":";
+          text::append_int(b, cause->second.tid);
+          b += ",\"ts\":";
+          append_ts(b, cause->second.t_sim);
+          b += ",\"cat\":\"cause\",\"name\":\"cause\",\"id\":";
+          text::append_int(b, e.id);
+          b += '}';
+          sep();
+          b += "{\"ph\":\"f\",\"bp\":\"e\",\"pid\":0,\"tid\":";
+          text::append_int(b, tid_of(e));
+          b += ",\"ts\":";
+          append_ts(b, e.t_sim);
+          b += ",\"cat\":\"cause\",\"name\":\"cause\",\"id\":";
+          text::append_int(b, e.id);
+          b += '}';
+        }
       }
     }
-  }
-
-  void sep() {
-    out_ << (first_ ? "" : ",\n");
-    first_ = false;
+    out_.write(b.data(), static_cast<std::streamsize>(b.size()));
   }
 
  private:
@@ -168,8 +162,14 @@ class EmitPass final : public TraceVisitor {
     double t_sim = -1.0;
   };
 
+  void sep() {
+    if (!first_) buf_ += ",\n";
+    first_ = false;
+  }
+
   const IndexPass& index_;
   std::ostream& out_;
+  std::string buf_;
   bool first_ = false;  // the metadata events render before pass 2
   std::map<EventId, CauseStub> stubs_;
 };
@@ -245,12 +245,12 @@ void export_prometheus(const MetricsRegistry& metrics, std::ostream& out) {
   for (const auto& [name, value] : metrics.counter_values()) {
     const std::string family = prom_name(name) + "_total";
     write_header(out, family, name, "counter");
-    out << family << ' ' << number(value) << '\n';
+    out << family << ' ' << text::format_number(value) << '\n';
   }
   for (const auto& [name, value] : metrics.gauge_values()) {
     const std::string family = prom_name(name);
     write_header(out, family, name, "gauge");
-    out << family << ' ' << number(value) << '\n';
+    out << family << ' ' << text::format_number(value) << '\n';
   }
   for (const MetricsRegistry::Histogram* h : metrics.histograms_sorted()) {
     const std::string family = prom_name(h->name);
@@ -259,11 +259,11 @@ void export_prometheus(const MetricsRegistry& metrics, std::ostream& out) {
     for (std::size_t i = 0; i < h->counts.size(); ++i) {
       cumulative += h->counts[i];
       out << family << "_bucket{le=\"";
-      if (i < h->bounds.size()) out << number(h->bounds[i]);
+      if (i < h->bounds.size()) out << text::format_number(h->bounds[i]);
       else out << "+Inf";
       out << "\"} " << cumulative << '\n';
     }
-    out << family << "_sum " << number(h->sum) << '\n';
+    out << family << "_sum " << text::format_number(h->sum) << '\n';
     out << family << "_count " << h->count << '\n';
   }
 }

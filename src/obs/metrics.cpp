@@ -1,21 +1,18 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <map>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 
+#include "obs/text.h"
+
 namespace numaio::obs {
 
 namespace {
 
-std::string number(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
+using text::format_number;
 
 std::string json_string(std::string_view text) {
   std::string out = "\"";
@@ -212,14 +209,14 @@ std::string MetricsRegistry::to_json() const {
   bool first = true;
   for (const auto& [name, value] : counters) {
     out << (first ? "\n" : ",\n") << "    " << json_string(name) << ": "
-        << number(value);
+        << format_number(value);
     first = false;
   }
   out << (first ? "" : "\n  ") << "},\n  \"gauges\": {";
   first = true;
   for (const auto& [name, value] : gauges) {
     out << (first ? "\n" : ",\n") << "    " << json_string(name) << ": "
-        << number(value);
+        << format_number(value);
     first = false;
   }
   out << (first ? "" : "\n  ") << "},\n  \"histograms\": {";
@@ -228,14 +225,14 @@ std::string MetricsRegistry::to_json() const {
     out << (first ? "\n" : ",\n") << "    " << json_string(name)
         << ": {\"bounds\": [";
     for (std::size_t i = 0; i < h->bounds.size(); ++i) {
-      out << (i == 0 ? "" : ", ") << number(h->bounds[i]);
+      out << (i == 0 ? "" : ", ") << format_number(h->bounds[i]);
     }
     out << "], \"counts\": [";
     for (std::size_t i = 0; i < h->counts.size(); ++i) {
       out << (i == 0 ? "" : ", ") << h->counts[i];
     }
-    out << "], \"count\": " << h->count << ", \"sum\": " << number(h->sum)
-        << "}";
+    out << "], \"count\": " << h->count
+        << ", \"sum\": " << format_number(h->sum) << "}";
     first = false;
   }
   out << (first ? "" : "\n  ") << "}\n}\n";
@@ -254,34 +251,35 @@ std::string MetricsRegistry::summary() const {
   if (!counters.empty()) {
     out << "counters:\n";
     for (const auto& [name, value] : counters) {
-      out << "  " << name << " = " << number(value) << "\n";
+      out << "  " << name << " = " << format_number(value) << "\n";
     }
   }
   if (!gauges.empty()) {
     out << "gauges:\n";
     for (const auto& [name, value] : gauges) {
-      out << "  " << name << " = " << number(value) << "\n";
+      out << "  " << name << " = " << format_number(value) << "\n";
     }
   }
   if (!histograms.empty()) {
     out << "histograms:\n";
     for (const auto& [name, h] : histograms) {
       out << "  " << name << " (count " << h->count << ", sum "
-          << number(h->sum);
+          << format_number(h->sum);
       if (h->count > 0) {
-        out << ", mean " << number(h->sum / static_cast<double>(h->count));
-        out << ", p50 " << number(h->quantile(0.50)) << ", p95 "
-            << number(h->quantile(0.95)) << ", p99 "
-            << number(h->quantile(0.99)) << ", p99.9 "
-            << number(h->quantile(0.999));
+        out << ", mean "
+            << format_number(h->sum / static_cast<double>(h->count));
+        out << ", p50 " << format_number(h->quantile(0.50)) << ", p95 "
+            << format_number(h->quantile(0.95)) << ", p99 "
+            << format_number(h->quantile(0.99)) << ", p99.9 "
+            << format_number(h->quantile(0.999));
       }
       out << ")\n";
       for (std::size_t i = 0; i < h->counts.size(); ++i) {
         out << "    ";
         if (i < h->bounds.size()) {
-          out << "<= " << number(h->bounds[i]);
+          out << "<= " << format_number(h->bounds[i]);
         } else {
-          out << "> " << number(h->bounds.back());
+          out << "> " << format_number(h->bounds.back());
         }
         out << ": " << h->counts[i] << "\n";
       }
@@ -344,15 +342,11 @@ class JsonCursor {
 
   double parse_number() {
     skip_ws();
-    std::size_t consumed = 0;
     double value = 0.0;
-    try {
-      value = std::stod(text_.substr(pos_), &consumed);
-    } catch (const std::exception&) {
+    if (!text::read_number(text_, pos_, value)) {
       throw std::invalid_argument("metrics JSON: expected number at offset " +
                                   std::to_string(pos_));
     }
-    pos_ += consumed;
     return value;
   }
 

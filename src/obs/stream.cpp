@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <deque>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
+
+#include "obs/text.h"
 
 namespace numaio::obs {
 
@@ -12,6 +15,9 @@ namespace {
 // ---------------------------------------------------------------------
 // JSONL parse-back: the exact object layout JsonlSink writes, one record
 // per line, keys accepted in any order so hand-edited fixtures also load.
+// Keys and escape-free strings are read as views into the line and
+// numbers are read in place, so a record costs no allocation once the
+// reused Event's strings have grown to fit.
 
 class ObjectCursor {
  public:
@@ -43,9 +49,20 @@ class ObjectCursor {
     if (!try_consume(c)) fail(std::string("expected '") + c + "'");
   }
 
-  std::string parse_string() {
+  /// Reads a string token. The view points into the line, or into
+  /// `scratch` when the token holds an escape and had to be decoded.
+  std::string_view read_string(std::string& scratch) {
     expect('"');
-    std::string out;
+    const std::size_t start = pos_;
+    while (pos_ < line_.size() && line_[pos_] != '"' && line_[pos_] != '\\') {
+      ++pos_;
+    }
+    const std::string_view plain = line_.substr(start, pos_ - start);
+    if (pos_ < line_.size() && line_[pos_] == '"') {
+      ++pos_;
+      return plain;
+    }
+    scratch.assign(plain);
     while (pos_ < line_.size() && line_[pos_] != '"') {
       char c = line_[pos_++];
       if (c == '\\') {
@@ -76,24 +93,30 @@ class ObjectCursor {
             fail("unknown escape");
         }
       }
-      out += c;
+      scratch += c;
     }
     if (pos_ >= line_.size()) fail("unterminated string");
     ++pos_;
-    return out;
+    return scratch;
   }
 
-  double parse_number() {
+  double read_number() {
     skip_ws();
-    std::size_t consumed = 0;
     double value = 0.0;
-    try {
-      value = std::stod(std::string(line_.substr(pos_)), &consumed);
-    } catch (const std::exception&) {
-      fail("expected a number");
-    }
-    pos_ += consumed;
+    if (!text::read_number(line_, pos_, value)) fail("expected a number");
     return value;
+  }
+
+  /// A number stored in an integer field: truncated like a cast, but
+  /// rejected when the target type cannot hold it (NaN included).
+  template <typename Int>
+  Int read_integer() {
+    const double v = read_number();
+    if (!(v > static_cast<double>(std::numeric_limits<Int>::min()) - 1.0 &&
+          v < static_cast<double>(std::numeric_limits<Int>::max()) + 1.0)) {
+      fail("number out of range");
+    }
+    return static_cast<Int>(v);
   }
 
  private:
@@ -102,54 +125,79 @@ class ObjectCursor {
   int line_no_;
 };
 
-}  // namespace
+/// The one JSONL record parser behind parse_trace_line() and both JSONL
+/// sources. Overwrites every field of `e`, keeping its strings' capacity;
+/// `scratch` receives any string token that holds an escape.
+void parse_into(std::string_view line, int line_no, Event& e,
+                std::string& scratch) {
+  // Absent keys take a fresh Event's defaults, except wall_us:
+  // deterministic traces omit it and it then parses as -1.
+  e.id = 0;
+  e.span = 0;
+  e.parent = 0;
+  e.kind = 'I';
+  e.name.clear();
+  e.node_a = -1;
+  e.node_b = -1;
+  e.dir = '-';
+  e.bytes = -1;
+  e.t_sim = -1.0;
+  e.outcome.clear();
+  e.detail.clear();
+  e.wall_us = -1.0;
 
-Event parse_trace_line(std::string_view line, int line_no) {
   ObjectCursor cur(line, line_no);
-  Event e;
-  e.wall_us = -1.0;  // deterministic traces omit the field
   cur.expect('{');
   bool first = true;
   while (!cur.try_consume('}')) {
     if (!first) cur.expect(',');
     first = false;
-    const std::string key = cur.parse_string();
+    const std::string_view key = cur.read_string(scratch);
     cur.expect(':');
+    // The key is compared before any value read reuses `scratch`.
     if (key == "id") {
-      e.id = static_cast<EventId>(cur.parse_number());
+      e.id = cur.read_integer<EventId>();
     } else if (key == "span") {
-      e.span = static_cast<SpanId>(cur.parse_number());
+      e.span = cur.read_integer<SpanId>();
     } else if (key == "parent") {
-      e.parent = static_cast<EventId>(cur.parse_number());
+      e.parent = cur.read_integer<EventId>();
     } else if (key == "kind") {
-      const std::string v = cur.parse_string();
+      const std::string_view v = cur.read_string(scratch);
       if (v.size() != 1) cur.fail("kind must be one character");
       e.kind = v[0];
     } else if (key == "name") {
-      e.name = cur.parse_string();
+      e.name.assign(cur.read_string(scratch));
     } else if (key == "node_a") {
-      e.node_a = static_cast<int>(cur.parse_number());
+      e.node_a = cur.read_integer<int>();
     } else if (key == "node_b") {
-      e.node_b = static_cast<int>(cur.parse_number());
+      e.node_b = cur.read_integer<int>();
     } else if (key == "dir") {
-      const std::string v = cur.parse_string();
+      const std::string_view v = cur.read_string(scratch);
       if (v.size() != 1) cur.fail("dir must be one character");
       e.dir = v[0];
     } else if (key == "bytes") {
-      e.bytes = static_cast<long long>(cur.parse_number());
+      e.bytes = cur.read_integer<long long>();
     } else if (key == "t") {
-      e.t_sim = cur.parse_number();
+      e.t_sim = cur.read_number();
     } else if (key == "outcome") {
-      e.outcome = cur.parse_string();
+      e.outcome.assign(cur.read_string(scratch));
     } else if (key == "detail") {
-      e.detail = cur.parse_string();
+      e.detail.assign(cur.read_string(scratch));
     } else if (key == "wall_us") {
-      e.wall_us = cur.parse_number();
+      e.wall_us = cur.read_number();
     } else {
-      cur.fail("unknown field '" + key + "'");
+      cur.fail("unknown field '" + std::string(key) + "'");
     }
   }
   if (e.id == 0) cur.fail("record without an id");
+}
+
+}  // namespace
+
+Event parse_trace_line(std::string_view line, int line_no) {
+  Event e;
+  std::string scratch;
+  parse_into(line, line_no, e, scratch);
   return e;
 }
 
@@ -159,15 +207,20 @@ void JsonlFileSource::stream(TraceVisitor& visitor) {
     throw std::runtime_error("cannot open trace file '" + path_ + "'");
   }
   std::string line;
+  std::string scratch;
+  Event e;
   int line_no = 0;
   while (std::getline(in, line)) {
     ++line_no;
     if (line.empty()) continue;
-    visitor.record(parse_trace_line(line, line_no));
+    parse_into(line, line_no, e, scratch);
+    visitor.record(e);
   }
 }
 
 void JsonlTextSource::stream(TraceVisitor& visitor) {
+  std::string scratch;
+  Event e;
   std::size_t start = 0;
   int line_no = 0;
   while (start < text_.size()) {
@@ -175,7 +228,10 @@ void JsonlTextSource::stream(TraceVisitor& visitor) {
     if (end == std::string::npos) end = text_.size();
     ++line_no;
     const std::string_view line(text_.data() + start, end - start);
-    if (!line.empty()) visitor.record(parse_trace_line(line, line_no));
+    if (!line.empty()) {
+      parse_into(line, line_no, e, scratch);
+      visitor.record(e);
+    }
     start = end + 1;
   }
 }

@@ -1,9 +1,9 @@
 #include "obs/trace.h"
 
 #include <chrono>
-#include <cmath>
-#include <cstdio>
 #include <ostream>
+
+#include "obs/text.h"
 
 namespace numaio::obs {
 
@@ -15,98 +15,94 @@ std::int64_t steady_ns() {
       .count();
 }
 
-/// JSON string escaping for the small character set our names/details use;
-/// anything below 0x20 goes out as \u00XX.
-void json_escape(std::ostream& out, std::string_view text) {
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out << "\\\"";
-        break;
-      case '\\':
-        out << "\\\\";
-        break;
-      case '\n':
-        out << "\\n";
-        break;
-      case '\t':
-        out << "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out << buf;
-        } else {
-          out << c;
-        }
-    }
-  }
-}
-
 /// CSV field quoting: always quoted, inner quotes doubled, so commas and
 /// newlines in details cannot shear a row.
-void csv_quote(std::ostream& out, std::string_view text) {
-  out << '"';
+void csv_quote(std::string& out, std::string_view text) {
+  out += '"';
   for (const char c : text) {
-    if (c == '"') out << '"';
-    out << c;
+    if (c == '"') out += '"';
+    out += c;
   }
-  out << '"';
-}
-
-/// Shortest round-trip-safe rendering of a double (%.17g trims trailing
-/// noise for the integral values timestamps usually are).
-void number(std::ostream& out, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  out << buf;
+  out += '"';
 }
 
 }  // namespace
 
 void JsonlSink::write(const Event& e) {
-  out_ << "{\"id\":" << e.id << ",\"span\":" << e.span
-       << ",\"parent\":" << e.parent << ",\"kind\":\"" << e.kind
-       << "\",\"name\":\"";
-  json_escape(out_, e.name);
-  out_ << "\",\"node_a\":" << e.node_a << ",\"node_b\":" << e.node_b
-       << ",\"dir\":\"" << e.dir << "\",\"bytes\":" << e.bytes << ",\"t\":";
-  number(out_, e.t_sim);
-  out_ << ",\"outcome\":\"";
-  json_escape(out_, e.outcome);
-  out_ << "\",\"detail\":\"";
-  json_escape(out_, e.detail);
+  std::string& b = buf_;
+  b.clear();
+  b += "{\"id\":";
+  text::append_int(b, e.id);
+  b += ",\"span\":";
+  text::append_int(b, e.span);
+  b += ",\"parent\":";
+  text::append_int(b, e.parent);
+  b += ",\"kind\":\"";
+  b += e.kind;
+  b += "\",\"name\":\"";
+  text::json_escape(b, e.name);
+  b += "\",\"node_a\":";
+  text::append_int(b, e.node_a);
+  b += ",\"node_b\":";
+  text::append_int(b, e.node_b);
+  b += ",\"dir\":\"";
+  b += e.dir;
+  b += "\",\"bytes\":";
+  text::append_int(b, e.bytes);
+  b += ",\"t\":";
+  text::append_number(b, e.t_sim);
+  b += ",\"outcome\":\"";
+  text::json_escape(b, e.outcome);
+  b += "\",\"detail\":\"";
+  text::json_escape(b, e.detail);
   // Deterministic records (wall_us < 0) omit the one nondeterministic
   // field so same-seed trace files compare byte-equal.
   if (e.wall_us >= 0.0) {
-    out_ << "\",\"wall_us\":";
-    number(out_, e.wall_us);
-    out_ << "}\n";
+    b += "\",\"wall_us\":";
+    text::append_number(b, e.wall_us);
+    b += "}\n";
   } else {
-    out_ << "\"}\n";
+    b += "\"}\n";
   }
+  out_.write(b.data(), static_cast<std::streamsize>(b.size()));
 }
 
 void CsvSink::write(const Event& e) {
+  std::string& b = buf_;
+  b.clear();
   if (!header_written_) {
-    out_ << "id,span,parent,kind,name,node_a,node_b,dir,bytes,t,outcome,"
-            "detail,wall_us\n";
+    b += "id,span,parent,kind,name,node_a,node_b,dir,bytes,t,outcome,"
+         "detail,wall_us\n";
     header_written_ = true;
   }
-  out_ << e.id << ',' << e.span << ',' << e.parent << ',' << e.kind << ',';
-  csv_quote(out_, e.name);
-  out_ << ',' << e.node_a << ',' << e.node_b << ',' << e.dir << ','
-       << e.bytes << ',';
-  number(out_, e.t_sim);
-  out_ << ',';
-  csv_quote(out_, e.outcome);
-  out_ << ',';
-  csv_quote(out_, e.detail);
-  out_ << ',';
-  if (e.wall_us >= 0.0) number(out_, e.wall_us);  // empty when deterministic
-  out_ << '\n';
+  text::append_int(b, e.id);
+  b += ',';
+  text::append_int(b, e.span);
+  b += ',';
+  text::append_int(b, e.parent);
+  b += ',';
+  b += e.kind;
+  b += ',';
+  csv_quote(b, e.name);
+  b += ',';
+  text::append_int(b, e.node_a);
+  b += ',';
+  text::append_int(b, e.node_b);
+  b += ',';
+  b += e.dir;
+  b += ',';
+  text::append_int(b, e.bytes);
+  b += ',';
+  text::append_number(b, e.t_sim);
+  b += ',';
+  csv_quote(b, e.outcome);
+  b += ',';
+  csv_quote(b, e.detail);
+  b += ',';
+  // Empty when deterministic.
+  if (e.wall_us >= 0.0) text::append_number(b, e.wall_us);
+  b += '\n';
+  out_.write(b.data(), static_cast<std::streamsize>(b.size()));
 }
 
 void TraceRecorder::set_sink(TraceSink* sink) {

@@ -83,7 +83,8 @@ class TraceSink {
 };
 
 /// One JSON object per line; every field always present, `wall_us` last so
-/// deterministic comparisons can strip it textually.
+/// deterministic comparisons can strip it textually. Each record is
+/// rendered into a reused buffer and reaches the stream in one write().
 class JsonlSink : public TraceSink {
  public:
   explicit JsonlSink(std::ostream& out) : out_(out) {}
@@ -91,10 +92,12 @@ class JsonlSink : public TraceSink {
 
  private:
   std::ostream& out_;
+  std::string buf_;
 };
 
 /// Header + one comma-separated row per record; strings are quoted with
-/// doubled inner quotes (RFC 4180 style).
+/// doubled inner quotes (RFC 4180 style). Rows are buffered like
+/// JsonlSink's records.
 class CsvSink : public TraceSink {
  public:
   explicit CsvSink(std::ostream& out) : out_(out) {}
@@ -102,6 +105,7 @@ class CsvSink : public TraceSink {
 
  private:
   std::ostream& out_;
+  std::string buf_;
   bool header_written_ = false;
 };
 

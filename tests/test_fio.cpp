@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "io/testbed.h"
 
@@ -217,16 +218,18 @@ TEST_F(FioTest, LowerIodepthLowersSsdThroughput) {
 }
 
 // Property sweep: every engine x binding yields a positive aggregate that
-// never exceeds the engine's total ceiling.
+// never exceeds the engine's total ceiling. The engine is held by value:
+// the case names are printed from the parameter, and a const char* would
+// print its (per-process, ASLR-randomised) address instead of the name.
 class EngineBindingSweep
-    : public ::testing::TestWithParam<std::tuple<const char*, int>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
 
 TEST_P(EngineBindingSweep, WithinPhysicalBounds) {
   Testbed tb = Testbed::dl585();
   FioRunner fio(tb.host());
   const auto [engine, node] = GetParam();
   FioJob j;
-  const bool is_ssd = std::string(engine).rfind("ssd", 0) == 0;
+  const bool is_ssd = engine.rfind("ssd", 0) == 0;
   j.devices = is_ssd ? tb.ssds()
                      : std::vector<const PcieDevice*>{&tb.nic()};
   j.engine = engine;

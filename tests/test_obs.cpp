@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -263,6 +265,22 @@ TEST(Metrics, JsonRoundTripIsExact) {
 
   EXPECT_THROW(parse_metrics_json("{\"bogus\": {}}"), std::invalid_argument);
   EXPECT_THROW(parse_metrics_json("{} trailing"), std::invalid_argument);
+}
+
+TEST(Metrics, JsonRoundTripKeepsASubnormalGauge) {
+  MetricsRegistry m;
+  m.set(m.gauge("tiny"), 4e-320);
+  m.add(m.counter("big"), 1.7976931348623157e308);
+  const std::string json = m.to_json();
+  const MetricsRegistry parsed = parse_metrics_json(json);
+  EXPECT_EQ(parsed.to_json(), json);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(parsed.value("tiny")),
+            std::bit_cast<std::uint64_t>(4e-320));
+  // The number grammar is std::from_chars': no '+', no hex.
+  EXPECT_THROW(parse_metrics_json("{\"gauges\": {\"x\": +5}}"),
+               std::invalid_argument);
+  EXPECT_THROW(parse_metrics_json("{\"gauges\": {\"x\": 0x10}}"),
+               std::invalid_argument);
 }
 
 TEST(Metrics, EmptyRegistrySerializesAndSummarizes) {

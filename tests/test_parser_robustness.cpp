@@ -1,15 +1,22 @@
-// Robustness property tests for the three text parsers (fio job files,
-// host-model documents, transfer traces): random single-character
-// mutations of valid documents must either parse or throw
-// std::invalid_argument — never crash, never hang, never corrupt state.
+// Robustness property tests for the text parsers (fio job files,
+// host-model documents, transfer traces, JSONL trace captures): random
+// single-character mutations of valid documents must either parse or
+// throw std::invalid_argument — never crash, never hang, never corrupt
+// state. The JSONL number grammar (std::from_chars) is pinned here too.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "io/jobfile.h"
 #include "io/trace.h"
 #include "model/characterize.h"
+#include "obs/analysis.h"
+#include "obs/trace.h"
 #include "simcore/rng.h"
 
 namespace numaio {
@@ -97,8 +104,125 @@ TEST_P(ParserFuzz, TraceNeverCrashes) {
   }
 }
 
+/// A JsonlSink capture with every escape class and wall-clock fields.
+std::string jsonl_capture() {
+  std::ostringstream text;
+  obs::JsonlSink sink(text);
+  obs::Event begin;
+  begin.id = 1;
+  begin.span = 1;
+  begin.kind = 'B';
+  begin.name = "fio.job";
+  begin.node_a = 2;
+  begin.node_b = 7;
+  begin.dir = 'w';
+  begin.bytes = 4096;
+  begin.t_sim = 1.5;
+  begin.detail = "quote \" slash \\ nl \n tab \t bell \x07";
+  begin.wall_us = 12.25;
+  sink.write(begin);
+  obs::Event retry;
+  retry.id = 2;
+  retry.span = 1;
+  retry.parent = 1;
+  retry.name = "fio.retry";
+  retry.outcome = "retry";
+  retry.t_sim = 3e-5;
+  retry.wall_us = 40.0;
+  sink.write(retry);
+  obs::Event end;
+  end.id = 3;
+  end.span = 1;
+  end.kind = 'E';
+  end.outcome = "ok";
+  end.t_sim = 9007199254740993.0;
+  end.wall_us = -1.0;  // omitted
+  sink.write(end);
+  return text.str();
+}
+
+TEST_P(ParserFuzz, TraceJsonlNeverCrashes) {
+  sim::Rng rng(GetParam() + 3000);
+  const std::string base = jsonl_capture();
+  ASSERT_EQ(obs::parse_trace_jsonl(base).size(), 3u);
+  for (int i = 0; i < 400; ++i) {
+    const std::string doc = mutate(base, rng);
+    try {
+      const std::vector<obs::Event> parsed = obs::parse_trace_jsonl(doc);
+      EXPECT_LE(parsed.size(), 3u);
+    } catch (const std::invalid_argument& e) {
+      // Every rejection names the offending line of the 3-line capture.
+      const std::string what = e.what();
+      EXPECT_TRUE(what.rfind("trace line 1: ", 0) == 0 ||
+                  what.rfind("trace line 2: ", 0) == 0 ||
+                  what.rfind("trace line 3: ", 0) == 0)
+          << what;
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, ParserFuzz,
                          ::testing::Values(11u, 22u, 33u, 44u));
+
+// --- JSONL number grammar ---------------------------------------------------
+
+void expect_trace_rejected(const std::string& number) {
+  const std::string doc = "{\"id\":1,\"t\":0}\n{\"id\":2,\"t\":" + number +
+                          ",\"name\":\"x\"}\n";
+  try {
+    obs::parse_trace_jsonl(doc);
+    FAIL() << "expected rejection of " << number;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("trace line 2: ", 0), 0u)
+        << e.what();
+  }
+}
+
+TEST(ParseTraceJsonl, NumbersFollowTheFromCharsGrammar) {
+  expect_trace_rejected("+5");     // no leading plus
+  expect_trace_rejected("0x10");   // no hex: reads 0, then stops at x
+  expect_trace_rejected("\r5");    // whitespace is space and tab only
+  expect_trace_rejected("1e400");  // overflow
+  expect_trace_rejected("-");
+  const auto events = obs::parse_trace_jsonl(
+      "{\"id\":1,\"t\":\t-2.5e3,\"wall_us\": 7}\n"
+      "{\"id\":2,\"t\":inf,\"bytes\":1e3}\n");
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].t_sim, -2500.0);
+  EXPECT_EQ(events[0].wall_us, 7.0);
+  EXPECT_EQ(events[1].bytes, 1000);
+}
+
+TEST(ParseTraceJsonl, AcceptsTheSubnormalsItsSinkWrites) {
+  obs::Event e;
+  e.id = 1;
+  e.t_sim = 3.999955468730732e-320;
+  e.wall_us = 4.9406564584124654e-324;  // the smallest subnormal
+  std::ostringstream text;
+  obs::JsonlSink(text).write(e);
+  EXPECT_NE(text.str().find("\"t\":3.999955468730732e-320"), std::string::npos)
+      << text.str();
+  const auto events = obs::parse_trace_jsonl(text.str());
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(events[0].t_sim),
+            std::bit_cast<std::uint64_t>(e.t_sim));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(events[0].wall_us),
+            std::bit_cast<std::uint64_t>(e.wall_us));
+}
+
+TEST(ParseTraceJsonl, IntegerFieldsRejectValuesTheirTypeCannotHold) {
+  for (const char* field : {"\"id\":-1", "\"span\":1e20", "\"node_a\":3e9",
+                            "\"bytes\":1e19", "\"parent\":nan"}) {
+    const std::string doc = "{\"id\":1," + std::string(field) + "}\n";
+    try {
+      obs::parse_trace_jsonl(doc);
+      FAIL() << "expected rejection of " << field;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()), "trace line 1: number out of range")
+          << field;
+    }
+  }
+}
 
 // --- deterministic job-file edge cases ------------------------------------
 
