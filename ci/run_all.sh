@@ -7,8 +7,8 @@
 # 4. smoke the streaming trace pipeline at scale: synth-trace writes a
 #    10^6-record capture, then report + export stream it back (the
 #    CLI paths that must work on arbitrarily large files),
-# 5. gate perf against the committed baseline (ci/perf_guard.sh;
-#    metrics-only by default — see that script for wall-time gating),
+# 5. gate the deterministic bench values against the committed baseline
+#    (ci/perf_guard.sh; wall time is bench/e2e's job, not CI's),
 # 6. rebuild and re-test under ASan+UBSan (ci/sanitize.sh).
 #
 # bash + `set -euo pipefail` so a failing stage — including one on the

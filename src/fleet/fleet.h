@@ -236,7 +236,7 @@ StormScenario make_storm(int num_hosts, int num_tenants, double offered_rps,
 /// batched (2 ms epochs), coarse-service, class-placed request path, with
 /// one host crashing mid-run and recovering at half capacity. Small requests (256 KiB) put per-host
 /// service capacity near 10^4 req/s, so the fleet clears >= 10^5
-/// scheduled requests/s — the bench floor ci/perf_guard.sh gates.
+/// scheduled requests/s (bench_harness's fleet_scale.sim_dispatch_rps).
 StormScenario make_scale_storm(int num_hosts, int num_tenants,
                                double offered_rps, std::uint64_t seed,
                                sim::Ns horizon);

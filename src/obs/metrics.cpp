@@ -1,6 +1,7 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -427,19 +428,24 @@ MetricsRegistry parse_metrics_json(const std::string& text) {
           throw std::invalid_argument("metrics JSON: histogram '" + name +
                                       "' counts/bounds size mismatch");
         }
-        MetricsRegistry::Histogram h;
-        h.name = name;
-        h.bounds = std::move(bounds);
-        h.sum = sum;
-        for (const double c : counts) {
-          if (c < 0.0) {
-            throw std::invalid_argument("metrics JSON: histogram '" + name +
-                                        "' has a negative bucket count");
+        // Registering applies the rules every histogram obeys (non-empty,
+        // strictly ascending bounds; a name no counter or gauge holds).
+        MetricsRegistry::Histogram& h =
+            registry.histograms_[registry.histogram(name, std::move(bounds))];
+        h.sum += sum;
+        for (std::size_t i = 0; i < counts.size(); ++i) {
+          // Only a whole number in [0, 2^64) converts to uint64_t exactly;
+          // casting nan or 1e300 is undefined and 1.5 would truncate.
+          constexpr double kTwo64 = 18446744073709551616.0;
+          const double c = counts[i];
+          if (!(c >= 0.0 && c < kTwo64 && c == std::floor(c))) {
+            throw std::invalid_argument(
+                "metrics JSON: histogram '" + name + "' has bucket count " +
+                format_number(c) + ", not a whole number in [0, 2^64)");
           }
-          h.counts.push_back(static_cast<std::uint64_t>(c));
-          h.count += h.counts.back();
+          h.counts[i] += static_cast<std::uint64_t>(c);
+          h.count += static_cast<std::uint64_t>(c);
         }
-        registry.histograms_.push_back(std::move(h));
       } else {
         throw std::invalid_argument("metrics JSON: unknown section '" +
                                     section + "'");

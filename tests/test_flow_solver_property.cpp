@@ -217,7 +217,7 @@ TEST_P(SolverProperty, ChurnMatchesReferenceBitForBit) {
 // Bulk removal is contracted to be bit-identical to the equivalent
 // remove_flow sequence while paying exactly one epoch bump — the batched
 // admission path leans on both halves (a same-instant completion burst
-// must neither perturb rates nor re-solve per flow).
+// must neither change rates nor re-solve per flow).
 TEST_P(SolverProperty, BulkRemovalMatchesSequentialBitForBit) {
   Instance bulk = random_instance(GetParam());
   Instance seq = random_instance(GetParam());

@@ -283,6 +283,46 @@ TEST(Metrics, JsonRoundTripKeepsASubnormalGauge) {
                std::invalid_argument);
 }
 
+TEST(Metrics, ParseRejectsHistogramCountsOutsideUint64) {
+  // A bucket count becomes a uint64_t: anything but a whole number in
+  // [0, 2^64) is refused rather than cast (undefined for nan and 1e300,
+  // truncating for 1.5).
+  const auto doc = [](const std::string& counts) {
+    return "{\"histograms\": {\"h\": {\"bounds\": [1], \"counts\": [" +
+           counts + "], \"count\": 3, \"sum\": 3}}}";
+  };
+  for (const char* counts : {"nan, 2", "-nan, 2", "1e300, 2", "1.5, 2",
+                             "-1, 2", "inf, 2", "18446744073709551616, 2"}) {
+    EXPECT_THROW(parse_metrics_json(doc(counts)), std::invalid_argument)
+        << counts;
+  }
+  // The largest double below 2^64 is whole and fits.
+  const MetricsRegistry parsed =
+      parse_metrics_json(doc("18446744073709549568, 2"));
+  const MetricsRegistry::Histogram* h = parsed.find_histogram("h");
+  ASSERT_NE(h, nullptr);
+  EXPECT_EQ(h->counts[0], 18446744073709549568u);
+  EXPECT_EQ(h->counts[1], 2u);
+}
+
+TEST(Metrics, ParseRejectsHistogramsTheRegistryWouldRefuse) {
+  // Parsed histograms obey the registration rules: an empty bounds list
+  // (whose summary() would read bounds.back()), unsorted bounds, or a
+  // name a counter already holds.
+  const auto doc = [](const std::string& before, const std::string& bounds,
+                      const std::string& counts) {
+    return "{" + before + "\"histograms\": {\"h\": {\"bounds\": [" + bounds +
+           "], \"counts\": [" + counts + "], \"count\": 0, \"sum\": 0}}}";
+  };
+  EXPECT_NO_THROW(parse_metrics_json(doc("", "1, 2", "0, 0, 0")));
+  EXPECT_THROW(parse_metrics_json(doc("", "", "5")), std::invalid_argument);
+  EXPECT_THROW(parse_metrics_json(doc("", "2, 1", "0, 0, 0")),
+               std::invalid_argument);
+  EXPECT_THROW(
+      parse_metrics_json(doc("\"counters\": {\"h\": 1}, ", "1", "0, 0")),
+      std::invalid_argument);
+}
+
 TEST(Metrics, EmptyRegistrySerializesAndSummarizes) {
   MetricsRegistry m;
   const MetricsRegistry parsed = parse_metrics_json(m.to_json());

@@ -1,8 +1,9 @@
 // Robustness property tests for the text parsers (fio job files,
-// host-model documents, transfer traces, JSONL trace captures): random
-// single-character mutations of valid documents must either parse or
-// throw std::invalid_argument — never crash, never hang, never corrupt
-// state. The JSONL number grammar (std::from_chars) is pinned here too.
+// host-model documents, transfer traces, JSONL trace captures, metrics
+// JSON): random single-character mutations of valid documents must either
+// parse or throw std::invalid_argument — never crash, never hang, never
+// corrupt state. The JSONL number grammar (std::from_chars) is pinned here
+// too.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -16,6 +17,7 @@
 #include "io/trace.h"
 #include "model/characterize.h"
 #include "obs/analysis.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "simcore/rng.h"
 
@@ -157,6 +159,38 @@ TEST_P(ParserFuzz, TraceJsonlNeverCrashes) {
                   what.rfind("trace line 2: ", 0) == 0 ||
                   what.rfind("trace line 3: ", 0) == 0)
           << what;
+    }
+  }
+}
+
+/// A to_json() document with counters, gauges (a negative and a subnormal
+/// one among them) and a histogram: the shape of a bench baseline plus
+/// everything else the format carries.
+std::string metrics_document() {
+  obs::MetricsRegistry m;
+  m.add(m.counter("fio.retries"), 6.0);
+  m.add(m.counter("solver.rounds"), 5133.0);
+  m.set(m.gauge("fleet_scale.sim_dispatch_rps"), 1389779.7137523335);
+  m.set(m.gauge("model.drift"), -0.25);
+  m.set(m.gauge("tiny"), 4e-320);
+  const auto h = m.histogram("solver.rounds_per_solve", {1.0, 2.0, 4.0, 8.0});
+  for (const double v : {1.0, 3.0, 3.0, 9.0}) m.observe(h, v);
+  return m.to_json();
+}
+
+TEST_P(ParserFuzz, MetricsJsonNeverCrashes) {
+  sim::Rng rng(GetParam() + 4000);
+  const std::string base = metrics_document();
+  ASSERT_EQ(obs::parse_metrics_json(base).to_json(), base);
+  for (int i = 0; i < 400; ++i) {
+    const std::string doc = mutate(base, rng);
+    try {
+      const obs::MetricsRegistry parsed = obs::parse_metrics_json(doc);
+      // Whatever parses renders, summarizes and parses back unchanged.
+      const std::string json = parsed.to_json();
+      EXPECT_EQ(obs::parse_metrics_json(json).to_json(), json) << doc;
+      EXPECT_FALSE(parsed.summary().empty());
+    } catch (const std::invalid_argument&) {
     }
   }
 }
