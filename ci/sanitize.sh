@@ -43,8 +43,9 @@ UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
 # The trace text path runs standalone as well: the JSONL cursor reads
 # keys and strings as string_views into the line and the serializers
 # render into reused buffers, so an out-of-bounds read in the cursor or a
-# render buffer would hide here. Random round trips, mutation fuzz,
-# number-grammar pins and the metrics JSON round trip.
+# render buffer would hide here. Random round trips, mutation fuzz of
+# every text parser (fault plans included), number-grammar pins and the
+# metrics JSON round trip.
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
 UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
   "$BUILD_DIR/tests/numaio_tests" \
@@ -52,6 +53,8 @@ UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
 
 # halt_on_error: the first sanitizer report fails the test run instead of
 # scrolling past; detect_leaks exercises the Host/Buffer ownership paths.
+# The suite includes bench_e2e_smoke, so all four bench/e2e workloads run
+# under the sanitizers too, at a tiny size.
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
 UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
   ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"

@@ -7,24 +7,10 @@
 // directions), then services the same request trace under the naive
 // all-local policy and the model-driven adaptive policy, printing per-task
 // turnaround percentiles.
-#include <algorithm>
 #include <cstdio>
 #include <vector>
 
 #include "numaio.h"
-
-namespace {
-
-double percentile(std::vector<double> values, double p) {
-  std::sort(values.begin(), values.end());
-  const double idx = p * (static_cast<double>(values.size()) - 1);
-  const std::size_t lo = static_cast<std::size_t>(idx);
-  const std::size_t hi = std::min(lo + 1, values.size() - 1);
-  const double frac = idx - static_cast<double>(lo);
-  return values[lo] * (1.0 - frac) + values[hi] * frac;
-}
-
-}  // namespace
 
 int main() {
   using namespace numaio;
@@ -70,11 +56,11 @@ int main() {
     for (const auto& t : report.tasks) {
       turnarounds.push_back(t.turnaround() / 1e9);
     }
+    const std::vector<double> p =
+        sim::percentiles(turnarounds, {0.5, 0.9, 0.99});
     std::printf("%-16s %10.2f %10.2f %10.2f %10.2f %11d\n",
-                model::to_string(policy).c_str(),
-                percentile(turnarounds, 0.5), percentile(turnarounds, 0.9),
-                percentile(turnarounds, 0.99), report.aggregate,
-                report.total_migrations);
+                model::to_string(policy).c_str(), p[0], p[1], p[2],
+                report.aggregate, report.total_migrations);
   }
   std::printf(
       "\nthe all-local DTN funnels every stream through node 7's CPUs and\n"

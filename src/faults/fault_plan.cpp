@@ -1,9 +1,11 @@
 #include "faults/fault_plan.h"
 
 #include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <stdexcept>
 
@@ -239,9 +241,16 @@ bool parse_kind(const std::string& name, FaultKind* out) {
 
 int parse_int(const std::string& value, int line, const std::string& key) {
   char* end = nullptr;
+  errno = 0;
   const long v = std::strtol(value.c_str(), &end, 10);
   if (value.empty() || end != value.c_str() + value.size()) {
     parse_fail(line, "bad integer for '" + key + "': '" + value + "'");
+  }
+  // A narrowing cast would wrap host=4294967297 to host 1.
+  if (errno == ERANGE || v < std::numeric_limits<int>::min() ||
+      v > std::numeric_limits<int>::max()) {
+    parse_fail(line, "integer out of range for '" + key + "': '" + value +
+                         "'");
   }
   return static_cast<int>(v);
 }
@@ -280,7 +289,12 @@ double parse_time(const std::string& value, int line, const std::string& key) {
     scale = 1e9;
     digits.resize(digits.size() - 1);
   }
-  return parse_double(digits, line, key) * scale;
+  const double ns = parse_double(digits, line, key) * scale;
+  // start=1e300s is finite in seconds but not in nanoseconds.
+  if (!std::isfinite(ns)) {
+    parse_fail(line, "time out of range for '" + key + "': '" + value + "'");
+  }
+  return ns;
 }
 
 /// Shortest decimal rendering that strtod parses back to the same double.

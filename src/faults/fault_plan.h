@@ -118,9 +118,10 @@ class FaultPlan {
 /// line, `<kind> key=value ...`, `#` comments and blank lines skipped.
 /// Durations accept s/ms/us/ns suffixes (bare numbers are seconds).
 /// Throws numaio::StatusError(kParse) with the offending line number on a
-/// duplicate key, an unknown kind or key, a missing required key, or an
-/// unparseable value. Syntax only — range errors (zero durations, bad
-/// ids) are FaultPlan::validate's job.
+/// duplicate key, an unknown kind or key, a missing required key, an
+/// unparseable value, an integer outside int's range or a time that is
+/// not finite in nanoseconds. Otherwise syntax only — range errors (zero
+/// durations, bad ids) are FaultPlan::validate's job.
 FaultPlan parse_fault_plan(const std::string& text);
 
 /// Renders a plan in the file format above; `parse_fault_plan(

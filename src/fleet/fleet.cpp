@@ -953,10 +953,10 @@ class FleetRuntime {
     const double horizon_s = config_.horizon / 1e9;
     for (TenantRuntime& tenant : tenants_) {
       TenantStats stats = tenant.stats;
-      if (!tenant.latencies.empty()) {
-        stats.latency_p50 = sim::percentile(tenant.latencies, 0.5);
-        stats.latency_p99 = sim::percentile(tenant.latencies, 0.99);
-      }
+      const std::vector<double> latency =
+          sim::percentiles(tenant.latencies, {0.5, 0.99});
+      stats.latency_p50 = latency[0];
+      stats.latency_p99 = latency[1];
       if (horizon_s > 0.0) {
         stats.goodput_rps =
             static_cast<double>(stats.completed) / horizon_s;
@@ -987,15 +987,15 @@ class FleetRuntime {
       report.shed_fraction = static_cast<double>(report.shed) /
                              static_cast<double>(report.submitted);
     }
-    if (!all_latencies_.empty()) {
-      report.accepted_p50 = sim::percentile(all_latencies_, 0.5);
-      report.accepted_p99 = sim::percentile(all_latencies_, 0.99);
-      report.accepted_p999 = sim::percentile(all_latencies_, 0.999);
-    }
-    if (!placement_lat_.empty()) {
-      report.placement_p50 = sim::percentile(placement_lat_, 0.5);
-      report.placement_p99 = sim::percentile(placement_lat_, 0.99);
-    }
+    const std::vector<double> accepted =
+        sim::percentiles(all_latencies_, {0.5, 0.99, 0.999});
+    report.accepted_p50 = accepted[0];
+    report.accepted_p99 = accepted[1];
+    report.accepted_p999 = accepted[2];
+    const std::vector<double> placement =
+        sim::percentiles(placement_lat_, {0.5, 0.99});
+    report.placement_p50 = placement[0];
+    report.placement_p99 = placement[1];
     report.lane_rounds = engine_.rounds();
     if (obs_ != nullptr) {
       obs_->metrics.set(

@@ -360,6 +360,48 @@ TEST(FaultPlanFileTest, MissingRequiredKeyAndUnknownKindAreParseErrors) {
                StatusError);
 }
 
+void expect_parse_error(const std::string& text, const std::string& line,
+                        const std::string& key) {
+  try {
+    parse_fault_plan(text);
+    FAIL() << "accepted: " << text;
+  } catch (const StatusError& e) {
+    EXPECT_EQ(e.status().code, StatusCode::kParse);
+    const std::string what = e.what();
+    EXPECT_NE(what.find(line), std::string::npos) << what;
+    EXPECT_NE(what.find("'" + key + "'"), std::string::npos) << what;
+  }
+}
+
+TEST(FaultPlanFileTest, OutOfRangeIntegerIsAParseError) {
+  // 2^32 + 1 used to wrap to host 1 and pass validation for a 4-host
+  // fleet: the plan crashed a host it never named.
+  expect_parse_error("host-crash host=4294967297 start=0.1 dur=0.2\n",
+                     "line 1", "host");
+  expect_parse_error(
+      "host-crash host=99999999999999999999 start=0.1 dur=0.2\n", "line 1",
+      "host");
+  expect_parse_error(
+      "mc-throttle node=1 start=0.1 dur=0.2\n"
+      "link-flap src=0 dst=1 flaps=-2147483649 start=0.1 dur=0.2\n",
+      "line 2", "flaps");
+  // int's own limits still parse (validate() judges them).
+  const FaultPlan plan = parse_fault_plan(
+      "link-degrade src=2147483647 dst=-2147483648 start=0.1 dur=0.2\n");
+  ASSERT_EQ(plan.events().size(), 1u);
+  EXPECT_EQ(plan.events()[0].src, 2147483647);
+  EXPECT_EQ(plan.events()[0].dst, -2147483647 - 1);
+}
+
+TEST(FaultPlanFileTest, TimeThatOverflowsIsAParseError) {
+  // Finite in seconds, infinite in nanoseconds: it would render as
+  // "infns", which no parser reads back.
+  expect_parse_error("host-hang host=0 start=1e300s dur=0.2\n", "line 1",
+                     "start");
+  expect_parse_error("host-hang host=0 start=0.1 dur=-1e306ms\n", "line 1",
+                     "dur");
+}
+
 TEST(FaultPlanFileTest, ZeroDurationParsesButFailsValidation) {
   // The parser is syntax-only; the zero-length window is caught by
   // validate(), exactly like a programmatically-built plan.

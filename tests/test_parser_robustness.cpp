@@ -1,9 +1,9 @@
 // Robustness property tests for the text parsers (fio job files,
 // host-model documents, transfer traces, JSONL trace captures, metrics
-// JSON): random single-character mutations of valid documents must either
-// parse or throw std::invalid_argument — never crash, never hang, never
-// corrupt state. The JSONL number grammar (std::from_chars) is pinned here
-// too.
+// JSON, fault plans): random single-character mutations of valid documents
+// must either parse or throw std::invalid_argument — never crash, never
+// hang, never corrupt state. The JSONL number grammar (std::from_chars)
+// is pinned here too.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "faults/fault_plan.h"
 #include "io/jobfile.h"
 #include "io/trace.h"
 #include "model/characterize.h"
@@ -20,6 +21,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "simcore/rng.h"
+#include "simcore/status.h"
 
 namespace numaio {
 namespace {
@@ -192,6 +194,34 @@ TEST_P(ParserFuzz, MetricsJsonNeverCrashes) {
       EXPECT_FALSE(parsed.summary().empty());
     } catch (const std::invalid_argument&) {
     }
+  }
+}
+
+TEST_P(ParserFuzz, FaultPlanNeverCrashes) {
+  sim::Rng rng(GetParam() + 5000);
+  faults::RandomPlanConfig config;
+  config.seed = GetParam();
+  config.num_nodes = 8;
+  config.num_devices = 2;
+  config.num_hosts = 4;
+  config.num_events = 12;
+  const std::string base =
+      faults::render_fault_plan(faults::FaultPlan::random(config));
+  ASSERT_NE(base.find(" host="), std::string::npos) << base;
+  ASSERT_EQ(faults::render_fault_plan(faults::parse_fault_plan(base)), base);
+  for (int i = 0; i < 400; ++i) {
+    const std::string doc = mutate(base, rng);
+    faults::FaultPlan parsed;
+    try {
+      parsed = faults::parse_fault_plan(doc);
+    } catch (const StatusError& e) {
+      EXPECT_EQ(e.status().code, StatusCode::kParse) << e.what();
+      continue;
+    }
+    // Whatever parses renders to text that parses back to the same text.
+    const std::string text = faults::render_fault_plan(parsed);
+    EXPECT_EQ(faults::render_fault_plan(faults::parse_fault_plan(text)), text)
+        << doc;
   }
 }
 
