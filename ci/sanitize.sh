@@ -33,12 +33,12 @@ UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
 # host crashes that tear down in-flight state — exactly where a stale
 # pointer or double-detach would surface as a use-after-free. The scale
 # suite (FleetScale) adds the batched admission path and 2,000-tenant
-# storm runs; AlarmEngine covers the completion-alarm heap and its merge
-# hook.
+# storm runs; FleetProperty runs random configs under random host-fault
+# plans; AlarmEngine covers the completion-alarm heap and its merge hook.
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
 UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
   "$BUILD_DIR/tests/numaio_tests" \
-  --gtest_filter='TokenBucket*:*BoundedQueue*:CircuitBreaker*:AdmissionStatus*:FleetSim*:FleetScale*:*AlarmEngine*:FaultPlanFile*'
+  --gtest_filter='TokenBucket*:*BoundedQueue*:CircuitBreaker*:AdmissionStatus*:FleetSim*:FleetScale*:*FleetProperty*:*AlarmEngine*:FaultPlanFile*'
 
 # The trace text path runs standalone as well: the JSONL cursor reads
 # keys and strings as string_views into the line and the serializers
