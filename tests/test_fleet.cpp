@@ -1,6 +1,7 @@
 // Fleet serving core tests: admission primitives (token bucket, bounded
 // shedding queue checked against a naive model), circuit-breaker state
-// sequencing, retry-budget exhaustion, and the full degradation contract
+// sequencing, config validation (non-finite times included),
+// retry-budget exhaustion, and the full degradation contract
 // of the storm scenario — bounded queue, lowest-priority-first sheds,
 // accepted p99 within the deadline, crash re-placement, and every
 // shed/trip/recovery trace event citing its causing `fault.transition`
@@ -9,6 +10,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <set>
 #include <sstream>
@@ -363,6 +365,37 @@ TEST(FleetSimTest, RejectsDegenerateConfigs) {
   } catch (const StatusError& e) {
     EXPECT_EQ(e.status().code, StatusCode::kUsage);
   }
+}
+
+TEST(FleetSimTest, RejectsNonFiniteTimes) {
+  // A NaN slips past every range check, an infinite horizon never stops
+  // arrivals, and the run ends at the latest admitted deadline: each is a
+  // typed usage error, from validate() and from the constructor alike.
+  using Setter = void (*)(FleetConfig&, double);
+  const Setter setters[] = {
+      [](FleetConfig& c, double v) { c.deadline = v; },
+      [](FleetConfig& c, double v) { c.horizon = v; },
+      [](FleetConfig& c, double v) { c.batch_window = v; },
+      [](FleetConfig& c, double v) { c.completion_grid = v; },
+      [](FleetConfig& c, double v) { c.summary_refresh = v; },
+      [](FleetConfig& c, double v) { c.retry.timeout = v; },
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const Setter set : setters) {
+    for (const double bad :
+         {inf, -inf, std::numeric_limits<double>::quiet_NaN()}) {
+      FleetConfig config;
+      set(config, bad);
+      EXPECT_EQ(config.validate().code, StatusCode::kUsage) << bad;
+      EXPECT_THROW(FleetSim(config, {TenantSpec{}}), StatusError) << bad;
+    }
+  }
+  for (const double bad : {0.0, -1.0e9}) {
+    FleetConfig config;
+    config.deadline = bad;
+    EXPECT_EQ(config.validate().code, StatusCode::kUsage) << bad;
+  }
+  EXPECT_TRUE(FleetConfig{}.validate().ok());
 }
 
 /// All hosts hang for the whole run: every attempt times out, so retries

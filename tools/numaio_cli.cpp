@@ -22,6 +22,7 @@
 #include <cerrno>
 #include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -157,13 +158,22 @@ int usage() {
 }
 
 /// The one number parser behind every numeric flag: the whole of `text`
-/// must parse as T, or the usage error names the flag.
+/// must parse as T, and a floating value must be finite (from_chars
+/// accepts "inf" and "nan", which pass every range check a NaN compares
+/// false against), or the usage error names the flag.
 template <typename T>
 T parse_number(const std::string& flag, const std::string& text) {
   T value{};
   const char* const end = text.data() + text.size();
   const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (ec == std::errc() && ptr == end) return value;
+  if (ec == std::errc() && ptr == end) {
+    if constexpr (std::is_floating_point_v<T>) {
+      if (!std::isfinite(value)) {
+        usage_error(flag + " wants a finite number, got '" + text + "'");
+      }
+    }
+    return value;
+  }
   const char* const kind = std::is_floating_point_v<T> ? "a number"
                            : std::is_signed_v<T>       ? "an integer"
                                                        : "an unsigned integer";
