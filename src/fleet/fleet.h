@@ -163,7 +163,7 @@ struct FleetReport {
   int max_queue_depth = 0;
   double attempts_per_s = 0.0;  ///< Attempts over the active span (t = 0
                                 ///< through the last dispatch), not the
-                                ///< guard-event drain tail.
+                                ///< tail up to the last deadline.
   double shed_fraction = 0.0;   ///< shed / submitted.
   sim::Ns accepted_p50 = 0.0;   ///< Latency percentiles over completions.
   sim::Ns accepted_p99 = 0.0;
@@ -172,7 +172,8 @@ struct FleetReport {
   /// reached a host (the ROADMAP's fleet-scale p99 deliverable).
   sim::Ns placement_p50 = 0.0;
   sim::Ns placement_p99 = 0.0;
-  sim::Ns makespan = 0.0;       ///< Simulated time when the run drained.
+  sim::Ns makespan = 0.0;       ///< When the run drained: the last event
+                                ///< or the latest admitted deadline.
   long long lane_rounds = 0;    ///< Completion-alarm rounds (DESIGN.md §13).
 
   /// Human-readable table (the CLI's `fleet` output).

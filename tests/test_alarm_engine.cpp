@@ -1,15 +1,19 @@
 // AlarmEngine tests (DESIGN.md §13): the idle engine, control-queue
 // ordering and chaining, alarms before control at shared instants, the
 // merge hook after each round, (host, seq) drain order within a round,
-// same-host rescheduling from the handler, run_until clock semantics, and
-// a randomized check of the whole drain order against a sorted reference.
+// same-host rescheduling from the handler, run_until clock semantics,
+// cancelling control closures through their handles (stale, fired and
+// default handles included), and randomized checks of the whole drain
+// order, with and without cancels, against a sorted reference.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <numeric>
+#include <optional>
 #include <set>
 #include <string>
 #include <utility>
@@ -164,6 +168,97 @@ TEST(AlarmEngineTest, MergeHookMayScheduleAlarmsAndControl) {
   EXPECT_DOUBLE_EQ(end, 20.0);
 }
 
+TEST(AlarmEngineTest, CancelledClosureNeverFiresAndTheRestKeepTheirOrder) {
+  AlarmEngine eng;
+  std::vector<int> order;
+  eng.schedule_at(10.0, [&] { order.push_back(1); });
+  const AlarmEngine::Handle doomed =
+      eng.schedule_at(10.0, [&] { order.push_back(2); });
+  eng.schedule_at(5.0, [&] { order.push_back(0); });
+  eng.schedule_at(10.0, [&] { order.push_back(3); });
+  eng.schedule_at(20.0, [&] { order.push_back(4); });
+  EXPECT_EQ(eng.pending(), 5u);
+  eng.cancel(doomed);
+  EXPECT_EQ(eng.pending(), 4u);
+  EXPECT_DOUBLE_EQ(eng.run(), 20.0);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 3, 4}));
+}
+
+TEST(AlarmEngineTest, CancellingAFiredCancelledOrDefaultHandleIsANoOp) {
+  AlarmEngine eng;
+  int fired = 0;
+  const AlarmEngine::Handle early =
+      eng.schedule_at(1.0, [&] { ++fired; });
+  eng.schedule_at(5.0, [&] { ++fired; });
+  eng.run_until(2.0);
+  EXPECT_EQ(fired, 1);
+  eng.cancel(early);  // already fired
+  EXPECT_EQ(eng.pending(), 1u);
+
+  const AlarmEngine::Handle twice = eng.schedule_at(3.0, [&] { ++fired; });
+  eng.cancel(twice);
+  eng.cancel(twice);
+  EXPECT_EQ(eng.pending(), 1u);
+
+  eng.cancel(AlarmEngine::Handle{});
+  EXPECT_EQ(eng.pending(), 1u);
+  eng.run();
+  EXPECT_EQ(fired, 2);
+}
+
+TEST(AlarmEngineTest, StaleHandleLeavesTheSlotsNewOccupantAlone) {
+  AlarmEngine eng;
+  std::vector<int> order;
+  const AlarmEngine::Handle cancelled =
+      eng.schedule_at(1.0, [&] { order.push_back(0); });
+  eng.cancel(cancelled);
+  const AlarmEngine::Handle reused =
+      eng.schedule_at(2.0, [&] { order.push_back(1); });
+  ASSERT_EQ(reused.slot, cancelled.slot);
+  eng.cancel(cancelled);
+  EXPECT_EQ(eng.pending(), 1u);
+
+  eng.run();
+  const AlarmEngine::Handle fired = reused;
+  eng.schedule_at(3.0, [&] { order.push_back(2); });
+  eng.cancel(fired);  // the slot now holds the closure above
+  eng.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+}
+
+TEST(AlarmEngineTest, ClosureMayCancelALaterSameInstantClosure) {
+  AlarmEngine eng;
+  std::vector<int> order;
+  AlarmEngine::Handle later;
+  eng.schedule_at(10.0, [&] {
+    order.push_back(0);
+    eng.cancel(later);
+  });
+  later = eng.schedule_at(10.0, [&] { order.push_back(1); });
+  eng.schedule_at(10.0, [&] { order.push_back(2); });
+  eng.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 2}));
+  EXPECT_EQ(eng.pending(), 0u);
+}
+
+TEST(AlarmEngineTest, ClosureCancellingItsOwnHandleDoesNothing) {
+  AlarmEngine eng;
+  std::vector<int> order;
+  AlarmEngine::Handle self;
+  self = eng.schedule_at(10.0, [&] {
+    order.push_back(0);
+    eng.cancel(self);
+    // The freed slot may be reused at once; the stale handle must not
+    // reach the new closure.
+    eng.schedule_at(10.0, [&] { order.push_back(2); });
+    eng.cancel(self);
+  });
+  eng.schedule_at(10.0, [&] { order.push_back(1); });
+  eng.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(eng.pending(), 0u);
+}
+
 class AlarmEngineProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(AlarmEngineProperty, DrainMatchesSortedReference) {
@@ -283,6 +378,107 @@ TEST_P(AlarmEngineProperty, DrainMatchesSortedReference) {
   EXPECT_EQ(log, expected);
   EXPECT_EQ(eng.rounds(), rounds);
   EXPECT_EQ(eng.alarms_fired(), static_cast<long long>(all.size()));
+}
+
+TEST_P(AlarmEngineProperty, CancelMatchesSortedReference) {
+  // Random control closures on a time grid, with cancels from
+  // outside (some twice) and from inside closures (of earlier, later,
+  // same-instant or already-cancelled closures, or of themselves), and
+  // children scheduled from inside closures into freshly freed slots.
+  // The engine's log must equal a reference that keeps the survivors
+  // sorted by (at, seq) and always fires the first.
+  constexpr int kInitial = 150;
+  constexpr int kChildren = 100;
+  constexpr int kAll = kInitial + kChildren;
+  Rng rng(GetParam() * 7919 + 11);
+  struct Planned {
+    Ns at = 0.0;         ///< Initial: absolute; child: delay after parent.
+    int victim = -1;     ///< Entry this closure cancels when it fires.
+    std::vector<int> children;
+  };
+  std::vector<Planned> plan(kAll);
+  for (int e = 0; e < kAll; ++e) {
+    Planned& p = plan[static_cast<std::size_t>(e)];
+    p.at = 5.0 * static_cast<double>(rng.below(e < kInitial ? 40 : 4));
+    if (rng.below(3) == 0) p.victim = static_cast<int>(rng.below(kAll));
+  }
+  for (int c = kInitial; c < kAll; ++c) {
+    const int parent = static_cast<int>(rng.below(kInitial));
+    plan[static_cast<std::size_t>(parent)].children.push_back(c);
+  }
+  std::vector<int> outside_cancels;
+  for (int i = 0; i < kInitial / 4; ++i) {
+    outside_cancels.push_back(static_cast<int>(rng.below(kInitial)));
+  }
+
+  const auto entry = [](int e, Ns at) {
+    std::string s = "C";
+    s += std::to_string(e);
+    s += '@';
+    s += std::to_string(static_cast<int>(at));
+    return s;
+  };
+
+  // The engine.
+  AlarmEngine eng;
+  std::vector<AlarmEngine::Handle> handles(kAll);
+  std::vector<std::string> log;
+  std::function<void(int)> fire = [&](int e) {
+    const Planned& p = plan[static_cast<std::size_t>(e)];
+    log.push_back(entry(e, eng.now()));
+    if (p.victim >= 0) eng.cancel(handles[static_cast<std::size_t>(p.victim)]);
+    for (const int c : p.children) {
+      const Ns at = eng.now() + plan[static_cast<std::size_t>(c)].at;
+      handles[static_cast<std::size_t>(c)] =
+          eng.schedule_at(at, [&, c] { fire(c); });
+    }
+  };
+  for (int e = 0; e < kInitial; ++e) {
+    handles[static_cast<std::size_t>(e)] = eng.schedule_at(
+        plan[static_cast<std::size_t>(e)].at, [&, e] { fire(e); });
+  }
+  for (const int e : outside_cancels) {
+    eng.cancel(handles[static_cast<std::size_t>(e)]);
+  }
+  const std::size_t pending_after_cancels = eng.pending();
+  eng.run();
+
+  // The reference: survivors sorted by (at, seq); cancelling erases.
+  using Key = std::pair<Ns, std::uint64_t>;
+  std::map<Key, int> pending;
+  std::vector<std::optional<Key>> keys(kAll);
+  std::uint64_t seq = 0;
+  const auto schedule = [&](int e, Ns at) {
+    const Key key{at, seq++};
+    pending.emplace(key, e);
+    keys[static_cast<std::size_t>(e)] = key;
+  };
+  const auto cancel = [&](int e) {
+    std::optional<Key>& key = keys[static_cast<std::size_t>(e)];
+    if (!key) return;
+    pending.erase(*key);
+    key.reset();
+  };
+  for (int e = 0; e < kInitial; ++e) {
+    schedule(e, plan[static_cast<std::size_t>(e)].at);
+  }
+  for (const int e : outside_cancels) cancel(e);
+  EXPECT_EQ(pending_after_cancels, pending.size());
+  std::vector<std::string> expected;
+  while (!pending.empty()) {
+    const auto [key, e] = *pending.begin();
+    pending.erase(pending.begin());
+    keys[static_cast<std::size_t>(e)].reset();
+    expected.push_back(entry(e, key.first));
+    const Planned& p = plan[static_cast<std::size_t>(e)];
+    if (p.victim >= 0) cancel(p.victim);
+    for (const int c : p.children) {
+      schedule(c, key.first + plan[static_cast<std::size_t>(c)].at);
+    }
+  }
+
+  EXPECT_EQ(log, expected);
+  EXPECT_EQ(eng.pending(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomSchedules, AlarmEngineProperty,
