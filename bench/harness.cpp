@@ -243,77 +243,6 @@ Values bench_solver_storm() {
           {"cache_hits", ctx.metrics.value("solver.cache_hits")}};
 }
 
-/// Component-partitioning bench: 16 resource-disjoint shards (each a
-/// spanning flow plus ~40 churned flows) in ONE SolveOptions{partition}
-/// solver, every shard mutated each round so all 16 components re-solve
-/// per solve(). The checksums and component counters pin the
-/// decomposition shape; DESIGN.md §11 records what partitioning buys.
-Values bench_solver_storm_partitioned() {
-  using namespace numaio::sim;
-  constexpr int kShards = 16;
-  constexpr int kResPerShard = 6;
-  constexpr int kFlowsPerShard = 40;
-  constexpr int kRounds = 200;
-  FlowSolver solver(SolveOptions{.partition = true});
-  Rng rng(0x3417);
-  std::vector<std::vector<ResourceId>> res(kShards);
-  std::vector<std::vector<FlowId>> live(kShards);
-  auto make_flow = [&](int s) {
-    const auto n = 2 + rng.below(2);
-    std::vector<Usage> usages;
-    for (std::uint64_t i = 0; i < n; ++i) {
-      usages.push_back(
-          {res[static_cast<std::size_t>(s)][rng.below(kResPerShard)],
-           rng.uniform(0.2, 1.5)});
-    }
-    const Gbps cap = rng.uniform() < 0.4 ? rng.uniform(2.0, 18.0) : kUnlimited;
-    return solver.add_flow(std::move(usages), cap);
-  };
-  for (int s = 0; s < kShards; ++s) {
-    for (int r = 0; r < kResPerShard; ++r) {
-      res[static_cast<std::size_t>(s)].push_back(
-          solver.add_resource("r", rng.uniform(15.0, 45.0)));
-    }
-    // The spanning flow pins the shard to one component across churn,
-    // so the decomposition stays exactly kShards components.
-    std::vector<Usage> span;
-    for (ResourceId r : res[static_cast<std::size_t>(s)]) {
-      span.push_back({r, 0.1});
-    }
-    live[static_cast<std::size_t>(s)].push_back(
-        solver.add_flow(std::move(span), 1.0));
-    for (int f = 0; f < kFlowsPerShard; ++f) {
-      live[static_cast<std::size_t>(s)].push_back(make_flow(s));
-    }
-  }
-  double checksum = 0.0;
-  for (int round = 0; round < kRounds; ++round) {
-    for (int s = 0; s < kShards; ++s) {
-      auto& flows = live[static_cast<std::size_t>(s)];
-      // Never the spanning flow at index 0.
-      const std::size_t victim = 1 + rng.below(flows.size() - 1);
-      solver.remove_flow(flows[victim]);
-      flows[victim] = make_flow(s);
-      if (round % 16 == s) {
-        solver.set_capacity(
-            res[static_cast<std::size_t>(s)][rng.below(kResPerShard)],
-            rng.uniform(15.0, 45.0));
-      }
-    }
-    const auto& rates = solver.solve();
-    const auto& probe = live[static_cast<std::size_t>(round % kShards)];
-    checksum += rates[probe[static_cast<std::size_t>(round) % probe.size()]];
-  }
-  const double agg = solver.aggregate_rate();
-  const FlowSolver::SolveStats stats = solver.stats();
-  return {{"events", static_cast<double>(kRounds * kShards)},
-          {"rate_checksum_gbps", checksum},
-          {"agg_final_gbps", agg},
-          {"components", static_cast<double>(stats.components)},
-          {"largest_component_flows",
-           static_cast<double>(stats.largest_component_flows)}};
-}
-
 /// Fluid-simulation replay: staggered transfers over a 4-node fabric with
 /// completion-spawned follow-ups, capacity control events, no-op watchdog
 /// ticks (the cache-hit path across control points that touch nothing)
@@ -461,7 +390,6 @@ obs::MetricsRegistry run_benches() {
   record("multiuser_nic_ssd", bench_multiuser(tb));
   record("trace_stream_1m", bench_trace_stream());
   record("solver_storm", bench_solver_storm());
-  record("solver_storm_partitioned", bench_solver_storm_partitioned());
   record("fluid_replay", bench_fluid_replay());
   record("fleet_storm", bench_fleet_storm());
   record("fleet_scale", bench_fleet_scale());

@@ -22,11 +22,10 @@ cmake --build "$BUILD_DIR" -j "$JOBS"
 # stress for the CSR arena / free-list / incidence bookkeeping (including
 # bit-identical churn vs the reference solver), exactly the code where an
 # out-of-bounds arena index or stale incidence back-pointer would hide.
-# The partition suites ride along: component buckets index the same arena.
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
 UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
   "$BUILD_DIR/tests/numaio_tests" \
-  --gtest_filter='*SolverProperty*:FlowSolverCache.*:FlowSolverFreeList.*:FlowSolverCapacityFactor.*:FlowSolverScratch.*:FlowSolverPartition.*:FlowSolverStatus.*'
+  --gtest_filter='*SolverProperty*:FlowSolverCache.*:FlowSolverFreeList.*:FlowSolverCapacityFactor.*:FlowSolverScratch.*:FlowSolverStatus.*'
 
 # The fleet serving suite also runs standalone: its runtime is the one
 # place where event-engine callbacks hold (id, generation) handles across

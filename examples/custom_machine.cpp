@@ -31,11 +31,7 @@ int main() {
   std::printf("%s\n", nm::render_interconnect(topo).c_str());
 
   // 2. Derive the fabric character from the wiring (no calibration data).
-  //    SolveOptions configures the contention solver; the partitioned
-  //    solver re-solves only the flow groups a mutation touched.
-  sim::SolveOptions solve;
-  solve.partition = true;
-  fabric::Machine machine{fabric::derived_profile(topo), solve};
+  fabric::Machine machine{fabric::derived_profile(topo)};
   nm::Host host{machine};
 
   // 3. Run the methodology against the I/O-hub node.

@@ -14,8 +14,7 @@ std::string pair_name(NodeId a, NodeId b) {
 }
 }  // namespace
 
-Machine::Machine(HostProfile profile, const sim::SolveOptions& solve)
-    : profile_(std::move(profile)), solver_(solve) {
+Machine::Machine(HostProfile profile) : profile_(std::move(profile)) {
   const int n = profile_.num_nodes();
   fabric_.assign(static_cast<std::size_t>(n) * static_cast<std::size_t>(n), 0);
   mc_read_.reserve(static_cast<std::size_t>(n));

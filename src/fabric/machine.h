@@ -19,10 +19,7 @@ namespace numaio::fabric {
 
 class Machine {
  public:
-  /// `solve` configures the owned solver (component partitioning;
-  /// simcore/solve_options.h). The default is the monolithic solver —
-  /// bit-identical to the historical allocation.
-  explicit Machine(HostProfile profile, const sim::SolveOptions& solve = {});
+  explicit Machine(HostProfile profile);
 
   Machine(const Machine&) = delete;
   Machine& operator=(const Machine&) = delete;

@@ -64,7 +64,7 @@ struct FaultEvent {
 };
 
 /// Standard config aggregate (DESIGN.md §11 "Config aggregates"), same
-/// shape as mem::StreamConfig / io::StreamSpec / sim::SolveOptions.
+/// shape as mem::StreamConfig / io::StreamSpec.
 struct RandomPlanConfig {
   /// Seed and host shape of the plan.
   std::uint64_t seed = 0;

@@ -280,7 +280,7 @@ class FleetRuntime {
         const auto& rates = solver.solve();
         coarse_capacity_[sku] = 0.0;
         for (const sim::FlowId f : probes) coarse_capacity_[sku] += rates[f];
-        solver.remove_flows(probes);
+        for (const sim::FlowId f : probes) solver.remove_flow(f);
       }
       for (int h = 0; h < config_.num_hosts; ++h) {
         HostState& hs = hosts_[static_cast<std::size_t>(h)];

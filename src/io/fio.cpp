@@ -13,6 +13,7 @@
 #include "io/ssd.h"
 #include "simcore/fluid_sim.h"
 #include "simcore/rng.h"
+#include "simcore/status.h"
 
 namespace numaio::io {
 
@@ -172,6 +173,23 @@ std::vector<FioResult> FioRunner::run_timed(
   auto& solver = machine.solver();
   obs::TraceRecorder* trace =
       obs_ != nullptr && obs_->trace.enabled() ? &obs_->trace : nullptr;
+
+  // Nodes index per-node tables that only assert their bound, so a node
+  // outside the host is rejected before any buffer or flow exists.
+  const int nodes = machine.num_nodes();
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    const FioJob& job = jobs[j].job;
+    const auto check = [&](const char* field, int node) {
+      if (node >= 0 && node < nodes) return;
+      throw StatusError(StatusCode::kUsage,
+                        "fio job " + std::to_string(j) + " (" + job.engine +
+                            "): " + field + " " + std::to_string(node) +
+                            " is outside the host's nodes 0-" +
+                            std::to_string(nodes - 1));
+    };
+    check("cpu_node", job.cpu_node);
+    if (job.peer_node >= 0) check("peer_node", job.peer_node);
+  }
 
   std::vector<obs::SpanId> job_spans(jobs.size(), 0);
   std::vector<StreamSetup> setups;

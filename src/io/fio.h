@@ -122,9 +122,9 @@ struct StreamShape {
 };
 
 /// Config-aggregate description of one stream (DESIGN.md §11 "Config
-/// aggregates", same shape as mem::StreamConfig / faults::RandomPlanConfig
-/// / sim::SolveOptions), the shape_stream argument. When `placements` is
-/// empty the buffer lives whole on `mem_node`; otherwise it spans the
+/// aggregates", same shape as mem::StreamConfig /
+/// faults::RandomPlanConfig), the shape_stream argument. When `placements`
+/// is empty the buffer lives whole on `mem_node`; otherwise it spans the
 /// listed (node, bytes) shares (interleaved policy) and DMA traffic
 /// splits across the per-node paths in proportion to the page shares,
 /// with the engine occupancy / window limits composing harmonically over
@@ -175,7 +175,9 @@ class FioRunner {
   std::vector<FioResult> run_concurrent(const std::vector<FioJob>& jobs);
 
   /// Runs jobs that start at the given absolute times (an open-loop
-  /// arrival process); results are indexed like `jobs`.
+  /// arrival process); results are indexed like `jobs`. All three run
+  /// forms throw StatusError(kUsage) when a job's cpu_node, or its
+  /// peer_node when set, is not a node of the host.
   std::vector<FioResult> run_timed(const std::vector<TimedJob>& jobs);
 
   /// One resource's steady-state load under a diagnosed job.

@@ -43,17 +43,25 @@ std::vector<TraceEntry> parse_trace(const std::string& text) {
       fail(line_no, "expected time_s,engine,cpu_node,gib");
     }
     TraceEntry entry;
+    double bytes = 0.0;
     try {
       entry.arrival = std::stod(time_s) * 1e9;
       entry.cpu_node = std::stoi(node_s);
-      const double gib = std::stod(gib_s);
-      if (gib <= 0.0) fail(line_no, "payload must be positive");
-      entry.bytes = static_cast<sim::Bytes>(gib * static_cast<double>(sim::kGiB));
-    } catch (const std::invalid_argument& e) {
-      if (std::string(e.what()).rfind("trace line", 0) == 0) throw;
+      bytes = std::stod(gib_s) * static_cast<double>(sim::kGiB);
+    } catch (const std::invalid_argument&) {
       fail(line_no, "malformed number");
+    } catch (const std::out_of_range&) {
+      fail(line_no, "number out of range");
     }
-    if (entry.arrival < 0.0) fail(line_no, "negative arrival time");
+    if (!std::isfinite(entry.arrival) || entry.arrival < 0.0) {
+      fail(line_no, "arrival time must be finite and >= 0");
+    }
+    // At least one byte, and below 2^64 so the sim::Bytes cast is
+    // defined; the negated test rejects NaN too.
+    if (!(bytes >= 1.0 && bytes < 18446744073709551616.0)) {
+      fail(line_no, "payload must be at least 1 byte and below 2^64 bytes");
+    }
+    entry.bytes = static_cast<sim::Bytes>(bytes);
     if (entry.cpu_node < 0) fail(line_no, "negative node");
     if (entry.arrival < prev) fail(line_no, "arrivals must be sorted");
     prev = entry.arrival;

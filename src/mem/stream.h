@@ -25,8 +25,8 @@ std::string to_string(StreamKind kind);
 
 /// Standard config aggregate (DESIGN.md §11 "Config aggregates"): plain
 /// struct, in-struct field defaults, passed const& with a `= {}` default
-/// so call sites name only the knobs they change. io::StreamSpec,
-/// faults::RandomPlanConfig and sim::SolveOptions share the shape.
+/// so call sites name only the knobs they change. io::StreamSpec and
+/// faults::RandomPlanConfig share the shape.
 struct StreamConfig {
   StreamKind kind = StreamKind::kCopy;
   /// Array length in 8-byte elements. Default follows the paper: the LLC is

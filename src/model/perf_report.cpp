@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
@@ -100,9 +102,8 @@ RunReport build_run_report(std::string command, const HostModel* model,
   report.sched = obs::profile_scheduler(source);
   if (metrics != nullptr) {
     report.counters = metrics->counter_values();
-    // Gauges ride in the same table (the partitioned solver reports its
-    // component shape — solver.components & co — as gauges); re-sort so
-    // the merged list stays name-ordered for the renderers and the diff.
+    // Gauges ride in the same table; re-sort so the merged list stays
+    // name-ordered for the renderers and the diff.
     const auto gauges = metrics->gauge_values();
     report.counters.insert(report.counters.end(), gauges.begin(),
                            gauges.end());
@@ -392,7 +393,7 @@ class JsonReader {
   explicit JsonReader(std::string_view text) : text_(text) {}
 
   JsonValue parse() {
-    JsonValue v = value();
+    JsonValue v = value(0);
     skip_ws();
     if (pos_ != text_.size()) fail("trailing content after document");
     return v;
@@ -428,10 +429,16 @@ class JsonReader {
     return true;
   }
 
-  JsonValue value() {
+  /// `depth` counts the containers enclosing this value. render_json()
+  /// nests 5 deep; the cap keeps hostile input from overflowing the stack.
+  JsonValue value(int depth) {
+    static constexpr int kMaxDepth = 64;
     skip_ws();
     JsonValue v;
     const char c = peek();
+    if ((c == '{' || c == '[') && depth >= kMaxDepth) {
+      fail("nesting deeper than " + std::to_string(kMaxDepth));
+    }
     if (c == '{') {
       v.kind = JsonValue::Kind::kObject;
       ++pos_;
@@ -445,7 +452,7 @@ class JsonReader {
         std::string key = string_body();
         skip_ws();
         expect(':');
-        v.fields.emplace_back(std::move(key), value());
+        v.fields.emplace_back(std::move(key), value(depth + 1));
         skip_ws();
         if (peek() == ',') {
           ++pos_;
@@ -464,7 +471,7 @@ class JsonReader {
         return v;
       }
       while (true) {
-        v.items.push_back(value());
+        v.items.push_back(value(depth + 1));
         skip_ws();
         if (peek() == ',') {
           ++pos_;
@@ -569,6 +576,26 @@ const JsonValue& require(const JsonValue& obj, std::string_view key,
   return *v;
 }
 
+/// An integer field's value: a whole number that fits T. Anything else
+/// (inf, 1e300, 2.5) is a parse error, not an undefined cast.
+template <class T>
+T whole(const JsonValue& v, std::string_view key) {
+  const double lo = static_cast<double>(std::numeric_limits<T>::min());
+  const double hi = std::ldexp(1.0, std::numeric_limits<T>::digits);
+  if (v.kind != JsonValue::Kind::kNumber || !(v.num >= lo && v.num < hi) ||
+      v.num != std::trunc(v.num)) {
+    throw std::invalid_argument("report json: field '" + std::string(key) +
+                                "' is not a whole number in its range");
+  }
+  return static_cast<T>(v.num);
+}
+
+template <class T>
+T require_whole(const JsonValue& obj, std::string_view key,
+                const char* what) {
+  return whole<T>(require(obj, key, JsonValue::Kind::kNumber, what), key);
+}
+
 }  // namespace
 
 ReportSummary parse_report_json(const std::string& text) {
@@ -579,8 +606,7 @@ ReportSummary parse_report_json(const std::string& text) {
   ReportSummary s;
   s.command =
       require(root, "command", JsonValue::Kind::kString, "provenance").str;
-  s.records = static_cast<int>(
-      require(root, "records", JsonValue::Kind::kNumber, "record count").num);
+  s.records = require_whole<int>(root, "records", "record count");
   s.critical_path_ns =
       require(root, "critical_path_ns", JsonValue::Kind::kNumber, "path span")
           .num;
@@ -589,8 +615,7 @@ ReportSummary parse_report_json(const std::string& text) {
        require(root, "classes", JsonValue::Kind::kArray, "class table")
            .items) {
     ReportSummary::ClassRow out;
-    out.target = static_cast<int>(
-        require(row, "target", JsonValue::Kind::kNumber, "class row").num);
+    out.target = require_whole<int>(row, "target", "class row");
     out.dir = require(row, "dir", JsonValue::Kind::kString, "class row").str;
     for (const JsonValue& cls :
          require(row, "classes", JsonValue::Kind::kArray, "class members")
@@ -599,7 +624,7 @@ ReportSummary parse_report_json(const std::string& text) {
       out.classes += '{';
       for (std::size_t i = 0; i < cls.items.size(); ++i) {
         if (i != 0) out.classes += ' ';
-        out.classes += std::to_string(static_cast<int>(cls.items[i].num));
+        out.classes += std::to_string(whole<int>(cls.items[i], "classes"));
       }
       out.classes += '}';
     }
@@ -616,8 +641,7 @@ ReportSummary parse_report_json(const std::string& text) {
        require(root, "critical_path", JsonValue::Kind::kArray, "path")
            .items) {
     ReportSummary::PathStep step;
-    step.id = static_cast<obs::EventId>(
-        require(row, "id", JsonValue::Kind::kNumber, "path step").num);
+    step.id = require_whole<obs::EventId>(row, "id", "path step");
     step.name = require(row, "name", JsonValue::Kind::kString, "path step")
                     .str;
     step.self_ns =
@@ -633,8 +657,7 @@ ReportSummary parse_report_json(const std::string& text) {
     ReportSummary::SpanRow span;
     span.name =
         require(row, "name", JsonValue::Kind::kString, "span kind").str;
-    span.count = static_cast<int>(
-        require(row, "count", JsonValue::Kind::kNumber, "span kind").num);
+    span.count = require_whole<int>(row, "count", "span kind");
     span.total_ns =
         require(row, "total_ns", JsonValue::Kind::kNumber, "span kind").num;
     s.span_kinds.push_back(std::move(span));
@@ -642,14 +665,10 @@ ReportSummary parse_report_json(const std::string& text) {
 
   const JsonValue& faults =
       require(root, "faults", JsonValue::Kind::kObject, "fault audit");
-  s.fault_transitions = static_cast<int>(
-      require(faults, "transitions", JsonValue::Kind::kNumber, "faults").num);
-  s.retries = static_cast<int>(
-      require(faults, "retries", JsonValue::Kind::kNumber, "faults").num);
-  s.aborts = static_cast<int>(
-      require(faults, "aborts", JsonValue::Kind::kNumber, "faults").num);
-  s.caused = static_cast<int>(
-      require(faults, "caused", JsonValue::Kind::kNumber, "faults").num);
+  s.fault_transitions = require_whole<int>(faults, "transitions", "faults");
+  s.retries = require_whole<int>(faults, "retries", "faults");
+  s.aborts = require_whole<int>(faults, "aborts", "faults");
+  s.caused = require_whole<int>(faults, "caused", "faults");
 
   // §6 is newer than the format: absent (pre-profiling reports) parses
   // as an empty row set so old baselines keep diffing.
@@ -659,8 +678,7 @@ ReportSummary parse_report_json(const std::string& text) {
       ReportSummary::SchedRow r;
       r.name =
           require(row, "name", JsonValue::Kind::kString, "sched row").str;
-      r.count = static_cast<int>(
-          require(row, "count", JsonValue::Kind::kNumber, "sched row").num);
+      r.count = require_whole<int>(row, "count", "sched row");
       r.p50_ms =
           require(row, "p50_ms", JsonValue::Kind::kNumber, "sched row").num;
       r.p95_ms =

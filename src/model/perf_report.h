@@ -38,10 +38,8 @@ struct RunReport {
   HostModel model;  ///< Valid when has_model.
   obs::TraceAnalysis analysis;
   /// Deterministic counters AND gauges from the run's registry, merged
-  /// name-sorted into one table (gauges carry the partitioned solver's
-  /// component shape, solver.components & co). Histograms are
-  /// deliberately excluded: solver.solve_us buckets wall time and would
-  /// break byte-determinism.
+  /// name-sorted into one table. Histograms are deliberately excluded:
+  /// solver.solve_us buckets wall time and would break byte-determinism.
   std::vector<obs::MetricsRegistry::NamedValue> counters;
   /// §6: queue-wait / dispatch-to-start / migration-delay distributions
   /// derived from the capture's fleet.*/sched.* records (obs/profile.h).

@@ -26,12 +26,10 @@
 #include "obs/serve.h"
 #include "obs/stream.h"
 
-// Simulation core: units, RNG, statistics, retry policy, status codes,
-// and the solver options (SolveOptions).
+// Simulation core: units, RNG, statistics, retry policy and status codes.
 #include "simcore/fluid_sim.h"
 #include "simcore/retry.h"
 #include "simcore/rng.h"
-#include "simcore/solve_options.h"
 #include "simcore/stats.h"
 #include "simcore/status.h"
 #include "simcore/units.h"

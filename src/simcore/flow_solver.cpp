@@ -16,31 +16,7 @@ namespace {
 // residual/weight ratio.
 constexpr double kWeightEps = 1e-9;
 constexpr double kEps = 1e-12;
-// Removal churn tolerated before solve() re-derives components from the
-// live flows: union-find can only merge, so without periodic rebuilds a
-// long-lived solver would congeal into one stale mega-component and the
-// partitioning would stop paying for itself.
-constexpr std::size_t kRebuildMinRemovals = 16;
 }  // namespace
-
-void FlowSolver::set_options(const SolveOptions& options) {
-  if (options.partition == options_.partition) return;
-  options_ = options;
-  if (options_.partition) {
-    // Components were not maintained while partitioning was off; derive
-    // them from the live flows at the next solve.
-    dsu_parent_.resize(resources_.size());
-    dsu_size_.resize(resources_.size());
-    comp_dirty_.assign(resources_.size(), 0);
-    dirty_roots_.clear();
-    need_rebuild_ = true;
-  }
-  // A partition toggle changes the floating-point association of the
-  // result, so the cached rates cannot be reused.
-  bump_epoch();
-  all_dirty_ = true;
-  detached_dirty_ = true;
-}
 
 void FlowSolver::bump_epoch() {
   ++epoch_;
@@ -55,7 +31,6 @@ void FlowSolver::refresh_capacity(ResourceId id) {
   if (eff != r.capacity) {
     r.capacity = eff;
     bump_epoch();
-    if (options_.partition) mark_dirty(find_root(id));
   }
 }
 
@@ -66,68 +41,10 @@ void FlowSolver::ensure_size(std::vector<T>& v, std::size_t n,
   v.resize(n);
 }
 
-ResourceId FlowSolver::find_root(ResourceId r) const {
-  while (dsu_parent_[r] != r) {
-    dsu_parent_[r] = dsu_parent_[dsu_parent_[r]];  // path halving
-    r = dsu_parent_[r];
-  }
-  return r;
-}
-
-ResourceId FlowSolver::unite(ResourceId a, ResourceId b) const {
-  a = find_root(a);
-  b = find_root(b);
-  if (a == b) return a;
-  // Size-major, lowest-id-minor tie break: the surviving root is a pure
-  // function of the union sequence, never of memory layout.
-  if (dsu_size_[a] < dsu_size_[b] ||
-      (dsu_size_[a] == dsu_size_[b] && b < a)) {
-    std::swap(a, b);
-  }
-  dsu_parent_[b] = a;
-  dsu_size_[a] += dsu_size_[b];
-  // A dirty mark on the absorbed root must survive on the merged root.
-  if (comp_dirty_[b] != 0) mark_dirty(a);
-  return a;
-}
-
-void FlowSolver::mark_dirty(ResourceId root) const {
-  if (comp_dirty_[root] == 0) {
-    comp_dirty_[root] = 1;
-    dirty_roots_.push_back(root);
-  }
-}
-
-void FlowSolver::rebuild_components() const {
-  for (ResourceId r = 0; r < resources_.size(); ++r) {
-    dsu_parent_[r] = r;
-    dsu_size_[r] = 1;
-  }
-  for (ResourceId r : dirty_roots_) comp_dirty_[r] = 0;
-  dirty_roots_.clear();
-  for (FlowId f = head_; f != kNoFlow; f = flows_[f].next) {
-    const FlowMeta& m = flows_[f];
-    for (std::size_t i = m.begin + 1; i < m.begin + m.count; ++i) {
-      unite(usage_resource_[m.begin], usage_resource_[i]);
-    }
-  }
-  removed_since_rebuild_ = 0;
-  need_rebuild_ = false;
-  all_dirty_ = true;
-  detached_dirty_ = true;
-  ++stats_.component_rebuilds;
-  if (obs_ != nullptr) obs_->metrics.add(m_rebuilds_);
-}
-
 ResourceId FlowSolver::add_resource(std::string name, Gbps capacity) {
   assert(capacity >= 0.0);
   resources_.push_back(Resource{std::move(name), capacity, 1.0, capacity});
   incidence_.emplace_back();
-  if (options_.partition) {
-    dsu_parent_.push_back(resources_.size() - 1);
-    dsu_size_.push_back(1);
-    comp_dirty_.push_back(0);
-  }
   bump_epoch();
   return resources_.size() - 1;
 }
@@ -226,20 +143,6 @@ FlowId FlowSolver::add_flow(std::vector<Usage> usages, Gbps rate_cap) {
     incidence_[r].push_back(IncidenceEntry{slot, idx});
   }
 
-  if (options_.partition) {
-    if (n == 0) {
-      detached_dirty_ = true;
-    } else {
-      // Union the flow's resources into one component and dirty it: the
-      // new flow changes every rate in the (merged) component.
-      ResourceId root = find_root(usage_resource_[m.begin]);
-      for (std::size_t i = 1; i < n; ++i) {
-        root = unite(root, usage_resource_[m.begin + i]);
-      }
-      mark_dirty(root);
-    }
-  }
-
   ++live_flows_;
   bump_epoch();
   return slot;
@@ -258,34 +161,7 @@ Status FlowSolver::remove_flow(FlowId id) {
     return Status{StatusCode::kUsage,
                   "remove_flow: no live flow #" + std::to_string(id)};
   }
-  remove_flow_impl(id);
-  bump_epoch();
-  return Status{};
-}
-
-std::size_t FlowSolver::remove_flows(std::span<const FlowId> ids) {
-  std::size_t removed = 0;
-  for (const FlowId id : ids) {
-    if (id >= flows_.size() || !flows_[id].alive) continue;
-    remove_flow_impl(id);
-    ++removed;
-  }
-  if (removed > 0) bump_epoch();
-  return removed;
-}
-
-void FlowSolver::remove_flow_impl(FlowId id) {
   FlowMeta& m = flows_[id];
-  if (options_.partition) {
-    if (m.count > 0) {
-      mark_dirty(find_root(usage_resource_[m.begin]));
-    } else {
-      detached_dirty_ = true;
-    }
-    // The union-find cannot split; count removals so solve() knows when
-    // the component map is stale enough to rebuild.
-    ++removed_since_rebuild_;
-  }
 
   // Drop this flow's incidence entries; the back entry swapped into the
   // hole has its arena cell's position pointer fixed up.
@@ -316,6 +192,8 @@ void FlowSolver::remove_flow_impl(FlowId id) {
   assert(live_flows_ > 0);
   --live_flows_;
   assert(live_flows_ + free_slots_.size() == flows_.size());
+  bump_epoch();
+  return Status{};
 }
 
 Status FlowSolver::set_flow_cap(FlowId id, Gbps rate_cap) {
@@ -326,14 +204,6 @@ Status FlowSolver::set_flow_cap(FlowId id, Gbps rate_cap) {
   assert(rate_cap >= 0.0);
   if (flows_[id].cap != rate_cap) {
     flows_[id].cap = rate_cap;
-    if (options_.partition) {
-      const FlowMeta& m = flows_[id];
-      if (m.count > 0) {
-        mark_dirty(find_root(usage_resource_[m.begin]));
-      } else {
-        detached_dirty_ = true;
-      }
-    }
     bump_epoch();
   }
   return Status{};
@@ -362,9 +232,6 @@ void FlowSolver::set_observer(obs::Context* obs) {
   m_cache_misses_ = obs_->metrics.counter("solver.cache_misses");
   m_flows_scanned_ = obs_->metrics.counter("solver.flows_scanned");
   m_touches_ = obs_->metrics.counter("solver.resource_touches");
-  m_components_ = obs_->metrics.gauge("solver.components");
-  m_largest_comp_ = obs_->metrics.gauge("solver.largest_component_flows");
-  m_rebuilds_ = obs_->metrics.counter("solver.component_rebuilds");
 }
 
 const std::vector<Gbps>& FlowSolver::solve() const {
@@ -401,33 +268,9 @@ void FlowSolver::solve_uncached() const {
 #endif
 
   ensure_size(rates_, flows_.size(), stats_.scratch_grows);
-  if (options_.partition) {
-    solve_partitioned();
-    return;
-  }
-
   std::fill(rates_.begin(), rates_.end(), 0.0);
   if (live_flows_ == 0) return;
 
-  prepare_scratch();
-  SolveScratch& s = scratch_;
-  if (s.worklist.capacity() < live_flows_) {
-    ++s.scratch_grows;
-    s.worklist.reserve(live_flows_);
-  }
-
-  // One span holding every live flow in insertion order (== the old
-  // ascending-id order): solve_span then reproduces the historical
-  // floating-point operation sequence exactly.
-  s.worklist.clear();
-  for (FlowId f = head_; f != kNoFlow; f = flows_[f].next) {
-    s.worklist.push_back(f);
-  }
-  solve_span(s.worklist.data(), s.worklist.size());
-  publish_scratch();
-}
-
-void FlowSolver::prepare_scratch() const {
   SolveScratch& s = scratch_;
   s.rounds = 0;
   s.flows_scanned = 0;
@@ -441,10 +284,20 @@ void FlowSolver::prepare_scratch() const {
     ++s.scratch_grows;
     s.touched.reserve(resources_.size());
   }
-}
+  if (s.worklist.capacity() < live_flows_) {
+    ++s.scratch_grows;
+    s.worklist.reserve(live_flows_);
+  }
 
-void FlowSolver::publish_scratch() const {
-  const SolveScratch& s = scratch_;
+  // One span holding every live flow in insertion order (== the old
+  // ascending-id order): solve_span then reproduces the historical
+  // floating-point operation sequence exactly.
+  s.worklist.clear();
+  for (FlowId f = head_; f != kNoFlow; f = flows_[f].next) {
+    s.worklist.push_back(f);
+  }
+  solve_span(s.worklist.data(), s.worklist.size());
+
   stats_.rounds += s.rounds;
   stats_.flows_scanned += s.flows_scanned;
   stats_.resource_touches += s.resource_touches;
@@ -456,104 +309,6 @@ void FlowSolver::publish_scratch() const {
                       static_cast<double>(s.flows_scanned));
     obs_->metrics.add(m_touches_,
                       static_cast<double>(s.resource_touches));
-  }
-}
-
-void FlowSolver::solve_partitioned() const {
-  if (need_rebuild_ ||
-      (removed_since_rebuild_ >= kRebuildMinRemovals &&
-       removed_since_rebuild_ * 2 >= live_flows_)) {
-    rebuild_components();
-  }
-
-  // Removed flows report 0: the monolithic path zero-fills the whole
-  // vector, but here clean components keep their cached slots, so only
-  // the dead slots are reset.
-  for (FlowId f : free_slots_) rates_[f] = 0.0;
-
-  if (live_flows_ == 0) {
-    for (ResourceId r : dirty_roots_) comp_dirty_[r] = 0;
-    dirty_roots_.clear();
-    all_dirty_ = false;
-    detached_dirty_ = false;
-    stats_.components = 0;
-    stats_.dirty_components = 0;
-    stats_.largest_component_flows = 0;
-    if (obs_ != nullptr) {
-      obs_->metrics.set(m_components_, 0.0);
-      obs_->metrics.set(m_largest_comp_, 0.0);
-    }
-    return;
-  }
-
-  ensure_size(comp_stamp_, resources_.size(), stats_.scratch_grows);
-  ensure_size(comp_flows_, resources_.size(), stats_.scratch_grows);
-  ensure_size(bucket_slot_, resources_.size(), stats_.scratch_grows);
-
-  // Bucket pass: walk live flows once in insertion order, counting
-  // components and collecting the dirty ones' flows. A bucket's flow
-  // order is therefore insertion order, and bucket order is the
-  // first-appearance order of dirty components — both pure functions of
-  // the mutation history.
-  const std::uint64_t tok = ++bucket_token_;
-  std::size_t used = 0;  // dirty buckets this solve
-  std::uint64_t components = 0;
-  std::uint64_t largest = 0;
-  std::size_t detached_count = 0;
-  std::size_t detached_bucket = kNoBucket;
-  for (FlowId f = head_; f != kNoFlow; f = flows_[f].next) {
-    const FlowMeta& m = flows_[f];
-    if (m.count == 0) {
-      // Zero-usage flows (pure cap-limited) share one pseudo-component.
-      ++detached_count;
-      if (all_dirty_ || detached_dirty_) {
-        if (detached_bucket == kNoBucket) {
-          detached_bucket = used++;
-          if (buckets_.size() < used) buckets_.emplace_back();
-          buckets_[detached_bucket].flows.clear();
-        }
-        buckets_[detached_bucket].flows.push_back(f);
-      }
-      continue;
-    }
-    const ResourceId root = find_root(usage_resource_[m.begin]);
-    if (comp_stamp_[root] != tok) {
-      comp_stamp_[root] = tok;
-      comp_flows_[root] = 0;
-      ++components;
-      if (all_dirty_ || comp_dirty_[root] != 0) {
-        bucket_slot_[root] = used++;
-        if (buckets_.size() < used) buckets_.emplace_back();
-        buckets_[bucket_slot_[root]].flows.clear();
-      } else {
-        bucket_slot_[root] = kNoBucket;
-      }
-    }
-    const std::size_t size = ++comp_flows_[root];
-    if (size > largest) largest = size;
-    if (bucket_slot_[root] != kNoBucket) {
-      buckets_[bucket_slot_[root]].flows.push_back(f);
-    }
-  }
-  if (detached_count > 0) ++components;
-
-  prepare_scratch();
-  for (std::size_t i = 0; i < used; ++i) {
-    solve_span(buckets_[i].flows.data(), buckets_[i].flows.size());
-  }
-
-  for (ResourceId r : dirty_roots_) comp_dirty_[r] = 0;
-  dirty_roots_.clear();
-  all_dirty_ = false;
-  detached_dirty_ = false;
-
-  publish_scratch();
-  stats_.components = components;
-  stats_.dirty_components = used;
-  stats_.largest_component_flows = largest;
-  if (obs_ != nullptr) {
-    obs_->metrics.set(m_components_, static_cast<double>(components));
-    obs_->metrics.set(m_largest_comp_, static_cast<double>(largest));
   }
 }
 

@@ -30,34 +30,20 @@
 //    is reusable member storage: after warm-up a solve performs zero
 //    heap allocations (stats().scratch_grows counts the exceptions).
 //
-// Partitioning (SolveOptions; DESIGN.md §11): with `partition` on, an
-// incremental union-find over resources tracks resource-connected
-// components — flows in disjoint components cannot interact under
-// max-min fairness, so each component solves independently and a
-// mutation dirties only its own component (clean components keep their
-// cached rates across solves). Each component's arithmetic is
-// self-contained and accumulates in flow-insertion order, but rates are
-// NOT bit-identical between partition on/off on multi-component graphs,
-// because the monolithic solver's global water-filling delta
-// reassociates the floating-point arithmetic across components. The
-// default options therefore keep partitioning off.
-//
-// The default (monolithic) allocation is bit-identical to the historical
-// per-flow-vector solver: live flows are kept on an insertion-order list
-// and every floating-point accumulation (initial weights, residual
-// subtraction, freeze-time weight release, aggregate/utilization sums)
-// walks flows in that order, which is exactly the ascending-FlowId order
-// the old solver used before ids were recycled.
+// The allocation is bit-identical to the historical per-flow-vector
+// solver: live flows are kept on an insertion-order list and every
+// floating-point accumulation (initial weights, residual subtraction,
+// freeze-time weight release, aggregate/utilization sums) walks flows in
+// that order, which is exactly the ascending-FlowId order the old solver
+// used before ids were recycled.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "obs/obs.h"
-#include "simcore/solve_options.h"
 #include "simcore/status.h"
 #include "simcore/units.h"
 
@@ -86,24 +72,7 @@ class FlowSolver {
     std::uint64_t flows_scanned = 0;  ///< Unfrozen-flow visits across rounds.
     std::uint64_t resource_touches = 0;  ///< Per-usage residual updates.
     std::uint64_t scratch_grows = 0;  ///< Solve-path scratch (re)allocations.
-    // Component partitioning (SolveOptions::partition; otherwise 0).
-    std::uint64_t component_rebuilds = 0;  ///< Full union-find rebuilds.
-    std::uint64_t components = 0;  ///< Components at the last real solve.
-    std::uint64_t dirty_components = 0;  ///< Components re-solved by it.
-    std::uint64_t largest_component_flows = 0;  ///< Biggest component then.
   };
-
-  FlowSolver() = default;
-  /// Partitioning on or off; see simcore/solve_options.h.
-  explicit FlowSolver(const SolveOptions& options) : options_(options) {}
-
-  /// Reconfigures partitioning in place (flows, resources and stats
-  /// survive). A real change invalidates the solve cache: toggling
-  /// `partition` changes the floating-point association of the next
-  /// solve, so the cached rates cannot be reused. Setting the current
-  /// options again is a no-op.
-  void set_options(const SolveOptions& options);
-  const SolveOptions& options() const { return options_; }
 
   /// Registers a resource. `capacity` may be kUnlimited.
   ResourceId add_resource(std::string name, Gbps capacity);
@@ -145,16 +114,6 @@ class FlowSolver {
   /// debug builds and silently corrupted in release).
   Status remove_flow(FlowId id);
 
-  /// Bulk removal: detaches every live id in `ids` with a single epoch
-  /// bump, so a burst of same-instant completions invalidates the solve
-  /// cache once and the next solve pays one re-solve for the whole
-  /// batch (per-component when partitioned). Dead, out-of-range and
-  /// duplicate ids are skipped — batch callers may legitimately race a
-  /// completion sweep against an abort. Returns the number of flows
-  /// actually removed; rates after the bulk removal are bit-identical
-  /// to the equivalent remove_flow sequence.
-  std::size_t remove_flows(std::span<const FlowId> ids);
-
   /// Replaces a live flow's private rate cap. Returns StatusCode::kUsage
   /// (solver untouched) for an out-of-range or dead id, mirroring
   /// remove_flow; setting the current cap again keeps the solve cache
@@ -169,10 +128,7 @@ class FlowSolver {
   /// `solver.rounds_per_solve`, `solver.flows_scanned`,
   /// `solver.resource_touches`), cache behavior (`solver.solves`,
   /// `solver.cache_hits`, `solver.cache_misses`), wall time
-  /// (`solver.solve_us`, cache misses only) and — in partition mode —
-  /// component shape (`solver.components`,
-  /// `solver.largest_component_flows` gauges, the
-  /// `solver.component_rebuilds` counter). The context must outlive
+  /// (`solver.solve_us`, cache misses only). The context must outlive
   /// the solver or be detached first.
   void set_observer(obs::Context* obs);
 
@@ -201,7 +157,6 @@ class FlowSolver {
 
  private:
   static constexpr FlowId kNoFlow = static_cast<FlowId>(-1);
-  static constexpr std::size_t kNoBucket = static_cast<std::size_t>(-1);
 
   struct Resource {
     std::string name;
@@ -233,7 +188,7 @@ class FlowSolver {
 
   /// Water-filling scratch, reused across solves.
   struct SolveScratch {
-    std::vector<FlowId> worklist;     ///< Monolithic-mode flow list.
+    std::vector<FlowId> worklist;     ///< Live flows, insertion order.
     std::vector<ResourceId> touched;  ///< Resources with live weight.
     std::vector<double> weight;
     std::vector<Gbps> residual;
@@ -247,43 +202,15 @@ class FlowSolver {
     std::uint64_t scratch_grows = 0;
   };
 
-  /// One dirty component's work item: its flows in insertion order.
-  struct Bucket {
-    std::vector<FlowId> flows;
-  };
-
   void bump_epoch();
-  /// remove_flow minus validation and the epoch bump; shared by the
-  /// single and bulk removal paths.
-  void remove_flow_impl(FlowId id);
   void refresh_capacity(ResourceId id);
   template <class T>
   static void ensure_size(std::vector<T>& v, std::size_t n,
                           std::uint64_t& grows);
   void solve_uncached() const;
-  /// Sizes scratch_ for the current resource/flow counts and zeroes its
-  /// per-solve counters.
-  void prepare_scratch() const;
-  /// Folds scratch_'s per-solve counters into stats_ and the metrics.
-  void publish_scratch() const;
-  /// Water-fills one flow set (a component, or all live flows in
-  /// monolithic mode) using scratch_. `flows` is compacted in place as
-  /// flows freeze; only rates_ slots of `flows` are written.
+  /// Water-fills all live flows, listed in insertion order in `flows`,
+  /// using scratch_. `flows` is compacted in place as flows freeze.
   void solve_span(FlowId* flows, std::size_t n) const;
-  void solve_partitioned() const;
-
-  // Union-find over resources (partition mode). find() path-compresses,
-  // so the parent array mutates under logically-const solves.
-  ResourceId find_root(ResourceId r) const;
-  /// const because rebuild_components() runs under logically-const
-  /// solves; the union-find arrays are mutable.
-  ResourceId unite(ResourceId a, ResourceId b) const;
-  void mark_dirty(ResourceId root) const;
-  /// Re-derives components from live flows (union-find cannot split, so
-  /// removal churn is absorbed by periodic rebuilds) and marks all dirty.
-  void rebuild_components() const;
-
-  SolveOptions options_{};
 
   std::vector<Resource> resources_;
   std::vector<FlowMeta> flows_;
@@ -306,27 +233,6 @@ class FlowSolver {
   mutable std::uint64_t cached_epoch_ = 0;
   mutable std::vector<Gbps> rates_;  ///< Cached allocation, by slot.
 
-  // Component state (partition mode only; empty otherwise). comp_dirty_
-  // is indexed by component root resource; dirty_roots_ lists exactly
-  // the set roots (entries may go stale when a dirty root is absorbed by
-  // a union — find_root never returns those, and the solve-time sweep
-  // clears them with the rest).
-  mutable std::vector<ResourceId> dsu_parent_;
-  mutable std::vector<std::uint32_t> dsu_size_;
-  mutable std::vector<std::uint8_t> comp_dirty_;
-  mutable std::vector<ResourceId> dirty_roots_;
-  mutable bool all_dirty_ = true;       ///< Rebuild/reconfigure: solve all.
-  mutable bool detached_dirty_ = true;  ///< Zero-usage flow set changed.
-  mutable bool need_rebuild_ = false;
-  mutable std::size_t removed_since_rebuild_ = 0;
-
-  // Solve-time component bucketing scratch (serial pass), stamp-cleared.
-  mutable std::vector<Bucket> buckets_;
-  mutable std::vector<std::uint64_t> comp_stamp_;   ///< Per resource.
-  mutable std::vector<std::size_t> comp_flows_;     ///< Flows under root.
-  mutable std::vector<std::size_t> bucket_slot_;    ///< Root -> bucket.
-  mutable std::uint64_t bucket_token_ = 0;
-
   mutable SolveScratch scratch_;
 
   mutable SolveStats stats_;
@@ -342,9 +248,6 @@ class FlowSolver {
   obs::MetricsRegistry::Id m_cache_misses_ = obs::MetricsRegistry::kNone;
   obs::MetricsRegistry::Id m_flows_scanned_ = obs::MetricsRegistry::kNone;
   obs::MetricsRegistry::Id m_touches_ = obs::MetricsRegistry::kNone;
-  obs::MetricsRegistry::Id m_components_ = obs::MetricsRegistry::kNone;
-  obs::MetricsRegistry::Id m_largest_comp_ = obs::MetricsRegistry::kNone;
-  obs::MetricsRegistry::Id m_rebuilds_ = obs::MetricsRegistry::kNone;
 };
 
 }  // namespace numaio::sim

@@ -4,8 +4,10 @@
 
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "io/testbed.h"
+#include "simcore/status.h"
 
 namespace numaio::io {
 namespace {
@@ -203,6 +205,36 @@ TEST_F(FioTest, RejectsEmptyDeviceList) {
 TEST_F(FioTest, RejectsZeroStreams) {
   FioJob j = nic_job(kTcpSend, 0, 0);
   EXPECT_THROW(fio_.run(j), std::invalid_argument);
+}
+
+// Per-node tables only assert their bound, so an unchecked node read out
+// of bounds in release builds. Every run form rejects it before touching
+// the host, even when a valid job precedes it.
+TEST_F(FioTest, CpuNodeOutsideTheHostIsAUsageError) {
+  FioJob peer = nic_job(kTcpSend, 2, 1);
+  peer.peer_node = 8;
+  const sim::FlowSolver& solver = testbed_.machine().solver();
+  const std::size_t resources = solver.resource_count();
+  const sim::Bytes free = testbed_.host().node_free_bytes(2);
+  for (const FioJob& bad :
+       {nic_job(kRdmaWrite, 8, 4), nic_job(kRdmaWrite, -1, 4), peer}) {
+    const std::vector<FioJob> jobs{nic_job(kRdmaWrite, 2, 2), bad};
+    try {
+      fio_.run_concurrent(jobs);
+      ADD_FAILURE() << "accepted cpu_node " << bad.cpu_node;
+    } catch (const StatusError& e) {
+      EXPECT_EQ(e.code(), StatusCode::kUsage);
+      EXPECT_NE(std::string(e.what()).find("fio job 1"), std::string::npos)
+          << e.what();
+      EXPECT_NE(std::string(e.what()).find("nodes 0-7"), std::string::npos)
+          << e.what();
+    }
+    EXPECT_THROW(fio_.run(bad), StatusError);
+    EXPECT_THROW(fio_.run_timed({TimedJob{bad, 0.0}}), StatusError);
+    EXPECT_EQ(solver.resource_count(), resources);
+    EXPECT_EQ(solver.live_flow_count(), 0u);
+    EXPECT_EQ(testbed_.host().node_free_bytes(2), free);
+  }
 }
 
 TEST_F(FioTest, SsdJobsNeedAStreamPerCard) {

@@ -1,7 +1,8 @@
 // CSR / epoch-cache behavior of FlowSolver: cache hits and invalidation
 // per mutator, free-list slot recycling, capacity factors, profiling
-// counters, and the zero-steady-state-allocation guarantee of the solve
-// scratch (a fluid_replay-style run must not grow scratch after warmup).
+// counters, the zero-steady-state-allocation guarantee of the solve
+// scratch (a fluid_replay-style run must not grow scratch after warmup)
+// and the typed Status of the dead-id mutators.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -12,6 +13,7 @@
 #include "simcore/fluid_sim.h"
 #include "simcore/flow_solver.h"
 #include "simcore/rng.h"
+#include "simcore/status.h"
 #include "simcore/units.h"
 
 namespace numaio::sim {
@@ -231,6 +233,42 @@ TEST(FlowSolverScratch, FluidReplaySteadyStateDoesNotAllocate) {
   EXPECT_GT(solver.stats().solve_calls, 100u);
   EXPECT_EQ(solver.stats().scratch_grows, warm_grows)
       << "solve scratch reallocated during steady-state churn";
+}
+
+// --- Typed Status from dead-id mutators ----------------------------------
+
+TEST(FlowSolverStatus, DeadIdMutatorsReturnUsageAndLeaveSolverIntact) {
+  FlowSolver s;
+  const ResourceId r = s.add_resource("r", 10.0);
+  const FlowId f = s.add_flow_over({r});
+  const FlowId g = s.add_flow_over({r});
+
+  EXPECT_TRUE(s.set_flow_cap(f, 4.0).ok());
+  EXPECT_TRUE(s.remove_flow(f).ok());
+  (void)s.solve();
+  const std::uint64_t epoch = s.epoch();
+
+  // Double remove: typed usage error, not an assert or corruption.
+  const Status dead = s.remove_flow(f);
+  EXPECT_EQ(dead.code, StatusCode::kUsage);
+  EXPECT_FALSE(dead.message.empty());
+
+  // Out-of-range ids on both mutators.
+  EXPECT_EQ(s.remove_flow(12345).code, StatusCode::kUsage);
+  EXPECT_EQ(s.set_flow_cap(12345, 1.0).code, StatusCode::kUsage);
+  EXPECT_EQ(s.set_flow_cap(f, 1.0).code, StatusCode::kUsage);
+
+  // Failed mutations left the solver untouched: cache still warm, live
+  // set unchanged, and the surviving flow still solves.
+  EXPECT_EQ(s.epoch(), epoch);
+  EXPECT_EQ(s.live_flow_count(), 1u);
+  EXPECT_EQ(s.solve()[g], 10.0);
+  EXPECT_EQ(s.stats().cache_hits, 1u);
+
+  // The recycled slot is usable again after the failures.
+  const FlowId h = s.add_flow_over({r});
+  EXPECT_EQ(h, f);
+  EXPECT_TRUE(s.set_flow_cap(h, 2.0).ok());
 }
 
 }  // namespace

@@ -214,56 +214,6 @@ TEST_P(SolverProperty, ChurnMatchesReferenceBitForBit) {
   compare();
 }
 
-// Bulk removal is contracted to be bit-identical to the equivalent
-// remove_flow sequence while paying exactly one epoch bump — the batched
-// admission path leans on both halves (a same-instant completion burst
-// must neither change rates nor re-solve per flow).
-TEST_P(SolverProperty, BulkRemovalMatchesSequentialBitForBit) {
-  Instance bulk = random_instance(GetParam());
-  Instance seq = random_instance(GetParam());
-  Rng rng(GetParam() * 6151 + 7);
-
-  // Random subset to remove, with a duplicate and an already-dead id
-  // mixed in: remove_flows must skip both without counting them.
-  std::vector<FlowId> victims;
-  for (const FlowId f : bulk.flows) {
-    if (rng.uniform() < 0.5) victims.push_back(f);
-  }
-  if (victims.empty()) victims.push_back(bulk.flows.front());
-  victims.push_back(victims.front());  // duplicate
-  const FlowId dead = bulk.flows.back();
-  const bool kill_one = std::find(victims.begin(), victims.end(), dead) ==
-                        victims.end();
-  std::size_t expected = victims.size() - 1;
-  if (kill_one) {
-    ASSERT_TRUE(bulk.solver.remove_flow(dead).ok());
-    ASSERT_TRUE(seq.solver.remove_flow(dead).ok());
-    victims.push_back(dead);
-  }
-
-  const std::uint64_t epoch_before = bulk.solver.epoch();
-  EXPECT_EQ(bulk.solver.remove_flows(victims), expected);
-  EXPECT_EQ(bulk.solver.epoch(), epoch_before + 1);
-  for (const FlowId f : victims) seq.solver.remove_flow(f);
-
-  const auto& bulk_rates = bulk.solver.solve();
-  const auto& seq_rates = seq.solver.solve();
-  for (const FlowId f : bulk.flows) {
-    EXPECT_EQ(bulk.solver.flow_alive(f), seq.solver.flow_alive(f));
-    if (!bulk.solver.flow_alive(f)) continue;
-    ASSERT_EQ(bulk_rates[f], seq_rates[f])
-        << "seed " << GetParam() << " flow " << f;
-  }
-  EXPECT_EQ(bulk.solver.aggregate_rate(), seq.solver.aggregate_rate());
-
-  // Removing nothing (all dead / empty) keeps the solve cache warm.
-  const std::uint64_t warm = bulk.solver.epoch();
-  EXPECT_EQ(bulk.solver.remove_flows(victims), 0u);
-  const std::vector<FlowId> none;
-  EXPECT_EQ(bulk.solver.remove_flows(none), 0u);
-  EXPECT_EQ(bulk.solver.epoch(), warm);
-}
-
 INSTANTIATE_TEST_SUITE_P(RandomNetworks, SolverProperty,
                          ::testing::Range<std::uint64_t>(1, 26));
 

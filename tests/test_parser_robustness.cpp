@@ -1,9 +1,9 @@
 // Robustness property tests for the text parsers (fio job files,
 // host-model documents, transfer traces, JSONL trace captures, metrics
-// JSON, fault plans): random single-character mutations of valid documents
-// must either parse or throw std::invalid_argument — never crash, never
-// hang, never corrupt state. The JSONL number grammar (std::from_chars)
-// is pinned here too.
+// JSON, fault plans, saved JSON run reports): random single-character
+// mutations of valid documents must either parse or throw
+// std::invalid_argument — never crash, never hang, never corrupt state.
+// The JSONL number grammar (std::from_chars) is pinned here too.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -17,6 +17,7 @@
 #include "io/jobfile.h"
 #include "io/trace.h"
 #include "model/characterize.h"
+#include "model/perf_report.h"
 #include "obs/analysis.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -75,8 +76,6 @@ TEST_P(ParserFuzz, JobFileNeverCrashes) {
       EXPECT_FALSE(parsed.jobs.empty());  // success implies jobs exist
     } catch (const std::invalid_argument&) {
       // acceptable outcome
-    } catch (const std::out_of_range&) {
-      // std::stoi overflow on huge duplicated digits — acceptable
     }
   }
 }
@@ -90,7 +89,6 @@ TEST_P(ParserFuzz, HostModelNeverCrashes) {
       const auto parsed = model::parse_host_model(doc);
       EXPECT_EQ(parsed.num_nodes, 2);
     } catch (const std::invalid_argument&) {
-    } catch (const std::out_of_range&) {
     }
   }
 }
@@ -103,7 +101,6 @@ TEST_P(ParserFuzz, TraceNeverCrashes) {
       const auto parsed = io::parse_trace(doc);
       EXPECT_FALSE(parsed.empty());
     } catch (const std::invalid_argument&) {
-    } catch (const std::out_of_range&) {
     }
   }
 }
@@ -225,8 +222,134 @@ TEST_P(ParserFuzz, FaultPlanNeverCrashes) {
   }
 }
 
+/// A render_json() report with every section parse_report_json reads:
+/// class rows, a critical path, span kinds, a fault audit and scheduler
+/// rows.
+std::string report_document() {
+  model::RunReport r;
+  r.command = "report --seed 42 --reps 4";
+  r.has_model = true;
+  r.model = model::parse_host_model(valid_model_doc());
+  obs::TraceAnalysis& a = r.analysis;
+  a.num_records = 9;
+  a.first_ns = 0.0;
+  a.last_ns = 2.5e6;
+  a.critical_path_ns = 2.5e6;
+  a.span_kinds = {{"fio.job", 1, 0, 2.5e6, 2.5e6, 8192, {{"ok", 1}}},
+                  {"fio.stream", 2, 0, 3.0e6, 2.0e6, 8192, {{"ok", 2}}}};
+  a.critical_path = {{1, "fio.job", "ok", "rdma_write", 0.0, 2.5e6, 0.5e6},
+                     {2, "fio.stream", "ok", "nic", 0.0, 2.0e6, 2.0e6},
+                     {5, "fio.retry", "retry", "", 1.0e6, -1.0, 0.0}};
+  a.faults = {1, 1, 1, 2, {{"link-degrade degrade (id 4)", 2}}};
+  obs::SchedLatencyProfile& sched = r.sched;
+  for (auto* h : {&sched.queue_wait, &sched.dispatch, &sched.migration}) {
+    h->bounds = {1.0, 10.0};
+    h->counts.assign(3, 0);
+    for (const double v : {0.5, 4.0, 20.0}) h->observe(v);
+  }
+  sched.queue_wait.name = "sched.queue_wait_ms";
+  sched.dispatch.name = "sched.dispatch_ms";
+  sched.migration.name = "sched.migration_ms";
+  return model::render_json(r);
+}
+
+TEST_P(ParserFuzz, ReportJsonNeverCrashes) {
+  sim::Rng rng(GetParam() + 6000);
+  const std::string base = report_document();
+  const model::ReportSummary summary = model::parse_report_json(base);
+  ASSERT_EQ(summary.classes.size(), 4u);
+  ASSERT_EQ(summary.critical_path.size(), 3u);
+  ASSERT_EQ(summary.span_kinds.size(), 2u);
+  ASSERT_EQ(summary.caused, 2);
+  ASSERT_EQ(summary.sched_latency.size(), 3u);
+  for (int i = 0; i < 400; ++i) {
+    const std::string doc = mutate(base, rng);
+    model::ReportSummary parsed;
+    try {
+      parsed = model::parse_report_json(doc);
+    } catch (const std::invalid_argument&) {
+      continue;
+    }
+    // Whatever parses diffs against itself.
+    EXPECT_FALSE(model::diff_reports(parsed, parsed).empty()) << doc;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, ParserFuzz,
                          ::testing::Values(11u, 22u, 33u, 44u));
+
+// --- Saved JSON run reports (report --diff) --------------------------------
+
+TEST(ReportJson, DeepNestingIsAParseError) {
+  // One stack frame per container: 30,000 of them once overflowed it.
+  std::string objects;
+  for (int i = 0; i < 30000; ++i) objects += "{\"a\": ";
+  for (const std::string& doc : {std::string(30000, '['), objects}) {
+    try {
+      model::parse_report_json(doc);
+      FAIL() << "accepted " << doc.substr(0, 16);
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("nesting deeper than 64"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(ReportJson, IntegerFieldsRejectValuesTheirTypeCannotHold) {
+  const std::string base = report_document();
+  // Where the value of `key`'s first (or last) occurrence starts.
+  const auto value_of = [&](const std::string& key, bool last) {
+    const std::string needle = "\"" + key + "\": ";
+    const std::size_t at = last ? base.rfind(needle) : base.find(needle);
+    EXPECT_NE(at, std::string::npos) << key;
+    return at + needle.size();
+  };
+  // The document with the number at `at` replaced by `value`.
+  const auto with = [&](std::size_t at, const std::string& value) {
+    return base.substr(0, at) + value +
+           base.substr(base.find_first_of(",]}", at));
+  };
+  struct Field {
+    std::string key;
+    std::size_t at;
+  };
+  std::vector<Field> ints;
+  for (const char* key : {"records", "target", "count", "transitions",
+                          "retries", "aborts", "caused"}) {
+    ints.push_back({key, value_of(key, false)});
+  }
+  ints.push_back({"count", value_of("count", true)});  // a sched row
+  ints.push_back({"classes", base.find("[[") + 2});     // a class member
+  const Field id{"id", value_of("id", false)};          // 64-bit unsigned
+  const auto expect_rejected = [&](const Field& f, const char* value) {
+    try {
+      model::parse_report_json(with(f.at, value));
+      ADD_FAILURE() << f.key << " accepted " << value;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("'" + f.key + "'"),
+                std::string::npos)
+          << f.key << " = " << value << ": " << e.what();
+    }
+  };
+  for (const Field& f : ints) {
+    for (const char* bad :
+         {"inf", "-inf", "1e300", "2.5", "2147483648", "-2147483649"}) {
+      expect_rejected(f, bad);
+    }
+  }
+  for (const char* bad : {"inf", "-inf", "1e300", "2.5", "-1", "1e20"}) {
+    expect_rejected(id, bad);
+  }
+  // The edges of each type still parse.
+  EXPECT_EQ(model::parse_report_json(with(ints[0].at, "-2147483648")).records,
+            -2147483647 - 1);
+  EXPECT_EQ(model::parse_report_json(with(ints[0].at, "2147483647")).records,
+            2147483647);
+  EXPECT_EQ(
+      model::parse_report_json(with(id.at, "1e19")).critical_path.front().id,
+      10000000000000000000u);
+}
 
 // --- JSONL number grammar ---------------------------------------------------
 

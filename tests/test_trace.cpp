@@ -47,6 +47,26 @@ TEST(Trace, RejectsMalformedInput) {
   EXPECT_THROW(parse_trace("-1.0,rdma_write,7,2\n"), std::invalid_argument);
 }
 
+// Each line once crashed, hung or faked success in `replay`: undefined
+// float-to-Bytes casts, a zero-byte payload, a NaN arrival, an infinite
+// arrival, and std::out_of_range escaping without a line number.
+TEST(Trace, RejectsNonFiniteAndOutOfRangeNumbers) {
+  for (const char* line :
+       {"0.0,rdma_write,7,inf", "0.0,rdma_write,7,1e300",
+        "0.0,rdma_write,7,1e-300", "nan,rdma_write,7,1",
+        "inf,rdma_write,7,1", "0.0,rdma_write,99999999999999999999,1",
+        "0.0,rdma_write,7,1e400"}) {
+    try {
+      parse_trace(std::string("0.0,rdma_write,7,1\n") + line + "\n");
+      ADD_FAILURE() << "accepted: " << line;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("trace line 2"),
+                std::string::npos)
+          << line << ": " << e.what();
+    }
+  }
+}
+
 TEST(Trace, RejectsUnsortedArrivals) {
   EXPECT_THROW(parse_trace("2.0,rdma_write,7,1\n1.0,rdma_write,7,1\n"),
                std::invalid_argument);
