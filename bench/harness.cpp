@@ -269,7 +269,6 @@ Values bench_fluid_replay() {
     }
   }
   FluidSimulation fluid(solver);
-  fluid.enable_rate_trace();
   auto random_usages = [&] {
     const int src = static_cast<int>(rng.below(kNodes));
     int dst = static_cast<int>(rng.below(kNodes - 1));

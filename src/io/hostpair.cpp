@@ -47,7 +47,6 @@ std::vector<FioResult> HostPair::run_concurrent(
     std::span<const NetJob> jobs) {
   auto& solver = machine_->solver();
   sim::FluidSimulation fluid(solver);
-  fluid.enable_rate_trace();
 
   struct StreamSetup {
     std::size_t job_index = 0;

@@ -7,21 +7,10 @@
 namespace numaio::sim {
 namespace {
 
-TEST(RateTrace, DisabledByDefault) {
-  FlowSolver solver;
-  const auto link = solver.add_resource("link", 8.0);
-  FluidSimulation fluid(solver);
-  const auto id = fluid.start_transfer({{link, 1.0}}, 1000);
-  fluid.run();
-  EXPECT_TRUE(fluid.trace(id).empty());
-  EXPECT_DOUBLE_EQ(fluid.rate_stability(id).mean, 0.0);
-}
-
 TEST(RateTrace, SteadyTransferHasOneSegmentAndZeroCv) {
   FlowSolver solver;
   const auto link = solver.add_resource("link", 8.0);
   FluidSimulation fluid(solver);
-  fluid.enable_rate_trace();
   const auto id = fluid.start_transfer({{link, 1.0}}, 1000);
   fluid.run();
   ASSERT_EQ(fluid.trace(id).size(), 1u);
@@ -36,7 +25,6 @@ TEST(RateTrace, RateChangeCreatesSegments) {
   FlowSolver solver;
   const auto link = solver.add_resource("link", 8.0);
   FluidSimulation fluid(solver);
-  fluid.enable_rate_trace();
   const auto lng = fluid.start_transfer({{link, 1.0}}, 1500);
   fluid.start_transfer({{link, 1.0}}, 500);
   fluid.run();
@@ -53,7 +41,6 @@ TEST(RateTrace, SegmentsWithEqualRateMerge) {
   FlowSolver solver;
   const auto link = solver.add_resource("link", 8.0);
   FluidSimulation fluid(solver);
-  fluid.enable_rate_trace();
   const auto a = fluid.start_transfer({{link, 1.0}}, 1000);
   // An arrival on a different resource re-solves but does not change a's
   // rate: the trace must not fragment.
@@ -67,7 +54,6 @@ TEST(RateTrace, TraceDurationsSumToLifetime) {
   FlowSolver solver;
   const auto link = solver.add_resource("link", 10.0);
   FluidSimulation fluid(solver);
-  fluid.enable_rate_trace();
   const auto a = fluid.start_transfer({{link, 1.0}}, 5000);
   fluid.start_transfer_at(1000.0, {{link, 1.0}}, 1000);
   fluid.start_transfer_at(2000.0, {{link, 1.0}}, 1000);
