@@ -4,8 +4,11 @@
 
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "faults/fault_plan.h"
+#include "faults/injector.h"
 #include "io/testbed.h"
 #include "simcore/status.h"
 
@@ -247,6 +250,39 @@ TEST_F(FioTest, LowerIodepthLowersSsdThroughput) {
   FioJob shallow = deep;
   shallow.iodepth = 4;
   EXPECT_GT(fio_.run(deep).aggregate, 1.5 * fio_.run(shallow).aggregate);
+}
+
+// A stall aborts the attempts in flight on its device; an attempt that is
+// only waiting out its backoff has not started and is left alone. The
+// first stall (2.0 s) aborts attempt 1, whose retry waits to start at
+// 3.0 s; the second stall (2.5 s) opens during that wait.
+TEST_F(FioTest, DeviceStallLeavesAPendingAttemptAlone) {
+  faults::FaultPlan plan;
+  for (const sim::Ns start : {2.0e9, 2.5e9}) {
+    faults::FaultEvent stall;
+    stall.kind = faults::FaultKind::kDeviceStall;
+    stall.device = 0;
+    stall.start = start;
+    stall.duration = 0.1e9;
+    plan.add(stall);
+  }
+  faults::FaultInjector injector(testbed_.machine(), std::move(plan));
+  injector.register_device(testbed_.nic().name(),
+                           testbed_.nic().attach_node(),
+                           testbed_.nic().fault_resources());
+  FioJob job = nic_job(kRdmaRead, 7, 1);
+  job.bytes_per_stream = 40 * sim::kGiB;
+  job.retry.timeout = 60.0e9;
+  job.retry.base_backoff = 1.0e9;
+  job.retry.jitter_frac = 0.0;
+  fio_.set_fault_injector(&injector);
+  const FioResult result = fio_.run(job);
+  ASSERT_EQ(result.streams.size(), 1u);
+  EXPECT_TRUE(result.streams.front().outcome.ok);
+  EXPECT_EQ(result.streams.front().bytes_moved, 40 * sim::kGiB);
+  EXPECT_EQ(result.total_retries, 1);
+  // Attempt 2 starts at 3.0 s, not at 4.5 s after a second backoff.
+  EXPECT_NEAR(result.duration, 30.1e9, 0.05e9);
 }
 
 // Property sweep: every engine x binding yields a positive aggregate that
