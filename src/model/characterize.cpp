@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -9,6 +10,7 @@
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <system_error>
 
 #include "simcore/status.h"
 
@@ -325,15 +327,16 @@ HostModel parse_host_model(const std::string& text) {
           }
         } else {
           if (members.empty()) fail(line_no, "node outside class braces");
-          try {
-            members.back().push_back(std::stoi(tok));
-          } catch (const std::exception&) {
+          NodeId node = 0;
+          const char* end = tok.data() + tok.size();
+          const auto [ptr, ec] = std::from_chars(tok.data(), end, node);
+          if (ec != std::errc() || ptr != end) {
             fail(line_no, "bad node id '" + tok + "'");
           }
-          if (members.back().back() < 0 ||
-              members.back().back() >= model.num_nodes) {
+          if (node < 0 || node >= model.num_nodes) {
             fail(line_no, "node id out of range");
           }
+          members.back().push_back(node);
         }
       }
       if (static_cast<int>(members.size()) != k) {

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "fabric/calibration.h"
+#include "simcore/status.h"
 
 namespace numaio::model {
 namespace {
@@ -128,6 +130,33 @@ TEST_F(CharacterizeTest, ParserReportsLineNumbers) {
     FAIL() << "expected throw";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos);
+  }
+}
+
+TEST_F(CharacterizeTest, ParserRejectsNodeIdsThatAreNotWholeIntegers) {
+  // std::stoi stopped at the first non-digit, so "1x" and "1.9" loaded
+  // as node 1.
+  for (const std::string bad : {"1x", "1.9", "1e0", "+1", "0x1"}) {
+    const std::string doc =
+        "numaio-model v1\n"
+        "host tiny nodes 2\n"
+        "model 0 write 50.0 40.0\n"
+        "classes 0 write 1 { 0 " + bad + " }\n"
+        "model 0 read 50.0 41.0\n"
+        "classes 0 read 1 { 0 1 }\n"
+        "model 1 write 39.0 52.0\n"
+        "classes 1 write 1 { 0 1 }\n"
+        "model 1 read 38.0 52.0\n"
+        "classes 1 read 1 { 0 1 }\n"
+        "end\n";
+    try {
+      parse_host_model(doc);
+      ADD_FAILURE() << "accepted node id '" << bad << "'";
+    } catch (const StatusError& e) {
+      EXPECT_EQ(e.status().code, StatusCode::kParse) << e.what();
+      EXPECT_NE(std::string(e.what()).find("line 4"), std::string::npos)
+          << e.what();
+    }
   }
 }
 
