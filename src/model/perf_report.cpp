@@ -1,21 +1,22 @@
 #include "model/perf_report.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
 #include <utility>
 
+#include "obs/json.h"
 #include "simcore/units.h"
 
 namespace numaio::model {
 
 namespace {
+
+namespace json = obs::json;
 
 const char* dir_name(Direction dir) {
   return dir == Direction::kDeviceWrite ? "write" : "read";
@@ -24,12 +25,6 @@ const char* dir_name(Direction dir) {
 std::string fixed(double v, int decimals) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.*f", decimals, v);
-  return buf;
-}
-
-std::string g17(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
   return buf;
 }
 
@@ -62,28 +57,6 @@ std::string class_avgs_text(const Classification& c) {
     out += fixed(c.class_avg[i], 1);
   }
   return out;
-}
-
-void json_string(std::ostream& out, std::string_view text) {
-  out << '"';
-  for (const char c : text) {
-    switch (c) {
-      case '"': out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\n': out << "\\n"; break;
-      case '\t': out << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out << buf;
-        } else {
-          out << c;
-        }
-    }
-  }
-  out << '"';
 }
 
 }  // namespace
@@ -231,7 +204,7 @@ std::string render_markdown(const RunReport& report,
   if (!report.counters.empty()) {
     out << "\n## Counters\n\n| counter | value |\n|---|---|\n";
     for (const auto& c : report.counters) {
-      out << "| " << c.name << " | " << g17(c.value) << " |\n";
+      out << "| " << c.name << " | " << json::number(c.value) << " |\n";
     }
   }
   return out.str();
@@ -241,12 +214,11 @@ std::string render_json(const RunReport& report,
                         const RunReportOptions& options) {
   const obs::TraceAnalysis& a = report.analysis;
   std::ostringstream out;
-  out << "{\n  \"command\": ";
-  json_string(out, report.command);
+  out << "{\n  \"command\": " << json::quote(report.command);
   out << ",\n  \"records\": " << a.num_records;
-  out << ",\n  \"sim_first_ns\": " << g17(a.first_ns);
-  out << ",\n  \"sim_last_ns\": " << g17(a.last_ns);
-  out << ",\n  \"critical_path_ns\": " << g17(a.critical_path_ns);
+  out << ",\n  \"sim_first_ns\": " << json::number(a.first_ns);
+  out << ",\n  \"sim_last_ns\": " << json::number(a.last_ns);
+  out << ",\n  \"critical_path_ns\": " << json::number(a.critical_path_ns);
 
   out << ",\n  \"classes\": [";
   if (report.has_model) {
@@ -266,7 +238,7 @@ std::string render_json(const RunReport& report,
         }
         out << "], \"avg_gbps\": [";
         for (std::size_t i = 0; i < c.class_avg.size(); ++i) {
-          out << (i == 0 ? "" : ", ") << g17(c.class_avg[i]);
+          out << (i == 0 ? "" : ", ") << json::number(c.class_avg[i]);
         }
         out << "]}";
         first = false;
@@ -279,15 +251,14 @@ std::string render_json(const RunReport& report,
   out << ",\n  \"span_kinds\": [";
   for (std::size_t i = 0; i < a.span_kinds.size(); ++i) {
     const obs::SpanKindStats& k = a.span_kinds[i];
-    out << (i == 0 ? "\n" : ",\n") << "    {\"name\": ";
-    json_string(out, k.name);
-    out << ", \"count\": " << k.count << ", \"unclosed\": " << k.unclosed
-        << ", \"total_ns\": " << g17(k.total_ns) << ", \"max_ns\": "
-        << g17(k.max_ns) << ", \"bytes\": " << k.bytes << ", \"outcomes\": {";
+    out << (i == 0 ? "\n" : ",\n") << "    {\"name\": " << json::quote(k.name)
+        << ", \"count\": " << k.count << ", \"unclosed\": " << k.unclosed
+        << ", \"total_ns\": " << json::number(k.total_ns)
+        << ", \"max_ns\": " << json::number(k.max_ns)
+        << ", \"bytes\": " << k.bytes << ", \"outcomes\": {";
     for (std::size_t j = 0; j < k.outcomes.size(); ++j) {
-      out << (j == 0 ? "" : ", ");
-      json_string(out, k.outcomes[j].first);
-      out << ": " << k.outcomes[j].second;
+      out << (j == 0 ? "" : ", ") << json::quote(k.outcomes[j].first) << ": "
+          << k.outcomes[j].second;
     }
     out << "}}";
   }
@@ -300,15 +271,12 @@ std::string render_json(const RunReport& report,
   for (std::size_t i = 0; i < steps; ++i) {
     const obs::CriticalPathStep& s = a.critical_path[i];
     out << (i == 0 ? "\n" : ",\n") << "    {\"id\": " << s.id
-        << ", \"name\": ";
-    json_string(out, s.name);
-    out << ", \"self_ns\": " << g17(s.self_ns) << ", \"start_ns\": "
-        << g17(s.start_ns) << ", \"end_ns\": " << g17(s.end_ns)
-        << ", \"outcome\": ";
-    json_string(out, s.outcome);
-    out << ", \"detail\": ";
-    json_string(out, s.detail);
-    out << "}";
+        << ", \"name\": " << json::quote(s.name)
+        << ", \"self_ns\": " << json::number(s.self_ns)
+        << ", \"start_ns\": " << json::number(s.start_ns)
+        << ", \"end_ns\": " << json::number(s.end_ns)
+        << ", \"outcome\": " << json::quote(s.outcome)
+        << ", \"detail\": " << json::quote(s.detail) << "}";
   }
   out << (steps == 0 ? "]" : "\n  ]");
 
@@ -320,9 +288,10 @@ std::string render_json(const RunReport& report,
     const obs::ContentionCell& c = a.contention[i];
     out << (i == 0 ? "\n" : ",\n") << "    {\"node_a\": " << c.node_a
         << ", \"node_b\": " << c.node_b << ", \"spans\": " << c.spans
-        << ", \"bytes\": " << c.bytes << ", \"busy_ns\": " << g17(c.busy_ns)
-        << ", \"stall_ns\": " << g17(c.stall_ns) << ", \"stall_frac\": "
-        << g17(c.stall_frac()) << "}";
+        << ", \"bytes\": " << c.bytes
+        << ", \"busy_ns\": " << json::number(c.busy_ns)
+        << ", \"stall_ns\": " << json::number(c.stall_ns)
+        << ", \"stall_frac\": " << json::number(c.stall_frac()) << "}";
   }
   out << (cells == 0 ? "]" : "\n  ]");
 
@@ -331,9 +300,9 @@ std::string render_json(const RunReport& report,
       << a.faults.aborts << ", \"caused\": " << a.faults.caused
       << ", \"by_fault\": [";
   for (std::size_t i = 0; i < a.faults.by_fault.size(); ++i) {
-    out << (i == 0 ? "" : ", ") << "{\"fault\": ";
-    json_string(out, a.faults.by_fault[i].first);
-    out << ", \"caused\": " << a.faults.by_fault[i].second << "}";
+    out << (i == 0 ? "" : ", ")
+        << "{\"fault\": " << json::quote(a.faults.by_fault[i].first)
+        << ", \"caused\": " << a.faults.by_fault[i].second << "}";
   }
   out << "]}";
 
@@ -343,13 +312,12 @@ std::string render_json(const RunReport& report,
     for (const obs::MetricsRegistry::Histogram* h :
          {&report.sched.queue_wait, &report.sched.dispatch,
           &report.sched.migration}) {
-      out << (first ? "\n" : ",\n") << "    {\"name\": ";
-      json_string(out, h->name);
-      out << ", \"count\": " << h->count << ", \"p50_ms\": "
-          << g17(h->quantile(0.50)) << ", \"p95_ms\": "
-          << g17(h->quantile(0.95)) << ", \"p99_ms\": "
-          << g17(h->quantile(0.99)) << ", \"p999_ms\": "
-          << g17(h->quantile(0.999)) << "}";
+      out << (first ? "\n" : ",\n") << "    {\"name\": " << json::quote(h->name)
+          << ", \"count\": " << h->count << ", \"p50_ms\": "
+          << json::number(h->quantile(0.50)) << ", \"p95_ms\": "
+          << json::number(h->quantile(0.95)) << ", \"p99_ms\": "
+          << json::number(h->quantile(0.99)) << ", \"p999_ms\": "
+          << json::number(h->quantile(0.999)) << "}";
       first = false;
     }
     out << "\n  ]";
@@ -359,9 +327,8 @@ std::string render_json(const RunReport& report,
 
   out << ",\n  \"counters\": {";
   for (std::size_t i = 0; i < report.counters.size(); ++i) {
-    out << (i == 0 ? "" : ", ");
-    json_string(out, report.counters[i].name);
-    out << ": " << g17(report.counters[i].value);
+    out << (i == 0 ? "" : ", ") << json::quote(report.counters[i].name)
+        << ": " << json::number(report.counters[i].value);
   }
   out << "}\n}\n";
   return out.str();
@@ -369,206 +336,11 @@ std::string render_json(const RunReport& report,
 
 namespace {
 
-/// Minimal recursive JSON value, just enough of RFC 8259 to walk
-/// render_json() output back into a ReportSummary.
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double num = 0.0;
-  std::string str;
-  std::vector<JsonValue> items;
-  std::vector<std::pair<std::string, JsonValue>> fields;
+using Kind = json::Value::Kind;
 
-  const JsonValue* find(std::string_view key) const {
-    for (const auto& [k, v] : fields) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-};
-
-class JsonReader {
- public:
-  explicit JsonReader(std::string_view text) : text_(text) {}
-
-  JsonValue parse() {
-    JsonValue v = value(0);
-    skip_ws();
-    if (pos_ != text_.size()) fail("trailing content after document");
-    return v;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& what) const {
-    throw std::invalid_argument("report json: " + what + " at offset " +
-                                std::to_string(pos_));
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-            text_[pos_] == '\n' || text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  char peek() {
-    if (pos_ >= text_.size()) fail("unexpected end of input");
-    return text_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) fail(std::string("expected '") + c + "'");
-    ++pos_;
-  }
-
-  bool consume_word(std::string_view word) {
-    if (text_.substr(pos_, word.size()) != word) return false;
-    pos_ += word.size();
-    return true;
-  }
-
-  /// `depth` counts the containers enclosing this value. render_json()
-  /// nests 5 deep; the cap keeps hostile input from overflowing the stack.
-  JsonValue value(int depth) {
-    static constexpr int kMaxDepth = 64;
-    skip_ws();
-    JsonValue v;
-    const char c = peek();
-    if ((c == '{' || c == '[') && depth >= kMaxDepth) {
-      fail("nesting deeper than " + std::to_string(kMaxDepth));
-    }
-    if (c == '{') {
-      v.kind = JsonValue::Kind::kObject;
-      ++pos_;
-      skip_ws();
-      if (peek() == '}') {
-        ++pos_;
-        return v;
-      }
-      while (true) {
-        skip_ws();
-        std::string key = string_body();
-        skip_ws();
-        expect(':');
-        v.fields.emplace_back(std::move(key), value(depth + 1));
-        skip_ws();
-        if (peek() == ',') {
-          ++pos_;
-          continue;
-        }
-        expect('}');
-        return v;
-      }
-    }
-    if (c == '[') {
-      v.kind = JsonValue::Kind::kArray;
-      ++pos_;
-      skip_ws();
-      if (peek() == ']') {
-        ++pos_;
-        return v;
-      }
-      while (true) {
-        v.items.push_back(value(depth + 1));
-        skip_ws();
-        if (peek() == ',') {
-          ++pos_;
-          continue;
-        }
-        expect(']');
-        return v;
-      }
-    }
-    if (c == '"') {
-      v.kind = JsonValue::Kind::kString;
-      v.str = string_body();
-      return v;
-    }
-    if (consume_word("true")) {
-      v.kind = JsonValue::Kind::kBool;
-      v.boolean = true;
-      return v;
-    }
-    if (consume_word("false")) {
-      v.kind = JsonValue::Kind::kBool;
-      return v;
-    }
-    if (consume_word("null")) return v;
-    // Number: delegate range/format checking to strtod.
-    const std::size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '-' || text_[pos_] == '+' || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == 'i' || text_[pos_] == 'n' || text_[pos_] == 'f')) {
-      ++pos_;
-    }
-    if (pos_ == start) fail("unexpected character");
-    const std::string num(text_.substr(start, pos_ - start));
-    char* end = nullptr;
-    v.kind = JsonValue::Kind::kNumber;
-    v.num = std::strtod(num.c_str(), &end);
-    if (end == nullptr || *end != '\0') {
-      pos_ = start;
-      fail("malformed number '" + num + "'");
-    }
-    return v;
-  }
-
-  std::string string_body() {
-    expect('"');
-    std::string out;
-    while (true) {
-      if (pos_ >= text_.size()) fail("unterminated string");
-      const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (pos_ >= text_.size()) fail("unterminated escape");
-      const char esc = text_[pos_++];
-      switch (esc) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'n': out += '\n'; break;
-        case 't': out += '\t'; break;
-        case 'r': out += '\r'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f')
-              code |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F')
-              code |= static_cast<unsigned>(h - 'A' + 10);
-            else fail("bad \\u escape digit");
-          }
-          // render_json only escapes control characters, so the code
-          // point always fits one byte.
-          out += static_cast<char>(code);
-          break;
-        }
-        default: fail("unknown escape");
-      }
-    }
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
-
-const JsonValue& require(const JsonValue& obj, std::string_view key,
-                         JsonValue::Kind kind, const char* what) {
-  const JsonValue* v = obj.find(key);
+const json::Value& require(const json::Value& obj, std::string_view key,
+                           Kind kind, const char* what) {
+  const json::Value* v = obj.find(key);
   if (v == nullptr || v->kind != kind) {
     throw std::invalid_argument("report json: missing or mistyped field '" +
                                 std::string(key) + "' (" + what + ")");
@@ -579,10 +351,10 @@ const JsonValue& require(const JsonValue& obj, std::string_view key,
 /// An integer field's value: a whole number that fits T. Anything else
 /// (inf, 1e300, 2.5) is a parse error, not an undefined cast.
 template <class T>
-T whole(const JsonValue& v, std::string_view key) {
+T whole(const json::Value& v, std::string_view key) {
   const double lo = static_cast<double>(std::numeric_limits<T>::min());
   const double hi = std::ldexp(1.0, std::numeric_limits<T>::digits);
-  if (v.kind != JsonValue::Kind::kNumber || !(v.num >= lo && v.num < hi) ||
+  if (v.kind != Kind::kNumber || !(v.num >= lo && v.num < hi) ||
       v.num != std::trunc(v.num)) {
     throw std::invalid_argument("report json: field '" + std::string(key) +
                                 "' is not a whole number in its range");
@@ -591,34 +363,34 @@ T whole(const JsonValue& v, std::string_view key) {
 }
 
 template <class T>
-T require_whole(const JsonValue& obj, std::string_view key,
+T require_whole(const json::Value& obj, std::string_view key,
                 const char* what) {
-  return whole<T>(require(obj, key, JsonValue::Kind::kNumber, what), key);
+  return whole<T>(require(obj, key, Kind::kNumber, what), key);
 }
 
 }  // namespace
 
 ReportSummary parse_report_json(const std::string& text) {
-  const JsonValue root = JsonReader(text).parse();
-  if (root.kind != JsonValue::Kind::kObject) {
+  const json::Value root = json::parse(text);
+  if (root.kind != Kind::kObject) {
     throw std::invalid_argument("report json: document is not an object");
   }
   ReportSummary s;
   s.command =
-      require(root, "command", JsonValue::Kind::kString, "provenance").str;
+      require(root, "command", Kind::kString, "provenance").str;
   s.records = require_whole<int>(root, "records", "record count");
   s.critical_path_ns =
-      require(root, "critical_path_ns", JsonValue::Kind::kNumber, "path span")
+      require(root, "critical_path_ns", Kind::kNumber, "path span")
           .num;
 
-  for (const JsonValue& row :
-       require(root, "classes", JsonValue::Kind::kArray, "class table")
+  for (const json::Value& row :
+       require(root, "classes", Kind::kArray, "class table")
            .items) {
     ReportSummary::ClassRow out;
     out.target = require_whole<int>(row, "target", "class row");
-    out.dir = require(row, "dir", JsonValue::Kind::kString, "class row").str;
-    for (const JsonValue& cls :
-         require(row, "classes", JsonValue::Kind::kArray, "class members")
+    out.dir = require(row, "dir", Kind::kString, "class row").str;
+    for (const json::Value& cls :
+         require(row, "classes", Kind::kArray, "class members")
              .items) {
       if (!out.classes.empty()) out.classes += ' ';
       out.classes += '{';
@@ -628,8 +400,8 @@ ReportSummary parse_report_json(const std::string& text) {
       }
       out.classes += '}';
     }
-    const JsonValue& avgs =
-        require(row, "avg_gbps", JsonValue::Kind::kArray, "class averages");
+    const json::Value& avgs =
+        require(row, "avg_gbps", Kind::kArray, "class averages");
     for (std::size_t i = 0; i < avgs.items.size(); ++i) {
       if (i != 0) out.avgs += " / ";
       out.avgs += fixed(avgs.items[i].num, 1);
@@ -637,34 +409,34 @@ ReportSummary parse_report_json(const std::string& text) {
     s.classes.push_back(std::move(out));
   }
 
-  for (const JsonValue& row :
-       require(root, "critical_path", JsonValue::Kind::kArray, "path")
+  for (const json::Value& row :
+       require(root, "critical_path", Kind::kArray, "path")
            .items) {
     ReportSummary::PathStep step;
     step.id = require_whole<obs::EventId>(row, "id", "path step");
-    step.name = require(row, "name", JsonValue::Kind::kString, "path step")
+    step.name = require(row, "name", Kind::kString, "path step")
                     .str;
     step.self_ns =
-        require(row, "self_ns", JsonValue::Kind::kNumber, "path step").num;
+        require(row, "self_ns", Kind::kNumber, "path step").num;
     step.outcome =
-        require(row, "outcome", JsonValue::Kind::kString, "path step").str;
+        require(row, "outcome", Kind::kString, "path step").str;
     s.critical_path.push_back(std::move(step));
   }
 
-  for (const JsonValue& row :
-       require(root, "span_kinds", JsonValue::Kind::kArray, "span table")
+  for (const json::Value& row :
+       require(root, "span_kinds", Kind::kArray, "span table")
            .items) {
     ReportSummary::SpanRow span;
     span.name =
-        require(row, "name", JsonValue::Kind::kString, "span kind").str;
+        require(row, "name", Kind::kString, "span kind").str;
     span.count = require_whole<int>(row, "count", "span kind");
     span.total_ns =
-        require(row, "total_ns", JsonValue::Kind::kNumber, "span kind").num;
+        require(row, "total_ns", Kind::kNumber, "span kind").num;
     s.span_kinds.push_back(std::move(span));
   }
 
-  const JsonValue& faults =
-      require(root, "faults", JsonValue::Kind::kObject, "fault audit");
+  const json::Value& faults =
+      require(root, "faults", Kind::kObject, "fault audit");
   s.fault_transitions = require_whole<int>(faults, "transitions", "faults");
   s.retries = require_whole<int>(faults, "retries", "faults");
   s.aborts = require_whole<int>(faults, "aborts", "faults");
@@ -672,21 +444,21 @@ ReportSummary parse_report_json(const std::string& text) {
 
   // §6 is newer than the format: absent (pre-profiling reports) parses
   // as an empty row set so old baselines keep diffing.
-  const JsonValue* sched = root.find("sched_latency");
-  if (sched != nullptr && sched->kind == JsonValue::Kind::kArray) {
-    for (const JsonValue& row : sched->items) {
+  const json::Value* sched = root.find("sched_latency");
+  if (sched != nullptr && sched->kind == Kind::kArray) {
+    for (const json::Value& row : sched->items) {
       ReportSummary::SchedRow r;
       r.name =
-          require(row, "name", JsonValue::Kind::kString, "sched row").str;
+          require(row, "name", Kind::kString, "sched row").str;
       r.count = require_whole<int>(row, "count", "sched row");
       r.p50_ms =
-          require(row, "p50_ms", JsonValue::Kind::kNumber, "sched row").num;
+          require(row, "p50_ms", Kind::kNumber, "sched row").num;
       r.p95_ms =
-          require(row, "p95_ms", JsonValue::Kind::kNumber, "sched row").num;
+          require(row, "p95_ms", Kind::kNumber, "sched row").num;
       r.p99_ms =
-          require(row, "p99_ms", JsonValue::Kind::kNumber, "sched row").num;
+          require(row, "p99_ms", Kind::kNumber, "sched row").num;
       r.p999_ms =
-          require(row, "p999_ms", JsonValue::Kind::kNumber, "sched row").num;
+          require(row, "p999_ms", Kind::kNumber, "sched row").num;
       s.sched_latency.push_back(std::move(r));
     }
   }

@@ -110,8 +110,9 @@ struct ReportSummary {
   std::vector<SchedRow> sched_latency;
 };
 
-/// Parses a render_json() document back into its diffable summary.
-/// Throws std::invalid_argument on malformed input.
+/// Parses a render_json() document back into its diffable summary,
+/// through the obs::json reader. Throws std::invalid_argument on
+/// malformed input.
 ReportSummary parse_report_json(const std::string& text);
 
 /// Renders the class-structure / critical-path / span / fault deltas

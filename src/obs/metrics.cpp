@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "obs/json.h"
 #include "obs/text.h"
 
 namespace numaio::obs {
@@ -14,16 +15,6 @@ namespace numaio::obs {
 namespace {
 
 using text::format_number;
-
-std::string json_string(std::string_view text) {
-  std::string out = "\"";
-  for (const char c : text) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  out += '"';
-  return out;
-}
 
 template <typename Vec>
 typename Vec::value_type* find_by_name(Vec& entries, std::string_view name) {
@@ -209,31 +200,31 @@ std::string MetricsRegistry::to_json() const {
   out << "{\n  \"counters\": {";
   bool first = true;
   for (const auto& [name, value] : counters) {
-    out << (first ? "\n" : ",\n") << "    " << json_string(name) << ": "
-        << format_number(value);
+    out << (first ? "\n" : ",\n") << "    " << json::quote(name) << ": "
+        << json::number(value);
     first = false;
   }
   out << (first ? "" : "\n  ") << "},\n  \"gauges\": {";
   first = true;
   for (const auto& [name, value] : gauges) {
-    out << (first ? "\n" : ",\n") << "    " << json_string(name) << ": "
-        << format_number(value);
+    out << (first ? "\n" : ",\n") << "    " << json::quote(name) << ": "
+        << json::number(value);
     first = false;
   }
   out << (first ? "" : "\n  ") << "},\n  \"histograms\": {";
   first = true;
   for (const auto& [name, h] : histograms) {
-    out << (first ? "\n" : ",\n") << "    " << json_string(name)
+    out << (first ? "\n" : ",\n") << "    " << json::quote(name)
         << ": {\"bounds\": [";
     for (std::size_t i = 0; i < h->bounds.size(); ++i) {
-      out << (i == 0 ? "" : ", ") << format_number(h->bounds[i]);
+      out << (i == 0 ? "" : ", ") << json::number(h->bounds[i]);
     }
     out << "], \"counts\": [";
     for (std::size_t i = 0; i < h->counts.size(); ++i) {
       out << (i == 0 ? "" : ", ") << h->counts[i];
     }
     out << "], \"count\": " << h->count
-        << ", \"sum\": " << format_number(h->sum) << "}";
+        << ", \"sum\": " << json::number(h->sum) << "}";
     first = false;
   }
   out << (first ? "" : "\n  ") << "}\n}\n";
@@ -294,166 +285,99 @@ std::string MetricsRegistry::summary() const {
 
 namespace {
 
-/// Minimal recursive-descent parser for the exact JSON subset to_json()
-/// emits (objects, arrays of numbers, string keys, numbers). Not a general
-/// JSON parser; rejects anything outside that subset.
-class JsonCursor {
- public:
-  explicit JsonCursor(const std::string& text) : text_(text) {}
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\n' || text_[pos_] == '\t' ||
-            text_[pos_] == '\r')) {
-      ++pos_;
-    }
+/// The number `v` holds; `name` is the metric it belongs to.
+double number_of(const json::Value& v, const std::string& name) {
+  if (v.kind != json::Value::Kind::kNumber) {
+    throw std::invalid_argument("metrics JSON: metric '" + name +
+                                "' holds a non-number");
   }
+  return v.num;
+}
 
-  bool try_consume(char c) {
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
+/// The numbers of array `v`; `name` is the histogram it belongs to.
+std::vector<double> numbers_of(const json::Value& v,
+                               const std::string& name) {
+  if (v.kind != json::Value::Kind::kArray) {
+    throw std::invalid_argument("metrics JSON: histogram '" + name +
+                                "' holds a non-array bounds or counts");
   }
-
-  void expect(char c) {
-    if (!try_consume(c)) {
-      throw std::invalid_argument("metrics JSON: expected '" +
-                                  std::string(1, c) + "' at offset " +
-                                  std::to_string(pos_));
-    }
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c == '\\' && pos_ < text_.size()) c = text_[pos_++];
-      out += c;
-    }
-    if (pos_ >= text_.size()) {
-      throw std::invalid_argument("metrics JSON: unterminated string");
-    }
-    ++pos_;  // closing quote
-    return out;
-  }
-
-  double parse_number() {
-    skip_ws();
-    double value = 0.0;
-    if (!text::read_number(text_, pos_, value)) {
-      throw std::invalid_argument("metrics JSON: expected number at offset " +
-                                  std::to_string(pos_));
-    }
-    return value;
-  }
-
-  std::vector<double> parse_number_array() {
-    std::vector<double> out;
-    expect('[');
-    if (try_consume(']')) return out;
-    do {
-      out.push_back(parse_number());
-    } while (try_consume(','));
-    expect(']');
-    return out;
-  }
-
-  bool at_end() {
-    skip_ws();
-    return pos_ >= text_.size();
-  }
-
- private:
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
+  std::vector<double> out;
+  out.reserve(v.items.size());
+  for (const json::Value& item : v.items) out.push_back(number_of(item, name));
+  return out;
+}
 
 }  // namespace
 
 MetricsRegistry parse_metrics_json(const std::string& text) {
+  const json::Value root = json::parse(text);
+  if (root.kind != json::Value::Kind::kObject) {
+    throw std::invalid_argument("metrics JSON: document is not an object");
+  }
   MetricsRegistry registry;
-  JsonCursor cur(text);
-  cur.expect('{');
-  bool first_section = true;
-  while (!cur.try_consume('}')) {
-    if (!first_section) cur.expect(',');
-    first_section = false;
-    const std::string section = cur.parse_string();
+  for (const auto& [section, entries] : root.fields) {
     if (section != "counters" && section != "gauges" &&
         section != "histograms") {
       throw std::invalid_argument("metrics JSON: unknown section '" +
                                   section + "'");
     }
-    cur.expect(':');
-    cur.expect('{');
-    bool first_entry = true;
-    while (!cur.try_consume('}')) {
-      if (!first_entry) cur.expect(',');
-      first_entry = false;
-      const std::string name = cur.parse_string();
-      cur.expect(':');
+    if (entries.kind != json::Value::Kind::kObject) {
+      throw std::invalid_argument("metrics JSON: section '" + section +
+                                  "' is not an object");
+    }
+    for (const auto& [name, value] : entries.fields) {
       if (section == "counters") {
-        registry.add(registry.counter(name), cur.parse_number());
-      } else if (section == "gauges") {
-        registry.set(registry.gauge(name), cur.parse_number());
-      } else if (section == "histograms") {
-        cur.expect('{');
-        std::vector<double> bounds;
-        std::vector<double> counts;
-        double sum = 0.0;
-        bool first_field = true;
-        while (!cur.try_consume('}')) {
-          if (!first_field) cur.expect(',');
-          first_field = false;
-          const std::string field = cur.parse_string();
-          cur.expect(':');
-          if (field == "bounds") {
-            bounds = cur.parse_number_array();
-          } else if (field == "counts") {
-            counts = cur.parse_number_array();
-          } else if (field == "count") {
-            cur.parse_number();  // redundant with the counts array
-          } else if (field == "sum") {
-            sum = cur.parse_number();
-          } else {
-            throw std::invalid_argument(
-                "metrics JSON: unknown histogram field '" + field + "'");
-          }
+        registry.add(registry.counter(name), number_of(value, name));
+        continue;
+      }
+      if (section == "gauges") {
+        registry.set(registry.gauge(name), number_of(value, name));
+        continue;
+      }
+      if (value.kind != json::Value::Kind::kObject) {
+        throw std::invalid_argument("metrics JSON: histogram '" + name +
+                                    "' is not an object");
+      }
+      std::vector<double> bounds;
+      std::vector<double> counts;
+      double sum = 0.0;
+      for (const auto& [field, v] : value.fields) {
+        if (field == "bounds") {
+          bounds = numbers_of(v, name);
+        } else if (field == "counts") {
+          counts = numbers_of(v, name);
+        } else if (field == "count") {
+          number_of(v, name);  // redundant with the counts array
+        } else if (field == "sum") {
+          sum = number_of(v, name);
+        } else {
+          throw std::invalid_argument(
+              "metrics JSON: unknown histogram field '" + field + "'");
         }
-        if (counts.size() != bounds.size() + 1) {
-          throw std::invalid_argument("metrics JSON: histogram '" + name +
-                                      "' counts/bounds size mismatch");
+      }
+      if (counts.size() != bounds.size() + 1) {
+        throw std::invalid_argument("metrics JSON: histogram '" + name +
+                                    "' counts/bounds size mismatch");
+      }
+      // Registering applies the rules every histogram obeys (non-empty,
+      // strictly ascending bounds; a name no counter or gauge holds).
+      MetricsRegistry::Histogram& h =
+          registry.histograms_[registry.histogram(name, std::move(bounds))];
+      h.sum += sum;
+      for (std::size_t i = 0; i < counts.size(); ++i) {
+        // Only a whole number in [0, 2^64) converts to uint64_t exactly;
+        // casting nan or 1e300 is undefined and 1.5 would truncate.
+        constexpr double kTwo64 = 18446744073709551616.0;
+        const double c = counts[i];
+        if (!(c >= 0.0 && c < kTwo64 && c == std::floor(c))) {
+          throw std::invalid_argument(
+              "metrics JSON: histogram '" + name + "' has bucket count " +
+              format_number(c) + ", not a whole number in [0, 2^64)");
         }
-        // Registering applies the rules every histogram obeys (non-empty,
-        // strictly ascending bounds; a name no counter or gauge holds).
-        MetricsRegistry::Histogram& h =
-            registry.histograms_[registry.histogram(name, std::move(bounds))];
-        h.sum += sum;
-        for (std::size_t i = 0; i < counts.size(); ++i) {
-          // Only a whole number in [0, 2^64) converts to uint64_t exactly;
-          // casting nan or 1e300 is undefined and 1.5 would truncate.
-          constexpr double kTwo64 = 18446744073709551616.0;
-          const double c = counts[i];
-          if (!(c >= 0.0 && c < kTwo64 && c == std::floor(c))) {
-            throw std::invalid_argument(
-                "metrics JSON: histogram '" + name + "' has bucket count " +
-                format_number(c) + ", not a whole number in [0, 2^64)");
-          }
-          h.counts[i] += static_cast<std::uint64_t>(c);
-          h.count += static_cast<std::uint64_t>(c);
-        }
-      } else {
-        throw std::invalid_argument("metrics JSON: unknown section '" +
-                                    section + "'");
+        h.counts[i] += static_cast<std::uint64_t>(c);
+        h.count += static_cast<std::uint64_t>(c);
       }
     }
-  }
-  if (!cur.at_end()) {
-    throw std::invalid_argument("metrics JSON: trailing content");
   }
   return registry;
 }

@@ -113,8 +113,8 @@ class MetricsRegistry {
 };
 
 /// Parses the JSON produced by MetricsRegistry::to_json() back into a
-/// registry (the CLI's `metrics --in` summary view). Throws
-/// std::invalid_argument on malformed input.
+/// registry (the CLI's `metrics --in` summary view), through the
+/// obs::json reader. Throws std::invalid_argument on malformed input.
 MetricsRegistry parse_metrics_json(const std::string& text);
 
 }  // namespace numaio::obs

@@ -1,6 +1,7 @@
 // Text rendering and number scanning shared by the obs serializers
-// (JsonlSink, CsvSink, the Chrome and Prometheus exporters, the metrics
-// JSON) and parsers (the JSONL trace cursor, parse_metrics_json).
+// (JsonlSink, CsvSink, the Chrome and Prometheus exporters, and through
+// obs/json.h the metrics JSON and run reports) and parsers (the JSONL
+// trace cursor and the obs::json reader).
 //
 // Internal to the obs layer: numaio.h does not export it. Each appender
 // writes into a caller-owned std::string, so a serializer renders a whole

@@ -1,16 +1,19 @@
 // Observability layer tests: span nesting and cause edges through
 // MemorySink, null-sink no-op guarantees, JSONL/CSV serialization,
-// histogram bucket-edge semantics, metrics JSON round-trip, scoped timers
-// and the known-metrics catalogue.
+// histogram bucket-edge semantics, metrics JSON round-trip, the shared
+// JSON reader, scoped timers and the known-metrics catalogue.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "obs/json.h"
 #include "obs/obs.h"
 
 namespace numaio::obs {
@@ -328,6 +331,106 @@ TEST(Metrics, EmptyRegistrySerializesAndSummarizes) {
   const MetricsRegistry parsed = parse_metrics_json(m.to_json());
   EXPECT_TRUE(parsed.empty());
   EXPECT_NE(m.summary().find("no metrics recorded"), std::string::npos);
+}
+
+TEST(Metrics, JsonDecodesStandardEscapes) {
+  // The metrics reader once kept the letter after a backslash, reading
+  // these names as "fleet.goodputu005frps" and "anb".
+  const MetricsRegistry parsed = parse_metrics_json(
+      "{\"gauges\": {\"fleet.goodput\\u005frps\": 1, \"a\\nb\": 2}}");
+  const std::vector<MetricsRegistry::NamedValue> gauges =
+      parsed.gauge_values();
+  ASSERT_EQ(gauges.size(), 2u);
+  EXPECT_EQ(gauges[0].name, "a\nb");
+  EXPECT_EQ(gauges[1].name, "fleet.goodput_rps");
+  EXPECT_EQ(parsed.value("fleet.goodput_rps"), 1.0);
+}
+
+TEST(Metrics, JsonEscapesControlCharactersInNames) {
+  MetricsRegistry m;
+  m.set(m.gauge(std::string("bell\x07tab\tnul") + '\0'), 3.0);
+  const std::string json = m.to_json();
+  // Raw control characters are invalid JSON; they go out escaped.
+  EXPECT_NE(json.find("\"bell\\u0007tab\\tnul\\u0000\""), std::string::npos)
+      << json;
+  EXPECT_TRUE(std::none_of(json.begin(), json.end(), [](char c) {
+    return static_cast<unsigned char>(c) < 0x20 && c != '\n';
+  }));
+  const MetricsRegistry parsed = parse_metrics_json(json);
+  EXPECT_EQ(parsed.to_json(), json);
+  EXPECT_EQ(parsed.value(std::string("bell\x07tab\tnul") + '\0'), 3.0);
+}
+
+TEST(Metrics, JsonNestingIsCappedAt64) {
+  const std::string doc =
+      "{\"gauges\": {\"x\": " + std::string(30000, '[');
+  try {
+    parse_metrics_json(doc);
+    FAIL() << "accepted 30,000 nested arrays";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("nesting deeper than 64"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+// --- the shared JSON reader and writer helpers -----------------------------
+
+TEST(Json, DecodesUnicodeEscapesAsUtf8) {
+  // U+00E9, U+20AC and U+1F600, the last as a surrogate pair.
+  EXPECT_EQ(json::parse("\"\\u00e9\\u20AC\\ud83d\\ude00\"").str,
+            "\xc3\xa9\xe2\x82\xac\xf0\x9f\x98\x80");
+  EXPECT_EQ(json::parse("\"\\\"\\\\\\/\\b\\f\\n\\r\\t\"").str,
+            "\"\\/\b\f\n\r\t");
+  for (const char* bad : {"\"\\ud83d\"", "\"\\ude00\"", "\"\\ud83d\\u0041\"",
+                          "\"\\u12\"", "\"\\u-123\"", "\"\\x41\""}) {
+    EXPECT_THROW(json::parse(bad), std::invalid_argument) << bad;
+  }
+}
+
+TEST(Json, NumbersFollowTheFromCharsGrammar) {
+  EXPECT_EQ(json::parse("-2.5e3").num, -2500.0);
+  EXPECT_TRUE(std::isinf(json::parse("inf").num));
+  EXPECT_TRUE(std::isnan(json::parse("nan").num));
+  for (const char* bad : {"+5", "0x10", "1e400", " -", "1e"}) {
+    EXPECT_THROW(json::parse(bad), std::invalid_argument) << bad;
+  }
+}
+
+TEST(Json, SyntaxErrorsNameTheByteOffset) {
+  try {
+    json::parse("{\"a\": 1 \"b\": 2}");
+    FAIL() << "accepted a missing comma";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("expected '}' at offset 8"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Json, ObjectsKeepMembersInDocumentOrder) {
+  const json::Value v =
+      json::parse("{\"b\": 1, \"a\": [true, null], \"b\": 2}");
+  ASSERT_EQ(v.kind, json::Value::Kind::kObject);
+  ASSERT_EQ(v.fields.size(), 3u);
+  EXPECT_EQ(v.fields[0].first, "b");
+  EXPECT_EQ(v.fields[1].first, "a");
+  EXPECT_EQ(v.find("b")->num, 1.0);  // the first of a duplicate key
+  const json::Value& a = *v.find("a");
+  ASSERT_EQ(a.items.size(), 2u);
+  EXPECT_TRUE(a.items[0].boolean);
+  EXPECT_EQ(a.items[1].kind, json::Value::Kind::kNull);
+  EXPECT_EQ(v.find("c"), nullptr);
+}
+
+TEST(Json, QuoteAndNumberWriteWhatParseReads) {
+  const std::string name = std::string("q\"b\\n\nc\x01") + '\x7f';
+  EXPECT_EQ(json::quote(name), "\"q\\\"b\\\\n\\nc\\u0001\x7f\"");
+  EXPECT_EQ(json::parse(json::quote(name)).str, name);
+  EXPECT_EQ(json::number(0.1), "0.10000000000000001");
+  EXPECT_EQ(json::number(-0.0), "-0");
+  EXPECT_EQ(json::number(1e300), "1.0000000000000001e+300");
+  EXPECT_EQ(json::parse(json::number(0.1)).num, 0.1);
 }
 
 // --- scoped timer ---------------------------------------------------------

@@ -296,6 +296,22 @@ TEST(ReportJson, DeepNestingIsAParseError) {
   }
 }
 
+TEST(ReportJson, NumbersFollowTheFromCharsGrammar) {
+  // Reports and metrics read numbers through one rule: no '+', no hex.
+  // strtod once let "records": +5 through.
+  const std::string base = report_document();
+  const std::string key = "\"records\": ";
+  const std::size_t at = base.find(key) + key.size();
+  const auto with = [&](const std::string& value) {
+    return base.substr(0, at) + value + base.substr(base.find(',', at));
+  };
+  EXPECT_EQ(model::parse_report_json(with("5")).records, 5);
+  for (const char* bad : {"+5", "0x10"}) {
+    EXPECT_THROW(model::parse_report_json(with(bad)), std::invalid_argument)
+        << bad;
+  }
+}
+
 TEST(ReportJson, IntegerFieldsRejectValuesTheirTypeCannotHold) {
   const std::string base = report_document();
   // Where the value of `key`'s first (or last) occurrence starts.
