@@ -39,16 +39,28 @@ UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
   "$BUILD_DIR/tests/numaio_tests" \
   --gtest_filter='TokenBucket*:*BoundedQueue*:CircuitBreaker*:AdmissionStatus*:FleetSim*:FleetScale*:*FleetProperty*:*AlarmEngine*:FaultPlanFile*'
 
+# The fluid simulation runs standalone too: every deferred transfer
+# start and control closure lives in its AlarmEngine's slot arena, and
+# aborts cancel pending starts through handles, so a stale handle or a
+# closure outliving its slot would surface here. The fio suite drives
+# deadlines, retries and aborts through it; RateTrace reads the
+# segments it records.
+ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
+UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
+  "$BUILD_DIR/tests/numaio_tests" \
+  --gtest_filter='*Fluid*:RateTrace.*:FioTest.*'
+
 # The trace text path runs standalone as well: the JSONL cursor reads
 # keys and strings as string_views into the line and the serializers
 # render into reused buffers, so an out-of-bounds read in the cursor or a
 # render buffer would hide here. Random round trips, mutation fuzz of
-# every text parser (fault plans included), number-grammar pins and the
-# metrics JSON round trip.
+# every text parser (fault plans included), number-grammar pins, the
+# metrics JSON round trip and the shared JSON reader (escape decoding,
+# the nesting cap, report parse-back).
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
 UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
   "$BUILD_DIR/tests/numaio_tests" \
-  --gtest_filter='*TraceRoundTrip*:*ParserFuzz*:ParseTraceJsonl*:Metrics.*'
+  --gtest_filter='*TraceRoundTrip*:*ParserFuzz*:ParseTraceJsonl*:Metrics.*:Json.*:ReportJson.*'
 
 # halt_on_error: the first sanitizer report fails the test run instead of
 # scrolling past; detect_leaks exercises the Host/Buffer ownership paths.
