@@ -54,13 +54,15 @@ UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
 # keys and strings as string_views into the line and the serializers
 # render into reused buffers, so an out-of-bounds read in the cursor or a
 # render buffer would hide here. Random round trips, mutation fuzz of
-# every text parser (fault plans included), number-grammar pins, the
+# every text parser (fault plans and the telemetry server's request
+# line included), number-grammar pins (the JSONL reader's and the
+# whole-token grammar of every other text input, format by format), the
 # metrics JSON round trip and the shared JSON reader (escape decoding,
 # the nesting cap, report parse-back).
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
 UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
   "$BUILD_DIR/tests/numaio_tests" \
-  --gtest_filter='*TraceRoundTrip*:*ParserFuzz*:ParseTraceJsonl*:Metrics.*:Json.*:ReportJson.*'
+  --gtest_filter='*TraceRoundTrip*:*ParserFuzz*:ParseTraceJsonl*:NumberGrammar.*:Metrics.*:Json.*:ReportJson.*'
 
 # halt_on_error: the first sanitizer report fails the test run instead of
 # scrolling past; detect_leaks exercises the Host/Buffer ownership paths.

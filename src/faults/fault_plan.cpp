@@ -1,14 +1,13 @@
 #include "faults/fault_plan.h"
 
-#include <cctype>
-#include <cerrno>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <limits>
 #include <map>
 #include <stdexcept>
+#include <string_view>
+#include <system_error>
 
+#include "obs/text.h"
 #include "simcore/rng.h"
 #include "simcore/status.h"
 
@@ -161,57 +160,6 @@ FaultPlan FaultPlan::random(const RandomPlanConfig& config) {
   return plan;
 }
 
-std::string FaultPlan::to_string() const {
-  std::string out;
-  char buf[160];
-  for (const FaultEvent& e : events_) {
-    switch (e.kind) {
-      case FaultKind::kLinkDegrade:
-      case FaultKind::kLinkFlap:
-        std::snprintf(buf, sizeof buf,
-                      "%-13s %d>%d start %.3fs dur %.3fs sev %.2f flaps %d\n",
-                      faults::to_string(e.kind), e.src, e.dst, e.start / 1e9,
-                      e.duration / 1e9, e.severity,
-                      e.kind == FaultKind::kLinkFlap ? e.flaps : 0);
-        break;
-      case FaultKind::kMcThrottle:
-      case FaultKind::kIrqStorm:
-        std::snprintf(buf, sizeof buf,
-                      "%-13s node %d start %.3fs dur %.3fs sev %.2f\n",
-                      faults::to_string(e.kind), e.node, e.start / 1e9,
-                      e.duration / 1e9, e.severity);
-        break;
-      case FaultKind::kDeviceStall:
-        std::snprintf(buf, sizeof buf,
-                      "%-13s device %d start %.3fs dur %.3fs\n",
-                      faults::to_string(e.kind), e.device, e.start / 1e9,
-                      e.duration / 1e9);
-        break;
-      case FaultKind::kMeasureNoise:
-        std::snprintf(buf, sizeof buf,
-                      "%-13s start %.3fs dur %.3fs amp %.2fx\n",
-                      faults::to_string(e.kind), e.start / 1e9,
-                      e.duration / 1e9, 1.0 + e.severity);
-        break;
-      case FaultKind::kHostCrash:
-      case FaultKind::kHostHang:
-        std::snprintf(buf, sizeof buf,
-                      "%-13s host %d start %.3fs dur %.3fs\n",
-                      faults::to_string(e.kind), e.host, e.start / 1e9,
-                      e.duration / 1e9);
-        break;
-      case FaultKind::kHostRecover:
-        std::snprintf(buf, sizeof buf,
-                      "%-13s host %d start %.3fs dur %.3fs sev %.2f\n",
-                      faults::to_string(e.kind), e.host, e.start / 1e9,
-                      e.duration / 1e9, e.severity);
-        break;
-    }
-    out += buf;
-  }
-  return out;
-}
-
 // ---------------------------------------------------------------------------
 // Plan file format (docs/FORMATS.md §6).
 
@@ -222,7 +170,7 @@ namespace {
                     "fault plan line " + std::to_string(line) + ": " + what);
 }
 
-bool parse_kind(const std::string& name, FaultKind* out) {
+bool parse_kind(std::string_view name, FaultKind* out) {
   static constexpr FaultKind kAll[] = {
       FaultKind::kLinkDegrade, FaultKind::kLinkFlap,
       FaultKind::kMcThrottle,  FaultKind::kDeviceStall,
@@ -239,72 +187,66 @@ bool parse_kind(const std::string& name, FaultKind* out) {
   return false;
 }
 
-int parse_int(const std::string& value, int line, const std::string& key) {
-  char* end = nullptr;
-  errno = 0;
-  const long v = std::strtol(value.c_str(), &end, 10);
-  if (value.empty() || end != value.c_str() + value.size()) {
-    parse_fail(line, "bad integer for '" + key + "': '" + value + "'");
+/// `value` read as a T by the shared number grammar (docs/FORMATS.md
+/// "Numbers"), or a parse error naming `key`: host=4294967297 does not
+/// fit an int, so it cannot wrap to host 1.
+template <typename T>
+T parse_value(std::string_view value, int line, const std::string& key) {
+  T v{};
+  const std::errc ec = obs::text::parse_number(value, v);
+  if (ec == std::errc::result_out_of_range) {
+    parse_fail(line, "number out of range for '" + key + "': '" +
+                         std::string(value) + "'");
   }
-  // A narrowing cast would wrap host=4294967297 to host 1.
-  if (errno == ERANGE || v < std::numeric_limits<int>::min() ||
-      v > std::numeric_limits<int>::max()) {
-    parse_fail(line, "integer out of range for '" + key + "': '" + value +
+  if (ec != std::errc()) {
+    parse_fail(line, "bad number for '" + key + "': '" + std::string(value) +
                          "'");
-  }
-  return static_cast<int>(v);
-}
-
-double parse_double(const std::string& value, int line,
-                    const std::string& key) {
-  char* end = nullptr;
-  const double v = std::strtod(value.c_str(), &end);
-  if (value.empty() || end != value.c_str() + value.size() ||
-      !std::isfinite(v)) {
-    parse_fail(line, "bad number for '" + key + "': '" + value + "'");
   }
   return v;
 }
 
 /// A time value with an optional s/ms/us/ns suffix; bare numbers are
 /// seconds. Returns nanoseconds.
-double parse_time(const std::string& value, int line, const std::string& key) {
-  double scale = 1e9;  // bare == seconds
-  std::string digits = value;
-  auto ends_with = [&](const char* suffix) {
-    const std::size_t n = std::string(suffix).size();
-    return digits.size() > n &&
-           digits.compare(digits.size() - n, n, suffix) == 0;
+double parse_time(std::string_view value, int line, const std::string& key) {
+  struct Unit {
+    std::string_view suffix;
+    double scale;
   };
-  if (ends_with("ns")) {
-    scale = 1.0;
-    digits.resize(digits.size() - 2);
-  } else if (ends_with("us")) {
-    scale = 1e3;
-    digits.resize(digits.size() - 2);
-  } else if (ends_with("ms")) {
-    scale = 1e6;
-    digits.resize(digits.size() - 2);
-  } else if (ends_with("s")) {
-    scale = 1e9;
-    digits.resize(digits.size() - 1);
+  static constexpr Unit kUnits[] = {
+      {"ns", 1.0}, {"us", 1e3}, {"ms", 1e6}, {"s", 1e9}};
+  double scale = 1e9;  // bare == seconds
+  std::string_view number = value;
+  for (const Unit& unit : kUnits) {
+    if (number.ends_with(unit.suffix)) {
+      number.remove_suffix(unit.suffix.size());
+      scale = unit.scale;
+      break;
+    }
   }
-  const double ns = parse_double(digits, line, key) * scale;
+  const double ns = parse_value<double>(number, line, key) * scale;
   // start=1e300s is finite in seconds but not in nanoseconds.
   if (!std::isfinite(ns)) {
-    parse_fail(line, "time out of range for '" + key + "': '" + value + "'");
+    parse_fail(line, "time out of range for '" + key + "': '" +
+                         std::string(value) + "'");
   }
   return ns;
 }
 
-/// Shortest decimal rendering that strtod parses back to the same double.
+/// Shortest of printf's %.15g, %.16g and %.17g that reads back to `v`.
 std::string round_trip_double(double v) {
   char buf[40];
+  std::string_view text;
   for (int precision : {15, 16, 17}) {
-    std::snprintf(buf, sizeof buf, "%.*g", precision, v);
-    if (std::strtod(buf, nullptr) == v) break;
+    const char* end = std::to_chars(buf, buf + sizeof buf, v,
+                                    std::chars_format::general, precision)
+                          .ptr;
+    text = std::string_view(buf, static_cast<std::size_t>(end - buf));
+    double back = 0.0;
+    if (obs::text::parse_number(text, back) == std::errc() && back == v) {
+      break;
+    }
   }
-  return buf;
+  return std::string(text);
 }
 
 }  // namespace
@@ -322,34 +264,22 @@ FaultPlan parse_fault_plan(const std::string& text) {
     const std::size_t hash = line.find('#');
     if (hash != std::string::npos) line.resize(hash);
 
-    // Tokenize on whitespace.
-    std::vector<std::string> tokens;
-    std::size_t i = 0;
-    while (i < line.size()) {
-      while (i < line.size() && std::isspace(static_cast<unsigned char>(
-                                    line[i]))) {
-        ++i;
-      }
-      std::size_t start = i;
-      while (i < line.size() && !std::isspace(static_cast<unsigned char>(
-                                     line[i]))) {
-        ++i;
-      }
-      if (i > start) tokens.push_back(line.substr(start, i - start));
-    }
+    const std::vector<std::string_view> tokens = obs::text::split_words(line);
     if (tokens.empty()) continue;
 
     FaultEvent e;
     if (!parse_kind(tokens[0], &e.kind)) {
-      parse_fail(line_no, "unknown fault kind '" + tokens[0] + "'");
+      parse_fail(line_no,
+                 "unknown fault kind '" + std::string(tokens[0]) + "'");
     }
-    std::map<std::string, std::string> kv;
+    std::map<std::string, std::string_view> kv;
     for (std::size_t t = 1; t < tokens.size(); ++t) {
       const std::size_t eq = tokens[t].find('=');
       if (eq == std::string::npos || eq == 0) {
-        parse_fail(line_no, "expected key=value, got '" + tokens[t] + "'");
+        parse_fail(line_no, "expected key=value, got '" +
+                                std::string(tokens[t]) + "'");
       }
-      const std::string key = tokens[t].substr(0, eq);
+      const std::string key(tokens[t].substr(0, eq));
       if (!kv.emplace(key, tokens[t].substr(eq + 1)).second) {
         parse_fail(line_no, "duplicate key '" + key + "'");
       }
@@ -360,19 +290,19 @@ FaultPlan parse_fault_plan(const std::string& text) {
       } else if (key == "dur") {
         e.duration = parse_time(value, line_no, key);
       } else if (key == "src") {
-        e.src = parse_int(value, line_no, key);
+        e.src = parse_value<int>(value, line_no, key);
       } else if (key == "dst") {
-        e.dst = parse_int(value, line_no, key);
+        e.dst = parse_value<int>(value, line_no, key);
       } else if (key == "node") {
-        e.node = parse_int(value, line_no, key);
+        e.node = parse_value<int>(value, line_no, key);
       } else if (key == "device") {
-        e.device = parse_int(value, line_no, key);
+        e.device = parse_value<int>(value, line_no, key);
       } else if (key == "host") {
-        e.host = parse_int(value, line_no, key);
+        e.host = parse_value<int>(value, line_no, key);
       } else if (key == "sev") {
-        e.severity = parse_double(value, line_no, key);
+        e.severity = parse_value<double>(value, line_no, key);
       } else if (key == "flaps") {
-        e.flaps = parse_int(value, line_no, key);
+        e.flaps = parse_value<int>(value, line_no, key);
       } else {
         parse_fail(line_no, "unknown key '" + key + "'");
       }

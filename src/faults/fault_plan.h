@@ -107,9 +107,6 @@ class FaultPlan {
   /// num_devices) alongside the event-distribution knobs.
   static FaultPlan random(const RandomPlanConfig& config);
 
-  /// Deterministic one-line-per-event rendering (for logs and tests).
-  std::string to_string() const;
-
  private:
   std::vector<FaultEvent> events_;
 };
@@ -118,9 +115,10 @@ class FaultPlan {
 /// line, `<kind> key=value ...`, `#` comments and blank lines skipped.
 /// Durations accept s/ms/us/ns suffixes (bare numbers are seconds).
 /// Throws numaio::StatusError(kParse) with the offending line number on a
-/// duplicate key, an unknown kind or key, a missing required key, an
-/// unparseable value, an integer outside int's range or a time that is
-/// not finite in nanoseconds. Otherwise syntax only — range errors (zero
+/// duplicate key, an unknown kind or key, a missing required key, a
+/// value outside the number grammar (docs/FORMATS.md "Numbers"), an
+/// integer outside int's range or a time that is not finite in
+/// nanoseconds. Otherwise syntax only — range errors (zero
 /// durations, bad ids) are FaultPlan::validate's job.
 FaultPlan parse_fault_plan(const std::string& text);
 

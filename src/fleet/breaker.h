@@ -64,11 +64,9 @@ class CircuitBreaker {
   sim::Ns reopen_at() const { return opened_at_ + config_.open_cooldown; }
   int trips() const { return trips_; }
 
-  /// p99 of the latency window; 0 when the window is not yet full.
-  /// Public so host class summaries (fleet/placement.h) can report it.
-  sim::Ns window_p99() const;
-
  private:
+  /// p99 of the latency window; 0 when the window is not yet full.
+  sim::Ns window_p99() const;
   void transition(BreakerState to, sim::Ns now, const char* reason);
 
   BreakerConfig config_;

@@ -799,23 +799,18 @@ class FleetRuntime {
   }
 
   // --- dispatch ----------------------------------------------------------
-  /// Rebuilds the class placer's host-class table from coarse summaries
-  /// (capacity under the current fault factor, free slots, breaker
-  /// admission, windowed p99). Called lazily from pick_host when the
-  /// table is past its staleness bound — never per dispatch.
+  /// Rebuilds the class placer's host-class table from each host's
+  /// capacity under its current fault factor. Called lazily from
+  /// pick_host when the table is past its staleness bound — never per
+  /// dispatch.
   void refresh_summaries(sim::Ns now) {
-    summaries_.clear();
+    std::vector<double> capacity;
+    capacity.reserve(hosts_.size());
     for (int h = 0; h < config_.num_hosts; ++h) {
-      const HostState& hs = hosts_[static_cast<std::size_t>(h)];
-      HostSummary s;
-      s.capacity_gbps = hs.coarse_capacity * host_factor(h, now);
-      s.free_slots = config_.max_inflight_per_host -
-                     static_cast<int>(hs.inflight.size());
-      s.admitting = hs.breaker.can_accept(now);
-      s.window_p99 = hs.breaker.window_p99();
-      summaries_.push_back(s);
+      capacity.push_back(hosts_[static_cast<std::size_t>(h)].coarse_capacity *
+                         host_factor(h, now));
     }
-    placer_.refresh(summaries_, now);
+    placer_.refresh(capacity, now);
     if (obs_ != nullptr) {
       obs_->metrics.add(m_summary_refreshes_);
       obs_->metrics.set(g_class_count_, placer_.num_classes());
@@ -1066,7 +1061,6 @@ class FleetRuntime {
   double coarse_capacity_[2] = {0.0, 0.0};  ///< Gbps an unloaded host serves.
   std::vector<topo::NodeId> serve_nodes_[2];  ///< Class-1 nodes (rr).
   std::size_t node_rr_ = 0;
-  std::vector<HostSummary> summaries_;  ///< Scratch per refresh.
   std::vector<int> scratch_load_;       ///< Scratch per pick.
   std::vector<double> placement_lat_;   ///< Admission -> first dispatch.
   obs::SpanId run_span_ = 0;

@@ -108,9 +108,9 @@ struct FleetConfig {
   sim::Ns batch_window = 0.0;
   ServiceModel service_model = ServiceModel::kFluid;
   PlacementPolicy placement = PlacementPolicy::kLeastLoaded;
-  /// kClassSpread summary staleness bound: host class summaries
-  /// (capacity head-room, breaker state, windowed p99) refresh at most
-  /// once per this much simulated time, pulled lazily at placement.
+  /// kClassSpread staleness bound: the host class table (each host's
+  /// effective capacity) refreshes at most once per this much simulated
+  /// time, pulled lazily at placement.
   sim::Ns summary_refresh = 50.0e6;
   /// 0 keeps the uniform DL585 fleet. k > 0 gives every k-th host
   /// (h % k == k - 1) the lite SKU (io::Testbed::dl585_lite — a

@@ -6,15 +6,11 @@
 
 namespace numaio::fleet {
 
-void ClassPlacer::refresh(std::span<const HostSummary> summaries,
+void ClassPlacer::refresh(std::span<const double> capacity_gbps,
                           sim::Ns now) {
-  assert(static_cast<int>(summaries.size()) == num_hosts_);
-  std::vector<double> capacity(summaries.size());
-  for (std::size_t h = 0; h < summaries.size(); ++h) {
-    capacity[h] = summaries[h].capacity_gbps;
-  }
+  assert(static_cast<int>(capacity_gbps.size()) == num_hosts_);
   const std::vector<int> class_of =
-      model::gap_classes(capacity, config_.rel_gap);
+      model::gap_classes(capacity_gbps, config_.rel_gap);
   int num = 0;
   for (const int c : class_of) num = num > c + 1 ? num : c + 1;
   classes_.assign(static_cast<std::size_t>(num), {});

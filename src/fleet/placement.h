@@ -5,11 +5,10 @@
 // spread round-robin *across* classes and least-loaded *within* one.
 // Hosts are partitioned by the same §V-A gap clustering the NUMA
 // classifier uses (model::gap_classes), driven not by live per-request
-// state but by coarse per-host summaries — capacity head-room, breaker
-// admission, windowed p99 — refreshed on a cadence. Placement between
-// refreshes consults the (possibly stale) class table; the staleness
-// bound is FleetConfig::summary_refresh and the contract is spelled out
-// in DESIGN.md §12.
+// state but by each host's effective capacity, sampled on a cadence.
+// Placement between refreshes consults the (possibly stale) class table;
+// the staleness bound is FleetConfig::summary_refresh and the contract
+// is spelled out in DESIGN.md §12.
 #pragma once
 
 #include <functional>
@@ -19,14 +18,6 @@
 #include "simcore/units.h"
 
 namespace numaio::fleet {
-
-/// Coarse per-host view, refreshed on the summary cadence.
-struct HostSummary {
-  double capacity_gbps = 0.0;  ///< Effective capacity (degrades on faults).
-  int free_slots = 0;          ///< Inflight head-room at refresh time.
-  bool admitting = true;       ///< Breaker would admit at refresh time.
-  sim::Ns window_p99 = 0.0;    ///< Breaker's windowed p99 (0 = not full).
-};
 
 struct PlacerConfig {
   /// Relative capacity gap that opens a new host class (§V-A walk).
@@ -45,9 +36,10 @@ class ClassPlacer {
     return !refreshed_ || now - last_refresh_ >= config_.refresh_period;
   }
 
-  /// Rebuilds the class table from fresh summaries (one per host).
-  /// Classes are ordered fastest first; host ids ascend within a class.
-  void refresh(std::span<const HostSummary> summaries, sim::Ns now);
+  /// Rebuilds the class table from each host's effective capacity (one
+  /// per host, degraded by faults). Classes are ordered fastest first;
+  /// host ids ascend within a class.
+  void refresh(std::span<const double> capacity_gbps, sim::Ns now);
 
   /// Picks a host: starting from the round-robin cursor class, take the
   /// least-loaded eligible host (ties: lower id) of the first class that

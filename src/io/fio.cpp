@@ -66,6 +66,29 @@ struct StreamSetup {
   obs::SpanId span = 0;          ///< `fio.stream` trace span, 0 = untraced.
 };
 
+/// One stream's options under the job's iodepth and I/O submission mode,
+/// the part of stream setup run_timed and diagnose share. The mode only
+/// matters on queue-depth devices, i.e. the SSD engines: buffered mode
+/// adds a kernel copy in front of the DMA, sync mode collapses the queue
+/// to one request in flight (§IV-B3: buffered and synchronous modes
+/// "perform much worse").
+StreamOptions stream_options(const FioJob& job, const EngineSpec& spec) {
+  StreamOptions options;
+  options.iodepth = job.iodepth;
+  const bool queue_depth_device = spec.per_iodepth_gbps > 0.0;
+  const bool buffered = job.io_mode == IoMode::kAsyncBuffered ||
+                        job.io_mode == IoMode::kSyncBuffered;
+  const bool synchronous = job.io_mode == IoMode::kSyncDirect ||
+                           job.io_mode == IoMode::kSyncBuffered;
+  if (queue_depth_device && buffered) {
+    options.rho_factor *= 0.55;            // page-cache copy in the path
+    options.stream_cap_factor *= 0.7;      // copy latency per request
+    options.extra_cpu_app_per_gbps = 0.5;  // the copy burns CPU
+  }
+  options.synchronous = queue_depth_device && synchronous;
+  return options;
+}
+
 }  // namespace
 
 StreamShape shape_stream(fabric::Machine& machine, const StreamSpec& spec) {
@@ -252,25 +275,7 @@ std::vector<FioResult> FioRunner::run_timed(
           job.block_size * static_cast<sim::Bytes>(job.iodepth),
           job.mem_policy, job.cpu_node);
 
-      StreamOptions options;
-      options.iodepth = job.iodepth;
-
-      // I/O submission mode (meaningful for queue-depth devices, i.e. the
-      // SSD engines): buffered mode adds a kernel copy in front of the
-      // DMA, sync mode collapses the queue to one request in flight
-      // (§IV-B3: buffered and synchronous modes "perform much worse").
-      const bool queue_depth_device = spec.per_iodepth_gbps > 0.0;
-      const bool buffered = job.io_mode == IoMode::kAsyncBuffered ||
-                            job.io_mode == IoMode::kSyncBuffered;
-      const bool synchronous = job.io_mode == IoMode::kSyncDirect ||
-                               job.io_mode == IoMode::kSyncBuffered;
-      if (queue_depth_device && buffered) {
-        options.rho_factor *= 0.55;            // page-cache copy in the path
-        options.stream_cap_factor *= 0.7;      // copy latency per request
-        options.extra_cpu_app_per_gbps = 0.5;  // the copy burns CPU
-      }
-      options.synchronous = queue_depth_device && synchronous;
-
+      StreamOptions options = stream_options(job, spec);
       if (spec.jitter_stddev > 0.0 &&
           job.num_streams > spec.jitter_threshold) {
         // Contention above ~4 streams wobbles both the engine-level
@@ -561,9 +566,9 @@ std::vector<FioRunner::ResourceLoad> FioRunner::diagnose(const FioJob& job) {
   fabric::Machine& machine = host_.machine();
   auto& solver = machine.solver();
 
-  // Reuse the full setup path with zero-byte... instead: build the job's
-  // stream shapes exactly as run_timed would (no jitter: diagnosis is a
-  // steady-state question) and add them as plain flows.
+  // The job's stream shapes as run_timed builds them, without the
+  // contention jitter (diagnosis is a steady-state question), added as
+  // plain flows.
   if (job.devices.empty()) {
     throw std::invalid_argument("FioJob needs at least one device");
   }
@@ -576,14 +581,12 @@ std::vector<FioRunner::ResourceLoad> FioRunner::diagnose(const FioJob& job) {
     buffers.push_back(host_.alloc_with_policy(
         job.block_size * static_cast<sim::Bytes>(job.iodepth),
         job.mem_policy, job.cpu_node));
-    StreamOptions options;
-    options.iodepth = job.iodepth;
     StreamSpec spec;
     spec.device = device;
     spec.engine = job.engine;
     spec.cpu_node = job.cpu_node;
     spec.placements = buffers.back().placement;
-    spec.options = options;
+    spec.options = stream_options(job, device->engine(job.engine));
     const StreamShape shape = shape_stream(machine, spec);
     flows.push_back(solver.add_flow(shape.usages, shape.rate_cap));
     usages.push_back(shape.usages);

@@ -2,14 +2,17 @@
 
 #include <algorithm>
 #include <cctype>
+#include <fstream>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
-
-#include <fstream>
+#include <string_view>
+#include <system_error>
 
 #include "io/nic.h"
 #include "io/ssd.h"
+#include "nm/policy.h"
+#include "obs/text.h"
 #include "simcore/status.h"
 
 namespace numaio::io {
@@ -63,26 +66,19 @@ void mark_seen(Section& s, const std::string& canonical, int line) {
   s.seen.push_back(canonical);
 }
 
-/// Strict integer parse: whole string, no stray characters, bounded.
-/// std::stoi alone would accept "16abc" and throw context-free errors on
-/// garbage; this always fails with the line number and the allowed range.
-int parse_int(const std::string& value, int line, const std::string& key,
-              int min, int max) {
-  long v = 0;
-  std::size_t pos = 0;
-  try {
-    v = std::stol(value, &pos);
-  } catch (const std::exception&) {
-    fail(line, "'" + key + "' wants an integer, got '" + value + "'");
-  }
-  if (pos != value.size()) {
+/// An integer in [min, max] under the shared number grammar
+/// (docs/FORMATS.md "Numbers"), or a failure naming the line and key.
+int bounded_int(const std::string& value, int line, const std::string& key,
+                int min, int max) {
+  int v = 0;
+  if (obs::text::parse_number(value, v) != std::errc()) {
     fail(line, "'" + key + "' wants an integer, got '" + value + "'");
   }
   if (v < min || v > max) {
     fail(line, "'" + key + "' out of range [" + std::to_string(min) + ", " +
                    std::to_string(max) + "], got " + value);
   }
-  return static_cast<int>(v);
+  return v;
 }
 
 /// parse_size with the line number attached to any failure.
@@ -115,17 +111,17 @@ void apply_key(Section& s, const std::string& key, const std::string& value,
     s.block_size = parse_size_at(value, line, "bs", 512, sim::kGiB);
   } else if (key == "iodepth") {
     mark_seen(s, "iodepth", line);
-    s.iodepth = parse_int(value, line, "iodepth", 1, 4096);
+    s.iodepth = bounded_int(value, line, "iodepth", 1, 4096);
   } else if (key == "size") {
     mark_seen(s, "size", line);
     s.size = parse_size_at(value, line, "size", 1,
                            sim::Bytes{1} << 50);  // 1 PiB ceiling
   } else if (key == "numjobs") {
     mark_seen(s, "numjobs", line);
-    s.numjobs = parse_int(value, line, "numjobs", 1, 1024);
+    s.numjobs = bounded_int(value, line, "numjobs", 1, 1024);
   } else if (key == "cpunodebind" || key == "numa_cpu_nodes") {
     mark_seen(s, "cpunodebind", line);
-    s.cpu_node = parse_int(value, line, "cpunodebind", 0, 1023);
+    s.cpu_node = bounded_int(value, line, "cpunodebind", 0, nm::kMaxNodeId);
     s.has_cpu_node = true;
   } else {
     fail(line, "unknown option '" + key + "'");
@@ -169,36 +165,27 @@ std::string engine_name(const Section& s) {
 
 sim::Bytes parse_size(const std::string& text) {
   const std::string t = trim(lower(text));
-  if (t.empty()) throw std::invalid_argument("empty size literal");
+  std::string_view digits = t;
   sim::Bytes multiplier = 1;
-  std::string digits = t;
-  const char suffix = t.back();
-  if (suffix == 'k') {
-    multiplier = sim::kKiB;
-    digits = t.substr(0, t.size() - 1);
-  } else if (suffix == 'm') {
-    multiplier = sim::kMiB;
-    digits = t.substr(0, t.size() - 1);
-  } else if (suffix == 'g') {
-    multiplier = sim::kGiB;
-    digits = t.substr(0, t.size() - 1);
-  }
-  if (digits.empty() ||
-      !std::all_of(digits.begin(), digits.end(),
-                   [](unsigned char c) { return std::isdigit(c); })) {
-    throw std::invalid_argument("bad size literal '" + text + "'");
+  if (!digits.empty()) {
+    switch (digits.back()) {
+      case 'k': multiplier = sim::kKiB; break;
+      case 'm': multiplier = sim::kMiB; break;
+      case 'g': multiplier = sim::kGiB; break;
+      default: break;
+    }
+    if (multiplier > 1) digits.remove_suffix(1);
   }
   sim::Bytes value = 0;
-  try {
-    value = static_cast<sim::Bytes>(std::stoull(digits));
-  } catch (const std::out_of_range&) {
+  const std::errc ec = obs::text::parse_number(digits, value);
+  if (ec == std::errc::result_out_of_range ||
+      (ec == std::errc() &&
+       value > std::numeric_limits<sim::Bytes>::max() / multiplier)) {
     throw std::invalid_argument("size literal '" + text +
                                 "' overflows 64 bits");
   }
-  if (multiplier > 1 &&
-      value > std::numeric_limits<sim::Bytes>::max() / multiplier) {
-    throw std::invalid_argument("size literal '" + text +
-                                "' overflows 64 bits");
+  if (ec != std::errc()) {
+    throw std::invalid_argument("bad size literal '" + text + "'");
   }
   return value * multiplier;
 }
@@ -248,13 +235,7 @@ JobFile parse_job_file(const std::string& text) {
     if (current == nullptr) {
       fail(line_no, "option before any section header");
     }
-    try {
-      apply_key(*current, key, value, line_no);
-    } catch (const std::invalid_argument&) {
-      throw;
-    } catch (const std::exception&) {
-      fail(line_no, "bad value '" + value + "' for '" + key + "'");
-    }
+    apply_key(*current, key, value, line_no);
   }
 
   if (sections.empty()) {

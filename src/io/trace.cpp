@@ -1,19 +1,37 @@
 #include "io/trace.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <system_error>
 
 #include "io/ssd.h"
+#include "obs/text.h"
+#include "simcore/status.h"
 
 namespace numaio::io {
 
 namespace {
 
 [[noreturn]] void fail(int line, const std::string& what) {
-  throw std::invalid_argument("trace line " + std::to_string(line) + ": " +
-                              what);
+  throw StatusError(StatusCode::kParse,
+                    "trace line " + std::to_string(line) + ": " + what);
+}
+
+/// `field` read into `value` by the shared number grammar
+/// (docs/FORMATS.md "Numbers"), or a failure naming the line.
+template <typename T>
+void read_field(std::string_view field, int line, T& value) {
+  const std::errc ec = obs::text::parse_number(field, value);
+  if (ec == std::errc::result_out_of_range) {
+    fail(line, "number out of range '" + std::string(field) + "'");
+  }
+  if (ec != std::errc()) {
+    fail(line, "malformed number '" + std::string(field) + "'");
+  }
 }
 
 }  // namespace
@@ -34,30 +52,28 @@ std::vector<TraceEntry> parse_trace(const std::string& text) {
     const auto last = line.find_last_not_of(" \t\r");
     line = line.substr(first, last - first + 1);
 
-    std::stringstream fields(line);
-    std::string time_s, engine, node_s, gib_s;
-    if (!std::getline(fields, time_s, ',') ||
-        !std::getline(fields, engine, ',') ||
-        !std::getline(fields, node_s, ',') ||
-        !std::getline(fields, gib_s)) {
+    std::vector<std::string_view> fields;
+    for (std::size_t pos = 0; pos <= line.size();) {
+      const std::size_t comma = std::min(line.find(',', pos), line.size());
+      fields.push_back(std::string_view(line).substr(pos, comma - pos));
+      pos = comma + 1;
+    }
+    if (fields.size() != 4) {
       fail(line_no, "expected time_s,engine,cpu_node,gib");
     }
     TraceEntry entry;
-    double bytes = 0.0;
-    try {
-      entry.arrival = std::stod(time_s) * 1e9;
-      entry.cpu_node = std::stoi(node_s);
-      bytes = std::stod(gib_s) * static_cast<double>(sim::kGiB);
-    } catch (const std::invalid_argument&) {
-      fail(line_no, "malformed number");
-    } catch (const std::out_of_range&) {
-      fail(line_no, "number out of range");
-    }
+    double time_s = 0.0;
+    double gib = 0.0;
+    read_field(fields[0], line_no, time_s);
+    read_field(fields[2], line_no, entry.cpu_node);
+    read_field(fields[3], line_no, gib);
+    entry.arrival = time_s * 1e9;
+    const double bytes = gib * static_cast<double>(sim::kGiB);
     if (!std::isfinite(entry.arrival) || entry.arrival < 0.0) {
       fail(line_no, "arrival time must be finite and >= 0");
     }
     // At least one byte, and below 2^64 so the sim::Bytes cast is
-    // defined; the negated test rejects NaN too.
+    // defined.
     if (!(bytes >= 1.0 && bytes < 18446744073709551616.0)) {
       fail(line_no, "payload must be at least 1 byte and below 2^64 bytes");
     }
@@ -65,11 +81,11 @@ std::vector<TraceEntry> parse_trace(const std::string& text) {
     if (entry.cpu_node < 0) fail(line_no, "negative node");
     if (entry.arrival < prev) fail(line_no, "arrivals must be sorted");
     prev = entry.arrival;
-    entry.engine = engine;
+    entry.engine = fields[1];
     entries.push_back(std::move(entry));
   }
   if (entries.empty()) {
-    throw std::invalid_argument("trace contains no requests");
+    throw StatusError(StatusCode::kParse, "trace contains no requests");
   }
   return entries;
 }

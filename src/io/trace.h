@@ -26,7 +26,10 @@ struct TraceEntry {
   sim::Bytes bytes = 0;
 };
 
-/// Parses the CSV text; throws std::invalid_argument with line numbers.
+/// Parses the CSV text; numbers follow the shared grammar
+/// (docs/FORMATS.md "Numbers"). Throws StatusError (StatusCode::kParse,
+/// which is-a std::invalid_argument) with a line number on malformed
+/// input.
 std::vector<TraceEntry> parse_trace(const std::string& text);
 
 /// Renders entries back to CSV (header comment included). Round-trips

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -10,8 +9,11 @@
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <system_error>
 
+#include "nm/policy.h"
+#include "obs/text.h"
 #include "simcore/status.h"
 
 namespace numaio::model {
@@ -251,6 +253,19 @@ HostModel parse_host_model(const std::string& text) {
     }
     return false;
   };
+  // `word` as an int in [min, max] by the shared number grammar
+  // (docs/FORMATS.md "Numbers"), or a failure naming the `what`.
+  auto read_int = [&line_no](std::string_view word, int min, int max,
+                             const char* what) {
+    int v = 0;
+    if (obs::text::parse_number(word, v) != std::errc() || v < min ||
+        v > max) {
+      fail(line_no, "bad " + std::string(what) + " '" + std::string(word) +
+                        "', want " + std::to_string(min) + "-" +
+                        std::to_string(max));
+    }
+    return v;
+  };
 
   if (!next_line() || line != "numaio-model v1") {
     fail(line_no, "expected header 'numaio-model v1'");
@@ -258,12 +273,13 @@ HostModel parse_host_model(const std::string& text) {
   if (!next_line()) fail(line_no, "missing host line");
   HostModel model;
   {
-    std::istringstream ls(line);
-    std::string kw, nodes_kw;
-    if (!(ls >> kw >> model.host_name >> nodes_kw >> model.num_nodes) ||
-        kw != "host" || nodes_kw != "nodes" || model.num_nodes <= 0) {
+    const std::vector<std::string_view> words = obs::text::split_words(line);
+    if (words.size() != 4 || words[0] != "host" || words[2] != "nodes") {
       fail(line_no, "malformed host line");
     }
+    model.host_name = words[1];
+    // Bounded before the per-node tables below are sized from it.
+    model.num_nodes = read_int(words[3], 1, nm::kMaxNodeId + 1, "node count");
   }
   const auto n = static_cast<std::size_t>(model.num_nodes);
   model.write_models.resize(n);
@@ -274,33 +290,35 @@ HostModel parse_host_model(const std::string& text) {
   std::vector<bool> seen_classes(2 * n, false);
 
   while (next_line() && line != "end") {
-    std::istringstream ls(line);
-    std::string kw;
-    ls >> kw;
-    if (kw == "status") {
-      std::string state;
-      if (!(ls >> model.revision >> state) || model.revision < 1 ||
-          (state != "fresh" && state != "stale")) {
+    const std::vector<std::string_view> words = obs::text::split_words(line);
+    if (words.size() < 3) fail(line_no, "malformed record header");
+    if (words[0] == "status") {
+      if (words.size() != 3 || (words[2] != "fresh" && words[2] != "stale")) {
         fail(line_no, "malformed status line");
       }
-      model.stale = state == "stale";
+      model.revision = read_int(words[1], 1, std::numeric_limits<int>::max(),
+                                "revision");
+      model.stale = words[2] == "stale";
       continue;
     }
-    int target = -1;
-    std::string dir;
-    if (!(ls >> target >> dir) || target < 0 || target >= model.num_nodes ||
-        (dir != "write" && dir != "read")) {
+    const int target =
+        read_int(words[1], 0, model.num_nodes - 1, "target node");
+    const std::string_view dir = words[2];
+    if (dir != "write" && dir != "read") {
       fail(line_no, "malformed record header");
     }
     const bool write = dir == "write";
     const std::size_t slot =
         static_cast<std::size_t>(target) * 2 + (write ? 0 : 1);
-    if (kw == "model") {
+    if (words[0] == "model") {
       IoModelResult m;
       m.target = target;
       m.direction = write ? Direction::kDeviceWrite : Direction::kDeviceRead;
-      double v = 0.0;
-      while (ls >> v) {
+      for (std::size_t i = 3; i < words.size(); ++i) {
+        double v = 0.0;
+        if (obs::text::parse_number(words[i], v) != std::errc()) {
+          fail(line_no, "bad bandwidth '" + std::string(words[i]) + "'");
+        }
         if (v <= 0.0) fail(line_no, "non-positive bandwidth");
         m.bw.push_back(v);
       }
@@ -310,15 +328,15 @@ HostModel parse_host_model(const std::string& text) {
       (write ? model.write_models : model.read_models)[static_cast<std::size_t>(target)] =
           std::move(m);
       seen_model[slot] = true;
-    } else if (kw == "classes") {
+    } else if (words[0] == "classes") {
       if (!seen_model[slot]) {
         fail(line_no, "classes before their model record");
       }
-      int k = 0;
-      if (!(ls >> k) || k <= 0) fail(line_no, "bad class count");
+      if (words.size() < 4) fail(line_no, "bad class count");
+      const int k = read_int(words[3], 1, model.num_nodes, "class count");
       std::vector<std::vector<NodeId>> members;
-      std::string tok;
-      while (ls >> tok) {
+      for (std::size_t i = 4; i < words.size(); ++i) {
+        const std::string_view tok = words[i];
         if (tok == "{") {
           members.emplace_back();
         } else if (tok == "}") {
@@ -327,16 +345,8 @@ HostModel parse_host_model(const std::string& text) {
           }
         } else {
           if (members.empty()) fail(line_no, "node outside class braces");
-          NodeId node = 0;
-          const char* end = tok.data() + tok.size();
-          const auto [ptr, ec] = std::from_chars(tok.data(), end, node);
-          if (ec != std::errc() || ptr != end) {
-            fail(line_no, "bad node id '" + tok + "'");
-          }
-          if (node < 0 || node >= model.num_nodes) {
-            fail(line_no, "node id out of range");
-          }
-          members.back().push_back(node);
+          members.back().push_back(
+              read_int(tok, 0, model.num_nodes - 1, "node id"));
         }
       }
       if (static_cast<int>(members.size()) != k) {
@@ -357,7 +367,7 @@ HostModel parse_host_model(const std::string& text) {
           rebuild_classification(members, bw);
       seen_classes[slot] = true;
     } else {
-      fail(line_no, "unknown record '" + kw + "'");
+      fail(line_no, "unknown record '" + std::string(words[0]) + "'");
     }
   }
   if (line != "end") fail(line_no, "missing 'end'");

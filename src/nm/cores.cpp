@@ -1,8 +1,9 @@
 #include "nm/cores.h"
 
 #include <algorithm>
-#include <sstream>
 #include <stdexcept>
+
+#include "nm/policy.h"
 
 namespace numaio::nm {
 
@@ -27,35 +28,10 @@ int first_core_of(const topo::Topology& topo, topo::NodeId node) {
 
 std::vector<topo::NodeId> nodes_of_core_list(const topo::Topology& topo,
                                              const std::string& list) {
+  const int num_cores = first_core_of(topo, topo.num_nodes());
   std::vector<topo::NodeId> nodes;
-  std::stringstream ss(list);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (item.empty()) {
-      throw std::invalid_argument("empty entry in core list '" + list + "'");
-    }
-    const auto dash = item.find('-');
-    int lo = 0, hi = 0;
-    try {
-      if (dash != std::string::npos) {
-        lo = std::stoi(item.substr(0, dash));
-        hi = std::stoi(item.substr(dash + 1));
-      } else {
-        lo = hi = std::stoi(item);
-      }
-    } catch (const std::exception&) {
-      throw std::invalid_argument("bad core list '" + list + "'");
-    }
-    if (lo > hi) {
-      throw std::invalid_argument("descending range in core list '" + list +
-                                  "'");
-    }
-    for (int core = lo; core <= hi; ++core) {
-      nodes.push_back(node_of_core(topo, core));
-    }
-  }
-  if (nodes.empty()) {
-    throw std::invalid_argument("core list '" + list + "' is empty");
+  for (const int core : parse_id_list(list, num_cores - 1)) {
+    nodes.push_back(node_of_core(topo, core));
   }
   std::sort(nodes.begin(), nodes.end());
   nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());

@@ -20,9 +20,10 @@ topo::NodeId node_of_core(const topo::Topology& topo, int core);
 /// First core id of `node` (node-major numbering).
 int first_core_of(const topo::Topology& topo, topo::NodeId node);
 
-/// Parses a taskset-style core list ("0,3-5") and returns the node ids
-/// the cores map to, deduplicated and sorted. Throws std::invalid_argument
-/// on malformed input, std::out_of_range on bad core ids.
+/// Parses a taskset-style core list ("0,3-5", read by parse_id_list) and
+/// returns the node ids the cores map to, deduplicated and sorted. Throws
+/// std::invalid_argument on malformed input, std::out_of_range on a core
+/// id the host lacks.
 std::vector<topo::NodeId> nodes_of_core_list(const topo::Topology& topo,
                                              const std::string& list);
 

@@ -1,53 +1,50 @@
 #include "nm/policy.h"
 
-#include <sstream>
 #include <stdexcept>
+#include <system_error>
+
+#include "obs/text.h"
 
 namespace numaio::nm {
 
-namespace {
-
-std::vector<NodeId> parse_node_list(const std::string& list) {
-  std::vector<NodeId> nodes;
-  std::stringstream ss(list);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (item.empty()) {
-      throw std::invalid_argument("parse_numactl: empty node in list '" +
-                                  list + "'");
-    }
-    const auto dash = item.find('-');
-    try {
-      if (dash != std::string::npos) {
-        const int lo = std::stoi(item.substr(0, dash));
-        const int hi = std::stoi(item.substr(dash + 1));
-        if (lo > hi) throw std::invalid_argument("range");
-        for (int v = lo; v <= hi; ++v) nodes.push_back(v);
-      } else {
-        nodes.push_back(std::stoi(item));
-      }
-    } catch (const std::exception&) {
-      throw std::invalid_argument("parse_numactl: bad node list '" + list +
+std::vector<int> parse_id_list(std::string_view list, int max_id) {
+  std::vector<int> ids;
+  std::size_t pos = 0;
+  while (pos <= list.size()) {
+    std::size_t comma = list.find(',', pos);
+    if (comma == std::string_view::npos) comma = list.size();
+    const std::string_view item = list.substr(pos, comma - pos);
+    pos = comma + 1;
+    // An id reads as the range id-id; a leading '-' leaves lo empty.
+    const std::size_t dash = item.find('-');
+    const std::string_view lo_text = item.substr(0, dash);
+    const std::string_view hi_text =
+        dash == std::string_view::npos ? item : item.substr(dash + 1);
+    int lo = 0;
+    int hi = 0;
+    if (obs::text::parse_number(lo_text, lo) != std::errc() ||
+        obs::text::parse_number(hi_text, hi) != std::errc() || lo > hi) {
+      throw std::invalid_argument("bad entry '" + std::string(item) +
+                                  "' in id list '" + std::string(list) +
                                   "'");
     }
+    if (hi > max_id) {
+      throw std::out_of_range("id " + std::to_string(hi) + " above " +
+                              std::to_string(max_id) + " in id list '" +
+                              std::string(list) + "'");
+    }
+    for (int id = lo; id <= hi; ++id) ids.push_back(id);
   }
-  if (nodes.empty()) {
-    throw std::invalid_argument("parse_numactl: empty node list");
-  }
-  return nodes;
+  return ids;
 }
-
-}  // namespace
 
 Policy parse_numactl(const std::string& spec) {
   Policy policy;
-  std::stringstream ss(spec);
-  std::string token;
-  while (ss >> token) {
+  for (const std::string_view token : obs::text::split_words(spec)) {
     const auto eq = token.find('=');
-    const std::string opt = token.substr(0, eq);
-    const std::string val =
-        eq == std::string::npos ? std::string() : token.substr(eq + 1);
+    const std::string opt(token.substr(0, eq));
+    const std::string val(eq == std::string_view::npos ? std::string_view()
+                                                       : token.substr(eq + 1));
     auto need_val = [&]() {
       if (val.empty()) {
         throw std::invalid_argument("parse_numactl: option '" + opt +
@@ -56,7 +53,7 @@ Policy parse_numactl(const std::string& spec) {
     };
     if (opt == "--cpunodebind" || opt == "-N") {
       need_val();
-      const auto nodes = parse_node_list(val);
+      const auto nodes = parse_id_list(val, kMaxNodeId);
       if (nodes.size() != 1) {
         throw std::invalid_argument(
             "parse_numactl: --cpunodebind takes exactly one node here");
@@ -65,10 +62,10 @@ Policy parse_numactl(const std::string& spec) {
     } else if (opt == "--membind" || opt == "-m") {
       need_val();
       policy.mode = MemMode::kBind;
-      policy.mem_nodes = parse_node_list(val);
+      policy.mem_nodes = parse_id_list(val, kMaxNodeId);
     } else if (opt == "--preferred" || opt == "-p") {
       need_val();
-      const auto nodes = parse_node_list(val);
+      const auto nodes = parse_id_list(val, kMaxNodeId);
       if (nodes.size() != 1) {
         throw std::invalid_argument(
             "parse_numactl: --preferred takes exactly one node");
@@ -78,7 +75,7 @@ Policy parse_numactl(const std::string& spec) {
     } else if (opt == "--interleave" || opt == "-i") {
       need_val();
       policy.mode = MemMode::kInterleave;
-      policy.mem_nodes = parse_node_list(val);
+      policy.mem_nodes = parse_id_list(val, kMaxNodeId);
     } else if (opt == "--localalloc" || opt == "-l") {
       policy.mode = MemMode::kLocalPreferred;
       policy.mem_nodes.clear();

@@ -18,13 +18,15 @@
 // the streaming record-source core, trace analysis (critical path,
 // contention), exporters (Chrome trace JSON for Perfetto, Prometheus
 // text exposition), the profiling layer (folded stacks, scheduler
-// tail-latency histograms) and the live telemetry serve mode.
+// tail-latency histograms) and the live telemetry serve mode; and
+// obs::text::parse_number, the number grammar of every text input.
 #include "obs/analysis.h"
 #include "obs/export.h"
 #include "obs/obs.h"
 #include "obs/profile.h"
 #include "obs/serve.h"
 #include "obs/stream.h"
+#include "obs/text.h"
 
 // Simulation core: units, RNG, statistics, retry policy and status codes.
 #include "simcore/fluid_sim.h"

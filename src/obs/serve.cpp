@@ -184,6 +184,18 @@ std::string http_response(const char* status, const char* content_type,
 
 }  // namespace
 
+Route route_request(std::string_view request) {
+  const std::size_t sp1 = request.find(' ');
+  if (sp1 == std::string_view::npos) return Route::kNotFound;
+  const std::size_t sp2 = request.find(' ', sp1 + 1);
+  if (sp2 == std::string_view::npos) return Route::kNotFound;
+  const std::string_view target = request.substr(sp1 + 1, sp2 - sp1 - 1);
+  if (target == "/metrics") return Route::kMetrics;
+  if (target == "/report") return Route::kReport;
+  if (target == "/healthz" || target == "/") return Route::kHealthz;
+  return Route::kNotFound;
+}
+
 TelemetryServer::~TelemetryServer() { stop(); }
 
 void TelemetryServer::start(int port) {
@@ -243,37 +255,35 @@ void TelemetryServer::serve_loop() {
     timeout.tv_usec = kRecvTimeoutMs * 1000;
     ::setsockopt(client, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
     char buf[1024];  // the request cap: one read of at most 1 KiB
-    const ssize_t n = ::recv(client, buf, sizeof buf - 1, 0);
+    const ssize_t n = ::recv(client, buf, sizeof buf, 0);
     if (n <= 0) {
       // Timed out, reset, or closed before sending a request.
       ::close(client);
       continue;
     }
-    buf[n] = '\0';
-    // "GET /path HTTP/1.x" — we only care about the path.
-    std::string target = "/";
-    const char* sp1 = std::strchr(buf, ' ');
-    if (sp1 != nullptr) {
-      const char* sp2 = std::strchr(sp1 + 1, ' ');
-      if (sp2 != nullptr) target.assign(sp1 + 1, sp2);
-    }
+    const std::string_view request(buf, static_cast<std::size_t>(n));
     std::string response;
-    if (target == "/metrics") {
-      response = http_response(
-          "200 OK", "text/plain; version=0.0.4; charset=utf-8",
-          hub_->metrics_text());
-    } else if (target == "/report") {
-      response = http_response("200 OK", "text/markdown; charset=utf-8",
-                               hub_->report_text());
-    } else if (target == "/healthz" || target == "/") {
-      response = http_response("200 OK", "text/plain; charset=utf-8",
-                               "ok generation=" +
-                                   std::to_string(hub_->generation()) +
-                                   "\n");
-    } else {
-      response = http_response("404 Not Found",
-                               "text/plain; charset=utf-8",
-                               "not found: try /metrics /report /healthz\n");
+    switch (route_request(request)) {
+      case Route::kMetrics:
+        response = http_response(
+            "200 OK", "text/plain; version=0.0.4; charset=utf-8",
+            hub_->metrics_text());
+        break;
+      case Route::kReport:
+        response = http_response("200 OK", "text/markdown; charset=utf-8",
+                                 hub_->report_text());
+        break;
+      case Route::kHealthz:
+        response = http_response("200 OK", "text/plain; charset=utf-8",
+                                 "ok generation=" +
+                                     std::to_string(hub_->generation()) +
+                                     "\n");
+        break;
+      case Route::kNotFound:
+        response = http_response("404 Not Found",
+                                 "text/plain; charset=utf-8",
+                                 "not found: try /metrics /report /healthz\n");
+        break;
     }
     send_all(client, response);
     ::close(client);

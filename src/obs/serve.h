@@ -44,6 +44,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 
@@ -101,6 +102,16 @@ class TelemetryTap final : public TraceVisitor {
   std::chrono::steady_clock::time_point last_publish_;
   bool published_once_ = false;
 };
+
+/// The document a request to TelemetryServer asks for.
+enum class Route { kMetrics, kReport, kHealthz, kNotFound };
+
+/// Routes the raw bytes of one request by its target, the bytes between
+/// its first and second space ("GET /metrics HTTP/1.0"): /metrics,
+/// /report, and /healthz or / (health). Any other target, and a request
+/// without one, is kNotFound. `request` may hold any bytes, NUL included;
+/// the method and everything after the target are ignored.
+Route route_request(std::string_view request);
 
 class TelemetryServer {
  public:

@@ -1,18 +1,21 @@
 // Text rendering and number scanning shared by the obs serializers
 // (JsonlSink, CsvSink, the Chrome and Prometheus exporters, and through
 // obs/json.h the metrics JSON and run reports) and parsers (the JSONL
-// trace cursor and the obs::json reader).
+// trace cursor and the obs::json reader), plus the number grammar of
+// every other text input (parse_number, docs/FORMATS.md "Numbers").
 //
-// Internal to the obs layer: numaio.h does not export it. Each appender
-// writes into a caller-owned std::string, so a serializer renders a whole
-// record into one reused buffer and hands it to its stream in a single
-// write(). The number appenders write exactly the bytes of the printf
-// formats they replace (%.17g for numbers, %.3f for Chrome microseconds),
-// so captures and exports stay byte-identical; the integral values that
-// simulated timestamps almost always are take an integer path that never
-// reaches the floating-point formatter.
+// numaio.h exports it for parse_number and split_words, which the
+// format parsers outside obs share. Each appender writes into a
+// caller-owned std::string, so a serializer renders a whole record into
+// one reused buffer and hands it to its stream in a single write(). The
+// number appenders write exactly the bytes of the printf formats they
+// replace (%.17g for numbers, %.3f for Chrome microseconds), so captures
+// and exports stay byte-identical; the integral values that simulated
+// timestamps almost always are take an integer path that never reaches
+// the floating-point formatter.
 #pragma once
 
+#include <cctype>
 #include <charconv>
 #include <cmath>
 #include <cstdint>
@@ -20,6 +23,7 @@
 #include <string_view>
 #include <system_error>
 #include <type_traits>
+#include <vector>
 
 namespace numaio::obs::text {
 
@@ -123,6 +127,50 @@ inline bool read_number(std::string_view text, std::size_t& pos,
   if (ec != std::errc()) return false;
   pos += static_cast<std::size_t>(ptr - first);
   return true;
+}
+
+/// The words of `line`: its runs of non-space bytes (std::isspace), as
+/// views into it.
+inline std::vector<std::string_view> split_words(std::string_view line) {
+  std::vector<std::string_view> words;
+  const auto space = [&line](std::size_t i) {
+    return std::isspace(static_cast<unsigned char>(line[i])) != 0;
+  };
+  std::size_t i = 0;
+  while (i < line.size()) {
+    while (i < line.size() && space(i)) ++i;
+    const std::size_t start = i;
+    while (i < line.size() && !space(i)) ++i;
+    if (i > start) words.push_back(line.substr(start, i - start));
+  }
+  return words;
+}
+
+/// Reads all of `token` as one T, an integer type or double: the number
+/// grammar of the job files, host models, transfer traces, fault plans,
+/// numactl and core lists and the CLI flags. The token must be a single
+/// std::from_chars value of T with nothing before or after it (no '+',
+/// no whitespace, no hex, no trailing bytes; an integer takes no
+/// fraction or exponent), and a double must also be finite. Sets `value`
+/// and returns std::errc() on success; returns
+/// std::errc::result_out_of_range for a number T cannot hold (for a
+/// double: one that overflows or underflows to zero, inf or nan) and
+/// std::errc::invalid_argument for anything else, leaving `value` alone.
+template <typename T>
+std::errc parse_number(std::string_view token, T& value) {
+  static_assert(std::is_integral_v<T> || std::is_same_v<T, double>);
+  T parsed{};
+  const char* const end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, parsed);
+  if (ec == std::errc::invalid_argument || ptr != end) {
+    return std::errc::invalid_argument;
+  }
+  if (ec != std::errc()) return ec;
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(parsed)) return std::errc::result_out_of_range;
+  }
+  value = parsed;
+  return std::errc();
 }
 
 }  // namespace numaio::obs::text

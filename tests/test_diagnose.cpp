@@ -76,6 +76,24 @@ TEST_F(DiagnoseTest, ReportSortedAndHostUnchanged) {
   EXPECT_EQ(tb_.machine().solver().live_flow_count(), live_flows);
 }
 
+TEST_F(DiagnoseTest, IoModeShapesTheStreams) {
+  // Sync-buffered SSD streams run at a small fraction of the async-direct
+  // rate (§IV-B3), so they load the card's engine far less; diagnose
+  // once shaped both modes alike.
+  const auto engine_load = [this](IoMode mode) {
+    FioJob j = job(kSsdRead, 0, 2);
+    j.io_mode = mode;
+    for (const auto& r : fio_.diagnose(j)) {
+      if (r.name == "nytro0:ssd_read") return r.utilization;
+    }
+    return -1.0;
+  };
+  const double direct = engine_load(IoMode::kAsyncDirect);
+  const double buffered = engine_load(IoMode::kSyncBuffered);
+  EXPECT_GT(buffered, 0.0);
+  EXPECT_LT(buffered, 0.5 * direct);
+}
+
 TEST_F(DiagnoseTest, PcieNeverBindsOnThisTestbed) {
   // §IV-B1's point inverted: 32 Gbps of PCIe data headroom means the
   // protocol engines, not the bus, are the ceiling everywhere.

@@ -67,12 +67,12 @@ TEST(FaultPlanTest, RandomPlanIsDeterministic) {
   config.num_devices = 3;
   const FaultPlan a = FaultPlan::random(config);
   const FaultPlan b = FaultPlan::random(config);
-  EXPECT_EQ(a.to_string(), b.to_string());
+  EXPECT_EQ(render_fault_plan(a), render_fault_plan(b));
   EXPECT_EQ(a.events().size(), 4u);  // default num_events
   RandomPlanConfig other = config;
   other.seed = 100;
   const FaultPlan c = FaultPlan::random(other);
-  EXPECT_NE(a.to_string(), c.to_string());
+  EXPECT_NE(render_fault_plan(a), render_fault_plan(c));
 }
 
 TEST(FaultPlanTest, RandomPlanSkipsDeviceStallsWithoutDevices) {
@@ -316,7 +316,8 @@ TEST(FaultPlanFileTest, HostKindsRoundTripExactly) {
     EXPECT_EQ(a.src, b.src) << i;
     EXPECT_EQ(a.dst, b.dst) << i;
     // Bit-exact: the renderer picks the shortest representation that
-    // strtod round-trips, so times and severities survive unchanged.
+    // reads back to the same double, so times and severities survive
+    // unchanged.
     EXPECT_EQ(a.start, b.start) << i;
     EXPECT_EQ(a.duration, b.duration) << i;
     EXPECT_EQ(a.severity, b.severity) << i;

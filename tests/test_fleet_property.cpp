@@ -161,7 +161,7 @@ class FleetProperty : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(FleetProperty, RandomFleetKeepsItsInvariants) {
   const FleetCase c = draw_case(GetParam());
   ASSERT_TRUE(c.config.validate().ok());
-  SCOPED_TRACE(c.plan.to_string());
+  SCOPED_TRACE(faults::render_fault_plan(c.plan));
   const CaseRun run = run_case(c);
   const FleetReport& r = run.report;
 

@@ -1,16 +1,20 @@
 // Robustness property tests for the text parsers (fio job files,
 // host-model documents, transfer traces, JSONL trace captures, metrics
-// JSON, fault plans, saved JSON run reports): random single-character
-// mutations of valid documents must either parse or throw
-// std::invalid_argument — never crash, never hang, never corrupt state.
-// The JSONL number grammar (std::from_chars) is pinned here too.
+// JSON, fault plans, saved JSON run reports, the telemetry server's
+// request line): random single-character mutations of valid documents
+// must either parse or throw std::invalid_argument — never crash, never
+// hang, never corrupt state. The JSONL number grammar (std::from_chars)
+// and the whole-token grammar every other text input shares
+// (obs::text::parse_number) are pinned here too.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "faults/fault_plan.h"
@@ -18,11 +22,16 @@
 #include "io/trace.h"
 #include "model/characterize.h"
 #include "model/perf_report.h"
+#include "nm/cores.h"
+#include "nm/policy.h"
 #include "obs/analysis.h"
 #include "obs/metrics.h"
+#include "obs/serve.h"
+#include "obs/text.h"
 #include "obs/trace.h"
 #include "simcore/rng.h"
 #include "simcore/status.h"
+#include "topo/presets.h"
 
 namespace numaio {
 namespace {
@@ -275,8 +284,232 @@ TEST_P(ParserFuzz, ReportJsonNeverCrashes) {
   }
 }
 
+TEST_P(ParserFuzz, HttpRequestLineRoutesOrIsNotFound) {
+  sim::Rng rng(GetParam() + 7000);
+  struct Request {
+    const char* text;
+    obs::Route route;
+  };
+  const Request requests[] = {
+      {"GET /metrics HTTP/1.0\r\n\r\n", obs::Route::kMetrics},
+      {"GET /report HTTP/1.1\r\nHost: 127.0.0.1\r\n\r\n",
+       obs::Route::kReport},
+      {"GET /healthz HTTP/1.0\r\n\r\n", obs::Route::kHealthz},
+      {"GET / HTTP/1.0\r\n\r\n", obs::Route::kHealthz},
+      {"GET /nope HTTP/1.0\r\n\r\n", obs::Route::kNotFound},
+  };
+  for (const Request& request : requests) {
+    ASSERT_EQ(obs::route_request(request.text), request.route)
+        << request.text;
+    for (int i = 0; i < 100; ++i) {
+      const std::string doc = mutate(request.text, rng);
+      // A document only when the request target is still a known path.
+      switch (obs::route_request(doc)) {
+        case obs::Route::kMetrics:
+          EXPECT_NE(doc.find(" /metrics "), std::string::npos) << doc;
+          break;
+        case obs::Route::kReport:
+          EXPECT_NE(doc.find(" /report "), std::string::npos) << doc;
+          break;
+        case obs::Route::kHealthz:
+          EXPECT_TRUE(doc.find(" /healthz ") != std::string::npos ||
+                      doc.find(" / ") != std::string::npos)
+              << doc;
+          break;
+        case obs::Route::kNotFound:
+          break;
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, ParserFuzz,
                          ::testing::Values(11u, 22u, 33u, 44u));
+
+// --- The shared number grammar (docs/FORMATS.md "Numbers") -----------------
+
+TEST(NumberGrammar, ParseNumberReadsOneWholeToken) {
+  int i = 7;
+  EXPECT_EQ(obs::text::parse_number("42", i), std::errc());
+  EXPECT_EQ(i, 42);
+  EXPECT_EQ(obs::text::parse_number("-2147483648", i), std::errc());
+  EXPECT_EQ(i, std::numeric_limits<int>::min());
+  for (const char* bad :
+       {"", "-", "+5", "0x10", " 5", "5 ", "5x", "1.9", "1e3"}) {
+    int v = 7;
+    EXPECT_EQ(obs::text::parse_number(bad, v), std::errc::invalid_argument)
+        << bad;
+    EXPECT_EQ(v, 7) << bad;  // left alone on failure
+  }
+  EXPECT_EQ(obs::text::parse_number("2147483648", i),
+            std::errc::result_out_of_range);
+
+  std::uint64_t u = 0;
+  EXPECT_EQ(obs::text::parse_number("18446744073709551615", u), std::errc());
+  EXPECT_EQ(u, std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(obs::text::parse_number("18446744073709551616", u),
+            std::errc::result_out_of_range);
+  EXPECT_EQ(obs::text::parse_number("-1", u), std::errc::invalid_argument);
+
+  double d = 0.0;
+  for (const auto& [text, value] :
+       {std::pair<const char*, double>{"1.5", 1.5}, {".5", 0.5},
+        {"-2.5e3", -2500.0}, {"7", 7.0}, {"4e-320", 4e-320}}) {
+    EXPECT_EQ(obs::text::parse_number(text, d), std::errc()) << text;
+    EXPECT_EQ(d, value) << text;
+  }
+  for (const char* bad : {"inf", "-inf", "nan", "1e400", "1e-400"}) {
+    EXPECT_EQ(obs::text::parse_number(bad, d),
+              std::errc::result_out_of_range)
+        << bad;
+  }
+  for (const char* bad : {"+1.5", "0x1p-1", "1.5s", " 1", "1,5", "1e400x"}) {
+    EXPECT_EQ(obs::text::parse_number(bad, d), std::errc::invalid_argument)
+        << bad;
+  }
+}
+
+TEST(NumberGrammar, TransferTrace) {
+  // std::stoi and std::stod stopped at the first bad byte, so "1x" and
+  // "1.9" replayed on node 1 and a "0x10" GiB payload as 16 GiB; the
+  // last field took the rest of the line, extra commas included.
+  for (const char* line :
+       {"0.0,tcp_send,1x,0.01", "0.0,tcp_send,1.9,0.01",
+        "0.0,tcp_send,1,0x10", "+0.5,tcp_send,1,0.01",
+        "0.0,tcp_send,+1,0.01", "0.0,tcp_send, 1,0.01",
+        "0.0,tcp_send,1,0.01,9"}) {
+    try {
+      io::parse_trace(std::string("0.0,tcp_send,1,0.01\n") + line + "\n");
+      ADD_FAILURE() << "accepted: " << line;
+    } catch (const StatusError& e) {
+      EXPECT_EQ(e.code(), StatusCode::kParse) << e.what();
+      EXPECT_NE(std::string(e.what()).find("trace line 2: "),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  const auto entries = io::parse_trace("0.5,tcp_send,1,0.25\n");
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_EQ(entries[0].arrival, 0.5e9);
+  EXPECT_EQ(entries[0].cpu_node, 1);
+  EXPECT_EQ(entries[0].bytes, sim::kGiB / 4);
+}
+
+TEST(NumberGrammar, HostModel) {
+  // operator>> read "+2" as 2 and the 40 of "40x"; "nodes 2147483647"
+  // sized per-node tables from it and threw std::bad_alloc.
+  struct Case {
+    const char* from;
+    const char* to;
+    const char* line;
+  };
+  const std::string base = valid_model_doc();
+  for (const Case& c :
+       {Case{"nodes 2", "nodes +2", "line 2"},
+        Case{"nodes 2", "nodes 2147483647", "line 2"},
+        Case{"nodes 2", "nodes 1025", "line 2"},
+        Case{"nodes 2", "nodes 2 spare", "line 2"},
+        Case{"write 50.0 40.0", "write 50.0 40x", "line 3"},
+        Case{"write 50.0 40.0", "write 50.0 0x28", "line 3"},
+        Case{"write 50.0 40.0", "write 50.0 inf", "line 3"},
+        Case{"classes 0 write 1", "classes 0 write 1.0", "line 4"},
+        Case{"model 1 write", "model +1 write", "line 7"}}) {
+    std::string doc = base;
+    doc.replace(doc.find(c.from), std::string(c.from).size(), c.to);
+    try {
+      model::parse_host_model(doc);
+      ADD_FAILURE() << "accepted: " << c.to;
+    } catch (const StatusError& e) {
+      EXPECT_EQ(e.code(), StatusCode::kParse) << e.what();
+      EXPECT_NE(std::string(e.what()).find(c.line), std::string::npos)
+          << c.to << ": " << e.what();
+    }
+  }
+  // The node bound is 1024 nodes (ids 0-1023): that count is accepted,
+  // so the two-bandwidth model line after it is what fails.
+  std::string doc = base;
+  doc.replace(doc.find("nodes 2"), 7, "nodes 1024");
+  try {
+    model::parse_host_model(doc);
+    ADD_FAILURE() << "accepted a 2-bandwidth line for 1024 nodes";
+  } catch (const StatusError& e) {
+    EXPECT_NE(std::string(e.what()).find("line 3: bandwidth count mismatch"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(NumberGrammar, FaultPlan) {
+  // strtol and strtod took a leading '+' and hex floats, so the first
+  // line crashed host 1 at 0.5 s.
+  for (const char* line :
+       {"host-crash host=+1 start=0x1p-1s dur=1s",
+        "host-crash host=+1 start=0.5s dur=1s",
+        "host-crash host=1 start=0x1p-1s dur=1s",
+        "host-crash host=1.0 start=0.5s dur=1s",
+        "host-recover host=1 start=0.5s dur=1s sev=+0.5",
+        "link-flap src=0 dst=1 flaps=2x start=0.5 dur=1"}) {
+    try {
+      faults::parse_fault_plan(line);
+      ADD_FAILURE() << "accepted: " << line;
+    } catch (const StatusError& e) {
+      EXPECT_EQ(e.code(), StatusCode::kParse) << e.what();
+      EXPECT_NE(std::string(e.what()).find("line 1"), std::string::npos)
+          << e.what();
+    }
+  }
+  const faults::FaultPlan plan =
+      faults::parse_fault_plan("host-crash host=1 start=500ms dur=1e0s\n");
+  ASSERT_EQ(plan.events().size(), 1u);
+  EXPECT_EQ(plan.events()[0].host, 1);
+  EXPECT_EQ(plan.events()[0].start, 0.5e9);
+  EXPECT_EQ(plan.events()[0].duration, 1e9);
+}
+
+TEST(NumberGrammar, JobFile) {
+  // std::stol skipped a leading '+', so cpunodebind=+2 ran on node 2.
+  for (const char* option :
+       {"cpunodebind=+2", "cpunodebind=2.0", "numjobs=0x4", "iodepth=1e1",
+        "size=+4g", "bs=0x10k"}) {
+    try {
+      io::parse_job_file(std::string("[a]\nioengine=rdma\nrw=read\n") +
+                         option + "\n");
+      ADD_FAILURE() << "accepted: " << option;
+    } catch (const StatusError& e) {
+      EXPECT_EQ(e.code(), StatusCode::kParse) << e.what();
+      EXPECT_NE(std::string(e.what()).find("line 4"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(NumberGrammar, NumactlNodeLists) {
+  // std::stoi stopped at the first bad byte: 2-3junk bound {2,3}.
+  for (const char* spec : {"--membind=2-3junk", "--membind=+2",
+                           "--interleave=0x1", "--preferred=1.0",
+                           "--membind=2-", "--membind=0,"}) {
+    EXPECT_THROW(nm::parse_numactl(spec), std::invalid_argument) << spec;
+  }
+  // Node ids take the job files' bound before a range is expanded:
+  // --interleave=0-20000000 built a list of 20,000,001 nodes.
+  EXPECT_THROW(nm::parse_numactl("--interleave=0-20000000"),
+               std::out_of_range);
+  EXPECT_THROW(nm::parse_numactl("--membind=1024"), std::out_of_range);
+  EXPECT_EQ(nm::parse_numactl("--membind=1023").mem_nodes,
+            std::vector<topo::NodeId>{1023});
+}
+
+TEST(NumberGrammar, CoreLists) {
+  const topo::Topology topo = topo::dl585_g7();
+  for (const char* list : {"0-3junk", "+1", "0x1", "1.0", "3,", "-1"}) {
+    EXPECT_THROW(nm::nodes_of_core_list(topo, list), std::invalid_argument)
+        << list;
+  }
+  EXPECT_THROW(nm::nodes_of_core_list(topo, "0-2000000000"),
+               std::out_of_range);
+  EXPECT_EQ(nm::nodes_of_core_list(topo, "0-3"),
+            std::vector<topo::NodeId>{0});
+}
 
 // --- Saved JSON run reports (report --diff) --------------------------------
 

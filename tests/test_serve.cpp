@@ -48,12 +48,11 @@ int connect_loopback(int port) {
   return fd;
 }
 
-/// Minimal HTTP/1.0 GET over loopback; returns the full response
+/// Sends `request` as is over loopback; returns the full response
 /// (status line + headers + body), empty string on connect failure.
-std::string http_get(int port, const std::string& path) {
+std::string http_send(int port, const std::string& request) {
   const int fd = connect_loopback(port);
   if (fd < 0) return "";
-  const std::string request = "GET " + path + " HTTP/1.0\r\n\r\n";
   (void)!::send(fd, request.data(), request.size(), 0);
   std::string response;
   char buf[4096];
@@ -64,6 +63,11 @@ std::string http_get(int port, const std::string& path) {
   }
   ::close(fd);
   return response;
+}
+
+/// Minimal HTTP/1.0 GET of `path`.
+std::string http_get(int port, const std::string& path) {
+  return http_send(port, "GET " + path + " HTTP/1.0\r\n\r\n");
 }
 
 std::string body_of(const std::string& response) {
@@ -194,6 +198,27 @@ TEST(TelemetryServer, IdleClientDoesNotBlockScrapes) {
   EXPECT_EQ(body_of(http_get(server.port(), "/metrics")),
             "numaio_x_total 1\n");
   ::close(idle_again);
+  server.stop();
+}
+
+TEST(TelemetryServer, MalformedRequestsGetAnAnswerAndLeaveItUp) {
+  TelemetryHub hub;
+  hub.publish("numaio_x_total 1\n", "");
+  TelemetryServer server(hub);
+  server.start(0);
+  // No space, so no request target.
+  EXPECT_NE(http_send(server.port(), "GET\r\n\r\n").find("404 Not Found"),
+            std::string::npos);
+  // A NUL byte is part of the target, not its end.
+  const std::string nul("GET /metrics\0 HTTP/1.0\r\n\r\n", 26);
+  EXPECT_NE(http_send(server.port(), nul).find("404 Not Found"),
+            std::string::npos);
+  // 1 KiB with no terminator: the one read is the request.
+  std::string unterminated = "GET /metrics HTTP/1.0\r\nX-Pad: ";
+  unterminated.resize(1024, 'x');
+  EXPECT_EQ(body_of(http_send(server.port(), unterminated)),
+            "numaio_x_total 1\n");
+  EXPECT_EQ(body_of(http_get(server.port(), "/healthz")), "ok generation=1\n");
   server.stop();
 }
 

@@ -20,9 +20,7 @@
 // the same library calls would sit on top of libnuma (see DESIGN.md).
 #include <algorithm>
 #include <cerrno>
-#include <charconv>
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -33,6 +31,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <system_error>
 #include <thread>
 #include <type_traits>
 #include <utility>
@@ -158,21 +157,16 @@ int usage() {
 }
 
 /// The one number parser behind every numeric flag: the whole of `text`
-/// must parse as T, and a floating value must be finite (from_chars
-/// accepts "inf" and "nan", which pass every range check a NaN compares
-/// false against), or the usage error names the flag.
+/// must be one T in the shared number grammar (obs::text::parse_number,
+/// which also keeps out "inf" and "nan": a NaN passes every range check,
+/// as it compares false), or the usage error names the flag.
 template <typename T>
 T parse_number(const std::string& flag, const std::string& text) {
   T value{};
-  const char* const end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (ec == std::errc() && ptr == end) {
-    if constexpr (std::is_floating_point_v<T>) {
-      if (!std::isfinite(value)) {
-        usage_error(flag + " wants a finite number, got '" + text + "'");
-      }
-    }
-    return value;
+  const std::errc ec = obs::text::parse_number(text, value);
+  if (ec == std::errc()) return value;
+  if (std::is_floating_point_v<T> && ec == std::errc::result_out_of_range) {
+    usage_error(flag + " wants a finite number, got '" + text + "'");
   }
   const char* const kind = std::is_floating_point_v<T> ? "a number"
                            : std::is_signed_v<T>       ? "an integer"
@@ -709,7 +703,7 @@ int cmd_faults(io::Testbed& tb, obs::Context& ctx, Args& args) {
   faults::FaultPlan plan = random_fault_plan(tb, seed, events);
   std::printf("fault plan (seed %llu, %d events):\n%s",
               static_cast<unsigned long long>(seed), events,
-              plan.to_string().c_str());
+              faults::render_fault_plan(plan).c_str());
   faults::FaultInjector injector(tb.machine(), std::move(plan));
   attach_devices(injector, tb, ctx);
 
@@ -826,7 +820,8 @@ int cmd_fleet(obs::Context& ctx, Args& args) {
     storm.plan = faults::parse_fault_plan(read_file(plan_path));
   }
   if (print_plan) {
-    std::printf("fault plan:\n%s\n", storm.plan.to_string().c_str());
+    std::printf("fault plan:\n%s\n",
+                faults::render_fault_plan(storm.plan).c_str());
   }
 
   fleet::FleetSim sim(storm.config, storm.tenants);
