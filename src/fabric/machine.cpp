@@ -102,12 +102,6 @@ void Machine::set_fabric_scale(NodeId src, NodeId dst, double scale) {
   solver_.set_capacity_factor(fabric_[idx], clamp_scale(scale));
 }
 
-double Machine::fabric_scale(NodeId src, NodeId dst) const {
-  assert(src != dst);
-  return solver_.capacity_factor(
-      fabric_[static_cast<std::size_t>(src * num_nodes() + dst)]);
-}
-
 void Machine::set_mc_scale(NodeId node, double scale) {
   assert(node >= 0 && node < num_nodes());
   const double f = clamp_scale(scale);

@@ -88,8 +88,6 @@ class Machine {
   void set_cpu_scale(NodeId node, double scale);
   /// Restores every scaled capacity to its calibrated value.
   void reset_fault_scales();
-  /// Current scale of the directed fabric pair (1.0 = healthy).
-  double fabric_scale(NodeId src, NodeId dst) const;
 
  private:
   HostProfile profile_;

@@ -298,12 +298,6 @@ void FaultInjector::restore() {
   }
 }
 
-void FaultInjector::rewind() {
-  restore();
-  cursor_ = 0;
-  trace_.clear();
-}
-
 double FaultInjector::noise_amplification(sim::Ns t) const {
   double amp = 1.0;
   for (const FaultEvent& e : plan_.events()) {

@@ -75,11 +75,8 @@ class FaultInjector {
   void advance_to(sim::Ns t);
 
   /// Restores every capacity to healthy. Applied-transition history and
-  /// the timeline cursor are kept; use rewind() to replay from t = 0.
+  /// the timeline cursor are kept.
   void restore();
-
-  /// restore() + clears the trace and the cursor, for a fresh run.
-  void rewind();
 
   // --- state queries (pure functions of the plan, usable at any time) ----
   /// Product of all active noise amplifications at time t (>= 1).

@@ -21,7 +21,6 @@ void ClassPlacer::refresh(std::span<const double> capacity_gbps,
   if (cursor_ >= classes_.size()) cursor_ = 0;
   refreshed_ = true;
   last_refresh_ = now;
-  ++refreshes_;
 }
 
 int ClassPlacer::pick(std::span<const int> live_load,

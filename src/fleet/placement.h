@@ -57,7 +57,6 @@ class ClassPlacer {
   /// later class (cursor class had no eligible host).
   long long spread_picks() const { return spread_picks_; }
   long long fallback_picks() const { return fallback_picks_; }
-  long long refreshes() const { return refreshes_; }
 
  private:
   int num_hosts_;
@@ -68,7 +67,6 @@ class ClassPlacer {
   sim::Ns last_refresh_ = 0.0;
   long long spread_picks_ = 0;
   long long fallback_picks_ = 0;
-  long long refreshes_ = 0;
 };
 
 }  // namespace numaio::fleet

@@ -6,6 +6,7 @@
 #include <functional>
 #include <limits>
 #include <map>
+#include <optional>
 #include <span>
 #include <stdexcept>
 
@@ -66,13 +67,13 @@ struct StreamSetup {
   obs::SpanId span = 0;          ///< `fio.stream` trace span, 0 = untraced.
 };
 
-/// One stream's options under the job's iodepth and I/O submission mode,
-/// the part of stream setup run_timed and diagnose share. The mode only
-/// matters on queue-depth devices, i.e. the SSD engines: buffered mode
-/// adds a kernel copy in front of the DMA, sync mode collapses the queue
-/// to one request in flight (§IV-B3: buffered and synchronous modes
-/// "perform much worse").
-StreamOptions stream_options(const FioJob& job, const EngineSpec& spec) {
+/// One stream's options under the job's iodepth and I/O submission mode.
+/// The mode only matters on queue-depth devices, i.e. the SSD engines:
+/// buffered mode adds a kernel copy in front of the DMA, sync mode
+/// collapses the queue to one request in flight (§IV-B3: buffered and
+/// synchronous modes "perform much worse").
+StreamOptions stream_options(const FioJob& job, const EngineSpec& spec,
+                             sim::Rng& job_rng) {
   StreamOptions options;
   options.iodepth = job.iodepth;
   const bool queue_depth_device = spec.per_iodepth_gbps > 0.0;
@@ -86,7 +87,158 @@ StreamOptions stream_options(const FioJob& job, const EngineSpec& spec) {
     options.extra_cpu_app_per_gbps = 0.5;  // the copy burns CPU
   }
   options.synchronous = queue_depth_device && synchronous;
+  if (spec.jitter_stddev > 0.0 && job.num_streams > spec.jitter_threshold) {
+    // Contention above ~4 streams wobbles both the engine-level
+    // aggregate and the per-stream rates, which is why at 8/16 TCP
+    // streams the per-binding ordering shuffles (§IV-B1, "sometimes
+    // the performance of node 5 appears to be the best").
+    options.rho_factor *= std::clamp(
+        1.0 + job_rng.normal(-0.005, 0.4 * spec.jitter_stddev), 0.90, 1.10);
+    options.stream_cap_factor *= std::clamp(
+        1.0 + job_rng.normal(-0.01, spec.jitter_stddev), 0.70, 1.30);
+  }
   return options;
+}
+
+/// The streams of a set of jobs as they start at t = 0.
+struct JobStreams {
+  std::vector<StreamSetup> setups;  ///< Job-major, streams in order.
+  /// Engines set to the mixed-service capacity for the run.
+  std::vector<sim::ResourceId> penalized;
+};
+
+/// Frees the streams' buffers and lifts the mixed-service penalty.
+void release(nm::Host& host, JobStreams& built) {
+  for (StreamSetup& s : built.setups) host.free(s.buffer);
+  for (const sim::ResourceId res : built.penalized) {
+    host.machine().solver().set_capacity(res, 1.0);
+  }
+}
+
+/// Checks every job, then builds its streams: worker buffers under the
+/// job's memory policy, per-stream options with the seeded contention
+/// jitter, shapes with the peer-host cap, and the mixed-service penalty
+/// on shared engines. run_timed runs these flows and diagnose solves
+/// them. A job that fails a check leaves host and solver untouched, and
+/// an allocation failing part-way frees the buffers already taken.
+/// `peers[j]` is the peer-cap resource of job slot j, added once and
+/// reused after. release() undoes the buffers and the penalty.
+JobStreams build_streams(nm::Host& host, const std::vector<TimedJob>& jobs,
+                         std::map<std::size_t, sim::ResourceId>& peers) {
+  fabric::Machine& machine = host.machine();
+  auto& solver = machine.solver();
+
+  // Nodes index per-node tables that only assert their bound, so a node
+  // outside the host is rejected before any buffer or flow exists.
+  const int nodes = machine.num_nodes();
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    const FioJob& job = jobs[j].job;
+    const auto check = [&](const char* field, int node) {
+      if (node >= 0 && node < nodes) return;
+      throw StatusError(StatusCode::kUsage,
+                        "fio job " + std::to_string(j) + " (" + job.engine +
+                            "): " + field + " " + std::to_string(node) +
+                            " is outside the host's nodes 0-" +
+                            std::to_string(nodes - 1));
+    };
+    check("cpu_node", job.cpu_node);
+    if (job.peer_node >= 0) check("peer_node", job.peer_node);
+    if (job.mem_policy.cpu_node) {
+      check("memory policy cpu node", *job.mem_policy.cpu_node);
+    }
+    for (const NodeId node : job.mem_policy.mem_nodes) {
+      check("memory policy node", node);
+    }
+    if (job.devices.empty()) {
+      throw std::invalid_argument("FioJob needs at least one device");
+    }
+    if (job.num_streams < 1) {
+      throw std::invalid_argument("FioJob needs at least one stream");
+    }
+    if ((job.engine == kSsdWrite || job.engine == kSsdRead) &&
+        job.num_streams < static_cast<int>(job.devices.size())) {
+      // The paper's SSD tests use at least one process per card (§IV-B3).
+      throw std::invalid_argument(
+          "SSD jobs need at least one stream per card");
+    }
+    // engine() throws std::out_of_range naming a device without it.
+    for (const PcieDevice* device : job.devices) device->engine(job.engine);
+  }
+
+  JobStreams built;
+  try {
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+      const FioJob& job = jobs[j].job;
+      sim::Rng job_rng =
+          sim::Rng(job.seed).fork(static_cast<std::uint64_t>(job.cpu_node));
+
+      // Peer-host constraint for network engines: the whole job cannot move
+      // data faster than the identically-built peer can source/sink it.
+      std::optional<sim::ResourceId> peer;
+      if (job.peer_node >= 0) {
+        const sim::Gbps peer_cap = peer_aggregate_cap(
+            machine, *job.devices.front(), job.engine, job.peer_node);
+        if (std::isfinite(peer_cap)) {
+          auto it = peers.find(j);
+          if (it == peers.end()) {
+            const std::string name = "peer:" + std::to_string(j);
+            it = peers.emplace(j, solver.add_resource(name, peer_cap)).first;
+          }
+          solver.set_capacity(it->second, peer_cap);
+          peer = it->second;
+        }
+      }
+
+      for (int s = 0; s < job.num_streams; ++s) {
+        // Listed before its buffer exists, so release() frees whatever
+        // a failed allocation part-way through has taken.
+        StreamSetup& setup = built.setups.emplace_back();
+        setup.job_index = j;
+        setup.device =
+            job.devices[static_cast<std::size_t>(s) % job.devices.size()];
+        // Worker buffers follow the job's memory policy (default: local to
+        // the binding node, the kernel's local-preferred behaviour).
+        setup.buffer = host.alloc_with_policy(
+            job.block_size * static_cast<sim::Bytes>(job.iodepth),
+            job.mem_policy, job.cpu_node);
+        StreamSpec stream;
+        stream.device = setup.device;
+        stream.engine = job.engine;
+        stream.cpu_node = job.cpu_node;
+        stream.placements = setup.buffer.placement;
+        stream.options =
+            stream_options(job, setup.device->engine(job.engine), job_rng);
+        setup.shape = shape_stream(machine, stream);
+        if (peer) setup.shape.usages.push_back({*peer, 1.0});
+      }
+    }
+  } catch (...) {
+    release(host, built);
+    throw;
+  }
+
+  // Heterogeneous service times on one engine cost a little extra
+  // occupancy (queue-switching between unequal DMA windows); this is the
+  // ~3% by which real mixed-node aggregates undershoot Eq. 1's arithmetic
+  // prediction.
+  std::map<sim::ResourceId, std::pair<double, double>> tau_range;
+  for (const StreamSetup& s : built.setups) {
+    const sim::ResourceId engine_res =
+        s.device->engine_resource(jobs[s.job_index].job.engine);
+    auto [it, inserted] =
+        tau_range.try_emplace(engine_res, s.shape.tau, s.shape.tau);
+    if (!inserted) {
+      it->second.first = std::min(it->second.first, s.shape.tau);
+      it->second.second = std::max(it->second.second, s.shape.tau);
+    }
+  }
+  for (const auto& [res, range] : tau_range) {
+    if (range.second > range.first * 1.0001) {
+      solver.set_capacity(res, 0.97);
+      built.penalized.push_back(res);
+    }
+  }
+  return built;
 }
 
 }  // namespace
@@ -192,49 +344,28 @@ std::vector<FioResult> FioRunner::run_concurrent(
 
 std::vector<FioResult> FioRunner::run_timed(
     const std::vector<TimedJob>& jobs) {
-  fabric::Machine& machine = host_.machine();
-  auto& solver = machine.solver();
+  auto& solver = host_.machine().solver();
   obs::TraceRecorder* trace =
       obs_ != nullptr && obs_->trace.enabled() ? &obs_->trace : nullptr;
 
-  // Nodes index per-node tables that only assert their bound, so a node
-  // outside the host is rejected before any buffer or flow exists.
-  const int nodes = machine.num_nodes();
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    const FioJob& job = jobs[j].job;
-    const auto check = [&](const char* field, int node) {
-      if (node >= 0 && node < nodes) return;
-      throw StatusError(StatusCode::kUsage,
-                        "fio job " + std::to_string(j) + " (" + job.engine +
-                            "): " + field + " " + std::to_string(node) +
-                            " is outside the host's nodes 0-" +
-                            std::to_string(nodes - 1));
-    };
-    check("cpu_node", job.cpu_node);
-    if (job.peer_node >= 0) check("peer_node", job.peer_node);
-  }
-
+  JobStreams built = build_streams(host_, jobs, peer_resources_);
+  std::vector<StreamSetup>& setups = built.setups;
   std::vector<obs::SpanId> job_spans(jobs.size(), 0);
-  std::vector<StreamSetup> setups;
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
+  for (std::size_t i = 0; i < setups.size(); ++i) {
+    StreamSetup& setup = setups[i];
+    const std::size_t j = setup.job_index;
     const FioJob& job = jobs[j].job;
-    if (job.devices.empty()) {
-      throw std::invalid_argument("FioJob needs at least one device");
+    setup.backoff_rng = sim::Rng(job.seed)
+                            .fork(0x72657472u)
+                            .fork(static_cast<std::uint64_t>(i));
+    if (faults_ != nullptr) {
+      setup.fault_device = faults_->device_index(setup.device->name());
     }
-    if (job.num_streams < 1) {
-      throw std::invalid_argument("FioJob needs at least one stream");
-    }
-    if ((job.engine == kSsdWrite || job.engine == kSsdRead) &&
-        job.num_streams < static_cast<int>(job.devices.size())) {
-      // The paper's SSD tests use at least one process per card (§IV-B3).
-      throw std::invalid_argument(
-          "SSD jobs need at least one stream per card");
-    }
+    if (obs_ != nullptr) obs_->metrics.add(m_streams_);
+    if (trace == nullptr) continue;
     const char job_dir =
-        job.devices.front()->has_engine(job.engine)
-            ? (job.devices.front()->engine(job.engine).to_device ? 'w' : 'r')
-            : '-';
-    if (trace != nullptr) {
+        job.devices.front()->engine(job.engine).to_device ? 'w' : 'r';
+    if (i == 0 || setups[i - 1].job_index != j) {
       obs::EventFields fields;
       fields.node_a = job.cpu_node;
       fields.node_b = job.devices.front()->attach_node();
@@ -245,101 +376,14 @@ std::vector<FioResult> FioRunner::run_timed(
       fields.detail = job.engine;
       job_spans[j] = trace->begin_span("fio.job", 0, fields);
     }
-    sim::Rng job_rng =
-        sim::Rng(job.seed).fork(static_cast<std::uint64_t>(job.cpu_node));
-
-    // Peer-host constraint for network engines: the whole job cannot move
-    // data faster than the identically-built peer can source/sink it.
-    sim::ResourceId peer_res = 0;
-    bool has_peer_res = false;
-    if (job.peer_node >= 0) {
-      const sim::Gbps peer_cap = peer_aggregate_cap(
-          machine, *job.devices.front(), job.engine, job.peer_node);
-      if (std::isfinite(peer_cap)) {
-        peer_res =
-            solver.add_resource("peer:" + std::to_string(j), peer_cap);
-        has_peer_res = true;
-      }
-    }
-
-    for (int s = 0; s < job.num_streams; ++s) {
-      StreamSetup setup;
-      setup.job_index = j;
-      setup.device =
-          job.devices[static_cast<std::size_t>(s) % job.devices.size()];
-      const EngineSpec& spec = setup.device->engine(job.engine);
-
-      // Worker buffers follow the job's memory policy (default: local to
-      // the binding node, the kernel's local-preferred behaviour).
-      setup.buffer = host_.alloc_with_policy(
-          job.block_size * static_cast<sim::Bytes>(job.iodepth),
-          job.mem_policy, job.cpu_node);
-
-      StreamOptions options = stream_options(job, spec);
-      if (spec.jitter_stddev > 0.0 &&
-          job.num_streams > spec.jitter_threshold) {
-        // Contention above ~4 streams wobbles both the engine-level
-        // aggregate and the per-stream rates, which is why at 8/16 TCP
-        // streams the per-binding ordering shuffles (§IV-B1, "sometimes
-        // the performance of node 5 appears to be the best").
-        options.rho_factor *= std::clamp(
-            1.0 + job_rng.normal(-0.005, 0.4 * spec.jitter_stddev), 0.90,
-            1.10);
-        options.stream_cap_factor *= std::clamp(
-            1.0 + job_rng.normal(-0.01, spec.jitter_stddev), 0.70, 1.30);
-      }
-
-      StreamSpec stream;
-      stream.device = setup.device;
-      stream.engine = job.engine;
-      stream.cpu_node = job.cpu_node;
-      stream.placements = setup.buffer.placement;
-      stream.options = options;
-      setup.shape = shape_stream(machine, stream);
-      if (has_peer_res) setup.shape.usages.push_back({peer_res, 1.0});
-      setup.backoff_rng =
-          sim::Rng(job.seed)
-              .fork(0x72657472u)
-              .fork(static_cast<std::uint64_t>(setups.size()));
-      if (faults_ != nullptr) {
-        setup.fault_device = faults_->device_index(setup.device->name());
-      }
-      if (obs_ != nullptr) obs_->metrics.add(m_streams_);
-      if (trace != nullptr) {
-        obs::EventFields fields;
-        fields.node_a = job.cpu_node;
-        fields.node_b = setup.buffer.home();
-        fields.dir = job_dir;
-        fields.bytes = static_cast<long long>(job.bytes_per_stream);
-        fields.t_sim = jobs[j].start;
-        fields.detail = setup.device->name();
-        setup.span = trace->begin_span("fio.stream", job_spans[j], fields);
-      }
-      setups.push_back(std::move(setup));
-    }
-  }
-
-  // Heterogeneous service times on one engine cost a little extra
-  // occupancy (queue-switching between unequal DMA windows); this is the
-  // ~3% by which real mixed-node aggregates undershoot Eq. 1's arithmetic
-  // prediction.
-  std::map<sim::ResourceId, std::pair<double, double>> tau_range;
-  for (const StreamSetup& s : setups) {
-    const sim::ResourceId engine_res =
-        s.device->engine_resource(jobs[s.job_index].job.engine);
-    auto [it, inserted] =
-        tau_range.try_emplace(engine_res, s.shape.tau, s.shape.tau);
-    if (!inserted) {
-      it->second.first = std::min(it->second.first, s.shape.tau);
-      it->second.second = std::max(it->second.second, s.shape.tau);
-    }
-  }
-  std::vector<sim::ResourceId> penalized;
-  for (const auto& [res, range] : tau_range) {
-    if (range.second > range.first * 1.0001) {
-      solver.set_capacity(res, 0.97);
-      penalized.push_back(res);
-    }
+    obs::EventFields fields;
+    fields.node_a = job.cpu_node;
+    fields.node_b = setup.buffer.home();
+    fields.dir = job_dir;
+    fields.bytes = static_cast<long long>(job.bytes_per_stream);
+    fields.t_sim = jobs[j].start;
+    fields.detail = setup.device->name();
+    setup.span = trace->begin_span("fio.stream", job_spans[j], fields);
   }
 
   sim::FluidSimulation fluid(solver);
@@ -538,7 +582,6 @@ std::vector<FioResult> FioRunner::run_timed(
       result.degraded = true;
     }
     result.streams.push_back(std::move(stream));
-    host_.free(s.buffer);
   }
   for (std::size_t j = 0; j < jobs.size(); ++j) {
     results[j].duration = last_end[j] - first_start[j];
@@ -558,45 +601,24 @@ std::vector<FioResult> FioRunner::run_timed(
     }
   }
 
-  for (sim::ResourceId res : penalized) solver.set_capacity(res, 1.0);
+  release(host_, built);
   return results;
 }
 
 std::vector<FioRunner::ResourceLoad> FioRunner::diagnose(const FioJob& job) {
-  fabric::Machine& machine = host_.machine();
-  auto& solver = machine.solver();
-
-  // The job's stream shapes as run_timed builds them, without the
-  // contention jitter (diagnosis is a steady-state question), added as
-  // plain flows.
-  if (job.devices.empty()) {
-    throw std::invalid_argument("FioJob needs at least one device");
-  }
+  auto& solver = host_.machine().solver();
+  JobStreams built = build_streams(host_, {TimedJob{job, 0.0}},
+                                   peer_resources_);
   std::vector<sim::FlowId> flows;
-  std::vector<std::vector<sim::Usage>> usages;
-  std::vector<nm::Buffer> buffers;
-  for (int s_idx = 0; s_idx < job.num_streams; ++s_idx) {
-    const PcieDevice* device =
-        job.devices[static_cast<std::size_t>(s_idx) % job.devices.size()];
-    buffers.push_back(host_.alloc_with_policy(
-        job.block_size * static_cast<sim::Bytes>(job.iodepth),
-        job.mem_policy, job.cpu_node));
-    StreamSpec spec;
-    spec.device = device;
-    spec.engine = job.engine;
-    spec.cpu_node = job.cpu_node;
-    spec.placements = buffers.back().placement;
-    spec.options = stream_options(job, device->engine(job.engine));
-    const StreamShape shape = shape_stream(machine, spec);
-    flows.push_back(solver.add_flow(shape.usages, shape.rate_cap));
-    usages.push_back(shape.usages);
+  for (const StreamSetup& s : built.setups) {
+    flows.push_back(solver.add_flow(s.shape.usages, s.shape.rate_cap));
   }
 
   const auto& rates = solver.solve();
   // Accumulate this job's weighted load per resource it touches.
   std::map<sim::ResourceId, double> load;
   for (std::size_t f = 0; f < flows.size(); ++f) {
-    for (const sim::Usage& u : usages[f]) {
+    for (const sim::Usage& u : built.setups[f].shape.usages) {
       load[u.resource] += rates[flows[f]] * u.weight;
     }
   }
@@ -616,7 +638,7 @@ std::vector<FioRunner::ResourceLoad> FioRunner::diagnose(const FioJob& job) {
             });
 
   for (const sim::FlowId f : flows) solver.remove_flow(f);
-  for (auto& b : buffers) host_.free(b);
+  release(host_, built);
   return report;
 }
 

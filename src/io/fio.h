@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -176,8 +177,14 @@ class FioRunner {
 
   /// Runs jobs that start at the given absolute times (an open-loop
   /// arrival process); results are indexed like `jobs`. All three run
-  /// forms throw StatusError(kUsage) when a job's cpu_node, or its
-  /// peer_node when set, is not a node of the host.
+  /// forms check every job before any buffer is allocated: they throw
+  /// StatusError(kUsage) when a job's cpu_node, its peer_node when set or
+  /// a node of its mem_policy is not a node of the host;
+  /// std::invalid_argument for a job with no device, no stream or fewer
+  /// SSD streams than cards; and std::out_of_range for an engine one of
+  /// its devices lacks. A std::bad_alloc from the buffers frees those
+  /// already taken. A peer-bound job adds a `peer:` cap resource to the
+  /// solver once per job slot; later runs reuse it.
   std::vector<FioResult> run_timed(const std::vector<TimedJob>& jobs);
 
   /// One resource's steady-state load under a diagnosed job.
@@ -187,16 +194,21 @@ class FioRunner {
     sim::Gbps capacity = 0.0;
   };
 
-  /// Sets the job's steady-state flows up, solves once, and reports every
-  /// finite-capacity resource the job touches, most utilized first — the
-  /// answer to "what is actually limiting this transfer?" (§I-A: "the
-  /// performance bottleneck can reside in any of these"). No data moves;
-  /// the host is left unchanged.
+  /// Starts the job's flows exactly as run() does at t = 0 (seeded
+  /// contention jitter, peer-host cap and mixed-service penalty
+  /// included), solves once, and reports every finite-capacity resource
+  /// they touch, most utilized first, ties by name: the answer to "what
+  /// is actually limiting this transfer?" (§I-A: "the performance
+  /// bottleneck can reside in any of these"). No data moves, every buffer
+  /// is freed and every flow removed; a peer cap resource stays, as after
+  /// run(). Throws what run() throws for the same job.
   std::vector<ResourceLoad> diagnose(const FioJob& job);
 
  private:
   nm::Host& host_;
   faults::FaultInjector* faults_ = nullptr;
+  /// Peer-cap solver resources by job slot, reused by every later run.
+  std::map<std::size_t, sim::ResourceId> peer_resources_;
 
   obs::Context* obs_ = nullptr;
   obs::MetricsRegistry::Id m_streams_ = obs::MetricsRegistry::kNone;

@@ -8,6 +8,7 @@
 #include <string_view>
 #include <system_error>
 
+#include "io/nic.h"
 #include "io/ssd.h"
 #include "obs/text.h"
 #include "simcore/status.h"
@@ -33,6 +34,10 @@ void read_field(std::string_view field, int line, T& value) {
     fail(line, "malformed number '" + std::string(field) + "'");
   }
 }
+
+/// The engines a replayed request may name (docs/FORMATS.md §3).
+constexpr std::string_view kEngines[] = {kTcpSend,  kTcpRecv,  kRdmaWrite,
+                                         kRdmaRead, kSsdWrite, kSsdRead};
 
 }  // namespace
 
@@ -65,6 +70,9 @@ std::vector<TraceEntry> parse_trace(const std::string& text) {
     double time_s = 0.0;
     double gib = 0.0;
     read_field(fields[0], line_no, time_s);
+    if (std::ranges::find(kEngines, fields[1]) == std::end(kEngines)) {
+      fail(line_no, "unknown engine '" + std::string(fields[1]) + "'");
+    }
     read_field(fields[2], line_no, entry.cpu_node);
     read_field(fields[3], line_no, gib);
     entry.arrival = time_s * 1e9;

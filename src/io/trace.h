@@ -9,7 +9,8 @@
 //   0.000,rdma_write,7,32
 //   1.250,tcp_recv,2,8
 //
-// time_s is the arrival time in seconds; gib the payload in GiB.
+// time_s is the arrival time in seconds; engine one of tcp_send, tcp_recv,
+// rdma_write, rdma_read, ssd_write or ssd_read; gib the payload in GiB.
 #pragma once
 
 #include <string>

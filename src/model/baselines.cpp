@@ -43,17 +43,15 @@ std::vector<sim::Gbps> predict_for_target(const HopModel& model,
 
 Classification classify_by_hops(const topo::Topology& topo, NodeId target) {
   const topo::Routing routing(topo, topo::Routing::Metric::kHops);
-  Classification c;
-  c.class_of.assign(static_cast<std::size_t>(topo.num_nodes()), 0);
+  const auto n = static_cast<std::size_t>(topo.num_nodes());
 
   // Class 1: target + package peers (the paper's convention).
   std::vector<NodeId> first{target};
   for (NodeId peer : topo.package_peers(target)) first.push_back(peer);
   std::sort(first.begin(), first.end());
-  std::vector<bool> in_first(static_cast<std::size_t>(topo.num_nodes()),
-                             false);
+  std::vector<bool> in_first(n, false);
   for (NodeId v : first) in_first[static_cast<std::size_t>(v)] = true;
-  c.classes.push_back(first);
+  std::vector<std::vector<NodeId>> classes{std::move(first)};
 
   // Remaining classes: one per hop count, ascending.
   for (int h = 1; h <= routing.diameter(); ++h) {
@@ -64,17 +62,10 @@ Classification classify_by_hops(const topo::Topology& topo, NodeId target) {
         members.push_back(v);
       }
     }
-    if (!members.empty()) c.classes.push_back(std::move(members));
+    if (!members.empty()) classes.push_back(std::move(members));
   }
-  for (std::size_t cls = 0; cls < c.classes.size(); ++cls) {
-    for (NodeId v : c.classes[cls]) {
-      c.class_of[static_cast<std::size_t>(v)] = static_cast<int>(cls);
-    }
-    // Hop classes carry no bandwidth values; fill neutral stats.
-    c.class_avg.push_back(0.0);
-    c.class_range.emplace_back(0.0, 0.0);
-  }
-  return c;
+  // Hop classes carry no bandwidth values: their statistics are zeros.
+  return summarize_classes(std::move(classes), std::vector<double>(n, 0.0));
 }
 
 double class_agreement(const Classification& reference,

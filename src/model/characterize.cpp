@@ -1,6 +1,5 @@
 #include "model/characterize.h"
 
-#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <cstdio>
@@ -28,31 +27,6 @@ namespace {
 
 const char* dir_name(Direction dir) {
   return dir == Direction::kDeviceWrite ? "write" : "read";
-}
-
-/// Rebuilds class statistics (avg/range/class_of) from memberships plus
-/// the model's bandwidth vector.
-Classification rebuild_classification(
-    const std::vector<std::vector<NodeId>>& members,
-    const std::vector<sim::Gbps>& bw) {
-  Classification c;
-  c.classes = members;
-  c.class_of.assign(bw.size(), 0);
-  for (std::size_t cls = 0; cls < members.size(); ++cls) {
-    double sum = 0.0;
-    double lo = std::numeric_limits<double>::infinity();
-    double hi = 0.0;
-    for (NodeId v : members[cls]) {
-      const double value = bw[static_cast<std::size_t>(v)];
-      sum += value;
-      lo = std::min(lo, value);
-      hi = std::max(hi, value);
-      c.class_of[static_cast<std::size_t>(v)] = static_cast<int>(cls);
-    }
-    c.class_avg.push_back(sum / static_cast<double>(members[cls].size()));
-    c.class_range.emplace_back(lo, hi);
-  }
-  return c;
 }
 
 }  // namespace
@@ -334,21 +308,27 @@ HostModel parse_host_model(const std::string& text) {
       }
       if (words.size() < 4) fail(line_no, "bad class count");
       const int k = read_int(words[3], 1, model.num_nodes, "class count");
+      // Every class is opened, filled and closed in turn, so none
+      // reaches summarize_classes empty.
       std::vector<std::vector<NodeId>> members;
+      bool open = false;
       for (std::size_t i = 4; i < words.size(); ++i) {
         const std::string_view tok = words[i];
         if (tok == "{") {
+          if (open) fail(line_no, "unclosed class");
           members.emplace_back();
+          open = true;
         } else if (tok == "}") {
-          if (members.empty() || members.back().empty()) {
-            fail(line_no, "empty class");
-          }
+          if (!open) fail(line_no, "'}' without '{'");
+          if (members.back().empty()) fail(line_no, "empty class");
+          open = false;
         } else {
-          if (members.empty()) fail(line_no, "node outside class braces");
+          if (!open) fail(line_no, "node outside class braces");
           members.back().push_back(
               read_int(tok, 0, model.num_nodes - 1, "node id"));
         }
       }
+      if (open) fail(line_no, "unclosed class");
       if (static_cast<int>(members.size()) != k) {
         fail(line_no, "class count mismatch");
       }
@@ -364,7 +344,7 @@ HostModel parse_host_model(const std::string& text) {
           (write ? model.write_models : model.read_models)[static_cast<std::size_t>(target)].bw;
       (write ? model.write_classes
              : model.read_classes)[static_cast<std::size_t>(target)] =
-          rebuild_classification(members, bw);
+          summarize_classes(std::move(members), bw);
       seen_classes[slot] = true;
     } else {
       fail(line_no, "unknown record '" + std::string(words[0]) + "'");

@@ -19,8 +19,6 @@ Classification classify_values(std::span<const sim::Gbps> bw, NodeId target,
   assert(n == topo.num_nodes());
   assert(target >= 0 && target < n);
 
-  Classification result;
-
   // Class 1: the target and its package neighbors, unconditionally.
   std::vector<NodeId> first{target};
   for (NodeId peer : topo.package_peers(target)) first.push_back(peer);
@@ -39,33 +37,56 @@ Classification classify_values(std::span<const sim::Gbps> bw, NodeId target,
   }
   const std::vector<int> remote_class = gap_classes(remote_bw, config.rel_gap);
 
-  result.classes.push_back(std::move(first));
+  std::vector<std::vector<NodeId>> classes{std::move(first)};
   int remote_classes = 0;
   for (const int c : remote_class) remote_classes = std::max(remote_classes, c + 1);
-  result.classes.resize(1 + static_cast<std::size_t>(remote_classes));
+  classes.resize(1 + static_cast<std::size_t>(remote_classes));
   for (std::size_t i = 0; i < remote.size(); ++i) {
-    result.classes[1 + static_cast<std::size_t>(remote_class[i])].push_back(
+    classes[1 + static_cast<std::size_t>(remote_class[i])].push_back(
         remote[i]);
   }
+  return summarize_classes(std::move(classes), bw);
+}
 
-  result.class_of.assign(static_cast<std::size_t>(n), 0);
-  for (int c = 0; c < result.num_classes(); ++c) {
+Classification summarize_classes(std::vector<std::vector<NodeId>> classes,
+                                 std::span<const double> values) {
+  Classification result;
+  result.class_of.assign(values.size(), 0);
+  for (std::size_t c = 0; c < classes.size(); ++c) {
+    assert(!classes[c].empty());
+    double lo = values[static_cast<std::size_t>(classes[c].front())];
+    double hi = lo;
     double sum = 0.0;
-    double lo = std::numeric_limits<double>::infinity();
-    double hi = 0.0;
-    for (NodeId v : result.classes[static_cast<std::size_t>(c)]) {
-      result.class_of[static_cast<std::size_t>(v)] = c;
-      const double value = bw[static_cast<std::size_t>(v)];
+    for (NodeId v : classes[c]) {
+      result.class_of[static_cast<std::size_t>(v)] = static_cast<int>(c);
+      const double value = values[static_cast<std::size_t>(v)];
       sum += value;
       lo = std::min(lo, value);
       hi = std::max(hi, value);
     }
-    result.class_avg.push_back(
-        sum / static_cast<double>(
-                  result.classes[static_cast<std::size_t>(c)].size()));
+    result.class_avg.push_back(sum / static_cast<double>(classes[c].size()));
     result.class_range.emplace_back(lo, hi);
   }
+  result.classes = std::move(classes);
   return result;
+}
+
+std::vector<NodeId> near_best_pool(const Classification& classes,
+                                   std::span<const double> class_values,
+                                   double tolerance) {
+  assert(static_cast<int>(class_values.size()) == classes.num_classes());
+  const double best =
+      *std::max_element(class_values.begin(), class_values.end());
+  std::vector<NodeId> pool;
+  for (std::size_t c = 0; c < class_values.size(); ++c) {
+    if (class_values[c] >= best * (1.0 - tolerance)) {
+      pool.insert(pool.end(), classes.classes[c].begin(),
+                  classes.classes[c].end());
+    }
+  }
+  assert(!pool.empty());
+  std::sort(pool.begin(), pool.end());
+  return pool;
 }
 
 std::vector<int> gap_classes(std::span<const double> values, double rel_gap) {

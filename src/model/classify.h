@@ -47,6 +47,20 @@ Classification classify_values(std::span<const sim::Gbps> bw, NodeId target,
                                const topo::Topology& topo,
                                const ClassifyConfig& config = {});
 
+/// A partition's statistics over a per-node value vector: `class_of`,
+/// and each class's mean and min/max of `values` — a Tables IV/V row.
+/// Members are summed in the order given. Every class must be non-empty
+/// and every member index `values`.
+Classification summarize_classes(std::vector<std::vector<NodeId>> classes,
+                                 std::span<const double> values);
+
+/// §V-B's placement pool: the nodes of every class whose value is within
+/// `tolerance` (a fraction) of the best class value, in ascending order.
+/// `class_values` is indexed like `classes.classes`.
+std::vector<NodeId> near_best_pool(const Classification& classes,
+                                   std::span<const double> class_values,
+                                   double tolerance);
+
 /// The §V-A gap walk over an arbitrary value vector — the clustering
 /// core shared by classify_values (remote NUMA nodes) and the fleet's
 /// host-class placement (per-host capacity summaries). Positions are

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <limits>
 
 #include "io/fio.h"
 #include "simcore/fluid_sim.h"
@@ -23,29 +22,6 @@ std::string to_string(OnlinePolicy policy) {
   return "?";
 }
 
-namespace {
-
-/// Pool of nodes from the classes whose model average is within
-/// `tolerance` of the best class average.
-std::vector<NodeId> build_pool(const Classification& classes,
-                               double tolerance) {
-  double best = 0.0;
-  for (double v : classes.class_avg) best = std::max(best, v);
-  std::vector<NodeId> pool;
-  for (int c = 0; c < classes.num_classes(); ++c) {
-    if (classes.class_avg[static_cast<std::size_t>(c)] >=
-        best * (1.0 - tolerance)) {
-      const auto& members = classes.classes[static_cast<std::size_t>(c)];
-      pool.insert(pool.end(), members.begin(), members.end());
-    }
-  }
-  std::sort(pool.begin(), pool.end());
-  assert(!pool.empty());
-  return pool;
-}
-
-}  // namespace
-
 OnlineScheduler::OnlineScheduler(nm::Host& host,
                                  const io::PcieDevice& device,
                                  Classification write_classes,
@@ -58,8 +34,10 @@ OnlineScheduler::OnlineScheduler(nm::Host& host,
       config_(config),
       active_(static_cast<std::size_t>(host.num_configured_nodes()), 0) {
   assert(config_.chunks_per_task > 0);
-  write_pool_ = build_pool(write_classes_, config_.class_tolerance);
-  read_pool_ = build_pool(read_classes_, config_.class_tolerance);
+  write_pool_ = near_best_pool(write_classes_, write_classes_.class_avg,
+                               config_.class_tolerance);
+  read_pool_ = near_best_pool(read_classes_, read_classes_.class_avg,
+                              config_.class_tolerance);
 }
 
 void OnlineScheduler::set_observer(obs::Context* obs) {
@@ -154,10 +132,6 @@ void OnlineScheduler::note_start(NodeId node) {
 void OnlineScheduler::note_finish(NodeId node) {
   assert(active_[static_cast<std::size_t>(node)] > 0);
   --active_[static_cast<std::size_t>(node)];
-}
-
-int OnlineScheduler::active_on(NodeId node) const {
-  return active_[static_cast<std::size_t>(node)];
 }
 
 OnlineReport OnlineScheduler::run(std::span<const IoTask> tasks) {

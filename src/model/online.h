@@ -105,8 +105,6 @@ class OnlineScheduler {
   /// Load-tracking hooks: a request started on / left `node`.
   void note_start(NodeId node);
   void note_finish(NodeId node);
-  /// Currently tracked in-flight count on `node`.
-  int active_on(NodeId node) const;
 
  private:
   NodeId choose_node(const std::string& engine, int task_index, sim::Ns now,

@@ -51,25 +51,6 @@ std::string format_series(const std::string& title,
   return out.str();
 }
 
-ClassSummary summarize_by_class(const Classification& classes,
-                                std::span<const sim::Gbps> per_node) {
-  ClassSummary s;
-  for (const auto& cls : classes.classes) {
-    double lo = per_node[static_cast<std::size_t>(cls.front())];
-    double hi = lo;
-    double sum = 0.0;
-    for (NodeId v : cls) {
-      const double value = per_node[static_cast<std::size_t>(v)];
-      lo = std::min(lo, value);
-      hi = std::max(hi, value);
-      sum += value;
-    }
-    s.range.emplace_back(lo, hi);
-    s.avg.push_back(sum / static_cast<double>(cls.size()));
-  }
-  return s;
-}
-
 std::string format_class_table(const Classification& classes,
                                const std::string& model_label,
                                std::span<const sim::Gbps> model_values,
@@ -95,20 +76,20 @@ std::string format_class_table(const Classification& classes,
 
   auto emit = [&](const std::string& label,
                   std::span<const sim::Gbps> per_node) {
-    const ClassSummary s = summarize_by_class(classes, per_node);
+    const Classification s = summarize_classes(classes.classes, per_node);
     out << std::left << std::setw(18) << (label + " range");
     for (int c = 0; c < k; ++c) {
       std::ostringstream cell;
       cell << std::fixed << std::setprecision(1)
-           << s.range[static_cast<std::size_t>(c)].first << "-"
-           << s.range[static_cast<std::size_t>(c)].second;
+           << s.class_range[static_cast<std::size_t>(c)].first << "-"
+           << s.class_range[static_cast<std::size_t>(c)].second;
       out << std::right << std::setw(16) << cell.str();
     }
     out << '\n' << std::left << std::setw(18) << (label + " avg");
     for (int c = 0; c < k; ++c) {
       std::ostringstream cell;
       cell << std::fixed << std::setprecision(1)
-           << s.avg[static_cast<std::size_t>(c)];
+           << s.class_avg[static_cast<std::size_t>(c)];
       out << std::right << std::setw(16) << cell.str();
     }
     out << '\n';

@@ -32,14 +32,6 @@ std::string format_class_table(const Classification& classes,
                                std::span<const sim::Gbps> model_values,
                                std::span<const MeasuredRow> rows);
 
-/// Per-class range/avg of `per_node` under an existing classification.
-struct ClassSummary {
-  std::vector<std::pair<sim::Gbps, sim::Gbps>> range;
-  std::vector<sim::Gbps> avg;
-};
-ClassSummary summarize_by_class(const Classification& classes,
-                                std::span<const sim::Gbps> per_node);
-
 /// CSV with a header row; `row_labels` indexes the first column.
 std::string to_csv(std::span<const std::string> col_names,
                    std::span<const std::string> row_labels,

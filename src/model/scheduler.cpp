@@ -1,53 +1,15 @@
 #include "model/scheduler.h"
 
-#include <algorithm>
 #include <cassert>
 
 namespace numaio::model {
 
-Placement schedule_spread(const Classification& classes,
-                          std::span<const sim::Gbps> class_values,
-                          int num_processes, const SpreadConfig& config) {
-  assert(num_processes > 0);
-  assert(static_cast<int>(class_values.size()) == classes.num_classes());
-
-  const double best =
-      *std::max_element(class_values.begin(), class_values.end());
-
-  std::vector<NodeId> pool;
-  for (int c = 0; c < classes.num_classes(); ++c) {
-    if (class_values[static_cast<std::size_t>(c)] >=
-        best * (1.0 - config.class_tolerance)) {
-      const auto& members = classes.classes[static_cast<std::size_t>(c)];
-      pool.insert(pool.end(), members.begin(), members.end());
-    }
-  }
-  assert(!pool.empty());
-  std::sort(pool.begin(), pool.end());
-
-  Placement p;
-  p.nodes.reserve(static_cast<std::size_t>(num_processes));
-  for (int i = 0; i < num_processes; ++i) {
-    p.nodes.push_back(pool[static_cast<std::size_t>(i) % pool.size()]);
-  }
-  return p;
-}
-
-Placement schedule_all_local(NodeId device_node, int num_processes) {
-  assert(num_processes > 0);
-  Placement p;
-  p.nodes.assign(static_cast<std::size_t>(num_processes), device_node);
-  return p;
-}
-
 namespace {
 
-/// Round-robin over the best hop class (local + package neighbour).
-Placement spread_by_hops(const topo::Topology& topo, NodeId target,
-                         int num_processes) {
-  const Classification hops = classify_by_hops(topo, target);
-  std::vector<NodeId> pool = hops.classes.front();
-  std::sort(pool.begin(), pool.end());
+/// `num_processes` bindings cycling through `pool` in order.
+Placement round_robin(std::span<const NodeId> pool, int num_processes) {
+  assert(num_processes > 0);
+  assert(!pool.empty());
   Placement p;
   p.nodes.reserve(static_cast<std::size_t>(num_processes));
   for (int i = 0; i < num_processes; ++i) {
@@ -92,6 +54,21 @@ std::string model_unusable_reason(const HostModel& model, NodeId target,
 
 }  // namespace
 
+Placement schedule_spread(const Classification& classes,
+                          std::span<const sim::Gbps> class_values,
+                          int num_processes, const SpreadConfig& config) {
+  return round_robin(
+      near_best_pool(classes, class_values, config.class_tolerance),
+      num_processes);
+}
+
+Placement schedule_all_local(NodeId device_node, int num_processes) {
+  assert(num_processes > 0);
+  Placement p;
+  p.nodes.assign(static_cast<std::size_t>(num_processes), device_node);
+  return p;
+}
+
 RobustPlacement schedule_robust(const HostModel& model,
                                 const topo::Topology& topo, NodeId target,
                                 Direction dir,
@@ -108,7 +85,9 @@ RobustPlacement schedule_robust(const HostModel& model,
                         num_processes, config.spread);
   } else {
     result.used_fallback = true;
-    result.placement = spread_by_hops(topo, target, num_processes);
+    // Round-robin over the best hop class (local + package neighbour).
+    result.placement = round_robin(classify_by_hops(topo, target).classes[0],
+                                   num_processes);
   }
   if (obs::Context* obs = config.obs; obs != nullptr) {
     obs->metrics.add(obs->metrics.counter("sched.placements"));

@@ -30,14 +30,9 @@ std::vector<double> sweep(io::Testbed& tb, const std::string& engine) {
 /// Largest relative spread of measured values within any one class.
 double worst_class_spread(const Classification& classes,
                           const std::vector<double>& io) {
+  const Classification measured = summarize_classes(classes.classes, io);
   double worst = 0.0;
-  for (const auto& cls : classes.classes) {
-    double lo = io[static_cast<std::size_t>(cls.front())];
-    double hi = lo;
-    for (NodeId v : cls) {
-      lo = std::min(lo, io[static_cast<std::size_t>(v)]);
-      hi = std::max(hi, io[static_cast<std::size_t>(v)]);
-    }
+  for (const auto& [lo, hi] : measured.class_range) {
     if (hi > 0.0) worst = std::max(worst, (hi - lo) / hi);
   }
   return worst;

@@ -22,7 +22,7 @@ Topology magny_cours_4p(char variant);
 /// The paper's testbed: DL585 G7, 8 nodes, 4 cores/node, 4 GB/node,
 /// I/O hubs on nodes 1 and 7 (all benchmarked devices sit on node 7).
 /// Uses the Figure-1(a) layout as the nominal wiring; the *measured*
-/// fabric character comes from fabric::dl585_calibrated(), which — as the
+/// fabric character comes from fabric::dl585_profile(), which — as the
 /// paper found — is not explained by any Figure-1 layout.
 Topology dl585_g7();
 

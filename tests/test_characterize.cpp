@@ -75,10 +75,10 @@ TEST_F(CharacterizeTest, SerializeRoundTripsExactly) {
       const auto& ca = model_.classes_for(t, dir);
       const auto& cb = parsed.classes_for(t, dir);
       EXPECT_EQ(ca.classes, cb.classes) << t;
-      for (int c = 0; c < ca.num_classes(); ++c) {
-        EXPECT_NEAR(ca.class_avg[static_cast<std::size_t>(c)],
-                    cb.class_avg[static_cast<std::size_t>(c)], 1e-9);
-      }
+      // The saved-model path recomputes the statistics through
+      // summarize_classes in the same summation order: bit for bit.
+      EXPECT_EQ(ca.class_avg, cb.class_avg) << t;
+      EXPECT_EQ(ca.class_range, cb.class_range) << t;
       EXPECT_EQ(ca.class_of, cb.class_of);
     }
   }
@@ -117,11 +117,33 @@ TEST_F(CharacterizeTest, ParserRejectsBandwidthCountMismatch) {
 }
 
 TEST_F(CharacterizeTest, ParserRejectsNonPartitionClasses) {
-  EXPECT_THROW(
-      parse_host_model("numaio-model v1\nhost x nodes 2\n"
-                       "model 0 write 10.0 11.0\n"
-                       "classes 0 write 1 { 0 0 }\nend\n"),
-      std::invalid_argument);
+  // A '{' never closed once left an empty class with the right class
+  // count and every node covered once; it has no first member to start
+  // its range from.
+  for (const std::string bad :
+       {"1 { 0 0 }", "2 { 0 1 } {", "2 { { 0 1 }", "1 { 0 1", "1 } { 0 1 }",
+        "1 { 0 } 1", "1 { 0 1 } }"}) {
+    const std::string doc =
+        "numaio-model v1\n"
+        "host tiny nodes 2\n"
+        "model 0 write 50.0 40.0\n"
+        "classes 0 write " + bad + "\n"
+        "model 0 read 50.0 41.0\n"
+        "classes 0 read 1 { 0 1 }\n"
+        "model 1 write 39.0 52.0\n"
+        "classes 1 write 1 { 0 1 }\n"
+        "model 1 read 38.0 52.0\n"
+        "classes 1 read 1 { 0 1 }\n"
+        "end\n";
+    try {
+      parse_host_model(doc);
+      ADD_FAILURE() << "accepted classes '" << bad << "'";
+    } catch (const StatusError& e) {
+      EXPECT_EQ(e.status().code, StatusCode::kParse) << e.what();
+      EXPECT_NE(std::string(e.what()).find("line 4"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST_F(CharacterizeTest, ParserReportsLineNumbers) {

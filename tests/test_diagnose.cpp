@@ -1,7 +1,10 @@
 // FioRunner::diagnose — identifying the binding resource of a transfer.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "io/testbed.h"
+#include "simcore/status.h"
 
 namespace numaio::io {
 namespace {
@@ -68,12 +71,42 @@ TEST_F(DiagnoseTest, SingleStreamIsWindowNotResourceBound) {
 TEST_F(DiagnoseTest, ReportSortedAndHostUnchanged) {
   const auto before = tb_.host().node_free_bytes(3);
   const auto live_flows = tb_.machine().solver().live_flow_count();
+  const auto resources = tb_.machine().solver().resource_count();
   const auto report = fio_.diagnose(job(kSsdRead, 3));
   for (std::size_t i = 1; i < report.size(); ++i) {
     EXPECT_GE(report[i - 1].utilization, report[i].utilization);
   }
   EXPECT_EQ(tb_.host().node_free_bytes(3), before);
   EXPECT_EQ(tb_.machine().solver().live_flow_count(), live_flows);
+  EXPECT_EQ(tb_.machine().solver().resource_count(), resources);
+}
+
+TEST_F(DiagnoseTest, PeerBindingIsTheLimit) {
+  // A peer process on node 2 sinks less than node 7 sends (20.0 Gbps
+  // with an optimal peer, 16.2 with this one); diagnose once left the
+  // peer cap out and blamed the local CPU.
+  FioJob j = job(kTcpRecv, 7);
+  j.peer_node = 2;
+  const auto report = fio_.diagnose(j);
+  ASSERT_FALSE(report.empty());
+  EXPECT_EQ(report.front().name.rfind("peer:", 0), 0u)
+      << report.front().name;
+  EXPECT_NEAR(report.front().utilization, 1.0, 1e-6);
+}
+
+TEST_F(DiagnoseTest, RejectsWhatRunRejects) {
+  // A node outside the host once read past the per-node tables, and a
+  // zero-stream job or one stream over two SSDs once diagnosed cleanly.
+  const auto free = tb_.host().node_free_bytes(0);
+  try {
+    fio_.diagnose(job(kRdmaWrite, 9));
+    ADD_FAILURE() << "accepted cpu_node 9";
+  } catch (const StatusError& e) {
+    EXPECT_EQ(e.code(), StatusCode::kUsage) << e.what();
+  }
+  EXPECT_THROW(fio_.diagnose(job(kTcpSend, 0, 0)), std::invalid_argument);
+  EXPECT_THROW(fio_.diagnose(job(kSsdRead, 0, 1)), std::invalid_argument);
+  EXPECT_EQ(tb_.host().node_free_bytes(0), free);
 }
 
 TEST_F(DiagnoseTest, IoModeShapesTheStreams) {

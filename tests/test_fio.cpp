@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <new>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -10,6 +11,7 @@
 #include "faults/fault_plan.h"
 #include "faults/injector.h"
 #include "io/testbed.h"
+#include "nm/policy.h"
 #include "simcore/status.h"
 
 namespace numaio::io {
@@ -212,19 +214,28 @@ TEST_F(FioTest, RejectsZeroStreams) {
 
 // Per-node tables only assert their bound, so an unchecked node read out
 // of bounds in release builds. Every run form rejects it before touching
-// the host, even when a valid job precedes it.
+// the host, even when a valid job precedes it. Memory-policy nodes were
+// once left unchecked: --membind=8 read past the free-bytes table.
 TEST_F(FioTest, CpuNodeOutsideTheHostIsAUsageError) {
   FioJob peer = nic_job(kTcpSend, 2, 1);
   peer.peer_node = 8;
+  const auto with_policy = [this](const std::string& spec) {
+    FioJob j = nic_job(kRdmaWrite, 2, 1);
+    j.mem_policy = nm::parse_numactl(spec);
+    return j;
+  };
   const sim::FlowSolver& solver = testbed_.machine().solver();
   const std::size_t resources = solver.resource_count();
   const sim::Bytes free = testbed_.host().node_free_bytes(2);
   for (const FioJob& bad :
-       {nic_job(kRdmaWrite, 8, 4), nic_job(kRdmaWrite, -1, 4), peer}) {
+       {nic_job(kRdmaWrite, 8, 4), nic_job(kRdmaWrite, -1, 4), peer,
+        with_policy("--membind=8"), with_policy("--interleave=0,8"),
+        with_policy("--preferred=8"), with_policy("--cpunodebind=8")}) {
     const std::vector<FioJob> jobs{nic_job(kRdmaWrite, 2, 2), bad};
     try {
       fio_.run_concurrent(jobs);
-      ADD_FAILURE() << "accepted cpu_node " << bad.cpu_node;
+      ADD_FAILURE() << "accepted cpu_node " << bad.cpu_node << " policy '"
+                    << nm::to_numactl_string(bad.mem_policy) << "'";
     } catch (const StatusError& e) {
       EXPECT_EQ(e.code(), StatusCode::kUsage);
       EXPECT_NE(std::string(e.what()).find("fio job 1"), std::string::npos)
@@ -238,6 +249,52 @@ TEST_F(FioTest, CpuNodeOutsideTheHostIsAUsageError) {
     EXPECT_EQ(solver.live_flow_count(), 0u);
     EXPECT_EQ(testbed_.host().node_free_bytes(2), free);
   }
+}
+
+// Every job is checked before any buffer exists: a bad job after a good
+// one once left the good job's buffers (8 MiB on node 3) allocated.
+TEST_F(FioTest, RejectedRunLeavesEveryNodesMemory) {
+  const auto free_bytes = [this] {
+    std::vector<sim::Bytes> free;
+    for (NodeId n = 0; n < testbed_.machine().num_nodes(); ++n) {
+      free.push_back(testbed_.host().node_free_bytes(n));
+    }
+    return free;
+  };
+  const std::vector<sim::Bytes> before = free_bytes();
+  const FioJob good = nic_job(kTcpSend, 3, 4);
+  EXPECT_THROW(fio_.run_concurrent({good, nic_job("bogus", 5, 4)}),
+               std::out_of_range);
+  EXPECT_THROW(fio_.run_concurrent({good, nic_job(kTcpSend, 5, 0)}),
+               std::invalid_argument);
+  EXPECT_THROW(fio_.run_concurrent({good, ssd_job(kSsdRead, 5, 1)}),
+               std::invalid_argument);
+  // Node 3 holds three of these 1 GiB buffers, not eight; the three
+  // taken before the fourth failed were once kept.
+  FioJob hungry = nic_job(kRdmaWrite, 3, 8);
+  hungry.mem_policy = nm::parse_numactl("--membind=3");
+  hungry.block_size = 512 * sim::kMiB;
+  hungry.iodepth = 2;
+  EXPECT_THROW(fio_.run_concurrent({good, hungry}), std::bad_alloc);
+  EXPECT_EQ(free_bytes(), before);
+}
+
+// A peer-bound job's cap resource is made once per job slot and reused,
+// with the later job's cap; it once grew the solver by one per run.
+TEST_F(FioTest, PeerBoundRunsReuseTheirPeerResource) {
+  FioJob j = nic_job(kTcpRecv, 7, 4);
+  j.peer_node = 2;
+  const sim::FlowSolver& solver = testbed_.machine().solver();
+  const double first = fio_.run(j).aggregate;
+  const std::size_t resources = solver.resource_count();
+  for (int i = 0; i < 9; ++i) EXPECT_EQ(fio_.run(j).aggregate, first);
+  EXPECT_EQ(solver.resource_count(), resources);
+  j.peer_node = 5;
+  const double reused = fio_.run(j).aggregate;
+  EXPECT_EQ(solver.resource_count(), resources);
+  FioRunner fresh(testbed_.host());
+  EXPECT_EQ(fresh.run(j).aggregate, reused);
+  EXPECT_NE(reused, first);
 }
 
 TEST_F(FioTest, SsdJobsNeedAStreamPerCard) {

@@ -64,12 +64,13 @@ TEST_F(ReportWithClasses, ClassTableShapedLikeTableIV) {
 TEST_F(ReportWithClasses, SummaryByClassComputesRangeAndAvg) {
   const std::vector<sim::Gbps> tcp{20.9, 20.9, 16.2, 16.2,
                                    20.9, 20.9, 20.9, 20.0};
-  const ClassSummary s = summarize_by_class(classes_, tcp);
-  ASSERT_EQ(s.avg.size(), 3u);
-  EXPECT_NEAR(s.avg[0], (20.9 + 20.0) / 2.0, 1e-9);   // {6,7}
-  EXPECT_NEAR(s.avg[2], 16.2, 1e-9);                  // {2,3}
-  EXPECT_DOUBLE_EQ(s.range[0].first, 20.0);
-  EXPECT_DOUBLE_EQ(s.range[0].second, 20.9);
+  const Classification s = summarize_classes(classes_.classes, tcp);
+  ASSERT_EQ(s.class_avg.size(), 3u);
+  EXPECT_NEAR(s.class_avg[0], (20.9 + 20.0) / 2.0, 1e-9);   // {6,7}
+  EXPECT_NEAR(s.class_avg[2], 16.2, 1e-9);                  // {2,3}
+  EXPECT_DOUBLE_EQ(s.class_range[0].first, 20.0);
+  EXPECT_DOUBLE_EQ(s.class_range[0].second, 20.9);
+  EXPECT_EQ(s.class_of, classes_.class_of);
 }
 
 TEST(Report, HeatmapShadesScaleWithValues) {

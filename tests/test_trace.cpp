@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "io/testbed.h"
+#include "simcore/status.h"
 
 namespace numaio::io {
 namespace {
@@ -45,6 +46,8 @@ TEST(Trace, RejectsMalformedInput) {
   EXPECT_THROW(parse_trace("abc,rdma_write,7,1\n"), std::invalid_argument);
   EXPECT_THROW(parse_trace("0.0,rdma_write,7,-2\n"), std::invalid_argument);
   EXPECT_THROW(parse_trace("-1.0,rdma_write,7,2\n"), std::invalid_argument);
+  EXPECT_THROW(parse_trace("0.5,bogus,7,8\n"), std::invalid_argument);
+  EXPECT_THROW(parse_trace("0.0,,7,8\n"), std::invalid_argument);
 }
 
 // Each line once crashed, hung or faked success in `replay`: undefined
@@ -78,6 +81,19 @@ TEST(Trace, ErrorsCarryLineNumbers) {
     FAIL() << "expected throw";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos);
+  }
+  // An unknown engine once parsed and failed only when the jobs were
+  // built, with no line number.
+  for (const char* line : {"0.5,bogus,7,8", "0.0,,7,8"}) {
+    try {
+      parse_trace(std::string("0.0,rdma_write,7,1\n") + line + "\n");
+      ADD_FAILURE() << "accepted: " << line;
+    } catch (const StatusError& e) {
+      EXPECT_EQ(e.code(), StatusCode::kParse) << e.what();
+      EXPECT_NE(std::string(e.what()).find("trace line 2: unknown engine"),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 
