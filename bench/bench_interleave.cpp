@@ -16,11 +16,9 @@ int main() {
                   " (Gbps)");
     std::printf("  %-10s %12s %14s %14s\n", "binding", "local bufs",
                 "interleave all", "membind best");
-    const bool is_ssd = std::string(engine).rfind("ssd", 0) == 0;
     for (topo::NodeId node = 0; node < 8; ++node) {
       io::FioJob j;
-      j.devices = is_ssd ? tb.ssds()
-                         : std::vector<const io::PcieDevice*>{&tb.nic()};
+      j.devices = tb.devices().for_engine(engine);
       j.engine = engine;
       j.cpu_node = node;
       j.num_streams = 4;

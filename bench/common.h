@@ -26,9 +26,7 @@ inline double run_engine(io::Testbed& tb, const std::string& engine,
                          topo::NodeId node, int streams) {
   io::FioRunner fio(tb.host());
   io::FioJob j;
-  const bool is_ssd = engine.rfind("ssd", 0) == 0;
-  j.devices = is_ssd ? tb.ssds()
-                     : std::vector<const io::PcieDevice*>{&tb.nic()};
+  j.devices = tb.devices().for_engine(engine);
   j.engine = engine;
   j.cpu_node = node;
   j.num_streams = streams;

@@ -34,10 +34,13 @@ UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
 # suite (FleetScale) adds the batched admission path and 2,000-tenant
 # storm runs; FleetProperty runs random configs under random host-fault
 # plans; AlarmEngine covers the completion-alarm heap and its merge hook.
+# The fault plan and injector suites run here too: the fleet asks
+# FaultInjector::host_factor on every host touch, and both read every
+# kind through the one kind table.
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
 UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
   "$BUILD_DIR/tests/numaio_tests" \
-  --gtest_filter='TokenBucket*:*BoundedQueue*:CircuitBreaker*:AdmissionStatus*:FleetSim*:FleetScale*:*FleetProperty*:*AlarmEngine*:FaultPlanFile*'
+  --gtest_filter='TokenBucket*:*BoundedQueue*:CircuitBreaker*:AdmissionStatus*:FleetSim*:FleetScale*:*FleetProperty*:*AlarmEngine*:FaultPlanFile*:FaultPlanTest.*:FaultInjectorTest.*'
 
 # The fluid simulation runs standalone too: every deferred transfer
 # start and control closure lives in its AlarmEngine's slot arena, and

@@ -60,7 +60,7 @@ int main() {
 
   // 4. Replay: as-pinned vs with the planned buffer policies.
   auto replay = [&](bool apply_plan) {
-    auto jobs = io::trace_to_jobs(entries, &tb.nic(), tb.ssds());
+    auto jobs = io::trace_to_jobs(entries, tb.devices());
     if (apply_plan) {
       for (std::size_t i = 0; i < jobs.size(); ++i) {
         jobs[i].job.mem_policy = plan.processes[i].policy;

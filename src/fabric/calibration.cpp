@@ -147,7 +147,6 @@ HostProfile pair_profile(const HostProfile& host) {
                    std::move(paths)};
   pair.cpu_units_per_core = host.cpu_units_per_core;
   pair.llc_mb = host.llc_mb;
-  pair.node0_local_stream_boost = host.node0_local_stream_boost;
   pair.link_level_contention = false;
   return pair;
 }

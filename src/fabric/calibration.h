@@ -32,13 +32,6 @@ struct HostProfile {
   /// STREAM's array-sizing rule (arrays >= 4x LLC) is checked against this.
   double llc_mb = 5.0;
 
-  /// Extra multiplier on node 0's *local* STREAM bandwidth. The paper
-  /// observed node 0 outperforming other local bindings because OS buffers
-  /// and shared libraries resident on node 0 warm its caches/pages (§IV-A);
-  /// the dl585 profile folds this into the calibrated stream matrix and
-  /// leaves this at 1.0, but derived profiles may set it.
-  double node0_local_stream_boost = 1.0;
-
   /// When true the Machine also models contention on the *individual
   /// interconnect links*: overlapping routes share directed link capacity
   /// (width * link_gbps_per_width_bit), so e.g. two streams whose shortest

@@ -1,8 +1,8 @@
 #include "faults/fault_plan.h"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
-#include <map>
 #include <stdexcept>
 #include <string_view>
 #include <system_error>
@@ -12,30 +12,6 @@
 #include "simcore/status.h"
 
 namespace numaio::faults {
-
-const char* to_string(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kLinkDegrade:
-      return "link-degrade";
-    case FaultKind::kLinkFlap:
-      return "link-flap";
-    case FaultKind::kMcThrottle:
-      return "mc-throttle";
-    case FaultKind::kDeviceStall:
-      return "device-stall";
-    case FaultKind::kIrqStorm:
-      return "irq-storm";
-    case FaultKind::kMeasureNoise:
-      return "measure-noise";
-    case FaultKind::kHostCrash:
-      return "host-crash";
-    case FaultKind::kHostHang:
-      return "host-hang";
-    case FaultKind::kHostRecover:
-      return "host-recover";
-  }
-  return "?";
-}
 
 namespace {
 
@@ -49,43 +25,45 @@ namespace {
 void FaultPlan::validate(int num_nodes, int num_devices, int num_hosts) const {
   for (std::size_t i = 0; i < events_.size(); ++i) {
     const FaultEvent& e = events_[i];
+    if (static_cast<std::size_t>(e.kind) >= std::size(kFaultKinds)) {
+      bad(i, "unknown kind");
+    }
     if (e.start < 0.0 || !std::isfinite(e.start)) bad(i, "negative start");
     if (e.duration <= 0.0 || !std::isfinite(e.duration)) {
       bad(i, "non-positive duration");
     }
-    switch (e.kind) {
-      case FaultKind::kLinkDegrade:
-      case FaultKind::kLinkFlap:
+    const FaultKindInfo& k = kind_info(e.kind);
+    switch (k.target) {
+      case FaultTarget::kLink:
         if (e.src < 0 || e.src >= num_nodes || e.dst < 0 ||
             e.dst >= num_nodes || e.src == e.dst) {
           bad(i, "link fault needs a valid directed node pair");
         }
-        if (e.kind == FaultKind::kLinkFlap && e.flaps < 1) {
-          bad(i, "flap count must be >= 1");
-        }
         break;
-      case FaultKind::kMcThrottle:
-      case FaultKind::kIrqStorm:
+      case FaultTarget::kNodeMemory:
+      case FaultTarget::kNodeCpu:
         if (e.node < 0 || e.node >= num_nodes) bad(i, "node out of range");
         break;
-      case FaultKind::kDeviceStall:
+      case FaultTarget::kDevice:
         if (e.device < 0 || e.device >= num_devices) {
           bad(i, "device index out of range");
         }
         break;
-      case FaultKind::kMeasureNoise:
-        break;
-      case FaultKind::kHostCrash:
-      case FaultKind::kHostHang:
-      case FaultKind::kHostRecover:
+      case FaultTarget::kHost:
         if (e.host < 0 || (num_hosts >= 0 && e.host >= num_hosts)) {
           bad(i, "host index out of range");
         }
         break;
+      case FaultTarget::kNone:
+        break;
     }
-    if (e.kind == FaultKind::kMeasureNoise) {
-      if (e.severity < 0.0) bad(i, "noise amplification must be >= 0");
-    } else if (e.severity < 0.0 || e.severity > 1.0) {
+    if (k.flaps && e.flaps < 1) bad(i, "flap count must be >= 1");
+    // Negated compares, so a NaN severity fails too.
+    if (k.severity == FaultSeverity::kNoise) {
+      if (!(e.severity >= 0.0 && std::isfinite(e.severity))) {
+        bad(i, "noise amplification must be finite and >= 0");
+      }
+    } else if (!(e.severity >= 0.0 && e.severity <= 1.0)) {
       bad(i, "severity must be in [0, 1]");
     }
   }
@@ -98,21 +76,15 @@ FaultPlan FaultPlan::random(const RandomPlanConfig& config) {
     throw std::invalid_argument("random fault plan needs >= 2 nodes");
   }
   sim::Rng rng = sim::Rng(config.seed).fork(0x6661756c74u);  // "fault"
-  // The allowed-kind table reproduces the historical draw bit for bit:
-  // with num_hosts == 0 it is exactly the old `below(5 or 6)` + remap, so
-  // pre-fleet seeds keep producing byte-identical plans.
-  FaultKind kinds[9];
+  // Kinds are drawn from the table rows the host shape can take, in
+  // table order: with no devices and no hosts that is exactly the
+  // pre-device, pre-fleet draw, so old seeds keep their plans.
+  FaultKind kinds[std::size(kFaultKinds)];
   int num_kinds = 0;
-  kinds[num_kinds++] = FaultKind::kLinkDegrade;
-  kinds[num_kinds++] = FaultKind::kLinkFlap;
-  kinds[num_kinds++] = FaultKind::kMcThrottle;
-  if (num_devices > 0) kinds[num_kinds++] = FaultKind::kDeviceStall;
-  kinds[num_kinds++] = FaultKind::kIrqStorm;
-  kinds[num_kinds++] = FaultKind::kMeasureNoise;
-  if (config.num_hosts > 0) {
-    kinds[num_kinds++] = FaultKind::kHostCrash;
-    kinds[num_kinds++] = FaultKind::kHostHang;
-    kinds[num_kinds++] = FaultKind::kHostRecover;
+  for (const FaultKindInfo& k : kFaultKinds) {
+    if (k.target == FaultTarget::kDevice && num_devices <= 0) continue;
+    if (k.target == FaultTarget::kHost && config.num_hosts <= 0) continue;
+    kinds[num_kinds++] = k.kind;
   }
   FaultPlan plan;
   for (int i = 0; i < config.num_events; ++i) {
@@ -121,37 +93,37 @@ FaultPlan FaultPlan::random(const RandomPlanConfig& config) {
     e.start = rng.uniform(0.0, config.horizon);
     e.duration = rng.uniform(config.min_duration, config.max_duration);
     e.severity = rng.uniform(config.min_severity, config.max_severity);
-    switch (e.kind) {
-      case FaultKind::kLinkDegrade:
-      case FaultKind::kLinkFlap: {
+    const FaultKindInfo& k = kind_info(e.kind);
+    switch (k.target) {
+      case FaultTarget::kLink:
         e.src = static_cast<NodeId>(
             rng.below(static_cast<std::uint64_t>(num_nodes)));
         e.dst = static_cast<NodeId>(
             rng.below(static_cast<std::uint64_t>(num_nodes - 1)));
         if (e.dst >= e.src) ++e.dst;
+        // Drawn for every link kind, flapping or not, so the draw
+        // sequence (and every seed's plan) stays what it always was.
         e.flaps = 1 + static_cast<int>(rng.below(
                           static_cast<std::uint64_t>(config.max_flaps)));
         break;
-      }
-      case FaultKind::kMcThrottle:
-      case FaultKind::kIrqStorm:
+      case FaultTarget::kNodeMemory:
+      case FaultTarget::kNodeCpu:
         e.node = static_cast<NodeId>(
             rng.below(static_cast<std::uint64_t>(num_nodes)));
         break;
-      case FaultKind::kDeviceStall:
+      case FaultTarget::kDevice:
         e.device = static_cast<int>(
             rng.below(static_cast<std::uint64_t>(num_devices)));
         break;
-      case FaultKind::kMeasureNoise:
-        e.severity =
-            rng.uniform(1.0, config.max_noise_amplification) - 1.0;
-        break;
-      case FaultKind::kHostCrash:
-      case FaultKind::kHostHang:
-      case FaultKind::kHostRecover:
+      case FaultTarget::kHost:
         e.host = static_cast<int>(
             rng.below(static_cast<std::uint64_t>(config.num_hosts)));
         break;
+      case FaultTarget::kNone:
+        break;
+    }
+    if (k.severity == FaultSeverity::kNoise) {
+      e.severity = rng.uniform(1.0, config.max_noise_amplification) - 1.0;
     }
     plan.add(e);
   }
@@ -170,21 +142,57 @@ namespace {
                     "fault plan line " + std::to_string(line) + ": " + what);
 }
 
-bool parse_kind(std::string_view name, FaultKind* out) {
-  static constexpr FaultKind kAll[] = {
-      FaultKind::kLinkDegrade, FaultKind::kLinkFlap,
-      FaultKind::kMcThrottle,  FaultKind::kDeviceStall,
-      FaultKind::kIrqStorm,    FaultKind::kMeasureNoise,
-      FaultKind::kHostCrash,   FaultKind::kHostHang,
-      FaultKind::kHostRecover,
-  };
-  for (FaultKind k : kAll) {
-    if (name == to_string(k)) {
-      *out = k;
-      return true;
-    }
+/// The table row named `name`, or nullptr.
+const FaultKindInfo* parse_kind(std::string_view name) {
+  for (const FaultKindInfo& k : kFaultKinds) {
+    if (name == k.name) return &k;
   }
-  return false;
+  return nullptr;
+}
+
+/// One plan-file key of an event, bound to the field it fills.
+struct Field {
+  const char* key;
+  int* integer = nullptr;  ///< The target's ids and `flaps`.
+  double* real = nullptr;  ///< `start` and `dur` (ns), and `sev`.
+  bool time = false;       ///< `real` is written with a unit suffix.
+  bool required = true;
+  bool given = false;      ///< Set by the parser when the line has it.
+};
+
+/// The keys `e`'s kind takes, in rendering order: its target's ids,
+/// `flaps` if it flaps, the window, then `sev` if its severity means
+/// anything. `flaps` and `sev` may be left out.
+std::vector<Field> fields_of(FaultEvent& e) {
+  const FaultKindInfo& k = kind_info(e.kind);
+  std::vector<Field> fields;
+  switch (k.target) {
+    case FaultTarget::kLink:
+      fields.push_back({.key = "src", .integer = &e.src});
+      fields.push_back({.key = "dst", .integer = &e.dst});
+      break;
+    case FaultTarget::kNodeMemory:
+    case FaultTarget::kNodeCpu:
+      fields.push_back({.key = "node", .integer = &e.node});
+      break;
+    case FaultTarget::kDevice:
+      fields.push_back({.key = "device", .integer = &e.device});
+      break;
+    case FaultTarget::kHost:
+      fields.push_back({.key = "host", .integer = &e.host});
+      break;
+    case FaultTarget::kNone:
+      break;
+  }
+  if (k.flaps) {
+    fields.push_back({.key = "flaps", .integer = &e.flaps, .required = false});
+  }
+  fields.push_back({.key = "start", .real = &e.start, .time = true});
+  fields.push_back({.key = "dur", .real = &e.duration, .time = true});
+  if (k.severity != FaultSeverity::kNone) {
+    fields.push_back({.key = "sev", .real = &e.severity, .required = false});
+  }
+  return fields;
 }
 
 /// `value` read as a T by the shared number grammar (docs/FORMATS.md
@@ -267,12 +275,14 @@ FaultPlan parse_fault_plan(const std::string& text) {
     const std::vector<std::string_view> tokens = obs::text::split_words(line);
     if (tokens.empty()) continue;
 
-    FaultEvent e;
-    if (!parse_kind(tokens[0], &e.kind)) {
+    const FaultKindInfo* kind = parse_kind(tokens[0]);
+    if (kind == nullptr) {
       parse_fail(line_no,
                  "unknown fault kind '" + std::string(tokens[0]) + "'");
     }
-    std::map<std::string, std::string_view> kv;
+    FaultEvent e;
+    e.kind = kind->kind;
+    std::vector<Field> fields = fields_of(e);
     for (std::size_t t = 1; t < tokens.size(); ++t) {
       const std::size_t eq = tokens[t].find('=');
       if (eq == std::string::npos || eq == 0) {
@@ -280,61 +290,28 @@ FaultPlan parse_fault_plan(const std::string& text) {
                                 std::string(tokens[t]) + "'");
       }
       const std::string key(tokens[t].substr(0, eq));
-      if (!kv.emplace(key, tokens[t].substr(eq + 1)).second) {
-        parse_fail(line_no, "duplicate key '" + key + "'");
+      const std::string_view value = tokens[t].substr(eq + 1);
+      const auto f = std::find_if(fields.begin(), fields.end(),
+                                  [&](const Field& x) { return key == x.key; });
+      if (f == fields.end()) {
+        parse_fail(line_no,
+                   std::string(kind->name) + " takes no key '" + key + "'");
       }
-    }
-    for (const auto& [key, value] : kv) {
-      if (key == "start") {
-        e.start = parse_time(value, line_no, key);
-      } else if (key == "dur") {
-        e.duration = parse_time(value, line_no, key);
-      } else if (key == "src") {
-        e.src = parse_value<int>(value, line_no, key);
-      } else if (key == "dst") {
-        e.dst = parse_value<int>(value, line_no, key);
-      } else if (key == "node") {
-        e.node = parse_value<int>(value, line_no, key);
-      } else if (key == "device") {
-        e.device = parse_value<int>(value, line_no, key);
-      } else if (key == "host") {
-        e.host = parse_value<int>(value, line_no, key);
-      } else if (key == "sev") {
-        e.severity = parse_value<double>(value, line_no, key);
-      } else if (key == "flaps") {
-        e.flaps = parse_value<int>(value, line_no, key);
+      if (f->given) parse_fail(line_no, "duplicate key '" + key + "'");
+      f->given = true;
+      if (f->integer != nullptr) {
+        *f->integer = parse_value<int>(value, line_no, key);
+      } else if (f->time) {
+        *f->real = parse_time(value, line_no, key);
       } else {
-        parse_fail(line_no, "unknown key '" + key + "'");
+        *f->real = parse_value<double>(value, line_no, key);
       }
     }
-    auto require = [&](const char* key) {
-      if (!kv.count(key)) {
-        parse_fail(line_no, std::string(to_string(e.kind)) +
-                                " needs key '" + key + "'");
+    for (const Field& f : fields) {
+      if (f.required && !f.given) {
+        parse_fail(line_no, std::string(kind->name) + " needs key '" +
+                                f.key + "'");
       }
-    };
-    require("start");
-    require("dur");
-    switch (e.kind) {
-      case FaultKind::kLinkDegrade:
-      case FaultKind::kLinkFlap:
-        require("src");
-        require("dst");
-        break;
-      case FaultKind::kMcThrottle:
-      case FaultKind::kIrqStorm:
-        require("node");
-        break;
-      case FaultKind::kDeviceStall:
-        require("device");
-        break;
-      case FaultKind::kMeasureNoise:
-        break;
-      case FaultKind::kHostCrash:
-      case FaultKind::kHostHang:
-      case FaultKind::kHostRecover:
-        require("host");
-        break;
     }
     plan.add(e);
   }
@@ -343,58 +320,19 @@ FaultPlan parse_fault_plan(const std::string& text) {
 
 std::string render_fault_plan(const FaultPlan& plan) {
   std::string out;
-  for (const FaultEvent& e : plan.events()) {
+  for (FaultEvent e : plan.events()) {
     out += to_string(e.kind);
-    auto emit_int = [&](const char* key, int v) {
+    for (const Field& f : fields_of(e)) {
       out += ' ';
-      out += key;
+      out += f.key;
       out += '=';
-      out += std::to_string(v);
-    };
-    auto emit_time = [&](const char* key, double ns) {
-      out += ' ';
-      out += key;
-      out += '=';
-      out += round_trip_double(ns);
-      out += "ns";
-    };
-    auto emit_double = [&](const char* key, double v) {
-      out += ' ';
-      out += key;
-      out += '=';
-      out += round_trip_double(v);
-    };
-    switch (e.kind) {
-      case FaultKind::kLinkDegrade:
-        emit_int("src", e.src);
-        emit_int("dst", e.dst);
-        break;
-      case FaultKind::kLinkFlap:
-        emit_int("src", e.src);
-        emit_int("dst", e.dst);
-        emit_int("flaps", e.flaps);
-        break;
-      case FaultKind::kMcThrottle:
-      case FaultKind::kIrqStorm:
-        emit_int("node", e.node);
-        break;
-      case FaultKind::kDeviceStall:
-        emit_int("device", e.device);
-        break;
-      case FaultKind::kMeasureNoise:
-        break;
-      case FaultKind::kHostCrash:
-      case FaultKind::kHostHang:
-      case FaultKind::kHostRecover:
-        emit_int("host", e.host);
-        break;
+      if (f.integer != nullptr) {
+        out += std::to_string(*f.integer);
+      } else {
+        out += round_trip_double(*f.real);
+        if (f.time) out += "ns";
+      }
     }
-    emit_time("start", e.start);
-    emit_time("dur", e.duration);
-    const bool uses_severity = e.kind != FaultKind::kDeviceStall &&
-                               e.kind != FaultKind::kHostCrash &&
-                               e.kind != FaultKind::kHostHang;
-    if (uses_severity) emit_double("sev", e.severity);
     out += '\n';
   }
   return out;

@@ -15,6 +15,44 @@ namespace {
 /// Capacity scale of a stalled device resource: effectively dark, but the
 /// max-min solve stays finite; control events bound the window in time.
 constexpr double kStallScale = 1e-9;
+
+FaultTarget target_of(const FaultEvent& e) { return kind_info(e.kind).target; }
+
+/// What an active event does to its target, by the kind's severity
+/// meaning: the capacity scale 1 - sev, the noise amplification 1 + sev,
+/// or 0 for the kinds that take their target out whole.
+double effect(const FaultEvent& e) {
+  switch (kind_info(e.kind).severity) {
+    case FaultSeverity::kCapacity:
+      return std::max(1.0 - e.severity, 0.0);
+    case FaultSeverity::kNoise:
+      return 1.0 + e.severity;
+    case FaultSeverity::kNone:
+      break;
+  }
+  return 0.0;
+}
+
+/// True when a and b act on the same thing: one link, one node's memory
+/// controller or cores, one device, one host, or measurement.
+bool same_target(const FaultEvent& a, const FaultEvent& b) {
+  const FaultTarget target = target_of(a);
+  if (target != target_of(b)) return false;
+  switch (target) {
+    case FaultTarget::kLink:
+      return a.src == b.src && a.dst == b.dst;
+    case FaultTarget::kNodeMemory:
+    case FaultTarget::kNodeCpu:
+      return a.node == b.node;
+    case FaultTarget::kDevice:
+      return a.device == b.device;
+    case FaultTarget::kHost:
+      return a.host == b.host;
+    case FaultTarget::kNone:
+      break;
+  }
+  return true;
+}
 }  // namespace
 
 FaultInjector::FaultInjector(fabric::Machine& machine, FaultPlan plan)
@@ -26,7 +64,7 @@ FaultInjector::FaultInjector(fabric::Machine& machine, FaultPlan plan)
   const auto& events = plan_.events();
   for (std::size_t i = 0; i < events.size(); ++i) {
     const FaultEvent& e = events[i];
-    if (e.kind == FaultKind::kLinkFlap) {
+    if (kind_info(e.kind).flaps) {
       const sim::Ns slice = e.duration / (2.0 * e.flaps);
       for (int k = 0; k < e.flaps; ++k) {
         const sim::Ns down = e.start + 2.0 * k * slice;
@@ -86,60 +124,42 @@ void FaultInjector::set_observer(obs::Context* obs) {
 
 bool FaultInjector::event_active(const FaultEvent& e, sim::Ns t) const {
   if (t < e.start || t >= e.start + e.duration) return false;
-  if (e.kind != FaultKind::kLinkFlap) return true;
+  if (!kind_info(e.kind).flaps) return true;
   // Dead windows are the even slices of the flap interval.
   const sim::Ns slice = e.duration / (2.0 * e.flaps);
   const double offset = (t - e.start) / slice;
   return (static_cast<long long>(offset) % 2) == 0;
 }
 
-double FaultInjector::event_factor(const FaultEvent& e, sim::Ns t) const {
-  if (!event_active(e, t)) return 1.0;
-  return std::max(1.0 - e.severity, 0.0);
+template <typename Match>
+double FaultInjector::active_product(sim::Ns t, Match match) const {
+  double product = 1.0;
+  for (const FaultEvent& e : plan_.events()) {
+    if (match(e) && event_active(e, t)) product *= effect(e);
+  }
+  return product;
 }
 
 void FaultInjector::apply_state_at(sim::Ns t) {
-  const auto& events = plan_.events();
-
   // Recompute the full multiplicative state from scratch; with the small
   // event counts of any realistic plan this is cheaper than being clever
   // and can never leak a scale when overlapping windows release.
-  for (const FaultEvent& anchor : events) {
-    switch (anchor.kind) {
-      case FaultKind::kLinkDegrade:
-      case FaultKind::kLinkFlap: {
-        double scale = 1.0;
-        for (const FaultEvent& e : events) {
-          if ((e.kind == FaultKind::kLinkDegrade ||
-               e.kind == FaultKind::kLinkFlap) &&
-              e.src == anchor.src && e.dst == anchor.dst) {
-            scale *= event_factor(e, t);
-          }
-        }
-        machine_.set_fabric_scale(anchor.src, anchor.dst, scale);
+  for (const FaultEvent& anchor : plan_.events()) {
+    const auto scale = [&] {
+      return active_product(
+          t, [&](const FaultEvent& e) { return same_target(e, anchor); });
+    };
+    switch (target_of(anchor)) {
+      case FaultTarget::kLink:
+        machine_.set_fabric_scale(anchor.src, anchor.dst, scale());
         break;
-      }
-      case FaultKind::kMcThrottle: {
-        double scale = 1.0;
-        for (const FaultEvent& e : events) {
-          if (e.kind == FaultKind::kMcThrottle && e.node == anchor.node) {
-            scale *= event_factor(e, t);
-          }
-        }
-        machine_.set_mc_scale(anchor.node, scale);
+      case FaultTarget::kNodeMemory:
+        machine_.set_mc_scale(anchor.node, scale());
         break;
-      }
-      case FaultKind::kIrqStorm: {
-        double scale = 1.0;
-        for (const FaultEvent& e : events) {
-          if (e.kind == FaultKind::kIrqStorm && e.node == anchor.node) {
-            scale *= event_factor(e, t);
-          }
-        }
-        machine_.set_cpu_scale(anchor.node, scale);
+      case FaultTarget::kNodeCpu:
+        machine_.set_cpu_scale(anchor.node, scale());
         break;
-      }
-      case FaultKind::kDeviceStall: {
+      case FaultTarget::kDevice: {
         if (anchor.device >= static_cast<int>(devices_.size())) {
           throw std::invalid_argument(
               "fault plan stalls device " + std::to_string(anchor.device) +
@@ -159,12 +179,9 @@ void FaultInjector::apply_state_at(sim::Ns t) {
         }
         break;
       }
-      case FaultKind::kMeasureNoise:
-        break;  // no capacity effect; consumers read noise_amplification()
-      case FaultKind::kHostCrash:
-      case FaultKind::kHostHang:
-      case FaultKind::kHostRecover:
-        break;  // no machine effect; the fleet layer reads the host queries
+      case FaultTarget::kHost:
+      case FaultTarget::kNone:
+        break;  // no machine effect: the fleet and measurement loops query
     }
   }
 }
@@ -173,93 +190,76 @@ void FaultInjector::apply_transition(std::size_t index) {
   assert(index < transitions_.size());
   const Transition& tr = transitions_[index];
   const FaultEvent& e = plan_.events()[tr.event];
+  const FaultKindInfo& kind = kind_info(e.kind);
   apply_state_at(tr.at);
 
-  char buf[192];
-  switch (e.kind) {
-    case FaultKind::kLinkDegrade:
-      std::snprintf(buf, sizeof buf, "t=%14.6fs %-13s %d>%d %s (scale %.2f)",
-                    tr.at / 1e9, to_string(e.kind), e.src, e.dst,
-                    tr.on ? "on" : "off", tr.on ? 1.0 - e.severity : 1.0);
+  // The target as the trace line names it and the event's fields carry it.
+  char where[160] = "";
+  obs::EventFields fields;
+  fields.t_sim = tr.at;
+  std::string detail = kind.name;
+  switch (kind.target) {
+    case FaultTarget::kLink:
+      std::snprintf(where, sizeof where, " %d>%d", e.src, e.dst);
+      fields.node_a = e.src;
+      fields.node_b = e.dst;
       break;
-    case FaultKind::kLinkFlap:
-      std::snprintf(buf, sizeof buf, "t=%14.6fs %-13s %d>%d %s (%d/%d)",
-                    tr.at / 1e9, to_string(e.kind), e.src, e.dst,
-                    tr.on ? "down" : "up", tr.flap, e.flaps);
+    case FaultTarget::kNodeMemory:
+    case FaultTarget::kNodeCpu:
+      std::snprintf(where, sizeof where, " node %d", e.node);
+      fields.node_a = e.node;
       break;
-    case FaultKind::kMcThrottle:
-    case FaultKind::kIrqStorm:
-      std::snprintf(buf, sizeof buf, "t=%14.6fs %-13s node %d %s (scale %.2f)",
-                    tr.at / 1e9, to_string(e.kind), e.node,
-                    tr.on ? "on" : "off", tr.on ? 1.0 - e.severity : 1.0);
-      break;
-    case FaultKind::kDeviceStall: {
-      const char* name =
-          e.device < static_cast<int>(devices_.size())
-              ? devices_[static_cast<std::size_t>(e.device)].name.c_str()
-              : "?";
-      std::snprintf(buf, sizeof buf, "t=%14.6fs %-13s device %d (%s) %s",
-                    tr.at / 1e9, to_string(e.kind), e.device, name,
-                    tr.on ? "on" : "off");
+    case FaultTarget::kDevice: {
+      const bool known = e.device < static_cast<int>(devices_.size());
+      const Device* dev =
+          known ? &devices_[static_cast<std::size_t>(e.device)] : nullptr;
+      std::snprintf(where, sizeof where, " device %d (%s)", e.device,
+                    known ? dev->name.c_str() : "?");
+      if (known) {
+        fields.node_a = dev->attach_node;
+        detail += " " + dev->name;
+      }
       break;
     }
-    case FaultKind::kMeasureNoise:
-      std::snprintf(buf, sizeof buf, "t=%14.6fs %-13s %s (amp %.2fx)",
-                    tr.at / 1e9, to_string(e.kind), tr.on ? "on" : "off",
-                    tr.on ? 1.0 + e.severity : 1.0);
+    case FaultTarget::kHost:
+      std::snprintf(where, sizeof where, " host %d", e.host);
+      fields.node_a = e.host;
       break;
-    case FaultKind::kHostCrash:
-    case FaultKind::kHostHang:
-      std::snprintf(buf, sizeof buf, "t=%14.6fs %-13s host %d %s",
-                    tr.at / 1e9, to_string(e.kind), e.host,
-                    tr.on ? "on" : "off");
-      break;
-    case FaultKind::kHostRecover:
-      std::snprintf(buf, sizeof buf, "t=%14.6fs %-13s host %d %s (scale %.2f)",
-                    tr.at / 1e9, to_string(e.kind), e.host,
-                    tr.on ? "on" : "off", tr.on ? 1.0 - e.severity : 1.0);
+    case FaultTarget::kNone:
       break;
   }
-  trace_.emplace_back(buf);
+
+  char buf[384];  // holds "%14.6f" of any finite time
+  std::snprintf(buf, sizeof buf, "t=%14.6fs %-13s", tr.at / 1e9, kind.name);
+  std::string line = buf;
+  line += where;
+  if (kind.flaps) {
+    std::snprintf(buf, sizeof buf, " %s (%d/%d)", tr.on ? "down" : "up",
+                  tr.flap, e.flaps);
+    line += buf;
+  } else {
+    line += tr.on ? " on" : " off";
+    const double shown = tr.on ? effect(e) : 1.0;
+    if (kind.severity == FaultSeverity::kCapacity) {
+      std::snprintf(buf, sizeof buf, " (scale %.2f)", shown);
+      line += buf;
+    } else if (kind.severity == FaultSeverity::kNoise) {
+      std::snprintf(buf, sizeof buf, " (amp %.2fx)", shown);
+      line += buf;
+    }
+  }
+  trace_.push_back(std::move(line));
 
   if (obs_ != nullptr) {
     obs_->metrics.add(m_transitions_);
     if (obs_->trace.enabled()) {
-      obs::EventFields fields;
-      fields.t_sim = tr.at;
-      std::string detail = to_string(e.kind);
-      switch (e.kind) {
-        case FaultKind::kLinkDegrade:
-        case FaultKind::kLinkFlap:
-          fields.node_a = e.src;
-          fields.node_b = e.dst;
-          break;
-        case FaultKind::kMcThrottle:
-        case FaultKind::kIrqStorm:
-          fields.node_a = e.node;
-          break;
-        case FaultKind::kDeviceStall:
-          if (e.device < static_cast<int>(devices_.size())) {
-            const Device& dev = devices_[static_cast<std::size_t>(e.device)];
-            fields.node_a = dev.attach_node;
-            detail += " " + dev.name;
-          }
-          break;
-        case FaultKind::kMeasureNoise:
-          break;
-        case FaultKind::kHostCrash:
-        case FaultKind::kHostHang:
-        case FaultKind::kHostRecover:
-          fields.node_a = e.host;
-          break;
-      }
       fields.detail = detail;
       last_transition_event_ = obs_->trace.event(
           "fault.transition", 0, 0, tr.on ? "on" : "off", fields);
     }
   }
 
-  if (tr.on && e.kind == FaultKind::kDeviceStall && stall_handler_) {
+  if (tr.on && kind.target == FaultTarget::kDevice && stall_handler_) {
     stall_handler_(e.device, tr.at);
   }
   if (transition_handler_) transition_handler_(e, tr.on, tr.at);
@@ -299,31 +299,22 @@ void FaultInjector::restore() {
 }
 
 double FaultInjector::noise_amplification(sim::Ns t) const {
-  double amp = 1.0;
-  for (const FaultEvent& e : plan_.events()) {
-    if (e.kind == FaultKind::kMeasureNoise && event_active(e, t)) {
-      amp *= 1.0 + e.severity;
-    }
-  }
-  return amp;
+  return active_product(t, [](const FaultEvent& e) {
+    return kind_info(e.kind).severity == FaultSeverity::kNoise;
+  });
 }
 
 bool FaultInjector::device_stalled(int device, sim::Ns t) const {
-  for (const FaultEvent& e : plan_.events()) {
-    if (e.kind == FaultKind::kDeviceStall && e.device == device &&
-        event_active(e, t)) {
-      return true;
-    }
-  }
-  return false;
+  return active_product(t, [device](const FaultEvent& e) {
+           return target_of(e) == FaultTarget::kDevice && e.device == device;
+         }) == 0.0;
 }
 
 bool FaultInjector::any_capacity_fault_active(sim::Ns t) const {
   for (const FaultEvent& e : plan_.events()) {
-    // Host kinds never touch the machine's capacities.
-    if (e.kind == FaultKind::kMeasureNoise ||
-        e.kind == FaultKind::kHostCrash || e.kind == FaultKind::kHostHang ||
-        e.kind == FaultKind::kHostRecover) {
+    // Host and measurement faults never touch the machine's capacities.
+    const FaultTarget target = target_of(e);
+    if (target == FaultTarget::kHost || target == FaultTarget::kNone) {
       continue;
     }
     if (event_active(e, t)) return true;
@@ -335,26 +326,23 @@ std::vector<NodeId> FaultInjector::degraded_nodes(sim::Ns t) const {
   std::vector<NodeId> nodes;
   for (const FaultEvent& e : plan_.events()) {
     if (!event_active(e, t)) continue;
-    switch (e.kind) {
-      case FaultKind::kLinkDegrade:
-      case FaultKind::kLinkFlap:
+    switch (target_of(e)) {
+      case FaultTarget::kLink:
         nodes.push_back(e.src);
         nodes.push_back(e.dst);
         break;
-      case FaultKind::kMcThrottle:
-      case FaultKind::kIrqStorm:
+      case FaultTarget::kNodeMemory:
+      case FaultTarget::kNodeCpu:
         nodes.push_back(e.node);
         break;
-      case FaultKind::kDeviceStall:
+      case FaultTarget::kDevice:
         if (e.device < static_cast<int>(devices_.size())) {
           nodes.push_back(
               devices_[static_cast<std::size_t>(e.device)].attach_node);
         }
         break;
-      case FaultKind::kMeasureNoise:
-      case FaultKind::kHostCrash:
-      case FaultKind::kHostHang:
-      case FaultKind::kHostRecover:
+      case FaultTarget::kHost:
+      case FaultTarget::kNone:
         break;  // host faults live in the fleet id space, not NUMA nodes
     }
   }
@@ -364,34 +352,15 @@ std::vector<NodeId> FaultInjector::degraded_nodes(sim::Ns t) const {
 }
 
 bool FaultInjector::host_crashed(int host, sim::Ns t) const {
-  for (const FaultEvent& e : plan_.events()) {
-    if (e.kind == FaultKind::kHostCrash && e.host == host &&
-        event_active(e, t)) {
-      return true;
-    }
-  }
-  return false;
+  return active_product(t, [host](const FaultEvent& e) {
+           return e.kind == FaultKind::kHostCrash && e.host == host;
+         }) == 0.0;
 }
 
-bool FaultInjector::host_hung(int host, sim::Ns t) const {
-  for (const FaultEvent& e : plan_.events()) {
-    if (e.kind == FaultKind::kHostHang && e.host == host &&
-        event_active(e, t)) {
-      return true;
-    }
-  }
-  return false;
-}
-
-double FaultInjector::host_capacity_factor(int host, sim::Ns t) const {
-  double factor = 1.0;
-  for (const FaultEvent& e : plan_.events()) {
-    if (e.kind == FaultKind::kHostRecover && e.host == host &&
-        event_active(e, t)) {
-      factor *= std::max(1.0 - e.severity, 0.0);
-    }
-  }
-  return factor;
+double FaultInjector::host_factor(int host, sim::Ns t) const {
+  return active_product(t, [host](const FaultEvent& e) {
+    return target_of(e) == FaultTarget::kHost && e.host == host;
+  });
 }
 
 sim::Ns FaultInjector::next_transition_after(sim::Ns t) const {

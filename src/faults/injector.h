@@ -95,12 +95,10 @@ class FaultInjector {
   // --- host-level queries (fleet host ids, not NUMA nodes) ---------------
   /// True while a kHostCrash window covers t.
   bool host_crashed(int host, sim::Ns t) const;
-  /// True while a kHostHang window covers t.
-  bool host_hung(int host, sim::Ns t) const;
-  /// Product of (1 - severity) over active kHostRecover windows: the
-  /// warm-up capacity multiplier in (0, 1]. Crash/hang are not folded in —
-  /// callers gate on host_crashed/host_hung first.
-  double host_capacity_factor(int host, sim::Ns t) const;
+  /// The host's service-rate multiplier in [0, 1]: 0 while a kHostCrash or
+  /// kHostHang window covers t, otherwise the product of (1 - severity)
+  /// over the active kHostRecover windows (the warm-up factor).
+  double host_factor(int host, sim::Ns t) const;
 
   const FaultPlan& plan() const { return plan_; }
   fabric::Machine& machine() { return machine_; }
@@ -126,7 +124,7 @@ class FaultInjector {
     sim::Ns at = 0.0;
     std::size_t event = 0;  ///< Index into plan_.events().
     bool on = false;        ///< Fault (or dead flap window) begins here.
-    int flap = 0;           ///< Dead-window ordinal for kLinkFlap (1-based).
+    int flap = 0;           ///< Dead-window ordinal of a flapping kind.
   };
   struct Device {
     std::string name;
@@ -135,9 +133,12 @@ class FaultInjector {
     std::vector<sim::Gbps> healthy_capacity;
   };
 
-  /// Capacity multiplier contributed by event e at time t (1 = inactive).
-  double event_factor(const FaultEvent& e, sim::Ns t) const;
   bool event_active(const FaultEvent& e, sim::Ns t) const;
+  /// The one active-window scan behind every query: the product of
+  /// effect(e) over the events active at t that `match` selects, in plan
+  /// order; 1 when none is.
+  template <typename Match>
+  double active_product(sim::Ns t, Match match) const;
   void apply_state_at(sim::Ns t);
   void apply_transition(std::size_t index);
 

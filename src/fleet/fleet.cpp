@@ -375,11 +375,7 @@ class FleetRuntime {
   /// Host service-rate multiplier: 0 while crashed or hung, the recovery
   /// warm-up factor otherwise.
   double host_factor(int h, sim::Ns t) const {
-    if (injector_ == nullptr) return 1.0;
-    if (injector_->host_crashed(h, t) || injector_->host_hung(h, t)) {
-      return 0.0;
-    }
-    return injector_->host_capacity_factor(h, t);
+    return injector_ == nullptr ? 1.0 : injector_->host_factor(h, t);
   }
 
   // --- fluid progress per host ------------------------------------------
@@ -566,11 +562,7 @@ class FleetRuntime {
     detach_attempt(req);
     reproject(h, now);
     HostState& hs = hosts_[static_cast<std::size_t>(h)];
-    const bool fault_active =
-        injector_ != nullptr &&
-        (injector_->host_crashed(h, now) || injector_->host_hung(h, now) ||
-         injector_->host_capacity_factor(h, now) < 1.0);
-    const obs::EventId cause = fault_active ? fault_cause() : 0;
+    const obs::EventId cause = host_factor(h, now) < 1.0 ? fault_cause() : 0;
     if (obs_ != nullptr) obs_->metrics.add(m_timeouts_);
     emit("fleet.timeout", req, "timeout", cause, now);
     hs.breaker.on_failure(now, req.probe, "timeout");

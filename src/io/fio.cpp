@@ -155,7 +155,7 @@ JobStreams build_streams(nm::Host& host, const std::vector<TimedJob>& jobs,
     if (job.num_streams < 1) {
       throw std::invalid_argument("FioJob needs at least one stream");
     }
-    if ((job.engine == kSsdWrite || job.engine == kSsdRead) &&
+    if (is_ssd_engine(job.engine) &&
         job.num_streams < static_cast<int>(job.devices.size())) {
       // The paper's SSD tests use at least one process per card (§IV-B3).
       throw std::invalid_argument(
@@ -242,6 +242,22 @@ JobStreams build_streams(nm::Host& host, const std::vector<TimedJob>& jobs,
 }
 
 }  // namespace
+
+std::vector<const PcieDevice*> DeviceSet::for_engine(
+    const std::string& engine) const {
+  if (is_ssd_engine(engine)) {
+    if (ssds.empty()) {
+      throw std::invalid_argument("engine '" + engine +
+                                  "' needs SSDs but the set has none");
+    }
+    return ssds;
+  }
+  if (nic == nullptr) {
+    throw std::invalid_argument("engine '" + engine +
+                                "' needs a NIC but the set has none");
+  }
+  return {nic};
+}
 
 StreamShape shape_stream(fabric::Machine& machine, const StreamSpec& spec) {
   assert(spec.device != nullptr);

@@ -38,6 +38,17 @@ enum class IoMode {
   kSyncBuffered,   ///< synchronous buffered: both penalties.
 };
 
+/// The devices a run can draw on.
+struct DeviceSet {
+  const PcieDevice* nic = nullptr;
+  std::vector<const PcieDevice*> ssds;
+
+  /// The devices that serve `engine`: both SSD cards for an SSD engine
+  /// (is_ssd_engine), the NIC otherwise. Throws std::invalid_argument
+  /// when the set has none.
+  std::vector<const PcieDevice*> for_engine(const std::string& engine) const;
+};
+
 struct FioJob {
   std::vector<const PcieDevice*> devices;
   std::string engine;

@@ -279,20 +279,7 @@ std::vector<FioJob> resolve_jobs(const JobFile& file, const DeviceSet& set) {
   std::vector<FioJob> jobs;
   for (const JobFileEntry& entry : file.jobs) {
     FioJob job = entry.job;
-    const bool is_ssd = job.engine.rfind("ssd", 0) == 0;
-    if (is_ssd) {
-      if (set.ssds.empty()) {
-        throw std::invalid_argument("job '" + entry.name +
-                                    "' needs SSDs but the set has none");
-      }
-      job.devices = set.ssds;
-    } else {
-      if (set.nic == nullptr) {
-        throw std::invalid_argument("job '" + entry.name +
-                                    "' needs a NIC but the set has none");
-      }
-      job.devices = {set.nic};
-    }
+    job.devices = set.for_engine(job.engine);
     jobs.push_back(std::move(job));
   }
   return jobs;

@@ -55,14 +55,9 @@ JobFile load_job_file(const std::string& path);
 /// (case-insensitive). Throws std::invalid_argument on garbage.
 sim::Bytes parse_size(const std::string& text);
 
-/// The devices available to resolve_jobs().
-struct DeviceSet {
-  const PcieDevice* nic = nullptr;
-  std::vector<const PcieDevice*> ssds;
-};
-
-/// Fills in each job's device list from the set; throws if a job needs a
-/// device kind the set does not provide.
+/// Fills in each job's device list from the set (DeviceSet::for_engine);
+/// throws std::invalid_argument if a job needs a device kind the set does
+/// not provide.
 std::vector<FioJob> resolve_jobs(const JobFile& file, const DeviceSet& set);
 
 }  // namespace numaio::io

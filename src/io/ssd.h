@@ -9,6 +9,7 @@
 #pragma once
 
 #include <memory>
+#include <string_view>
 #include <vector>
 
 #include "io/device.h"
@@ -17,6 +18,11 @@ namespace numaio::io {
 
 inline constexpr char kSsdWrite[] = "ssd_write";
 inline constexpr char kSsdRead[] = "ssd_read";
+
+/// True for the engines the SSD cards serve; the NIC serves the rest.
+inline bool is_ssd_engine(std::string_view engine) {
+  return engine == kSsdWrite || engine == kSsdRead;
+}
 
 /// One Nytro WarpDrive card attached to `node`. `index` distinguishes the
 /// two cards' resource names.

@@ -34,6 +34,8 @@ class Testbed {
   PcieDevice& nic() { return *nic_; }
   /// Both SSD cards (for FioJob::devices).
   std::vector<const PcieDevice*> ssds() const;
+  /// The NIC and both cards.
+  DeviceSet devices() const { return {nic_.get(), ssds()}; }
   NodeId device_node() const { return nic_->attach_node(); }
 
  private:

@@ -112,9 +112,8 @@ std::string format_trace(const std::vector<TraceEntry>& entries) {
   return out.str();
 }
 
-std::vector<TimedJob> trace_to_jobs(
-    const std::vector<TraceEntry>& entries, const PcieDevice* nic,
-    const std::vector<const PcieDevice*>& ssds) {
+std::vector<TimedJob> trace_to_jobs(const std::vector<TraceEntry>& entries,
+                                    const DeviceSet& set) {
   std::vector<TimedJob> jobs;
   for (const TraceEntry& e : entries) {
     TimedJob tj;
@@ -123,19 +122,9 @@ std::vector<TimedJob> trace_to_jobs(
     tj.job.cpu_node = e.cpu_node;
     tj.job.bytes_per_stream = e.bytes;
     tj.job.num_streams = 1;
-    const bool is_ssd = e.engine.rfind("ssd", 0) == 0;
-    if (is_ssd) {
-      if (ssds.empty()) {
-        throw std::invalid_argument("trace needs SSDs but none provided");
-      }
-      // One stream, one card: alternate cards by arrival order.
-      tj.job.devices = {ssds[jobs.size() % ssds.size()]};
-    } else {
-      if (nic == nullptr) {
-        throw std::invalid_argument("trace needs a NIC but none provided");
-      }
-      tj.job.devices = {nic};
-    }
+    // One stream, one device: alternate the cards by arrival order.
+    const std::vector<const PcieDevice*> devices = set.for_engine(e.engine);
+    tj.job.devices = {devices[jobs.size() % devices.size()]};
     jobs.push_back(std::move(tj));
   }
   return jobs;

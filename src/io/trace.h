@@ -37,10 +37,11 @@ std::vector<TraceEntry> parse_trace(const std::string& text);
 /// through parse_trace().
 std::string format_trace(const std::vector<TraceEntry>& entries);
 
-/// Builds timed single-stream jobs for the entries against a device set
-/// (SSD engines get the SSD cards, network engines the NIC).
+/// Builds timed single-stream jobs for the entries against a device set:
+/// each arrival gets one of the devices that serve its engine
+/// (DeviceSet::for_engine), taken in turn by arrival order. Throws
+/// std::invalid_argument when the set has none.
 std::vector<TimedJob> trace_to_jobs(const std::vector<TraceEntry>& entries,
-                                    const PcieDevice* nic,
-                                    const std::vector<const PcieDevice*>& ssds);
+                                    const DeviceSet& set);
 
 }  // namespace numaio::io

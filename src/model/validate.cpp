@@ -13,12 +13,12 @@ namespace {
 
 std::vector<double> sweep(io::Testbed& tb, const std::string& engine) {
   io::FioRunner fio(tb.host());
+  const std::vector<const io::PcieDevice*> devices =
+      tb.devices().for_engine(engine);
   std::vector<double> out;
   for (NodeId node = 0; node < tb.machine().num_nodes(); ++node) {
     io::FioJob j;
-    const bool is_ssd = engine.rfind("ssd", 0) == 0;
-    j.devices = is_ssd ? tb.ssds()
-                       : std::vector<const io::PcieDevice*>{&tb.nic()};
+    j.devices = devices;
     j.engine = engine;
     j.cpu_node = node;
     j.num_streams = 4;

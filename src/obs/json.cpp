@@ -30,6 +30,16 @@ void append_utf8(std::string& out, unsigned cp) {
   out += static_cast<char>(0x80 | (cp & 0x3F));
 }
 
+/// The four hex digits of one \u escape at `pos`, or false.
+bool hex4(std::string_view text, std::size_t& pos, unsigned& unit) {
+  const char* first = text.data() + pos;
+  const char* last = first + std::min<std::size_t>(4, text.size() - pos);
+  const auto [ptr, ec] = std::from_chars(first, last, unit, 16);
+  if (ec != std::errc() || ptr != first + 4) return false;
+  pos += 4;
+  return true;
+}
+
 /// Recursive descent over one document.
 class Reader {
  public:
@@ -118,46 +128,8 @@ class Reader {
   std::string string_body() {
     expect('"');
     std::string out;
-    while (true) {
-      const std::size_t stop = text_.find_first_of("\"\\", pos_);
-      if (stop == std::string_view::npos) fail("unterminated string");
-      out.append(text_.substr(pos_, stop - pos_));
-      pos_ = stop + 1;
-      if (text_[stop] == '"') return out;
-      if (pos_ >= text_.size()) fail("unterminated escape");
-      const char esc = text_[pos_++];
-      if (esc == 'u') {
-        append_utf8(out, code_point());
-        continue;
-      }
-      constexpr std::string_view kEscaped = "\"\\/bfnrt";
-      constexpr std::string_view kDecoded = "\"\\/\b\f\n\r\t";
-      const std::size_t k = kEscaped.find(esc);
-      if (k == std::string_view::npos) fail("unknown escape");
-      out += kDecoded[k];
-    }
-  }
-
-  /// The code point of a \u escape whose "\u" was just read; a UTF-16
-  /// surrogate pair spans two escapes.
-  unsigned code_point() {
-    const unsigned unit = hex4();
-    if (unit < 0xD800 || unit > 0xDFFF) return unit;
-    if (unit > 0xDBFF || !consume_word("\\u")) fail("unpaired surrogate");
-    const unsigned low = hex4();
-    if (low < 0xDC00 || low > 0xDFFF) fail("unpaired surrogate");
-    return 0x10000 + ((unit - 0xD800) << 10) + (low - 0xDC00);
-  }
-
-  /// The four hex digits of one \u escape.
-  unsigned hex4() {
-    unsigned unit = 0;
-    const char* first = text_.data() + pos_;
-    const char* last = first + std::min<std::size_t>(4, text_.size() - pos_);
-    const auto [ptr, ec] = std::from_chars(first, last, unit, 16);
-    if (ec != std::errc() || ptr != first + 4) fail("bad \\u escape");
-    pos_ += 4;
-    return unit;
+    if (const char* error = decode_string(text_, pos_, out)) fail(error);
+    return out;
   }
 
   std::string_view text_;
@@ -165,6 +137,41 @@ class Reader {
 };
 
 }  // namespace
+
+const char* decode_string(std::string_view text, std::size_t& pos,
+                          std::string& out) {
+  while (true) {
+    const std::size_t stop = text.find_first_of("\"\\", pos);
+    if (stop == std::string_view::npos) return "unterminated string";
+    out.append(text.substr(pos, stop - pos));
+    pos = stop + 1;
+    if (text[stop] == '"') return nullptr;
+    if (pos >= text.size()) return "unterminated escape";
+    const char esc = text[pos++];
+    if (esc != 'u') {
+      constexpr std::string_view kEscaped = "\"\\/bfnrt";
+      constexpr std::string_view kDecoded = "\"\\/\b\f\n\r\t";
+      const std::size_t k = kEscaped.find(esc);
+      if (k == std::string_view::npos) return "unknown escape";
+      out += kDecoded[k];
+      continue;
+    }
+    unsigned cp = 0;
+    if (!hex4(text, pos, cp)) return "bad \\u escape";
+    if (cp >= 0xD800 && cp <= 0xDFFF) {
+      // A UTF-16 surrogate pair spans two escapes.
+      if (cp > 0xDBFF || text.substr(pos, 2) != "\\u") {
+        return "unpaired surrogate";
+      }
+      pos += 2;
+      unsigned low = 0;
+      if (!hex4(text, pos, low)) return "bad \\u escape";
+      if (low < 0xDC00 || low > 0xDFFF) return "unpaired surrogate";
+      cp = 0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00);
+    }
+    append_utf8(out, cp);
+  }
+}
 
 const Value* Value::find(std::string_view key) const {
   for (const auto& [k, v] : fields) {

@@ -5,9 +5,11 @@
 //
 // Not part of the public API: numaio.h does not export it. The JSONL
 // trace path keeps its own cursor (obs/stream.cpp): it reads a fixed,
-// flat record in place and builds no tree.
+// flat record in place and builds no tree, but it decodes strings by
+// the same rule, through decode_string.
 #pragma once
 
+#include <cstddef>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -37,6 +39,14 @@ struct Value {
 /// cannot overflow the stack. Throws std::invalid_argument naming the
 /// byte offset.
 Value parse(std::string_view text);
+
+/// Decodes the body of a JSON string literal, appending it to `out`:
+/// `pos` indexes the byte after the opening quote and ends just past the
+/// closing one. The standard escapes decode, \uXXXX to UTF-8 with
+/// surrogate pairs joined. Returns nullptr, or what is wrong with `pos`
+/// left at the fault.
+const char* decode_string(std::string_view text, std::size_t& pos,
+                          std::string& out);
 
 /// `text` as a JSON string literal, escaped by text::json_escape.
 std::string quote(std::string_view text);

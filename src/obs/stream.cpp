@@ -6,6 +6,7 @@
 #include <limits>
 #include <stdexcept>
 
+#include "obs/json.h"
 #include "obs/text.h"
 
 namespace numaio::obs {
@@ -50,7 +51,8 @@ class ObjectCursor {
   }
 
   /// Reads a string token. The view points into the line, or into
-  /// `scratch` when the token holds an escape and had to be decoded.
+  /// `scratch` when the token holds an escape and had to be decoded by
+  /// the JSON reader's rule (json::decode_string).
   std::string_view read_string(std::string& scratch) {
     expect('"');
     const std::size_t start = pos_;
@@ -63,40 +65,9 @@ class ObjectCursor {
       return plain;
     }
     scratch.assign(plain);
-    while (pos_ < line_.size() && line_[pos_] != '"') {
-      char c = line_[pos_++];
-      if (c == '\\') {
-        if (pos_ >= line_.size()) fail("dangling escape");
-        const char esc = line_[pos_++];
-        switch (esc) {
-          case 'n': c = '\n'; break;
-          case 't': c = '\t'; break;
-          case '"': c = '"'; break;
-          case '\\': c = '\\'; break;
-          case 'u': {
-            if (pos_ + 4 > line_.size()) fail("short \\u escape");
-            unsigned value = 0;
-            for (int i = 0; i < 4; ++i) {
-              const char h = line_[pos_++];
-              value <<= 4;
-              if (h >= '0' && h <= '9') value |= static_cast<unsigned>(h - '0');
-              else if (h >= 'a' && h <= 'f')
-                value |= static_cast<unsigned>(h - 'a' + 10);
-              else if (h >= 'A' && h <= 'F')
-                value |= static_cast<unsigned>(h - 'A' + 10);
-              else fail("bad \\u escape");
-            }
-            c = static_cast<char>(value);  // sinks only escape < 0x20
-            break;
-          }
-          default:
-            fail("unknown escape");
-        }
-      }
-      scratch += c;
+    if (const char* error = json::decode_string(line_, pos_, scratch)) {
+      fail(error);
     }
-    if (pos_ >= line_.size()) fail("unterminated string");
-    ++pos_;
     return scratch;
   }
 

@@ -15,9 +15,7 @@ class DiagnoseTest : public ::testing::Test {
 
   FioJob job(const std::string& engine, NodeId node, int streams = 4) {
     FioJob j;
-    const bool is_ssd = engine.rfind("ssd", 0) == 0;
-    j.devices = is_ssd ? tb_.ssds()
-                       : std::vector<const PcieDevice*>{&tb_.nic()};
+    j.devices = tb_.devices().for_engine(engine);
     j.engine = engine;
     j.cpu_node = node;
     j.num_streams = streams;

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -51,6 +52,20 @@ FaultEvent noise(sim::Ns start, sim::Ns dur, double amp_minus_one) {
   return e;
 }
 
+// Severity defaults to the FaultEvent default: crash/hang ignore it and
+// the renderer omits it for them, so a round-tripped event keeps the
+// default value.
+FaultEvent host_event(FaultKind kind, int host, sim::Ns start, sim::Ns dur,
+                      double sev = 0.5) {
+  FaultEvent e;
+  e.kind = kind;
+  e.host = host;
+  e.start = start;
+  e.duration = dur;
+  e.severity = sev;
+  return e;
+}
+
 TEST(FaultPlanTest, KindNames) {
   EXPECT_STREQ(to_string(FaultKind::kLinkDegrade), "link-degrade");
   EXPECT_STREQ(to_string(FaultKind::kLinkFlap), "link-flap");
@@ -58,6 +73,9 @@ TEST(FaultPlanTest, KindNames) {
   EXPECT_STREQ(to_string(FaultKind::kDeviceStall), "device-stall");
   EXPECT_STREQ(to_string(FaultKind::kIrqStorm), "irq-storm");
   EXPECT_STREQ(to_string(FaultKind::kMeasureNoise), "measure-noise");
+  EXPECT_STREQ(to_string(FaultKind::kHostCrash), "host-crash");
+  EXPECT_STREQ(to_string(FaultKind::kHostHang), "host-hang");
+  EXPECT_STREQ(to_string(FaultKind::kHostRecover), "host-recover");
 }
 
 TEST(FaultPlanTest, RandomPlanIsDeterministic) {
@@ -132,6 +150,17 @@ TEST(FaultPlanTest, ValidateRejectsMalformedEvents) {
     e.flaps = 0;  // flap count must be >= 1
     p.add(e);
     EXPECT_THROW(p.validate(8, 0), std::invalid_argument);
+  }
+  // Non-finite severities. A '<' or '>' range check lets NaN through: the
+  // link would reach the solver with a NaN capacity.
+  const double nan = std::nan("");
+  for (const FaultEvent& e :
+       {link_degrade(0, 1, 0.0, 1e9, nan), noise(0.0, 1e9, nan),
+        noise(0.0, 1e9, std::numeric_limits<double>::infinity())}) {
+    FaultPlan p;
+    p.add(e);
+    EXPECT_THROW(p.validate(8, 0), std::invalid_argument)
+        << to_string(e.kind) << " sev " << e.severity;
   }
 }
 
@@ -215,6 +244,60 @@ TEST(FaultInjectorTest, FlapAppliesOnePairPerDeadWindow) {
   injector.restore();
 }
 
+/// One event of each kind, in kind order, each in its own window.
+FaultPlan one_of_each_kind() {
+  FaultPlan plan;
+  plan.add(link_degrade(0, 2, 1.0e9, 1.0e9, 0.25));
+  FaultEvent flap = link_degrade(1, 3, 2.0e9, 2.0e9, 1.0);
+  flap.kind = FaultKind::kLinkFlap;
+  flap.flaps = 2;
+  plan.add(flap);
+  plan.add(mc_throttle(4, 3.0e9, 1.0e9, 0.5));
+  FaultEvent stall;
+  stall.kind = FaultKind::kDeviceStall;
+  stall.device = 0;
+  stall.start = 4.0e9;
+  stall.duration = 0.5e9;
+  plan.add(stall);
+  FaultEvent storm = mc_throttle(5, 5.0e9, 1.0e9, 0.3);
+  storm.kind = FaultKind::kIrqStorm;
+  plan.add(storm);
+  plan.add(noise(6.0e9, 1.0e9, 2.5));
+  plan.add(host_event(FaultKind::kHostCrash, 1, 7.0e9, 1.0e9));
+  plan.add(host_event(FaultKind::kHostHang, 2, 8.0e9, 0.5e9));
+  plan.add(host_event(FaultKind::kHostRecover, 1, 9.0e9, 1.0e9, 0.4));
+  return plan;
+}
+
+TEST(FaultInjectorTest, TraceLinesArePinnedForEveryKind) {
+  io::Testbed tb = io::Testbed::dl585();
+  FaultInjector injector(tb.machine(), one_of_each_kind());
+  injector.register_device(tb.nic().name(), tb.nic().attach_node(),
+                           tb.nic().fault_resources());
+  injector.advance_to(20.0e9);
+  EXPECT_EQ(injector.trace_to_string(),
+            "t=      1.000000s link-degrade  0>2 on (scale 0.75)\n"
+            "t=      2.000000s link-degrade  0>2 off (scale 1.00)\n"
+            "t=      2.000000s link-flap     1>3 down (1/2)\n"
+            "t=      2.500000s link-flap     1>3 up (1/2)\n"
+            "t=      3.000000s link-flap     1>3 down (2/2)\n"
+            "t=      3.000000s mc-throttle   node 4 on (scale 0.50)\n"
+            "t=      3.500000s link-flap     1>3 up (2/2)\n"
+            "t=      4.000000s mc-throttle   node 4 off (scale 1.00)\n"
+            "t=      4.000000s device-stall  device 0 (mlx4_0) on\n"
+            "t=      4.500000s device-stall  device 0 (mlx4_0) off\n"
+            "t=      5.000000s irq-storm     node 5 on (scale 0.70)\n"
+            "t=      6.000000s irq-storm     node 5 off (scale 1.00)\n"
+            "t=      6.000000s measure-noise on (amp 3.50x)\n"
+            "t=      7.000000s measure-noise off (amp 1.00x)\n"
+            "t=      7.000000s host-crash    host 1 on\n"
+            "t=      8.000000s host-crash    host 1 off\n"
+            "t=      8.000000s host-hang     host 2 on\n"
+            "t=      8.500000s host-hang     host 2 off\n"
+            "t=      9.000000s host-recover  host 1 on (scale 0.60)\n"
+            "t=     10.000000s host-recover  host 1 off (scale 1.00)\n");
+}
+
 TEST(FaultInjectorTest, RestoreReturnsTheMachineToHealthy) {
   io::Testbed tb = io::Testbed::dl585();
   io::FioJob job;
@@ -282,20 +365,6 @@ TEST(FaultInjectorTest, SameSeedRunsAreByteIdentical) {
 
 // --- fault-plan file format (docs/FORMATS.md §6) -------------------------
 
-// Severity defaults to the FaultEvent default: crash/hang ignore it and
-// the renderer omits it for them, so a round-tripped event keeps the
-// default value.
-FaultEvent host_event(FaultKind kind, int host, sim::Ns start, sim::Ns dur,
-                      double sev = 0.5) {
-  FaultEvent e;
-  e.kind = kind;
-  e.host = host;
-  e.start = start;
-  e.duration = dur;
-  e.severity = sev;
-  return e;
-}
-
 TEST(FaultPlanFileTest, HostKindsRoundTripExactly) {
   FaultPlan plan;
   plan.add(host_event(FaultKind::kHostCrash, 1, 0.3e9, 0.25e9));
@@ -303,6 +372,10 @@ TEST(FaultPlanFileTest, HostKindsRoundTripExactly) {
   plan.add(host_event(FaultKind::kHostRecover, 1, 0.55e9, 0.2e9, 0.5));
   plan.add(mc_throttle(3, 1.0e9, 2.0e9, 0.75));
   plan.add(link_degrade(0, 7, 0.5e9, 1.5e9, 0.9));
+  // And every other kind, each with the fields only it uses.
+  const FaultPlan others = one_of_each_kind();
+  for (const FaultEvent& e : others.events()) plan.add(e);
+  plan.add(noise(0.1e9, 0.7e9, 1.0 / 7.0));
 
   const std::string text = render_fault_plan(plan);
   const FaultPlan parsed = parse_fault_plan(text);
@@ -315,12 +388,17 @@ TEST(FaultPlanFileTest, HostKindsRoundTripExactly) {
     EXPECT_EQ(a.node, b.node) << i;
     EXPECT_EQ(a.src, b.src) << i;
     EXPECT_EQ(a.dst, b.dst) << i;
+    EXPECT_EQ(a.device, b.device) << i;
     // Bit-exact: the renderer picks the shortest representation that
     // reads back to the same double, so times and severities survive
-    // unchanged.
+    // unchanged. A kind that ignores a field keeps its default.
     EXPECT_EQ(a.start, b.start) << i;
     EXPECT_EQ(a.duration, b.duration) << i;
-    EXPECT_EQ(a.severity, b.severity) << i;
+    const FaultKindInfo& kind = kind_info(a.kind);
+    EXPECT_EQ(b.severity,
+              kind.severity == FaultSeverity::kNone ? 0.5 : a.severity)
+        << i;
+    EXPECT_EQ(b.flaps, kind.flaps ? a.flaps : 1) << i;
   }
   // Idempotent: render(parse(render(p))) == render(p).
   EXPECT_EQ(render_fault_plan(parsed), text);
@@ -374,6 +452,29 @@ void expect_parse_error(const std::string& text, const std::string& line,
   }
 }
 
+TEST(FaultPlanFileTest, KeyTheKindDoesNotTakeIsAParseError) {
+  // One case per target. Each parsed before, and the parser dropped the
+  // key: --print-plan showed the events without it.
+  expect_parse_error("host-crash host=1 start=0.5s dur=400ms sev=0.9\n",
+                     "line 1", "sev");
+  expect_parse_error("mc-throttle node=1 start=0.1 dur=0.2\n"
+                     "device-stall device=0 start=0.1 dur=0.2 sev=0.5\n",
+                     "line 2", "sev");
+  expect_parse_error("link-degrade src=0 dst=2 start=1s dur=1s flaps=9\n",
+                     "line 1", "flaps");
+  expect_parse_error("measure-noise start=0.1 dur=0.2 sev=2 node=3\n",
+                     "line 1", "node");
+  expect_parse_error("mc-throttle node=1 start=0.1 dur=0.2 host=7\n",
+                     "line 1", "host");
+  // The optional keys stay optional where they belong.
+  const FaultPlan plan = parse_fault_plan(
+      "link-flap src=0 dst=1 start=0.1 dur=0.2\n"
+      "host-recover host=1 start=0.1 dur=0.2\n");
+  ASSERT_EQ(plan.events().size(), 2u);
+  EXPECT_EQ(plan.events()[0].flaps, 1);
+  EXPECT_EQ(plan.events()[1].severity, 0.5);
+}
+
 TEST(FaultPlanFileTest, OutOfRangeIntegerIsAParseError) {
   // 2^32 + 1 used to wrap to host 1 and pass validation for a 4-host
   // fleet: the plan crashed a host it never named.
@@ -414,11 +515,17 @@ TEST(FaultPlanFileTest, ZeroDurationParsesButFailsValidation) {
 }
 
 TEST(FaultPlanFileTest, OverlappingHostWindowsValidateAndCompose) {
-  // Two overlapping crash windows on one host are legal; the host is down
-  // for their union.
+  // Overlapping windows on one host are legal. Host 0 crashes over
+  // [1, 3) and [2, 5) s, so it is down for their union; it hangs over
+  // [4, 6) s, and warms up over [5.5, 8) s at 0.5 and [7, 9) s at 0.75.
+  // Host 1 only warms up.
   FaultPlan plan;
   plan.add(host_event(FaultKind::kHostCrash, 0, 1.0e9, 2.0e9));
   plan.add(host_event(FaultKind::kHostCrash, 0, 2.0e9, 3.0e9));
+  plan.add(host_event(FaultKind::kHostHang, 0, 4.0e9, 2.0e9));
+  plan.add(host_event(FaultKind::kHostRecover, 0, 5.5e9, 2.5e9, 0.5));
+  plan.add(host_event(FaultKind::kHostRecover, 0, 7.0e9, 2.0e9, 0.75));
+  plan.add(host_event(FaultKind::kHostRecover, 1, 2.0e9, 1.0e9, 0.25));
   EXPECT_NO_THROW(plan.validate(8, 0, 2));
   const FaultPlan parsed = parse_fault_plan(render_fault_plan(plan));
   io::Testbed tb = io::Testbed::dl585();
@@ -427,8 +534,20 @@ TEST(FaultPlanFileTest, OverlappingHostWindowsValidateAndCompose) {
   EXPECT_TRUE(injector.host_crashed(0, 1.5e9));
   EXPECT_TRUE(injector.host_crashed(0, 2.5e9));  // inside both windows
   EXPECT_TRUE(injector.host_crashed(0, 4.5e9));  // second window only
-  EXPECT_FALSE(injector.host_crashed(0, 5.5e9));
+  EXPECT_FALSE(injector.host_crashed(0, 5.5e9));  // hung, not crashed
   EXPECT_FALSE(injector.host_crashed(1, 1.5e9));
+  // host_factor: 0 while crashed or hung, else the warm-up product.
+  EXPECT_EQ(injector.host_factor(0, 0.5e9), 1.0);
+  EXPECT_EQ(injector.host_factor(0, 2.5e9), 0.0);   // both crashes
+  EXPECT_EQ(injector.host_factor(0, 4.5e9), 0.0);   // crashed and hung
+  EXPECT_EQ(injector.host_factor(0, 5.2e9), 0.0);   // hung
+  EXPECT_EQ(injector.host_factor(0, 5.7e9), 0.0);   // hung while warming
+  EXPECT_EQ(injector.host_factor(0, 6.5e9), 0.5);
+  EXPECT_EQ(injector.host_factor(0, 7.5e9), 0.125);  // both warm-ups
+  EXPECT_EQ(injector.host_factor(0, 8.5e9), 0.25);
+  EXPECT_EQ(injector.host_factor(0, 9.0e9), 1.0);   // windows are half-open
+  EXPECT_EQ(injector.host_factor(1, 1.5e9), 1.0);   // host 0's faults only
+  EXPECT_EQ(injector.host_factor(1, 2.5e9), 0.75);
 }
 
 TEST(FaultPlanFileTest, HostIndexRangeIsValidatesJob) {

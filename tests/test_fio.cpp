@@ -354,9 +354,7 @@ TEST_P(EngineBindingSweep, WithinPhysicalBounds) {
   FioRunner fio(tb.host());
   const auto [engine, node] = GetParam();
   FioJob j;
-  const bool is_ssd = engine.rfind("ssd", 0) == 0;
-  j.devices = is_ssd ? tb.ssds()
-                     : std::vector<const PcieDevice*>{&tb.nic()};
+  j.devices = tb.devices().for_engine(engine);
   j.engine = engine;
   j.cpu_node = node;
   j.num_streams = 4;

@@ -20,9 +20,7 @@ class PaperClaims : public ::testing::Test {
     std::vector<double> out;
     for (topo::NodeId node = 0; node < 8; ++node) {
       io::FioJob j;
-      const bool is_ssd = engine.rfind("ssd", 0) == 0;
-      j.devices = is_ssd ? testbed_.ssds()
-                         : std::vector<const io::PcieDevice*>{&testbed_.nic()};
+      j.devices = testbed_.devices().for_engine(engine);
       j.engine = engine;
       j.cpu_node = node;
       j.num_streams = 4;

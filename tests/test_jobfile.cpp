@@ -140,6 +140,14 @@ TEST(JobFile, ResolveAttachesDevices) {
   ASSERT_EQ(jobs.size(), 2u);
   EXPECT_EQ(jobs[0].devices, std::vector<const PcieDevice*>{&tb.nic()});
   EXPECT_EQ(jobs[1].devices, tb.ssds());
+  // The one rule behind it: both cards for an SSD engine, else the NIC.
+  EXPECT_EQ(tb.devices().for_engine(kSsdRead), tb.ssds());
+  EXPECT_EQ(tb.devices().for_engine(kTcpSend),
+            std::vector<const PcieDevice*>{&tb.nic()});
+  EXPECT_THROW((DeviceSet{&tb.nic(), {}}.for_engine(kSsdWrite)),
+               std::invalid_argument);
+  EXPECT_THROW((DeviceSet{nullptr, tb.ssds()}.for_engine(kRdmaRead)),
+               std::invalid_argument);
 }
 
 TEST(JobFile, ResolveFailsWithoutNeededDevice) {

@@ -25,6 +25,7 @@
 #include "nm/cores.h"
 #include "nm/policy.h"
 #include "obs/analysis.h"
+#include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/serve.h"
 #include "obs/text.h"
@@ -656,6 +657,41 @@ TEST(ParseTraceJsonl, IntegerFieldsRejectValuesTheirTypeCannotHold) {
     } catch (const std::invalid_argument& e) {
       EXPECT_EQ(std::string(e.what()), "trace line 1: number out of range")
           << field;
+    }
+  }
+}
+
+TEST(ParseTraceJsonl, StringsDecodeAsTheJsonReaderDoes) {
+  // The cursor once decoded only \n, \t, \", \\ and \uXXXX, and cast
+  // each \u escape to one byte: "x\u0100y" loaded as x, NUL, y, and
+  // "x\ry" failed with "unknown escape".
+  for (const std::string body :
+       {"x\\u0100y", "x\\ry", "a\\/b", "\\b\\f", "\\ud83d\\ude00",
+        "\\u00e9\\u20ac", "\\\"q\\\\", "plain"}) {
+    const std::string literal = "\"" + body + "\"";
+    const auto events = obs::parse_trace_jsonl(
+        "{\"id\":1,\"name\":" + literal + ",\"detail\":" + literal + "}\n");
+    ASSERT_EQ(events.size(), 1u) << body;
+    const std::string decoded = obs::json::parse(literal).str;
+    EXPECT_EQ(events[0].name, decoded) << body;
+    EXPECT_EQ(events[0].detail, decoded) << body;
+  }
+  EXPECT_EQ(obs::parse_trace_line("{\"id\":1,\"detail\":\"x\\u0100y\"}", 1)
+                .detail,
+            "x\xC4\x80y");
+  // What the JSON reader rejects, the trace reader rejects, naming the line.
+  for (const std::string body :
+       {"\\x", "\\ud83d", "\\ude00", "\\ud83d\\u0041", "\\u12g4",
+        "\\u12", "\\"}) {
+    const std::string literal = "\"" + body + "\"";
+    EXPECT_THROW(obs::json::parse(literal), std::invalid_argument) << body;
+    try {
+      obs::parse_trace_jsonl("{\"id\":1}\n{\"id\":2,\"detail\":" + literal +
+                             "}\n");
+      ADD_FAILURE() << "accepted " << body;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("trace line 2: ", 0), 0u)
+          << e.what();
     }
   }
 }

@@ -100,7 +100,7 @@ TEST(Trace, ErrorsCarryLineNumbers) {
 TEST(Trace, JobsPickTheRightDevices) {
   Testbed tb = Testbed::dl585();
   const auto entries = parse_trace(kTrace);
-  const auto jobs = trace_to_jobs(entries, &tb.nic(), tb.ssds());
+  const auto jobs = trace_to_jobs(entries, tb.devices());
   ASSERT_EQ(jobs.size(), 3u);
   EXPECT_EQ(jobs[0].job.devices, std::vector<const PcieDevice*>{&tb.nic()});
   EXPECT_EQ(jobs[2].job.devices.size(), 1u);
@@ -111,13 +111,13 @@ TEST(Trace, JobsPickTheRightDevices) {
 
 TEST(Trace, MissingDevicesThrow) {
   const auto entries = parse_trace("0.0,ssd_read,0,1\n");
-  EXPECT_THROW(trace_to_jobs(entries, nullptr, {}), std::invalid_argument);
+  EXPECT_THROW(trace_to_jobs(entries, DeviceSet{}), std::invalid_argument);
 }
 
 TEST(Trace, ReplayRunsDeterministically) {
   Testbed tb = Testbed::dl585();
   const auto entries = parse_trace(kTrace);
-  const auto jobs = trace_to_jobs(entries, &tb.nic(), tb.ssds());
+  const auto jobs = trace_to_jobs(entries, tb.devices());
   FioRunner fio(tb.host());
   const auto r1 = fio.run_timed(jobs);
   const auto r2 = fio.run_timed(jobs);

@@ -544,7 +544,7 @@ int cmd_replay(io::Testbed& tb, obs::Context& ctx, Args& args) {
   const std::string path = args.positional("trace path");
   args.finish();
   const auto entries = io::parse_trace(read_file(path));
-  const auto jobs = io::trace_to_jobs(entries, &tb.nic(), tb.ssds());
+  const auto jobs = io::trace_to_jobs(entries, tb.devices());
   io::FioRunner fio(tb.host());
   fio.set_observer(&ctx);
   ServeTap serve;
@@ -638,7 +638,7 @@ int cmd_fio(io::Testbed& tb, obs::Context& ctx, Args& args) {
   const std::string path = args.positional("job file path");
   args.finish();
   const io::JobFile file = io::load_job_file(path);
-  const auto jobs = io::resolve_jobs(file, {&tb.nic(), tb.ssds()});
+  const auto jobs = io::resolve_jobs(file, tb.devices());
 
   io::FioRunner fio(tb.host());
   fio.set_observer(&ctx);
@@ -711,7 +711,7 @@ int cmd_faults(io::Testbed& tb, obs::Context& ctx, Args& args) {
   std::vector<std::string> names;
   if (!jobfile.empty()) {
     const io::JobFile file = io::load_job_file(jobfile);
-    jobs = io::resolve_jobs(file, {&tb.nic(), tb.ssds()});
+    jobs = io::resolve_jobs(file, tb.devices());
     for (const auto& job : file.jobs) names.push_back(job.name);
   } else {
     jobs.push_back(degraded_rdma_job(tb));
