@@ -190,13 +190,13 @@ Values bench_solver_storm() {
     for (int b = 0; b < kNodes; ++b) {
       if (a == b) continue;
       pair[static_cast<std::size_t>(a * kNodes + b)] =
-          solver.add_resource("fab", rng.uniform(12.0, 30.0));
+          solver.add_resource(rng.uniform(12.0, 30.0));
     }
   }
   for (int n = 0; n < kNodes; ++n) {
-    mc_rd.push_back(solver.add_resource("mc_rd", rng.uniform(30.0, 55.0)));
-    mc_wr.push_back(solver.add_resource("mc_wr", rng.uniform(30.0, 55.0)));
-    cpu.push_back(solver.add_resource("cpu", 28.0));
+    mc_rd.push_back(solver.add_resource(rng.uniform(30.0, 55.0)));
+    mc_wr.push_back(solver.add_resource(rng.uniform(30.0, 55.0)));
+    cpu.push_back(solver.add_resource(28.0));
   }
   auto make_flow = [&] {
     const int src = static_cast<int>(rng.below(kNodes));
@@ -259,13 +259,13 @@ Values bench_fluid_replay() {
   Rng rng(0xF1D0);
   std::vector<ResourceId> mc, pair(kNodes * kNodes, 0);
   for (int n = 0; n < kNodes; ++n) {
-    mc.push_back(solver.add_resource("mc", 50.0));
+    mc.push_back(solver.add_resource(50.0));
   }
   for (int a = 0; a < kNodes; ++a) {
     for (int b = 0; b < kNodes; ++b) {
       if (a == b) continue;
       pair[static_cast<std::size_t>(a * kNodes + b)] =
-          solver.add_resource("fab", rng.uniform(14.0, 30.0));
+          solver.add_resource(rng.uniform(14.0, 30.0));
     }
   }
   FluidSimulation fluid(solver);

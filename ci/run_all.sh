@@ -9,7 +9,12 @@
 #    CLI paths that must work on arbitrarily large files),
 # 5. gate the deterministic bench values against the committed baseline
 #    (ci/perf_guard.sh; wall time is bench/e2e's job, not CI's),
-# 6. rebuild and re-test under ASan+UBSan (ci/sanitize.sh).
+# 6. list the library functions only the tests call and check the list
+#    against ci/census.txt (ci/census.sh, its own -O0 tree),
+# 7. rebuild and re-test under ASan+UBSan (ci/sanitize.sh).
+#
+# The ctest suite of step 2 includes golden_outputs, which checks every
+# deterministic output of the shipped binaries against ci/golden.txt.
 #
 # bash + `set -euo pipefail` so a failing stage — including one on the
 # left side of a pipe — fails the pipeline instead of scrolling past.
@@ -60,6 +65,7 @@ awk 'NF != 2 || $2 + 0 <= 0 || $1 ~ /^;|;;|;$/ { bad = 1 }
 echo "run_all: flame-fold smoke green (10^6 records, depth 32)"
 
 "$ROOT/ci/perf_guard.sh" "$BUILD_DIR"
+"$ROOT/ci/census.sh" "$BUILD_DIR-census"
 "$ROOT/ci/sanitize.sh" "$BUILD_DIR-sanitize"
 
-echo "run_all: build, tests, API check, perf guard and sanitizers all green"
+echo "run_all: build, tests, API check, perf guard, census and sanitizers all green"

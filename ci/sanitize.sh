@@ -18,14 +18,33 @@ cmake -B "$BUILD_DIR" -S "$ROOT" \
 
 cmake --build "$BUILD_DIR" -j "$JOBS"
 
+# halt_on_error: the first sanitizer report fails the test run instead of
+# scrolling past; detect_leaks exercises the Host/Buffer ownership paths.
+export ASAN_OPTIONS="halt_on_error=1:detect_leaks=1"
+export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1"
+
+# Runs the numaio_tests of build tree $1 on the --gtest_filter $2. Each
+# pattern of the filter must select a test: a pattern whose suite was
+# renamed or deleted would otherwise pass silently, testing nothing.
+run_gtest() {
+  local tests="$1/tests/numaio_tests" pattern listed
+  local -a patterns
+  IFS=: read -ra patterns <<< "$2"
+  for pattern in "${patterns[@]}"; do
+    listed=$("$tests" --gtest_list_tests --gtest_filter="$pattern")
+    if ! grep -q '^  ' <<< "$listed"; then
+      echo "sanitize: --gtest_filter pattern '$pattern' selects no test" >&2
+      exit 1
+    fi
+  done
+  "$tests" --gtest_filter="$2"
+}
+
 # The solver property suite runs first, on its own: it is the randomized
 # stress for the CSR arena / free-list / incidence bookkeeping (including
 # bit-identical churn vs the reference solver), exactly the code where an
 # out-of-bounds arena index or stale incidence back-pointer would hide.
-ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
-UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
-  "$BUILD_DIR/tests/numaio_tests" \
-  --gtest_filter='*SolverProperty*:FlowSolverCache.*:FlowSolverFreeList.*:FlowSolverCapacityFactor.*:FlowSolverScratch.*:FlowSolverStatus.*'
+run_gtest "$BUILD_DIR" '*SolverProperty*:FlowSolverCache.*:FlowSolverFreeList.*:FlowSolverCapacityFactor.*:FlowSolverScratch.*:FlowSolverStatus.*'
 
 # The fleet serving suite also runs standalone: its runtime is the one
 # place where event-engine callbacks hold (id, generation) handles across
@@ -37,23 +56,15 @@ UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
 # The fault plan and injector suites run here too: the fleet asks
 # FaultInjector::host_factor on every host touch, and both read every
 # kind through the one kind table.
-ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
-UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
-  "$BUILD_DIR/tests/numaio_tests" \
-  --gtest_filter='TokenBucket*:*BoundedQueue*:CircuitBreaker*:AdmissionStatus*:FleetSim*:FleetScale*:*FleetProperty*:*AlarmEngine*:FaultPlanFile*:FaultPlanTest.*:FaultInjectorTest.*'
+run_gtest "$BUILD_DIR" 'TokenBucket*:*BoundedQueue*:CircuitBreaker*:AdmissionStatus*:FleetSim*:FleetScale*:*FleetProperty*:*AlarmEngine*:FaultPlanFile*:FaultPlanTest.*:FaultInjectorTest.*'
 
 # The fluid simulation runs standalone too: every deferred transfer
 # start and control closure lives in its AlarmEngine's slot arena, and
 # aborts cancel pending starts through handles, so a stale handle or a
 # closure outliving its slot would surface here. The fio suite drives
 # deadlines, retries and aborts through it; RateTrace reads the
-# segments it records. The diagnose suite builds its flows through the
-# runs' stream setup, where only ASan showed an out-of-host node reading
-# past the per-node tables.
-ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
-UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
-  "$BUILD_DIR/tests/numaio_tests" \
-  --gtest_filter='*Fluid*:RateTrace.*:FioTest.*:DiagnoseTest.*'
+# segments it records.
+run_gtest "$BUILD_DIR" '*Fluid*:RateTrace.*:FioTest.*'
 
 # The trace text path runs standalone as well: the JSONL cursor reads
 # keys and strings as string_views into the line and the serializers
@@ -64,18 +75,11 @@ UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
 # whole-token grammar of every other text input, format by format), the
 # metrics JSON round trip, the shared JSON reader (escape decoding, the
 # nesting cap, report parse-back) and the transfer-trace CSV parser.
-ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
-UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
-  "$BUILD_DIR/tests/numaio_tests" \
-  --gtest_filter='*TraceRoundTrip*:*ParserFuzz*:ParseTraceJsonl*:NumberGrammar.*:Metrics.*:Json.*:ReportJson.*:Trace.*'
+run_gtest "$BUILD_DIR" '*TraceRoundTrip*:*ParserFuzz*:ParseTraceJsonl*:NumberGrammar.*:Metrics.*:Json.*:ReportJson.*:Trace.*'
 
-# halt_on_error: the first sanitizer report fails the test run instead of
-# scrolling past; detect_leaks exercises the Host/Buffer ownership paths.
 # The suite includes bench_e2e_smoke, so all four bench/e2e workloads run
 # under the sanitizers too, at a tiny size.
-ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
-UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
-  ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
+ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
 
 echo "sanitize: all tests passed under ASan+UBSan"
 
@@ -95,7 +99,6 @@ cmake -B "$TSAN_BUILD_DIR" -S "$ROOT" \
 cmake --build "$TSAN_BUILD_DIR" -j "$JOBS" --target numaio_tests
 
 TSAN_OPTIONS="halt_on_error=1" \
-  "$TSAN_BUILD_DIR/tests/numaio_tests" \
-  --gtest_filter='TelemetryHub*:TelemetryServer*:TelemetryServe*'
+  run_gtest "$TSAN_BUILD_DIR" 'TelemetryHub*:TelemetryServer*:TelemetryServe*'
 
 echo "sanitize: telemetry server is clean under TSan"

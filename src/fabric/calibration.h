@@ -60,9 +60,4 @@ HostProfile derived_profile(const topo::Topology& topo,
 /// "another identical host" arrangement (Fig 2).
 HostProfile pair_profile(const HostProfile& host);
 
-/// Maps a node id of host B into the pair profile's numbering.
-inline NodeId pair_peer_node(const HostProfile& single, NodeId node) {
-  return node + single.num_nodes();
-}
-
 }  // namespace numaio::fabric

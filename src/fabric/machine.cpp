@@ -1,18 +1,11 @@
 #include "fabric/machine.h"
 
 #include <cassert>
-#include <string>
 #include <utility>
 
 #include "topo/routing.h"
 
 namespace numaio::fabric {
-
-namespace {
-std::string pair_name(NodeId a, NodeId b) {
-  return "fab:" + std::to_string(a) + ">" + std::to_string(b);
-}
-}  // namespace
 
 Machine::Machine(HostProfile profile) : profile_(std::move(profile)) {
   const int n = profile_.num_nodes();
@@ -24,8 +17,8 @@ Machine::Machine(HostProfile profile) : profile_(std::move(profile)) {
   for (NodeId a = 0; a < n; ++a) {
     for (NodeId b = 0; b < n; ++b) {
       if (a == b) continue;
-      fabric_[static_cast<std::size_t>(a * n + b)] = solver_.add_resource(
-          pair_name(a, b), profile_.paths.at(a, b).dma_cap);
+      fabric_[static_cast<std::size_t>(a * n + b)] =
+          solver_.add_resource(profile_.paths.at(a, b).dma_cap);
     }
   }
 
@@ -39,10 +32,8 @@ Machine::Machine(HostProfile profile) : profile_(std::move(profile)) {
     for (std::size_t l = 0; l < profile_.topo.links().size(); ++l) {
       const topo::LinkSpec& link = profile_.topo.links()[l];
       link_dir[2 * l] = solver_.add_resource(
-          "link:" + std::to_string(link.a) + ">" + std::to_string(link.b),
           link.width_bits_ab * profile_.link_gbps_per_width_bit);
       link_dir[2 * l + 1] = solver_.add_resource(
-          "link:" + std::to_string(link.b) + ">" + std::to_string(link.a),
           link.width_bits_ba * profile_.link_gbps_per_width_bit);
     }
   }
@@ -70,13 +61,10 @@ Machine::Machine(HostProfile profile) : profile_(std::move(profile)) {
   }
   for (NodeId i = 0; i < n; ++i) {
     const sim::Gbps local = profile_.paths.at(i, i).dma_cap;
-    mc_read_.push_back(
-        solver_.add_resource("mc_rd:" + std::to_string(i), local));
-    mc_write_.push_back(
-        solver_.add_resource("mc_wr:" + std::to_string(i), local));
-    cpu_.push_back(solver_.add_resource(
-        "cpu:" + std::to_string(i),
-        profile_.cpu_units_per_core * topology().node(i).cores));
+    mc_read_.push_back(solver_.add_resource(local));
+    mc_write_.push_back(solver_.add_resource(local));
+    cpu_.push_back(solver_.add_resource(profile_.cpu_units_per_core *
+                                        topology().node(i).cores));
   }
 }
 
@@ -190,12 +178,6 @@ std::vector<sim::Usage> Machine::dma_usages(NodeId mem_node, NodeId dev_node,
     usages.push_back({mc_write(mem_node), 1.0});
   }
   return usages;
-}
-
-sim::Gbps Machine::window_rate(NodeId src, NodeId dst,
-                               double window_bits) const {
-  assert(window_bits > 0.0);
-  return window_bits / profile_.paths.at(src, dst).dma_lat;
 }
 
 }  // namespace numaio::fabric

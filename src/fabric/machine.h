@@ -68,10 +68,6 @@ class Machine {
   std::vector<sim::Usage> dma_usages(NodeId mem_node, NodeId dev_node,
                                      bool to_device) const;
 
-  /// Throughput limit of a window-limited engine with `window_bits`
-  /// outstanding over the src -> dst DMA path.
-  sim::Gbps window_rate(NodeId src, NodeId dst, double window_bits) const;
-
   // --- fault-injection hooks (faults::FaultInjector) ----------------------
   // Capacity scales multiply the *calibrated* resource capacities in the
   // solver, so every consumer — fio streams, iomodel copies, STREAM runs —

@@ -75,6 +75,10 @@ FaultPlan FaultPlan::random(const RandomPlanConfig& config) {
   if (num_nodes < 2) {
     throw std::invalid_argument("random fault plan needs >= 2 nodes");
   }
+  // max_flaps bounds a draw: 0 divided by zero, a negative value wrapped.
+  if (config.max_flaps < 1) {
+    throw std::invalid_argument("random fault plan needs max_flaps >= 1");
+  }
   sim::Rng rng = sim::Rng(config.seed).fork(0x6661756c74u);  // "fault"
   // Kinds are drawn from the table rows the host shape can take, in
   // table order: with no devices and no hosts that is exactly the

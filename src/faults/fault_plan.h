@@ -179,7 +179,9 @@ class FaultPlan {
 
   /// A seeded random plan: identical configs yield an identical plan. The
   /// config aggregate carries the seed and host shape (seed / num_nodes /
-  /// num_devices) alongside the event-distribution knobs.
+  /// num_devices) alongside the event-distribution knobs. Throws
+  /// std::invalid_argument, before any draw, when num_nodes < 2 or
+  /// max_flaps < 1.
   static FaultPlan random(const RandomPlanConfig& config);
 
  private:

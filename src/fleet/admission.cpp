@@ -5,22 +5,14 @@
 
 namespace numaio::fleet {
 
-void TokenBucket::refill(sim::Ns now) {
-  if (now <= last_) return;
-  tokens_ = std::min(burst_, tokens_ + rate_per_s_ * (now - last_) / 1e9);
-  last_ = now;
-}
-
 bool TokenBucket::try_take(sim::Ns now) {
-  refill(now);
+  if (now > last_) {
+    tokens_ = std::min(burst_, tokens_ + rate_per_s_ * (now - last_) / 1e9);
+    last_ = now;
+  }
   if (tokens_ < 1.0) return false;
   tokens_ -= 1.0;
   return true;
-}
-
-double TokenBucket::tokens(sim::Ns now) {
-  refill(now);
-  return tokens_;
 }
 
 BoundedQueue::PushResult BoundedQueue::push(QueueItem item) {

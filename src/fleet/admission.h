@@ -29,12 +29,7 @@ class TokenBucket {
   /// Refills for the elapsed time, then takes one token if available.
   bool try_take(sim::Ns now);
 
-  /// Token level after refilling to `now` (does not spend).
-  double tokens(sim::Ns now);
-
  private:
-  void refill(sim::Ns now);
-
   double rate_per_s_;
   double burst_;
   double tokens_;

@@ -22,13 +22,11 @@ PcieDevice::PcieDevice(fabric::Machine& machine, std::string name,
   engine_res_.reserve(engines_.size());
   for (const EngineSpec& e : engines_) {
     assert(e.device_cap > 0.0 && e.window_bits > 0.0);
-    engine_res_.push_back(
-        solver.add_resource(name_ + ":" + e.name, 1.0));
+    (void)e;
+    engine_res_.push_back(solver.add_resource(1.0));
   }
-  pcie_to_dev_ =
-      solver.add_resource(name_ + ":pcie>dev", pcie_.data_gbps());
-  pcie_from_dev_ =
-      solver.add_resource(name_ + ":pcie<dev", pcie_.data_gbps());
+  pcie_to_dev_ = solver.add_resource(pcie_.data_gbps());
+  pcie_from_dev_ = solver.add_resource(pcie_.data_gbps());
 }
 
 void PcieDevice::set_irq_node(NodeId node) {

@@ -118,9 +118,9 @@ void release(nm::Host& host, JobStreams& built) {
 /// Checks every job, then builds its streams: worker buffers under the
 /// job's memory policy, per-stream options with the seeded contention
 /// jitter, shapes with the peer-host cap, and the mixed-service penalty
-/// on shared engines. run_timed runs these flows and diagnose solves
-/// them. A job that fails a check leaves host and solver untouched, and
-/// an allocation failing part-way frees the buffers already taken.
+/// on shared engines. A job that fails a check leaves host and solver
+/// untouched, and an allocation failing part-way frees the buffers
+/// already taken.
 /// `peers[j]` is the peer-cap resource of job slot j, added once and
 /// reused after. release() undoes the buffers and the penalty.
 JobStreams build_streams(nm::Host& host, const std::vector<TimedJob>& jobs,
@@ -181,8 +181,7 @@ JobStreams build_streams(nm::Host& host, const std::vector<TimedJob>& jobs,
         if (std::isfinite(peer_cap)) {
           auto it = peers.find(j);
           if (it == peers.end()) {
-            const std::string name = "peer:" + std::to_string(j);
-            it = peers.emplace(j, solver.add_resource(name, peer_cap)).first;
+            it = peers.emplace(j, solver.add_resource(peer_cap)).first;
           }
           solver.set_capacity(it->second, peer_cap);
           peer = it->second;
@@ -619,43 +618,6 @@ std::vector<FioResult> FioRunner::run_timed(
 
   release(host_, built);
   return results;
-}
-
-std::vector<FioRunner::ResourceLoad> FioRunner::diagnose(const FioJob& job) {
-  auto& solver = host_.machine().solver();
-  JobStreams built = build_streams(host_, {TimedJob{job, 0.0}},
-                                   peer_resources_);
-  std::vector<sim::FlowId> flows;
-  for (const StreamSetup& s : built.setups) {
-    flows.push_back(solver.add_flow(s.shape.usages, s.shape.rate_cap));
-  }
-
-  const auto& rates = solver.solve();
-  // Accumulate this job's weighted load per resource it touches.
-  std::map<sim::ResourceId, double> load;
-  for (std::size_t f = 0; f < flows.size(); ++f) {
-    for (const sim::Usage& u : built.setups[f].shape.usages) {
-      load[u.resource] += rates[flows[f]] * u.weight;
-    }
-  }
-  std::vector<ResourceLoad> report;
-  for (const auto& [res, used] : load) {
-    const double cap = solver.capacity(res);
-    if (!std::isfinite(cap) || cap <= 0.0) continue;
-    report.push_back(
-        ResourceLoad{solver.resource_name(res), used / cap, cap});
-  }
-  std::sort(report.begin(), report.end(),
-            [](const ResourceLoad& a, const ResourceLoad& b) {
-              if (a.utilization != b.utilization) {
-                return a.utilization > b.utilization;
-              }
-              return a.name < b.name;
-            });
-
-  for (const sim::FlowId f : flows) solver.remove_flow(f);
-  release(host_, built);
-  return report;
 }
 
 }  // namespace numaio::io

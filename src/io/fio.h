@@ -194,26 +194,9 @@ class FioRunner {
   /// std::invalid_argument for a job with no device, no stream or fewer
   /// SSD streams than cards; and std::out_of_range for an engine one of
   /// its devices lacks. A std::bad_alloc from the buffers frees those
-  /// already taken. A peer-bound job adds a `peer:` cap resource to the
+  /// already taken. A peer-bound job adds a peer cap resource to the
   /// solver once per job slot; later runs reuse it.
   std::vector<FioResult> run_timed(const std::vector<TimedJob>& jobs);
-
-  /// One resource's steady-state load under a diagnosed job.
-  struct ResourceLoad {
-    std::string name;
-    double utilization = 0.0;  ///< Weighted load / capacity.
-    sim::Gbps capacity = 0.0;
-  };
-
-  /// Starts the job's flows exactly as run() does at t = 0 (seeded
-  /// contention jitter, peer-host cap and mixed-service penalty
-  /// included), solves once, and reports every finite-capacity resource
-  /// they touch, most utilized first, ties by name: the answer to "what
-  /// is actually limiting this transfer?" (§I-A: "the performance
-  /// bottleneck can reside in any of these"). No data moves, every buffer
-  /// is freed and every flow removed; a peer cap resource stays, as after
-  /// run(). Throws what run() throws for the same job.
-  std::vector<ResourceLoad> diagnose(const FioJob& job);
 
  private:
   nm::Host& host_;

@@ -21,15 +21,15 @@ HostPair::HostPair()
   nic_a_ = make_connectx3(*machine_, 7);
   nic_b_ = make_connectx3(*machine_, peer(7), /*residual_origin=*/peer(7));
   auto& solver = machine_->solver();
-  wire_ab_ = solver.add_resource("wire:a>b", kWireGbps);
-  wire_ba_ = solver.add_resource("wire:b>a", kWireGbps);
+  wire_ab_ = solver.add_resource(kWireGbps);
+  wire_ba_ = solver.add_resource(kWireGbps);
   // Target-side DMA occupancy for one-sided operations: the passive NIC's
   // tag pools (separate RX/TX engines) serve the inbound streams,
   // normalized like engine occupancy.
-  target_a_to_mem_ = solver.add_resource("mlx4_0:tgt>mem", 1.0);
-  target_a_from_mem_ = solver.add_resource("mlx4_0:tgt<mem", 1.0);
-  target_b_to_mem_ = solver.add_resource("mlx4_1:tgt>mem", 1.0);
-  target_b_from_mem_ = solver.add_resource("mlx4_1:tgt<mem", 1.0);
+  target_a_to_mem_ = solver.add_resource(1.0);
+  target_a_from_mem_ = solver.add_resource(1.0);
+  target_b_to_mem_ = solver.add_resource(1.0);
+  target_b_from_mem_ = solver.add_resource(1.0);
 }
 
 HostPair HostPair::dl585() { return HostPair(); }

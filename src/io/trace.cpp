@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <sstream>
 #include <stdexcept>
 #include <string_view>
 #include <system_error>
@@ -96,20 +94,6 @@ std::vector<TraceEntry> parse_trace(const std::string& text) {
     throw StatusError(StatusCode::kParse, "trace contains no requests");
   }
   return entries;
-}
-
-std::string format_trace(const std::vector<TraceEntry>& entries) {
-  std::ostringstream out;
-  out << "# time_s,engine,cpu_node,gib\n";
-  char buf[160];
-  for (const TraceEntry& e : entries) {
-    std::snprintf(buf, sizeof(buf), "%.6f,%s,%d,%.6f\n", e.arrival / 1e9,
-                  e.engine.c_str(), e.cpu_node,
-                  static_cast<double>(e.bytes) /
-                      static_cast<double>(sim::kGiB));
-    out << buf;
-  }
-  return out.str();
 }
 
 std::vector<TimedJob> trace_to_jobs(const std::vector<TraceEntry>& entries,

@@ -33,10 +33,6 @@ struct TraceEntry {
 /// input.
 std::vector<TraceEntry> parse_trace(const std::string& text);
 
-/// Renders entries back to CSV (header comment included). Round-trips
-/// through parse_trace().
-std::string format_trace(const std::vector<TraceEntry>& entries);
-
 /// Builds timed single-stream jobs for the entries against a device set:
 /// each arrival gets one of the devices that serve its engine
 /// (DeviceSet::for_engine), taken in turn by arrival order. Throws

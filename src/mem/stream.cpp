@@ -10,20 +10,6 @@
 
 namespace numaio::mem {
 
-std::string to_string(StreamKind kind) {
-  switch (kind) {
-    case StreamKind::kCopy:
-      return "Copy";
-    case StreamKind::kScale:
-      return "Scale";
-    case StreamKind::kAdd:
-      return "Add";
-    case StreamKind::kTriad:
-      return "Triad";
-  }
-  return "?";
-}
-
 namespace {
 
 int arrays_needed(StreamKind kind) {

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "nm/host.h"
 #include "simcore/rng.h"
@@ -20,8 +19,6 @@ namespace numaio::mem {
 using topo::NodeId;
 
 enum class StreamKind { kCopy, kScale, kAdd, kTriad };
-
-std::string to_string(StreamKind kind);
 
 /// Standard config aggregate (DESIGN.md §11 "Config aggregates"): plain
 /// struct, in-struct field defaults, passed const& with a `= {}` default

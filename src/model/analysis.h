@@ -2,7 +2,7 @@
 //
 // The paper's case against hop distance and STREAM rests on *orderings*:
 // which bindings a model ranks fast must match which bindings real I/O
-// measures fast. Rank correlations quantify that agreement — high for the
+// measures fast. Rank correlation quantifies that agreement — high for the
 // proposed memcpy model against every I/O engine, low (or inverted) for
 // the STREAM-derived models against RDMA_READ.
 #pragma once
@@ -16,15 +16,5 @@ namespace numaio::model {
 /// Spearman rank correlation of two equal-length series (average ranks for
 /// ties). Returns a value in [-1, 1]; 0 when either series is constant.
 double spearman(std::span<const double> a, std::span<const double> b);
-
-/// Kendall tau-b rank correlation (concordant vs discordant pairs, with
-/// tie correction). Returns a value in [-1, 1]; 0 when either is constant.
-double kendall_tau(std::span<const double> a, std::span<const double> b);
-
-/// Fraction of comparable ordered pairs (i, j) where the models agree on
-/// which is larger; pairs tied in either series are skipped. 1.0 = same
-/// ordering, 0.0 = fully inverted; 0.5 ~ unrelated.
-double pairwise_agreement(std::span<const double> a,
-                          std::span<const double> b);
 
 }  // namespace numaio::model

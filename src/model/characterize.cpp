@@ -1,6 +1,5 @@
 #include "model/characterize.h"
 
-#include <cassert>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -68,20 +67,6 @@ HostModel characterize_host(nm::Host& host,
     obs->trace.end_span(span, degraded ? "degraded" : "ok");
   }
   return model;
-}
-
-int best_remote_class(const HostModel& model, NodeId device_node,
-                      Direction dir) {
-  const Classification& c = model.classes_for(device_node, dir);
-  assert(c.num_classes() >= 1);
-  int best = -1;
-  for (int cls = 1; cls < c.num_classes(); ++cls) {
-    if (best < 0 || c.class_avg[static_cast<std::size_t>(cls)] >
-                        c.class_avg[static_cast<std::size_t>(best)]) {
-      best = cls;
-    }
-  }
-  return best < 0 ? 0 : best;
 }
 
 DriftReport check_drift(nm::Host& host, HostModel& model, NodeId target,

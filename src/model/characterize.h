@@ -64,12 +64,6 @@ struct CharacterizeConfig {
 HostModel characterize_host(nm::Host& host,
                             const CharacterizeConfig& config = {});
 
-/// Best non-local binding class for a device attached to `device_node`:
-/// the highest-average class beyond class 1 (useful when the local nodes
-/// are contended and the scheduler needs the best remote alternative).
-int best_remote_class(const HostModel& model, NodeId device_node,
-                      Direction dir);
-
 struct DriftConfig {
   /// A re-probe deviating from the stored value by more than this
   /// fraction — or landing outside its class's stored bandwidth range

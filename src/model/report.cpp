@@ -1,6 +1,5 @@
 #include "model/report.h"
 
-#include <cassert>
 #include <iomanip>
 #include <sstream>
 
@@ -97,27 +96,6 @@ std::string format_class_table(const Classification& classes,
 
   emit(model_label, model_values);
   for (const MeasuredRow& row : rows) emit(row.label, row.per_node);
-  return out.str();
-}
-
-std::string to_csv(std::span<const std::string> col_names,
-                   std::span<const std::string> row_labels,
-                   const std::vector<std::vector<double>>& cells) {
-  assert(cells.size() == row_labels.size());
-  std::ostringstream out;
-  for (std::size_t c = 0; c < col_names.size(); ++c) {
-    if (c > 0) out << ',';
-    out << col_names[c];
-  }
-  out << '\n';
-  for (std::size_t r = 0; r < cells.size(); ++r) {
-    out << row_labels[r];
-    assert(cells[r].size() + 1 == col_names.size());
-    for (const double v : cells[r]) {
-      out << ',' << std::fixed << std::setprecision(3) << v;
-    }
-    out << '\n';
-  }
   return out.str();
 }
 

@@ -1,6 +1,6 @@
 // Plain-text reporting used by the benchmark binaries: bandwidth matrices
 // (Fig 3), per-node series (Figs 4-7, 10), and class tables in the shape of
-// the paper's Tables IV/V. Everything also exports as CSV for plotting.
+// the paper's Tables IV/V.
 #pragma once
 
 #include <span>
@@ -31,11 +31,6 @@ std::string format_class_table(const Classification& classes,
                                const std::string& model_label,
                                std::span<const sim::Gbps> model_values,
                                std::span<const MeasuredRow> rows);
-
-/// CSV with a header row; `row_labels` indexes the first column.
-std::string to_csv(std::span<const std::string> col_names,
-                   std::span<const std::string> row_labels,
-                   const std::vector<std::vector<double>>& cells);
 
 /// ASCII heatmap of a bandwidth matrix: one shade character per cell,
 /// scaled min..max over the whole matrix (' ' lightest load, '@' peak

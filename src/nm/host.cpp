@@ -160,8 +160,6 @@ void Host::free(Buffer& buffer) {
   buffer.size = 0;
 }
 
-void Host::reset_stats() { stats_ = AllocStats(num_configured_nodes()); }
-
 std::string Host::hardware_report() const {
   std::ostringstream out;
   const int n = num_configured_nodes();

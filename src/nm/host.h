@@ -69,7 +69,6 @@ class Host {
   void free(Buffer& buffer);
 
   const AllocStats& stats() const { return stats_; }
-  void reset_stats();
 
   /// "numactl --hardware"-style report: nodes, cores, memory sizes and
   /// free memory (reproducing the node-0 OS-residency observation).

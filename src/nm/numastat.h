@@ -3,7 +3,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "topo/topology.h"
@@ -34,10 +33,6 @@ class AllocStats {
   const NodeStats& node(topo::NodeId id) const {
     return per_node_[static_cast<std::size_t>(id)];
   }
-  int num_nodes() const { return static_cast<int>(per_node_.size()); }
-
-  /// numastat-style table.
-  std::string report() const;
 
  private:
   std::vector<NodeStats> per_node_;

@@ -1,6 +1,5 @@
 #include "nm/slit.h"
 
-#include <cassert>
 #include <iomanip>
 #include <sstream>
 
@@ -33,32 +32,6 @@ std::string render_slit(const std::vector<std::vector<int>>& slit) {
     out << '\n';
   }
   return out.str();
-}
-
-double slit_accuracy(const std::vector<std::vector<int>>& slit,
-                     const mem::BandwidthMatrix& bw) {
-  const int n = bw.num_nodes();
-  assert(static_cast<int>(slit.size()) == n);
-  long long agree = 0, comparable = 0;
-  for (topo::NodeId src = 0; src < n; ++src) {
-    for (topo::NodeId a = 0; a < n; ++a) {
-      for (topo::NodeId b = a + 1; b < n; ++b) {
-        const int da = slit[static_cast<std::size_t>(src)]
-                           [static_cast<std::size_t>(a)];
-        const int db = slit[static_cast<std::size_t>(src)]
-                           [static_cast<std::size_t>(b)];
-        if (da == db) continue;
-        const double ba = bw.at(src, a);
-        const double bb = bw.at(src, b);
-        if (ba == bb) continue;
-        ++comparable;
-        if ((da < db) == (ba > bb)) ++agree;
-      }
-    }
-  }
-  return comparable > 0
-             ? static_cast<double>(agree) / static_cast<double>(comparable)
-             : 0.5;
 }
 
 }  // namespace numaio::nm

@@ -5,14 +5,13 @@
 // hop counts, which is exactly why the paper calls them "often inaccurate"
 // ([18], §II-B): they cannot express directional asymmetry or the
 // PIO/DMA path split. slit_table() builds the table the way firmware
-// does (hop-based); slit_accuracy() scores it against a measured
-// bandwidth matrix the way the paper scores hop distance.
+// does (hop-based), so model::hop_explanation_score() is also its score
+// against a measured bandwidth matrix.
 #pragma once
 
 #include <string>
 #include <vector>
 
-#include "mem/membench.h"
 #include "topo/routing.h"
 
 namespace numaio::nm {
@@ -22,12 +21,5 @@ std::vector<std::vector<int>> slit_table(const topo::Topology& topo);
 
 /// numactl-style rendering of the table ("node distances:" block).
 std::string render_slit(const std::vector<std::vector<int>>& slit);
-
-/// Fraction of comparable destination pairs where a *smaller* SLIT
-/// distance coincides with *higher* measured bandwidth — the same scoring
-/// the topology-inference analysis applies to hop distance. Near 1.0 only
-/// on idealized hosts.
-double slit_accuracy(const std::vector<std::vector<int>>& slit,
-                     const mem::BandwidthMatrix& bw);
 
 }  // namespace numaio::nm

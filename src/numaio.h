@@ -52,7 +52,6 @@
 #include "faults/injector.h"
 
 // numactl/libnuma-style host views: allocation, policies, SLIT, numastat.
-#include "nm/cores.h"
 #include "nm/host.h"
 #include "nm/hwloc_view.h"
 #include "nm/numastat.h"

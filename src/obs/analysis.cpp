@@ -73,8 +73,8 @@ struct GroupRef {
 };
 
 // ---------------------------------------------------------------------
-// Fault/retry audit: a single-pass fold shared by analyze_stream() and
-// the standalone audit_faults().
+// Fault/retry audit: a single-pass fold, part of analyze_stream()'s
+// first pass.
 
 class FaultAccumulator final : public TraceVisitor {
  public:
@@ -410,13 +410,6 @@ CriticalPathStep instant_step(const Event& e) {
 
 }  // namespace
 
-std::vector<Event> parse_trace_jsonl(const std::string& text) {
-  MemorySink sink;
-  JsonlTextSource source(text);
-  source.stream(sink);
-  return std::move(sink.events);
-}
-
 TraceAnalysis analyze_stream(RecordSource& source) {
   TraceAnalysis out;
   SkeletonPass skeleton;
@@ -475,12 +468,6 @@ TraceAnalysis analyze_stream(RecordSource& source) {
 TraceAnalysis analyze_trace(const std::vector<Event>& events) {
   VectorSource source(events);
   return analyze_stream(source);
-}
-
-FaultAudit audit_faults(RecordSource& source) {
-  FaultAccumulator acc;
-  source.stream(acc);
-  return acc.finish();
 }
 
 }  // namespace numaio::obs

@@ -44,12 +44,6 @@
 
 namespace numaio::obs {
 
-/// Parses a JSONL trace (the JsonlSink serialization, FORMATS.md §4a)
-/// back into records. Accepts records with or without the trailing
-/// `wall_us` field (deterministic traces omit it; absent parses as -1).
-/// Throws std::invalid_argument with a line number on malformed input.
-std::vector<Event> parse_trace_jsonl(const std::string& text);
-
 /// Aggregates over every span sharing one name ("span kind").
 struct SpanKindStats {
   std::string name;       ///< e.g. "fio.stream".
@@ -129,9 +123,5 @@ TraceAnalysis analyze_stream(RecordSource& source);
 /// of one recorder's output; ids must be unique). A thin wrapper that
 /// streams the vector through analyze_stream().
 TraceAnalysis analyze_trace(const std::vector<Event>& events);
-
-/// The fault/retry audit alone, in a single streaming pass — for
-/// consumers that only need the degraded-mode story.
-FaultAudit audit_faults(RecordSource& source);
 
 }  // namespace numaio::obs

@@ -96,8 +96,7 @@ class ObjectCursor {
   int line_no_;
 };
 
-/// The one JSONL record parser behind parse_trace_line() and both JSONL
-/// sources. Overwrites every field of `e`, keeping its strings' capacity;
+/// The one JSONL record parser behind both JSONL sources. Overwrites every field of `e`, keeping its strings' capacity;
 /// `scratch` receives any string token that holds an escape.
 void parse_into(std::string_view line, int line_no, Event& e,
                 std::string& scratch) {
@@ -164,13 +163,6 @@ void parse_into(std::string_view line, int line_no, Event& e,
 }
 
 }  // namespace
-
-Event parse_trace_line(std::string_view line, int line_no) {
-  Event e;
-  std::string scratch;
-  parse_into(line, line_no, e, scratch);
-  return e;
-}
 
 void JsonlFileSource::stream(TraceVisitor& visitor) {
   std::ifstream in(path_);

@@ -36,19 +36,11 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "obs/trace.h"
 
 namespace numaio::obs {
-
-/// Parses one JSONL trace line (the JsonlSink object layout, FORMATS.md
-/// §4a; keys accepted in any order so hand-edited fixtures load too).
-/// Accepts records with or without the trailing `wall_us` field (absent
-/// parses as -1). Throws std::invalid_argument naming `line_no` on
-/// malformed input.
-Event parse_trace_line(std::string_view line, int line_no);
 
 /// A restartable stream of trace records. Each stream() call replays the
 /// whole capture through the visitor in record order; multi-pass

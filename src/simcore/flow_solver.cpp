@@ -5,7 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <utility>
+#include <string>
 
 namespace numaio::sim {
 
@@ -41,9 +41,9 @@ void FlowSolver::ensure_size(std::vector<T>& v, std::size_t n,
   v.resize(n);
 }
 
-ResourceId FlowSolver::add_resource(std::string name, Gbps capacity) {
+ResourceId FlowSolver::add_resource(Gbps capacity) {
   assert(capacity >= 0.0);
-  resources_.push_back(Resource{std::move(name), capacity, 1.0, capacity});
+  resources_.push_back(Resource{capacity, 1.0, capacity});
   incidence_.emplace_back();
   bump_epoch();
   return resources_.size() - 1;
@@ -63,19 +63,9 @@ void FlowSolver::set_capacity_factor(ResourceId id, double factor) {
   refresh_capacity(id);
 }
 
-double FlowSolver::capacity_factor(ResourceId id) const {
-  assert(id < resources_.size());
-  return resources_[id].factor;
-}
-
 Gbps FlowSolver::capacity(ResourceId id) const {
   assert(id < resources_.size());
   return resources_[id].capacity;
-}
-
-const std::string& FlowSolver::resource_name(ResourceId id) const {
-  assert(id < resources_.size());
-  return resources_[id].name;
 }
 
 FlowId FlowSolver::add_flow(std::vector<Usage> usages, Gbps rate_cap) {
@@ -148,14 +138,6 @@ FlowId FlowSolver::add_flow(std::vector<Usage> usages, Gbps rate_cap) {
   return slot;
 }
 
-FlowId FlowSolver::add_flow_over(const std::vector<ResourceId>& path,
-                                 Gbps rate_cap) {
-  std::vector<Usage> usages;
-  usages.reserve(path.size());
-  for (ResourceId r : path) usages.push_back(Usage{r, 1.0});
-  return add_flow(std::move(usages), rate_cap);
-}
-
 Status FlowSolver::remove_flow(FlowId id) {
   if (id >= flows_.size() || !flows_[id].alive) {
     return Status{StatusCode::kUsage,
@@ -194,29 +176,6 @@ Status FlowSolver::remove_flow(FlowId id) {
   assert(live_flows_ + free_slots_.size() == flows_.size());
   bump_epoch();
   return Status{};
-}
-
-Status FlowSolver::set_flow_cap(FlowId id, Gbps rate_cap) {
-  if (id >= flows_.size() || !flows_[id].alive) {
-    return Status{StatusCode::kUsage,
-                  "set_flow_cap: no live flow #" + std::to_string(id)};
-  }
-  assert(rate_cap >= 0.0);
-  if (flows_[id].cap != rate_cap) {
-    flows_[id].cap = rate_cap;
-    bump_epoch();
-  }
-  return Status{};
-}
-
-Gbps FlowSolver::flow_cap(FlowId id) const {
-  assert(id < flows_.size());
-  return flows_[id].cap;
-}
-
-bool FlowSolver::flow_alive(FlowId id) const {
-  assert(id < flows_.size());
-  return flows_[id].alive;
 }
 
 void FlowSolver::set_observer(obs::Context* obs) {

@@ -24,7 +24,7 @@
 //    the freeze pass mark only flows actually crossing a saturated
 //    resource instead of rescanning every unfrozen flow's usages.
 //  - A mutation epoch is bumped by add_flow/remove_flow/set_capacity/
-//    set_capacity_factor/set_flow_cap; solve() returns the cached rate
+//    set_capacity_factor; solve() returns the cached rate
 //    vector when the epoch is unchanged, which makes aggregate_rate()
 //    and utilization() free right after a solve. All per-solve scratch
 //    is reusable member storage: after warm-up a solve performs zero
@@ -40,7 +40,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "obs/obs.h"
@@ -75,7 +74,7 @@ class FlowSolver {
   };
 
   /// Registers a resource. `capacity` may be kUnlimited.
-  ResourceId add_resource(std::string name, Gbps capacity);
+  ResourceId add_resource(Gbps capacity);
 
   /// Adjusts a resource's base capacity (e.g. CPU budget shrinking under
   /// interrupt load). The effective capacity is base * factor; the factor
@@ -89,11 +88,9 @@ class FlowSolver {
   /// factor-reset restores the calibrated base exactly. `factor` must be
   /// finite and > 0; 1.0 removes the scaling.
   void set_capacity_factor(ResourceId id, double factor);
-  double capacity_factor(ResourceId id) const;
 
   /// Effective capacity (base * factor).
   Gbps capacity(ResourceId id) const;
-  const std::string& resource_name(ResourceId id) const;
   std::size_t resource_count() const { return resources_.size(); }
 
   /// Adds a flow with weighted resource usages (a resource may appear more
@@ -102,10 +99,6 @@ class FlowSolver {
   /// ids are only meaningful while the flow is alive.
   FlowId add_flow(std::vector<Usage> usages, Gbps rate_cap = kUnlimited);
 
-  /// Convenience: unit-weight usage of each resource on `path`.
-  FlowId add_flow_over(const std::vector<ResourceId>& path,
-                       Gbps rate_cap = kUnlimited);
-
   /// Removes a flow; the slot and its arena span go on the free-list and
   /// a later add_flow may hand the same id out again. Returns
   /// StatusCode::kUsage — with the solver untouched — when `id` is out
@@ -113,14 +106,6 @@ class FlowSolver {
   /// error instead of free-list corruption (historically this asserted in
   /// debug builds and silently corrupted in release).
   Status remove_flow(FlowId id);
-
-  /// Replaces a live flow's private rate cap. Returns StatusCode::kUsage
-  /// (solver untouched) for an out-of-range or dead id, mirroring
-  /// remove_flow; setting the current cap again keeps the solve cache
-  /// warm.
-  Status set_flow_cap(FlowId id, Gbps rate_cap);
-  Gbps flow_cap(FlowId id) const;
-  bool flow_alive(FlowId id) const;
   std::size_t live_flow_count() const { return live_flows_; }
 
   /// Attaches an observability context (nullptr detaches). Each solve()
@@ -149,8 +134,7 @@ class FlowSolver {
 
   /// Mutation epoch: bumped whenever a change invalidates the solve
   /// cache. Value-preserving mutations (set_capacity to the same
-  /// capacity, set_flow_cap to the same cap, failed remove_flow/
-  /// set_flow_cap on a dead id) keep the cache warm.
+  /// capacity, a failed remove_flow on a dead id) keep the cache warm.
   std::uint64_t epoch() const { return epoch_; }
 
   const SolveStats& stats() const { return stats_; }
@@ -159,7 +143,6 @@ class FlowSolver {
   static constexpr FlowId kNoFlow = static_cast<FlowId>(-1);
 
   struct Resource {
-    std::string name;
     Gbps base = kUnlimited;   ///< Calibrated capacity (set_capacity).
     double factor = 1.0;      ///< Multiplicative scale (set_capacity_factor).
     Gbps capacity = kUnlimited;  ///< Effective: base * factor, cached.

@@ -82,25 +82,6 @@ double trimmed_mean(const std::vector<double>& sorted, double trim_frac) {
 
 }  // namespace
 
-Summary summarize(std::span<const double> values) {
-  Summary s;
-  s.count = values.size();
-  if (values.empty()) return s;
-  s.min = values.front();
-  s.max = values.front();
-  double sum = 0.0;
-  for (double v : values) {
-    s.min = std::min(s.min, v);
-    s.max = std::max(s.max, v);
-    sum += v;
-  }
-  s.mean = sum / static_cast<double>(values.size());
-  double sq = 0.0;
-  for (double v : values) sq += (v - s.mean) * (v - s.mean);
-  s.stddev = std::sqrt(sq / static_cast<double>(values.size()));
-  return s;
-}
-
 std::vector<double> percentiles(std::span<const double> values,
                                 std::initializer_list<double> ps) {
   std::vector<double> out(ps.size(), 0.0);

@@ -9,20 +9,6 @@
 
 namespace numaio::sim {
 
-struct Summary {
-  double min = 0.0;
-  double max = 0.0;
-  double mean = 0.0;
-  double stddev = 0.0;  ///< Population standard deviation.
-  std::size_t count = 0;
-
-  /// Coefficient of variation (stddev / mean); 0 for a zero mean.
-  double cv() const { return mean != 0.0 ? stddev / mean : 0.0; }
-};
-
-/// Summary of a series. An empty span yields a zero Summary.
-Summary summarize(std::span<const double> values);
-
 /// Linear-interpolated percentiles of a series, one per entry of `ps`
 /// (each in [0, 1]) and in the order asked. All of them read one sorted
 /// copy; the input need not be sorted and is left unchanged. An empty span

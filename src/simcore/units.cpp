@@ -5,12 +5,6 @@
 
 namespace numaio::sim {
 
-std::string format_gbps(Gbps v) {
-  std::array<char, 48> buf{};
-  std::snprintf(buf.data(), buf.size(), "%.2f Gbps", v);
-  return std::string(buf.data());
-}
-
 std::string format_bytes(Bytes v) {
   std::array<char, 48> buf{};
   if (v >= kGiB && v % kGiB == 0) {

@@ -30,19 +30,6 @@ constexpr Gbps gbps(Bytes bytes, Ns ns) {
   return static_cast<double>(bytes) * 8.0 / ns;
 }
 
-/// Time to move `bytes` at `rate` Gbps, in nanoseconds.
-constexpr Ns transfer_ns(Bytes bytes, Gbps rate) {
-  return static_cast<double>(bytes) * 8.0 / rate;
-}
-
-/// Bytes moved in `ns` nanoseconds at `rate` Gbps.
-constexpr Bytes bytes_in(Gbps rate, Ns ns) {
-  return static_cast<Bytes>(rate * ns / 8.0);
-}
-
-/// "12.34 Gbps" with two decimals; used by report tables.
-std::string format_gbps(Gbps v);
-
 /// Human-readable byte size ("128 KiB", "400 GiB", ...).
 std::string format_bytes(Bytes v);
 

@@ -11,20 +11,6 @@ sim::Ns LatencyModel::access_latency(NodeId cpu_node, NodeId mem_node) const {
          params_.per_hop_router_ns * hops;
 }
 
-std::vector<std::vector<sim::Ns>> LatencyModel::matrix() const {
-  const int n = routing_.topology().num_nodes();
-  std::vector<std::vector<sim::Ns>> m(
-      static_cast<std::size_t>(n),
-      std::vector<sim::Ns>(static_cast<std::size_t>(n), 0.0));
-  for (NodeId c = 0; c < n; ++c) {
-    for (NodeId d = 0; d < n; ++d) {
-      m[static_cast<std::size_t>(c)][static_cast<std::size_t>(d)] =
-          access_latency(c, d);
-    }
-  }
-  return m;
-}
-
 double LatencyModel::numa_factor() const {
   const int n = routing_.topology().num_nodes();
   if (n < 2) return 1.0;

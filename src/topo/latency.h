@@ -7,7 +7,6 @@
 //   a per-hop router/coherence overhead.
 #pragma once
 
-#include <vector>
 
 #include "topo/routing.h"
 
@@ -26,9 +25,6 @@ class LatencyModel {
 
   /// Latency for a CPU on `cpu_node` to access memory on `mem_node`.
   sim::Ns access_latency(NodeId cpu_node, NodeId mem_node) const;
-
-  /// n x n latency matrix.
-  std::vector<std::vector<sim::Ns>> matrix() const;
 
   /// Mean remote latency / mean local latency (Table I's metric).
   double numa_factor() const;

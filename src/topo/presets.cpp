@@ -182,52 +182,6 @@ ServerPreset hp_blade_32node() {
                       LatencyParams{100.0, 10.0}, 5.5};
 }
 
-namespace {
-std::vector<NodeSpec> generic_nodes(int n) {
-  std::vector<NodeSpec> nodes(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    nodes[static_cast<std::size_t>(i)] = NodeSpec{i, 4, 4.0, i == 0};
-  }
-  return nodes;
-}
-}  // namespace
-
-Topology make_fully_connected(int n, double width_bits,
-                              sim::Ns link_latency) {
-  std::vector<LinkSpec> links;
-  for (NodeId a = 0; a < n; ++a) {
-    for (NodeId b = a + 1; b < n; ++b) {
-      links.push_back(LinkSpec{a, b, width_bits, width_bits, link_latency});
-    }
-  }
-  return Topology::build("full-" + std::to_string(n), generic_nodes(n),
-                         std::move(links));
-}
-
-Topology make_ring(int n, double width_bits, sim::Ns link_latency) {
-  std::vector<LinkSpec> links;
-  for (NodeId i = 0; i < n; ++i) {
-    links.push_back(
-        LinkSpec{i, (i + 1) % n, width_bits, width_bits, link_latency});
-  }
-  return Topology::build("ring-" + std::to_string(n), generic_nodes(n),
-                         std::move(links));
-}
-
-Topology make_chorded_ring(int n, double width_bits, sim::Ns link_latency) {
-  std::vector<LinkSpec> links;
-  for (NodeId i = 0; i < n; ++i) {
-    links.push_back(
-        LinkSpec{i, (i + 1) % n, width_bits, width_bits, link_latency});
-  }
-  for (NodeId i = 0; i < n / 2; ++i) {
-    links.push_back(
-        LinkSpec{i, i + n / 2, width_bits, width_bits, link_latency});
-  }
-  return Topology::build("chorded-ring-" + std::to_string(n),
-                         generic_nodes(n), std::move(links));
-}
-
 std::vector<ServerPreset> table1_presets() {
   std::vector<ServerPreset> presets;
   presets.push_back(intel_4socket_4node());

@@ -43,21 +43,4 @@ ServerPreset hp_blade_32node();      ///< Table I row 4: factor 5.5
 /// All four Table-I rows in order.
 std::vector<ServerPreset> table1_presets();
 
-// --- generic topology generators -----------------------------------------
-// For studying "other NUMA systems" (§I-B): regular shapes with uniform
-// link parameters. All validate the G34 port budget at build time.
-
-/// n nodes, one per package, every pair directly linked.
-Topology make_fully_connected(int n, double width_bits = 16.0,
-                              sim::Ns link_latency = 40.0);
-
-/// n nodes in a ring (i <-> i+1 mod n).
-Topology make_ring(int n, double width_bits = 8.0,
-                   sim::Ns link_latency = 90.0);
-
-/// n nodes (even): a ring plus diametric chords i <-> i + n/2, the shape
-/// used by the Table-I 8-socket preset.
-Topology make_chorded_ring(int n, double width_bits = 8.0,
-                           sim::Ns link_latency = 90.0);
-
 }  // namespace numaio::topo

@@ -105,19 +105,6 @@ sim::Ns Routing::path_latency(NodeId src, NodeId dst) const {
   return latencies_[idx(src, dst)];
 }
 
-std::vector<std::vector<int>> Routing::hop_matrix() const {
-  const int n = topo_.num_nodes();
-  std::vector<std::vector<int>> m(static_cast<std::size_t>(n),
-                                  std::vector<int>(static_cast<std::size_t>(n), 0));
-  for (NodeId s = 0; s < n; ++s) {
-    for (NodeId d = 0; d < n; ++d) {
-      m[static_cast<std::size_t>(s)][static_cast<std::size_t>(d)] =
-          hop_distance(s, d);
-    }
-  }
-  return m;
-}
-
 int Routing::diameter() const {
   int best = 0;
   const int n = topo_.num_nodes();

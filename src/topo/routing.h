@@ -36,9 +36,6 @@ class Routing {
   /// Total link latency along route(src, dst); 0 for src == dst.
   sim::Ns path_latency(NodeId src, NodeId dst) const;
 
-  /// n x n matrix of hop distances.
-  std::vector<std::vector<int>> hop_matrix() const;
-
   /// Largest hop distance over all pairs.
   int diameter() const;
 

@@ -135,16 +135,4 @@ std::vector<NodeId> Topology::package_peers(NodeId id) const {
   return out;
 }
 
-bool Topology::is_neighbor(NodeId a, NodeId b) const {
-  return a != b && node(a).package == node(b).package;
-}
-
-std::vector<NodeId> Topology::io_hub_nodes() const {
-  std::vector<NodeId> out;
-  for (NodeId v = 0; v < num_nodes(); ++v) {
-    if (node(v).io_hub) out.push_back(v);
-  }
-  return out;
-}
-
 }  // namespace numaio::topo

@@ -68,11 +68,6 @@ class Topology {
   std::vector<NodeId> neighbors(NodeId id) const;
   /// Nodes sharing `id`'s package, excluding `id` itself (sorted).
   std::vector<NodeId> package_peers(NodeId id) const;
-  /// True when a and b share a package but are distinct nodes
-  /// ("neighbor" in the paper's terminology).
-  bool is_neighbor(NodeId a, NodeId b) const;
-  /// Nodes with an attached I/O hub (sorted).
-  std::vector<NodeId> io_hub_nodes() const;
 
  private:
   Topology() = default;

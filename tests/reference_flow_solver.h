@@ -45,10 +45,6 @@ class ReferenceFlowSolver {
     --live_flows_;
   }
 
-  void set_flow_cap(std::size_t id, Gbps rate_cap) {
-    flows_[id].cap = rate_cap;
-  }
-
   std::vector<Gbps> solve() const {
     std::vector<Gbps> rate(flows_.size(), 0.0);
     if (live_flows_ == 0) return rate;

@@ -36,49 +36,9 @@ TEST(Analysis, SpearmanConstantSeriesIsZero) {
   EXPECT_DOUBLE_EQ(spearman(kAscending, flat), 0.0);
 }
 
-TEST(Analysis, KendallPerfectAgreementAndInversion) {
-  EXPECT_DOUBLE_EQ(kendall_tau(kAscending, kAscending), 1.0);
-  EXPECT_DOUBLE_EQ(kendall_tau(kAscending, kDescending), -1.0);
-}
-
-TEST(Analysis, KendallSingleSwap) {
-  const std::vector<double> swapped{1, 2, 3, 5, 4};
-  // 9 of 10 pairs concordant, 1 discordant -> tau = 0.8.
-  EXPECT_DOUBLE_EQ(kendall_tau(kAscending, swapped), 0.8);
-}
-
-TEST(Analysis, KendallTieCorrection) {
-  const std::vector<double> a{1, 1, 2, 3};
-  const std::vector<double> b{1, 2, 3, 4};
-  const double tau = kendall_tau(a, b);
-  EXPECT_GT(tau, 0.9);
-  EXPECT_LE(tau, 1.0);
-}
-
-TEST(Analysis, PairwiseAgreementBounds) {
-  EXPECT_DOUBLE_EQ(pairwise_agreement(kAscending, kAscending), 1.0);
-  EXPECT_DOUBLE_EQ(pairwise_agreement(kAscending, kDescending), 0.0);
-}
-
-TEST(Analysis, PairwiseAgreementSkipsTies) {
-  const std::vector<double> a{1, 1, 2};
-  const std::vector<double> b{5, 9, 10};
-  // Only pairs (0,2) and (1,2) comparable, both concordant.
-  EXPECT_DOUBLE_EQ(pairwise_agreement(a, b), 1.0);
-}
-
-TEST(Analysis, PairwiseAgreementAllTiedIsHalf) {
-  const std::vector<double> flat{1, 1, 1};
-  EXPECT_DOUBLE_EQ(pairwise_agreement(flat, kAscending.size() == 5
-                                                ? std::vector<double>{2, 2, 2}
-                                                : std::vector<double>{}),
-                   0.5);
-}
-
 TEST(Analysis, ShortSeriesReturnZero) {
   const std::vector<double> one{1.0};
   EXPECT_DOUBLE_EQ(spearman(one, one), 0.0);
-  EXPECT_DOUBLE_EQ(kendall_tau(one, one), 0.0);
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "topo/presets.h"
 
 namespace numaio::fabric {
@@ -134,6 +136,35 @@ TEST(DerivedProfile, WrapsTopologyName) {
   const HostProfile p = derived_profile(topo);
   EXPECT_EQ(p.name, topo.name());
   EXPECT_EQ(p.num_nodes(), 8);
+}
+
+// --- pair profile (two hosts in one network) ------------------------------
+
+TEST(PairProfile, DoublesTheHost) {
+  const HostProfile single = dl585_profile();
+  const HostProfile pair = pair_profile(single);
+  EXPECT_EQ(pair.num_nodes(), 16);
+  EXPECT_EQ(pair.topo.num_packages(), 8);
+  EXPECT_EQ(pair.name, "hp-dl585-g7-pair");
+  EXPECT_FALSE(pair.link_level_contention);
+}
+
+TEST(PairProfile, BlocksMirrorAndCrossBlockIsAbsurd) {
+  const HostProfile single = dl585_profile();
+  const HostProfile pair = pair_profile(single);
+  EXPECT_DOUBLE_EQ(pair.paths.at(10, 15).dma_cap,
+                   single.paths.at(2, 7).dma_cap);
+  EXPECT_LT(pair.paths.at(3, 11).dma_cap, 0.1);
+  EXPECT_GT(pair.paths.at(3, 11).dma_lat, 1e8);
+}
+
+TEST(PairProfile, HostBKeepsIoHubs) {
+  const HostProfile pair = pair_profile(dl585_profile());
+  std::vector<NodeId> hubs;
+  for (NodeId v = 0; v < pair.num_nodes(); ++v) {
+    if (pair.topo.node(v).io_hub) hubs.push_back(v);
+  }
+  EXPECT_EQ(hubs, (std::vector<NodeId>{1, 7, 9, 15}));
 }
 
 }  // namespace

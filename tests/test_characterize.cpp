@@ -50,15 +50,6 @@ TEST_F(CharacterizeTest, Node7MatchesSingleTargetRun) {
   }
 }
 
-TEST_F(CharacterizeTest, BestRemoteClassForNode7Read) {
-  // Table V: beyond class 1 ({6,7}), the best remote class is {2,3}.
-  const int cls = best_remote_class(model_, 7, Direction::kDeviceRead);
-  EXPECT_EQ(cls, 1);
-  EXPECT_EQ(model_.classes_for(7, Direction::kDeviceRead)
-                .classes[static_cast<std::size_t>(cls)],
-            (std::vector<NodeId>{2, 3}));
-}
-
 TEST_F(CharacterizeTest, SerializeRoundTripsExactly) {
   const std::string text = serialize(model_);
   const HostModel parsed = parse_host_model(text);

@@ -107,6 +107,34 @@ TEST(FaultPlanTest, RandomPlanSkipsDeviceStallsWithoutDevices) {
   }
 }
 
+TEST(FaultPlanTest, RandomPlanRejectsUnusableConfig) {
+  // Twelve events on 8 nodes draw link kinds, whose flap count is
+  // 1 + below(max_flaps): max_flaps = 0 once divided by zero (SIGFPE),
+  // and -1 wrapped to a 2^64 - 1 bound.
+  RandomPlanConfig config;
+  config.seed = 1;
+  config.num_nodes = 8;
+  config.num_events = 12;
+  EXPECT_NO_THROW(FaultPlan::random(config));
+  const auto rejects = [](RandomPlanConfig bad, const std::string& field) {
+    try {
+      FaultPlan::random(bad);
+      ADD_FAILURE() << "accepted a bad " << field;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  };
+  RandomPlanConfig one_node = config;
+  one_node.num_nodes = 1;
+  rejects(one_node, "nodes");
+  for (const int flaps : {0, -1}) {
+    RandomPlanConfig no_flaps = config;
+    no_flaps.max_flaps = flaps;
+    rejects(no_flaps, "max_flaps");
+  }
+}
+
 TEST(FaultPlanTest, ValidateRejectsMalformedEvents) {
   {
     FaultPlan p;

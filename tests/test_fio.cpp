@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <new>
 #include <stdexcept>
 #include <string>
@@ -186,19 +187,20 @@ TEST_F(FioTest, FreeMemoryRestoredAfterRun) {
 }
 
 TEST_F(FioTest, InterleavedBuffersCountInNumastat) {
-  testbed_.host().reset_stats();
+  const nm::AllocStats before = testbed_.host().stats();
   FioJob j = nic_job(kRdmaWrite, 3, 2);
   j.mem_policy = nm::parse_numactl("--interleave=0,1");
   fio_.run(j);
-  EXPECT_GT(testbed_.host().stats().node(0).interleave_hit, 0u);
-  EXPECT_GT(testbed_.host().stats().node(1).interleave_hit, 0u);
-  EXPECT_EQ(testbed_.host().stats().node(3).numa_hit, 0u);
+  const nm::AllocStats& after = testbed_.host().stats();
+  EXPECT_GT(after.node(0).interleave_hit, before.node(0).interleave_hit);
+  EXPECT_GT(after.node(1).interleave_hit, before.node(1).interleave_hit);
+  EXPECT_EQ(after.node(3).numa_hit, before.node(3).numa_hit);
 }
 
 TEST_F(FioTest, LocalBuffersCountAsNumaHits) {
-  testbed_.host().reset_stats();
+  const std::uint64_t before = testbed_.host().stats().node(3).numa_hit;
   fio_.run(nic_job(kRdmaWrite, 3, 2));
-  EXPECT_EQ(testbed_.host().stats().node(3).numa_hit, 2u);
+  EXPECT_EQ(testbed_.host().stats().node(3).numa_hit, before + 2);
 }
 
 TEST_F(FioTest, RejectsEmptyDeviceList) {
@@ -295,6 +297,9 @@ TEST_F(FioTest, PeerBoundRunsReuseTheirPeerResource) {
   FioRunner fresh(testbed_.host());
   EXPECT_EQ(fresh.run(j).aggregate, reused);
   EXPECT_NE(reused, first);
+  // Node 2 sinks less than node 7 sends: the peer binding, not the local
+  // host, is the limit.
+  EXPECT_LT(first, fio_.run(nic_job(kTcpRecv, 7, 4)).aggregate);
 }
 
 TEST_F(FioTest, SsdJobsNeedAStreamPerCard) {

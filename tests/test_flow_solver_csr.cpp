@@ -2,7 +2,7 @@
 // per mutator, free-list slot recycling, capacity factors, profiling
 // counters, the zero-steady-state-allocation guarantee of the solve
 // scratch (a fluid_replay-style run must not grow scratch after warmup)
-// and the typed Status of the dead-id mutators.
+// and the typed Status of remove_flow on a dead id.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -15,22 +15,25 @@
 #include "simcore/rng.h"
 #include "simcore/status.h"
 #include "simcore/units.h"
+#include "solver_paths.h"
 
 namespace numaio::sim {
 namespace {
 
+using test::add_flow_over;
+
 FlowSolver two_link_solver(ResourceId* a, ResourceId* b) {
   FlowSolver s;
-  *a = s.add_resource("a", 10.0);
-  *b = s.add_resource("b", 20.0);
+  *a = s.add_resource(10.0);
+  *b = s.add_resource(20.0);
   return s;
 }
 
 TEST(FlowSolverCache, RepeatedSolvesHitTheCache) {
   ResourceId a = 0, b = 0;
   FlowSolver s = two_link_solver(&a, &b);
-  const FlowId f = s.add_flow_over({a, b});
-  const FlowId g = s.add_flow_over({a});
+  const FlowId f = add_flow_over(s, {a, b});
+  const FlowId g = add_flow_over(s, {a});
 
   const auto& r1 = s.solve();
   EXPECT_EQ(s.stats().solve_calls, 1u);
@@ -54,8 +57,7 @@ TEST(FlowSolverCache, RepeatedSolvesHitTheCache) {
 TEST(FlowSolverCache, EveryMutatorInvalidates) {
   ResourceId a = 0, b = 0;
   FlowSolver s = two_link_solver(&a, &b);
-  const FlowId f = s.add_flow_over({a, b});
-  (void)f;
+  (void)add_flow_over(s, {a, b});
 
   auto expect_miss_after = [&](const char* what) {
     const std::uint64_t misses = s.stats().cache_misses;
@@ -68,9 +70,7 @@ TEST(FlowSolverCache, EveryMutatorInvalidates) {
   expect_miss_after("set_capacity");
   s.set_capacity_factor(a, 0.5);
   expect_miss_after("set_capacity_factor");
-  s.set_flow_cap(f, 3.0);
-  expect_miss_after("set_flow_cap");
-  const FlowId g = s.add_flow_over({b});
+  const FlowId g = add_flow_over(s, {b});
   expect_miss_after("add_flow");
   s.remove_flow(g);
   expect_miss_after("remove_flow");
@@ -79,13 +79,12 @@ TEST(FlowSolverCache, EveryMutatorInvalidates) {
 TEST(FlowSolverCache, ValuePreservingMutationsKeepTheCacheWarm) {
   ResourceId a = 0, b = 0;
   FlowSolver s = two_link_solver(&a, &b);
-  const FlowId f = s.add_flow_over({a, b}, 4.0);
+  (void)add_flow_over(s, {a, b}, 4.0);
   (void)s.solve();
   const std::uint64_t epoch = s.epoch();
 
   s.set_capacity(a, 10.0);        // unchanged capacity
   s.set_capacity_factor(a, 1.0);  // unchanged factor
-  s.set_flow_cap(f, 4.0);         // unchanged cap
   EXPECT_EQ(s.epoch(), epoch);
 
   (void)s.solve();
@@ -101,8 +100,8 @@ TEST(FlowSolverCache, ProfilingCountersReachTheRegistry) {
   ResourceId a = 0, b = 0;
   FlowSolver s = two_link_solver(&a, &b);
   s.set_observer(&ctx);
-  (void)s.add_flow_over({a, b}, 4.0);
-  (void)s.add_flow_over({a});
+  (void)add_flow_over(s, {a, b}, 4.0);
+  (void)add_flow_over(s, {a});
 
   (void)s.solve();
   (void)s.solve();            // hit
@@ -123,24 +122,24 @@ TEST(FlowSolverCache, ProfilingCountersReachTheRegistry) {
 TEST(FlowSolverFreeList, RemovedSlotsAreRecycled) {
   ResourceId a = 0, b = 0;
   FlowSolver s = two_link_solver(&a, &b);
-  const FlowId f0 = s.add_flow_over({a});
-  const FlowId f1 = s.add_flow_over({a, b});
-  const FlowId f2 = s.add_flow_over({b});
+  const FlowId f0 = add_flow_over(s, {a});
+  const FlowId f1 = add_flow_over(s, {a, b});
+  const FlowId f2 = add_flow_over(s, {b});
   EXPECT_EQ(s.live_flow_count(), 3u);
 
   s.remove_flow(f1);
-  EXPECT_FALSE(s.flow_alive(f1));
+  EXPECT_EQ(s.remove_flow(f1).code, StatusCode::kUsage);  // f1 is dead
 
   // A same-or-smaller flow reuses the freed slot (and its arena span).
-  const FlowId g = s.add_flow_over({b, a});
+  const FlowId g = add_flow_over(s, {b, a});
   EXPECT_EQ(g, f1);
-  EXPECT_TRUE(s.flow_alive(g));
+  EXPECT_GT(s.solve()[g], 0.0);
   EXPECT_EQ(s.live_flow_count(), 3u);
   EXPECT_EQ(s.solve().size(), 3u);  // slot table did not grow
 
   // A wider flow still recycles the slot id, with a fresh arena span.
   s.remove_flow(f0);
-  const FlowId h = s.add_flow_over({a, b, a});
+  const FlowId h = add_flow_over(s, {a, b, a});
   EXPECT_EQ(h, f0);
   EXPECT_EQ(s.solve().size(), 3u);
   (void)f2;
@@ -151,11 +150,11 @@ TEST(FlowSolverFreeList, ChurnKeepsTheSlotTableBounded) {
   FlowSolver s = two_link_solver(&a, &b);
   Rng rng(99);
   std::vector<FlowId> live;
-  for (int i = 0; i < 8; ++i) live.push_back(s.add_flow_over({a, b}));
+  for (int i = 0; i < 8; ++i) live.push_back(add_flow_over(s, {a, b}));
   for (int i = 0; i < 500; ++i) {
     const std::size_t k = rng.below(live.size());
     s.remove_flow(live[k]);
-    live[k] = s.add_flow_over(rng.uniform() < 0.5
+    live[k] = add_flow_over(s, rng.uniform() < 0.5
                                   ? std::vector<ResourceId>{a, b}
                                   : std::vector<ResourceId>{b});
     EXPECT_LE(live[k], 8u);  // always a recycled slot
@@ -166,23 +165,21 @@ TEST(FlowSolverFreeList, ChurnKeepsTheSlotTableBounded) {
 
 TEST(FlowSolverCapacityFactor, FactorsComposeWithBaseCapacity) {
   FlowSolver s;
-  const ResourceId r = s.add_resource("r", 10.0);
-  EXPECT_EQ(s.capacity_factor(r), 1.0);
+  const ResourceId r = s.add_resource(10.0);
+  EXPECT_EQ(s.capacity(r), 10.0);
 
   s.set_capacity_factor(r, 0.5);
   EXPECT_DOUBLE_EQ(s.capacity(r), 5.0);
-  EXPECT_EQ(s.capacity_factor(r), 0.5);
 
   // set_capacity adjusts the base; the factor survives.
   s.set_capacity(r, 20.0);
   EXPECT_DOUBLE_EQ(s.capacity(r), 10.0);
-  EXPECT_EQ(s.capacity_factor(r), 0.5);
 
   // Factor 1.0 restores the base bit-exactly (no multiply involved).
   s.set_capacity_factor(r, 1.0);
   EXPECT_EQ(s.capacity(r), 20.0);
 
-  const FlowId f = s.add_flow_over({r});
+  const FlowId f = add_flow_over(s, {r});
   s.set_capacity_factor(r, 0.25);
   EXPECT_DOUBLE_EQ(s.solve()[f], 5.0);
 }
@@ -195,7 +192,7 @@ TEST(FlowSolverScratch, FluidReplaySteadyStateDoesNotAllocate) {
   FlowSolver solver;
   std::vector<ResourceId> links;
   for (int i = 0; i < 6; ++i) {
-    links.push_back(solver.add_resource("link", 25.0));
+    links.push_back(solver.add_resource(25.0));
   }
   FluidSimulation fluid(solver);
   Rng rng(0x5CA7);
@@ -239,11 +236,10 @@ TEST(FlowSolverScratch, FluidReplaySteadyStateDoesNotAllocate) {
 
 TEST(FlowSolverStatus, DeadIdMutatorsReturnUsageAndLeaveSolverIntact) {
   FlowSolver s;
-  const ResourceId r = s.add_resource("r", 10.0);
-  const FlowId f = s.add_flow_over({r});
-  const FlowId g = s.add_flow_over({r});
+  const ResourceId r = s.add_resource(10.0);
+  const FlowId f = add_flow_over(s, {r});
+  const FlowId g = add_flow_over(s, {r});
 
-  EXPECT_TRUE(s.set_flow_cap(f, 4.0).ok());
   EXPECT_TRUE(s.remove_flow(f).ok());
   (void)s.solve();
   const std::uint64_t epoch = s.epoch();
@@ -253,10 +249,8 @@ TEST(FlowSolverStatus, DeadIdMutatorsReturnUsageAndLeaveSolverIntact) {
   EXPECT_EQ(dead.code, StatusCode::kUsage);
   EXPECT_FALSE(dead.message.empty());
 
-  // Out-of-range ids on both mutators.
+  // An out-of-range id.
   EXPECT_EQ(s.remove_flow(12345).code, StatusCode::kUsage);
-  EXPECT_EQ(s.set_flow_cap(12345, 1.0).code, StatusCode::kUsage);
-  EXPECT_EQ(s.set_flow_cap(f, 1.0).code, StatusCode::kUsage);
 
   // Failed mutations left the solver untouched: cache still warm, live
   // set unchanged, and the surviving flow still solves.
@@ -266,9 +260,9 @@ TEST(FlowSolverStatus, DeadIdMutatorsReturnUsageAndLeaveSolverIntact) {
   EXPECT_EQ(s.stats().cache_hits, 1u);
 
   // The recycled slot is usable again after the failures.
-  const FlowId h = s.add_flow_over({r});
+  const FlowId h = add_flow_over(s, {r});
   EXPECT_EQ(h, f);
-  EXPECT_TRUE(s.set_flow_cap(h, 2.0).ok());
+  EXPECT_EQ(s.solve()[h], 5.0);
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include "reference_flow_solver.h"
 #include "simcore/flow_solver.h"
 #include "simcore/rng.h"
+#include "solver_paths.h"
 
 namespace numaio::sim {
 namespace {
@@ -23,6 +24,7 @@ struct Instance {
   std::vector<ResourceId> resources;
   std::vector<FlowId> flows;
   std::vector<std::vector<ResourceId>> paths;  // per flow
+  std::vector<Gbps> caps;                      // per flow
 };
 
 /// Random network: 3-8 resources with capacities in [5, 50], 2-13 flows
@@ -34,7 +36,7 @@ Instance random_instance(std::uint64_t seed) {
   const std::uint64_t F = 2 + rng.below(12);
   for (std::uint64_t r = 0; r < R; ++r) {
     inst.resources.push_back(
-        inst.solver.add_resource("r", rng.uniform(5.0, 50.0)));
+        inst.solver.add_resource(rng.uniform(5.0, 50.0)));
   }
   for (std::uint64_t f = 0; f < F; ++f) {
     const std::uint64_t hops = 1 + rng.below(3);
@@ -47,8 +49,9 @@ Instance random_instance(std::uint64_t seed) {
     }
     const Gbps cap =
         rng.uniform() < 0.5 ? rng.uniform(1.0, 30.0) : kUnlimited;
-    inst.flows.push_back(inst.solver.add_flow_over(path, cap));
+    inst.flows.push_back(test::add_flow_over(inst.solver, path, cap));
     inst.paths.push_back(std::move(path));
+    inst.caps.push_back(cap);
   }
   return inst;
 }
@@ -63,8 +66,7 @@ TEST_P(SolverProperty, FeasibleAndBottleneckFair) {
   // Per-resource load from the known paths.
   std::vector<double> load(inst.resources.size(), 0.0);
   for (std::size_t fi = 0; fi < inst.flows.size(); ++fi) {
-    EXPECT_LE(rates[inst.flows[fi]],
-              inst.solver.flow_cap(inst.flows[fi]) + kEps);
+    EXPECT_LE(rates[inst.flows[fi]], inst.caps[fi] + kEps);
     EXPECT_GE(rates[inst.flows[fi]], 0.0);
     for (ResourceId r : inst.paths[fi]) {
       const auto idx = static_cast<std::size_t>(
@@ -82,8 +84,8 @@ TEST_P(SolverProperty, FeasibleAndBottleneckFair) {
   // Bottleneck condition.
   for (std::size_t fi = 0; fi < inst.flows.size(); ++fi) {
     const FlowId f = inst.flows[fi];
-    const bool capped = std::isfinite(inst.solver.flow_cap(f)) &&
-                        rates[f] >= inst.solver.flow_cap(f) - kEps;
+    const bool capped = std::isfinite(inst.caps[fi]) &&
+                        rates[f] >= inst.caps[fi] - kEps;
     if (capped) continue;
     bool bottlenecked = false;
     for (ResourceId r : inst.paths[fi]) {
@@ -147,7 +149,7 @@ TEST_P(SolverProperty, ChurnMatchesReferenceBitForBit) {
   const std::uint64_t R = 4 + rng.below(5);
   for (std::uint64_t r = 0; r < R; ++r) {
     const Gbps cap = rng.uniform(5.0, 50.0);
-    resources.push_back(solver.add_resource("r", cap));
+    resources.push_back(solver.add_resource(cap));
     const ResourceId ref_r = ref.add_resource(cap);
     ASSERT_EQ(ref_r, resources.back());
   }
@@ -184,7 +186,7 @@ TEST_P(SolverProperty, ChurnMatchesReferenceBitForBit) {
   };
 
   for (int op = 0; op < 80; ++op) {
-    const std::uint64_t kind = rng.below(4);
+    const std::uint64_t kind = rng.below(3);
     if (kind == 0 || live.empty()) {
       auto usages = random_usages();
       const Gbps cap =
@@ -198,16 +200,11 @@ TEST_P(SolverProperty, ChurnMatchesReferenceBitForBit) {
       // Order-preserving erase: both solvers iterate live flows in
       // insertion order, so the mapping must preserve it too.
       live.erase(live.begin() + static_cast<std::ptrdiff_t>(k));
-    } else if (kind == 2) {
+    } else {
       const std::size_t r = rng.below(resources.size());
       const Gbps cap = rng.uniform(5.0, 50.0);
       solver.set_capacity(resources[r], cap);
       ref.set_capacity(resources[r], cap);
-    } else {
-      const std::size_t k = rng.below(live.size());
-      const Gbps cap = rng.uniform(1.0, 30.0);
-      solver.set_flow_cap(live[k].id, cap);
-      ref.set_flow_cap(live[k].ref_id, cap);
     }
     if (op % 3 == 0) compare();
   }

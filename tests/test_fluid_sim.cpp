@@ -13,7 +13,7 @@ namespace {
 
 TEST(FluidSim, SingleTransferTiming) {
   FlowSolver solver;
-  const ResourceId link = solver.add_resource("link", 8.0);  // 8 Gbps
+  const ResourceId link = solver.add_resource(8.0);  // 8 Gbps
   FluidSimulation fluid(solver);
   // 1000 bytes at 8 Gbps = 1000 ns.
   const auto id = fluid.start_transfer({{link, 1.0}}, 1000);
@@ -25,7 +25,7 @@ TEST(FluidSim, SingleTransferTiming) {
 
 TEST(FluidSim, TwoEqualTransfersShareAndFinishTogether) {
   FlowSolver solver;
-  const ResourceId link = solver.add_resource("link", 8.0);
+  const ResourceId link = solver.add_resource(8.0);
   FluidSimulation fluid(solver);
   const auto a = fluid.start_transfer({{link, 1.0}}, 1000);
   const auto b = fluid.start_transfer({{link, 1.0}}, 1000);
@@ -36,7 +36,7 @@ TEST(FluidSim, TwoEqualTransfersShareAndFinishTogether) {
 
 TEST(FluidSim, ShortTransferLeavesThenLongSpeedsUp) {
   FlowSolver solver;
-  const ResourceId link = solver.add_resource("link", 8.0);
+  const ResourceId link = solver.add_resource(8.0);
   FluidSimulation fluid(solver);
   const auto lng = fluid.start_transfer({{link, 1.0}}, 1500);
   const auto sht = fluid.start_transfer({{link, 1.0}}, 500);
@@ -49,7 +49,7 @@ TEST(FluidSim, ShortTransferLeavesThenLongSpeedsUp) {
 
 TEST(FluidSim, DelayedStartWaits) {
   FlowSolver solver;
-  const ResourceId link = solver.add_resource("link", 8.0);
+  const ResourceId link = solver.add_resource(8.0);
   FluidSimulation fluid(solver);
   const auto id = fluid.start_transfer_at(5000.0, {{link, 1.0}}, 1000);
   fluid.run();
@@ -59,7 +59,7 @@ TEST(FluidSim, DelayedStartWaits) {
 
 TEST(FluidSim, ArrivalPreemptsAndReshares) {
   FlowSolver solver;
-  const ResourceId link = solver.add_resource("link", 8.0);
+  const ResourceId link = solver.add_resource(8.0);
   FluidSimulation fluid(solver);
   const auto first = fluid.start_transfer({{link, 1.0}}, 2000);
   // Arrives at t=1000, when first has 8000 bits left.
@@ -73,7 +73,7 @@ TEST(FluidSim, ArrivalPreemptsAndReshares) {
 
 TEST(FluidSim, RateCapHonored) {
   FlowSolver solver;
-  const ResourceId link = solver.add_resource("link", 100.0);
+  const ResourceId link = solver.add_resource(100.0);
   FluidSimulation fluid(solver);
   const auto id = fluid.start_transfer({{link, 1.0}}, 1000, /*cap=*/4.0);
   fluid.run();
@@ -82,7 +82,7 @@ TEST(FluidSim, RateCapHonored) {
 
 TEST(FluidSim, CompletionCallbackChainsTransfers) {
   FlowSolver solver;
-  const ResourceId link = solver.add_resource("link", 8.0);
+  const ResourceId link = solver.add_resource(8.0);
   FluidSimulation fluid(solver);
   Ns second_end = 0.0;
   fluid.start_transfer({{link, 1.0}}, 1000, kUnlimited,
@@ -101,7 +101,7 @@ TEST(FluidSim, CompletionCallbackChainsTransfers) {
 
 TEST(FluidSim, AggregateRateOverMakespan) {
   FlowSolver solver;
-  const ResourceId link = solver.add_resource("link", 8.0);
+  const ResourceId link = solver.add_resource(8.0);
   FluidSimulation fluid(solver);
   fluid.start_transfer({{link, 1.0}}, 1000);
   fluid.start_transfer({{link, 1.0}}, 1000);
@@ -112,7 +112,7 @@ TEST(FluidSim, AggregateRateOverMakespan) {
 
 TEST(FluidSim, WeightedUsageTransfers) {
   FlowSolver solver;
-  const ResourceId cpu = solver.add_resource("cpu", 14.0);
+  const ResourceId cpu = solver.add_resource(14.0);
   FluidSimulation fluid(solver);
   // Weight 1.4/Gbps: effective 10 Gbps -> 1000 B in 800 ns.
   const auto id = fluid.start_transfer({{cpu, 1.4}}, 1000);
@@ -136,7 +136,7 @@ TEST(FluidSim, SameInstantControlsRunInSchedulingOrder) {
 
 TEST(FluidSim, SameInstantStartsAndControlsFireInSchedulingOrder) {
   FlowSolver solver;
-  const ResourceId link = solver.add_resource("link", 8.0);
+  const ResourceId link = solver.add_resource(8.0);
   FluidSimulation fluid(solver);
   std::size_t before = 99;
   std::size_t after = 99;
@@ -153,7 +153,7 @@ TEST(FluidSim, SameInstantStartsAndControlsFireInSchedulingOrder) {
 
 TEST(FluidSim, TransferFinishingAtAControlInstantIsDoneWhenItRuns) {
   FlowSolver solver;
-  const ResourceId link = solver.add_resource("link", 8.0);
+  const ResourceId link = solver.add_resource(8.0);
   FluidSimulation fluid(solver);
   const auto id = fluid.start_transfer({{link, 1.0}}, 1000);  // ends at 1000
   bool seen_done = false;
@@ -180,7 +180,7 @@ TEST(FluidSim, ControlScheduledInThePastRunsAtTheCurrentInstant) {
 
 TEST(FluidSim, AbortingAnActiveTransferBanksItsBytesAndSkipsTheCallback) {
   FlowSolver solver;
-  const ResourceId link = solver.add_resource("link", 8.0);
+  const ResourceId link = solver.add_resource(8.0);
   FluidSimulation fluid(solver);
   bool completed = false;
   const auto id = fluid.start_transfer(
@@ -207,7 +207,7 @@ TEST(FluidSim, AbortingAnActiveTransferBanksItsBytesAndSkipsTheCallback) {
 
 TEST(FluidSim, AbortedDeferredTransferNeverStarts) {
   FlowSolver solver;
-  const ResourceId link = solver.add_resource("link", 8.0);
+  const ResourceId link = solver.add_resource(8.0);
   FluidSimulation fluid(solver);
   bool completed = false;
   const auto id = fluid.start_transfer_at(
@@ -234,7 +234,7 @@ TEST(FluidSim, AbortedDeferredTransferNeverStarts) {
 
 TEST(FluidSim, AbortingAFinishedTransferReturnsFalse) {
   FlowSolver solver;
-  const ResourceId link = solver.add_resource("link", 8.0);
+  const ResourceId link = solver.add_resource(8.0);
   FluidSimulation fluid(solver);
   const auto id = fluid.start_transfer({{link, 1.0}}, 1000);
   fluid.run();
@@ -245,7 +245,7 @@ TEST(FluidSim, AbortingAFinishedTransferReturnsFalse) {
 
 TEST(FluidSim, RunReturnsTheTimeOfTheLastEvent) {
   FlowSolver solver;
-  const ResourceId link = solver.add_resource("link", 8.0);
+  const ResourceId link = solver.add_resource(8.0);
   FluidSimulation fluid(solver);
   fluid.start_transfer({{link, 1.0}}, 1000);  // ends at 1000
   int fired = 0;
@@ -266,7 +266,7 @@ TEST_P(FluidRandomArrivals, ByteAccounting) {
   FlowSolver solver;
   std::vector<ResourceId> links;
   for (int i = 0; i < 3; ++i) {
-    links.push_back(solver.add_resource("l", rng.uniform(5.0, 30.0)));
+    links.push_back(solver.add_resource(rng.uniform(5.0, 30.0)));
   }
   FluidSimulation fluid(solver);
   std::vector<FluidSimulation::TransferId> ids;
@@ -300,7 +300,7 @@ class FluidWorkConservation : public ::testing::TestWithParam<int> {};
 TEST_P(FluidWorkConservation, MakespanMatchesTotalWork) {
   const int n = GetParam();
   FlowSolver solver;
-  const ResourceId link = solver.add_resource("link", 10.0);
+  const ResourceId link = solver.add_resource(10.0);
   FluidSimulation fluid(solver);
   for (int i = 0; i < n; ++i) {
     fluid.start_transfer({{link, 1.0}}, 500 * static_cast<Bytes>(i + 1));
@@ -327,7 +327,7 @@ TEST_P(FluidBurstCompletions, ClustersFinishTogetherInIdOrder) {
   FlowSolver solver;
   std::vector<ResourceId> links;
   for (int i = 0; i < 3; ++i) {
-    links.push_back(solver.add_resource("l", rng.uniform(5.0, 30.0)));
+    links.push_back(solver.add_resource(rng.uniform(5.0, 30.0)));
   }
   FluidSimulation fluid(solver);
   std::vector<std::vector<FluidSimulation::TransferId>> clusters;

@@ -125,19 +125,6 @@ TEST_F(HostTest, HardwareReportShowsNode0Residency) {
   EXPECT_NE(report.find("node 7 cpus: 28 29 30 31"), std::string::npos);
 }
 
-TEST_F(HostTest, ResetStatsClearsCounters) {
-  Buffer b = host_.alloc_on_node(sim::kMiB, 1);
-  host_.free(b);
-  host_.reset_stats();
-  EXPECT_EQ(host_.stats().node(1).numa_hit, 0u);
-}
-
-TEST_F(HostTest, StatsReportMentionsAllNodes) {
-  const std::string report = host_.stats().report();
-  EXPECT_NE(report.find("numa_hit"), std::string::npos);
-  EXPECT_NE(report.find("node7"), std::string::npos);
-}
-
 TEST(HwlocView, ShowsHierarchyButNotWiring) {
   const auto topo = topo::dl585_g7();
   const std::string view = render_hwloc(topo);

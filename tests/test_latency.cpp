@@ -22,15 +22,6 @@ TEST(Latency, RemoteAddsPathAndRouterCosts) {
   EXPECT_DOUBLE_EQ(m.access_latency(7, 1), 100.0 + 170.0 + 20.0);
 }
 
-TEST(Latency, MatrixShape) {
-  const Topology t = magny_cours_4p('a');
-  const Routing r(t, Routing::Metric::kHops);
-  const LatencyModel m(r, LatencyParams{});
-  const auto mat = m.matrix();
-  ASSERT_EQ(mat.size(), 8u);
-  for (const auto& row : mat) ASSERT_EQ(row.size(), 8u);
-}
-
 TEST(Latency, SingleNodeFactorIsOne) {
   const auto t = Topology::build(
       "solo", {NodeSpec{0, 4, 4.0, false}}, {});

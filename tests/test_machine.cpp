@@ -72,12 +72,6 @@ TEST_F(MachineTest, DmaUsagesLocalSkipsFabric) {
   EXPECT_EQ(usages[0].resource, machine_.mc_read(7));
 }
 
-TEST_F(MachineTest, WindowRateDividesByLatency) {
-  // 16650 bits over the 910 ns 7->0 path = 18.3 Gbps (the RDMA_READ
-  // class-3 value).
-  EXPECT_NEAR(machine_.window_rate(7, 0, 16650.0), 18.2967, 1e-3);
-}
-
 TEST_F(MachineTest, ConcurrentStreamsShareAFabricPath) {
   auto& solver = machine_.solver();
   const auto usages = machine_.dma_usages(0, 7, true);

@@ -22,7 +22,6 @@
 #include "io/trace.h"
 #include "model/characterize.h"
 #include "model/perf_report.h"
-#include "nm/cores.h"
 #include "nm/policy.h"
 #include "obs/analysis.h"
 #include "obs/json.h"
@@ -32,10 +31,12 @@
 #include "obs/trace.h"
 #include "simcore/rng.h"
 #include "simcore/status.h"
-#include "topo/presets.h"
+#include "trace_parse.h"
 
 namespace numaio {
 namespace {
+
+using obs::test_support::parse_jsonl;
 
 const char kJobFile[] =
     "[global]\nioengine=rdma\nrw=read\nbs=128k\niodepth=16\nnumjobs=4\n"
@@ -155,11 +156,11 @@ std::string jsonl_capture() {
 TEST_P(ParserFuzz, TraceJsonlNeverCrashes) {
   sim::Rng rng(GetParam() + 3000);
   const std::string base = jsonl_capture();
-  ASSERT_EQ(obs::parse_trace_jsonl(base).size(), 3u);
+  ASSERT_EQ(parse_jsonl(base).size(), 3u);
   for (int i = 0; i < 400; ++i) {
     const std::string doc = mutate(base, rng);
     try {
-      const std::vector<obs::Event> parsed = obs::parse_trace_jsonl(doc);
+      const std::vector<obs::Event> parsed = parse_jsonl(doc);
       EXPECT_LE(parsed.size(), 3u);
     } catch (const std::invalid_argument& e) {
       // Every rejection names the offending line of the 3-line capture.
@@ -501,15 +502,13 @@ TEST(NumberGrammar, NumactlNodeLists) {
 }
 
 TEST(NumberGrammar, CoreLists) {
-  const topo::Topology topo = topo::dl585_g7();
+  // Core lists ("0,3-5") read through the same parse_id_list as numactl's
+  // node lists, bounded here by the DL585's 32 cores.
   for (const char* list : {"0-3junk", "+1", "0x1", "1.0", "3,", "-1"}) {
-    EXPECT_THROW(nm::nodes_of_core_list(topo, list), std::invalid_argument)
-        << list;
+    EXPECT_THROW(nm::parse_id_list(list, 31), std::invalid_argument) << list;
   }
-  EXPECT_THROW(nm::nodes_of_core_list(topo, "0-2000000000"),
-               std::out_of_range);
-  EXPECT_EQ(nm::nodes_of_core_list(topo, "0-3"),
-            std::vector<topo::NodeId>{0});
+  EXPECT_THROW(nm::parse_id_list("0-2000000000", 31), std::out_of_range);
+  EXPECT_EQ(nm::parse_id_list("0-3", 31), (std::vector<int>{0, 1, 2, 3}));
 }
 
 // --- Saved JSON run reports (report --diff) --------------------------------
@@ -607,7 +606,7 @@ void expect_trace_rejected(const std::string& number) {
   const std::string doc = "{\"id\":1,\"t\":0}\n{\"id\":2,\"t\":" + number +
                           ",\"name\":\"x\"}\n";
   try {
-    obs::parse_trace_jsonl(doc);
+    parse_jsonl(doc);
     FAIL() << "expected rejection of " << number;
   } catch (const std::invalid_argument& e) {
     EXPECT_EQ(std::string(e.what()).rfind("trace line 2: ", 0), 0u)
@@ -621,7 +620,7 @@ TEST(ParseTraceJsonl, NumbersFollowTheFromCharsGrammar) {
   expect_trace_rejected("\r5");    // whitespace is space and tab only
   expect_trace_rejected("1e400");  // overflow
   expect_trace_rejected("-");
-  const auto events = obs::parse_trace_jsonl(
+  const auto events = parse_jsonl(
       "{\"id\":1,\"t\":\t-2.5e3,\"wall_us\": 7}\n"
       "{\"id\":2,\"t\":inf,\"bytes\":1e3}\n");
   ASSERT_EQ(events.size(), 2u);
@@ -639,7 +638,7 @@ TEST(ParseTraceJsonl, AcceptsTheSubnormalsItsSinkWrites) {
   obs::JsonlSink(text).write(e);
   EXPECT_NE(text.str().find("\"t\":3.999955468730732e-320"), std::string::npos)
       << text.str();
-  const auto events = obs::parse_trace_jsonl(text.str());
+  const auto events = parse_jsonl(text.str());
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(std::bit_cast<std::uint64_t>(events[0].t_sim),
             std::bit_cast<std::uint64_t>(e.t_sim));
@@ -652,7 +651,7 @@ TEST(ParseTraceJsonl, IntegerFieldsRejectValuesTheirTypeCannotHold) {
                             "\"bytes\":1e19", "\"parent\":nan"}) {
     const std::string doc = "{\"id\":1," + std::string(field) + "}\n";
     try {
-      obs::parse_trace_jsonl(doc);
+      parse_jsonl(doc);
       FAIL() << "expected rejection of " << field;
     } catch (const std::invalid_argument& e) {
       EXPECT_EQ(std::string(e.what()), "trace line 1: number out of range")
@@ -669,15 +668,14 @@ TEST(ParseTraceJsonl, StringsDecodeAsTheJsonReaderDoes) {
        {"x\\u0100y", "x\\ry", "a\\/b", "\\b\\f", "\\ud83d\\ude00",
         "\\u00e9\\u20ac", "\\\"q\\\\", "plain"}) {
     const std::string literal = "\"" + body + "\"";
-    const auto events = obs::parse_trace_jsonl(
+    const auto events = parse_jsonl(
         "{\"id\":1,\"name\":" + literal + ",\"detail\":" + literal + "}\n");
     ASSERT_EQ(events.size(), 1u) << body;
     const std::string decoded = obs::json::parse(literal).str;
     EXPECT_EQ(events[0].name, decoded) << body;
     EXPECT_EQ(events[0].detail, decoded) << body;
   }
-  EXPECT_EQ(obs::parse_trace_line("{\"id\":1,\"detail\":\"x\\u0100y\"}", 1)
-                .detail,
+  EXPECT_EQ(parse_jsonl("{\"id\":1,\"detail\":\"x\\u0100y\"}").at(0).detail,
             "x\xC4\x80y");
   // What the JSON reader rejects, the trace reader rejects, naming the line.
   for (const std::string body :
@@ -686,7 +684,7 @@ TEST(ParseTraceJsonl, StringsDecodeAsTheJsonReaderDoes) {
     const std::string literal = "\"" + body + "\"";
     EXPECT_THROW(obs::json::parse(literal), std::invalid_argument) << body;
     try {
-      obs::parse_trace_jsonl("{\"id\":1}\n{\"id\":2,\"detail\":" + literal +
+      parse_jsonl("{\"id\":1}\n{\"id\":2,\"detail\":" + literal +
                              "}\n");
       ADD_FAILURE() << "accepted " << body;
     } catch (const std::invalid_argument& e) {

@@ -9,7 +9,7 @@ namespace {
 
 TEST(RateTrace, SteadyTransferHasOneSegmentAndZeroCv) {
   FlowSolver solver;
-  const auto link = solver.add_resource("link", 8.0);
+  const auto link = solver.add_resource(8.0);
   FluidSimulation fluid(solver);
   const auto id = fluid.start_transfer({{link, 1.0}}, 1000);
   fluid.run();
@@ -23,7 +23,7 @@ TEST(RateTrace, SteadyTransferHasOneSegmentAndZeroCv) {
 
 TEST(RateTrace, RateChangeCreatesSegments) {
   FlowSolver solver;
-  const auto link = solver.add_resource("link", 8.0);
+  const auto link = solver.add_resource(8.0);
   FluidSimulation fluid(solver);
   const auto lng = fluid.start_transfer({{link, 1.0}}, 1500);
   fluid.start_transfer({{link, 1.0}}, 500);
@@ -39,12 +39,12 @@ TEST(RateTrace, RateChangeCreatesSegments) {
 
 TEST(RateTrace, SegmentsWithEqualRateMerge) {
   FlowSolver solver;
-  const auto link = solver.add_resource("link", 8.0);
+  const auto link = solver.add_resource(8.0);
   FluidSimulation fluid(solver);
   const auto a = fluid.start_transfer({{link, 1.0}}, 1000);
   // An arrival on a different resource re-solves but does not change a's
   // rate: the trace must not fragment.
-  const auto other = solver.add_resource("other", 4.0);
+  const auto other = solver.add_resource(4.0);
   fluid.start_transfer_at(200.0, {{other, 1.0}}, 100);
   fluid.run();
   EXPECT_EQ(fluid.trace(a).size(), 1u);
@@ -52,7 +52,7 @@ TEST(RateTrace, SegmentsWithEqualRateMerge) {
 
 TEST(RateTrace, TraceDurationsSumToLifetime) {
   FlowSolver solver;
-  const auto link = solver.add_resource("link", 10.0);
+  const auto link = solver.add_resource(10.0);
   FluidSimulation fluid(solver);
   const auto a = fluid.start_transfer({{link, 1.0}}, 5000);
   fluid.start_transfer_at(1000.0, {{link, 1.0}}, 1000);

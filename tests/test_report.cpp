@@ -91,14 +91,5 @@ TEST(Report, HeatmapConstantMatrixDoesNotDivideByZero) {
   EXPECT_NE(s.find("scale"), std::string::npos);
 }
 
-TEST(Report, CsvRoundTrip) {
-  const std::vector<std::string> cols{"binding", "tcp", "rdma"};
-  const std::vector<std::string> rows{"node0", "node7"};
-  const std::vector<std::vector<double>> cells{{20.9, 23.3}, {20.0, 23.3}};
-  const std::string csv = to_csv(cols, rows, cells);
-  EXPECT_NE(csv.find("binding,tcp,rdma\n"), std::string::npos);
-  EXPECT_NE(csv.find("node0,20.900,23.300\n"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace numaio::model

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "fabric/calibration.h"
 #include "topo/presets.h"
 
 namespace numaio::nm {
@@ -31,25 +30,6 @@ TEST(Slit, RenderLooksLikeNumactl) {
   EXPECT_NE(text.find("node distances:"), std::string::npos);
   EXPECT_NE(text.find("   0:"), std::string::npos);
   EXPECT_NE(text.find("  10"), std::string::npos);
-}
-
-TEST(Slit, AccurateOnIdealizedHost) {
-  fabric::Machine machine{
-      fabric::derived_profile(topo::magny_cours_4p('a'))};
-  Host host{machine};
-  const auto bw = mem::stream_matrix(host, mem::StreamConfig{});
-  const double acc = slit_accuracy(slit_table(machine.topology()), bw);
-  EXPECT_GT(acc, 0.95);
-}
-
-TEST(Slit, InaccurateOnTheCalibratedHost) {
-  // The paper's complaint ([18], §II-B): numactl's distances mispredict
-  // the measured behaviour of the real machine.
-  fabric::Machine machine{fabric::dl585_profile()};
-  Host host{machine};
-  const auto bw = mem::stream_matrix(host, mem::StreamConfig{});
-  const double acc = slit_accuracy(slit_table(machine.topology()), bw);
-  EXPECT_LT(acc, 0.85);
 }
 
 }  // namespace

@@ -15,32 +15,6 @@
 namespace numaio::sim {
 namespace {
 
-TEST(Stats, EmptySummaryIsZero) {
-  const Summary s = summarize({});
-  EXPECT_EQ(s.count, 0u);
-  EXPECT_DOUBLE_EQ(s.mean, 0.0);
-  EXPECT_DOUBLE_EQ(s.cv(), 0.0);
-}
-
-TEST(Stats, SingleValue) {
-  const std::vector<double> v{42.0};
-  const Summary s = summarize(v);
-  EXPECT_DOUBLE_EQ(s.min, 42.0);
-  EXPECT_DOUBLE_EQ(s.max, 42.0);
-  EXPECT_DOUBLE_EQ(s.mean, 42.0);
-  EXPECT_DOUBLE_EQ(s.stddev, 0.0);
-}
-
-TEST(Stats, KnownSeries) {
-  const std::vector<double> v{2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0};
-  const Summary s = summarize(v);
-  EXPECT_DOUBLE_EQ(s.mean, 5.0);
-  EXPECT_DOUBLE_EQ(s.stddev, 2.0);  // classic textbook example
-  EXPECT_DOUBLE_EQ(s.min, 2.0);
-  EXPECT_DOUBLE_EQ(s.max, 9.0);
-  EXPECT_DOUBLE_EQ(s.cv(), 0.4);
-}
-
 TEST(Stats, PercentileEndpoints) {
   const std::vector<double> v{3.0, 1.0, 2.0};
   EXPECT_DOUBLE_EQ(percentiles(v, {0.0})[0], 1.0);

@@ -111,11 +111,6 @@ TEST_F(StreamTest, FourKernelsPerformSimilarly) {
   EXPECT_LT(hi / lo, 1.06);
 }
 
-TEST_F(StreamTest, KindNames) {
-  EXPECT_EQ(to_string(StreamKind::kCopy), "Copy");
-  EXPECT_EQ(to_string(StreamKind::kTriad), "Triad");
-}
-
 TEST_F(StreamTest, AllocationsAreReleased) {
   const auto before = host_.node_free_bytes(2);
   StreamBenchmark bench(host_, StreamConfig{});

@@ -27,19 +27,6 @@ TEST(Trace, ParsesEntriesAndComments) {
   EXPECT_EQ(entries[2].engine, "ssd_read");
 }
 
-TEST(Trace, FormatRoundTrips) {
-  const auto entries = parse_trace(kTrace);
-  const auto again = parse_trace(format_trace(entries));
-  ASSERT_EQ(again.size(), entries.size());
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    EXPECT_NEAR(again[i].arrival, entries[i].arrival, 1e3);
-    EXPECT_EQ(again[i].engine, entries[i].engine);
-    EXPECT_EQ(again[i].cpu_node, entries[i].cpu_node);
-    EXPECT_NEAR(static_cast<double>(again[i].bytes),
-                static_cast<double>(entries[i].bytes), 1e4);
-  }
-}
-
 TEST(Trace, RejectsMalformedInput) {
   EXPECT_THROW(parse_trace(""), std::invalid_argument);
   EXPECT_THROW(parse_trace("0.0,rdma_write,7\n"), std::invalid_argument);

@@ -12,9 +12,12 @@
 #include "obs/analysis.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "trace_parse.h"
 
 namespace numaio::obs {
 namespace {
+
+using test_support::parse_jsonl;
 
 EventFields at(double t_sim) {
   EventFields f;
@@ -47,7 +50,7 @@ TEST(ParseTraceJsonl, RoundTripsSerializedRecords) {
   trace.event("fio.retry", job, cause, "retry", at(3.0));
   trace.end_span(job, "degraded", at(9.0));
 
-  const std::vector<Event> parsed = parse_trace_jsonl(text.str());
+  const std::vector<Event> parsed = parse_jsonl(text.str());
   ASSERT_EQ(parsed.size(), memory.events.size());
   for (std::size_t i = 0; i < parsed.size(); ++i) {
     const Event& a = parsed[i];
@@ -70,7 +73,7 @@ TEST(ParseTraceJsonl, RoundTripsSerializedRecords) {
 }
 
 TEST(ParseTraceJsonl, ReadsWallClockWhenPresent) {
-  const auto events = parse_trace_jsonl(
+  const auto events = parse_jsonl(
       "{\"id\":1,\"kind\":\"I\",\"name\":\"x\",\"wall_us\":12.5}\n");
   ASSERT_EQ(events.size(), 1u);
   EXPECT_DOUBLE_EQ(events[0].wall_us, 12.5);
@@ -78,16 +81,16 @@ TEST(ParseTraceJsonl, ReadsWallClockWhenPresent) {
 
 TEST(ParseTraceJsonl, RejectsMalformedInputWithLineNumber) {
   try {
-    parse_trace_jsonl("{\"id\":1,\"kind\":\"I\",\"name\":\"ok\"}\n"
-                      "{\"id\":2,\"kind\":\"I\",\"nope\":3}\n");
+    parse_jsonl("{\"id\":1,\"kind\":\"I\",\"name\":\"ok\"}\n"
+                "{\"id\":2,\"kind\":\"I\",\"nope\":3}\n");
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
         << e.what();
   }
-  EXPECT_THROW(parse_trace_jsonl("{\"kind\":\"I\"}\n"),
+  EXPECT_THROW(parse_jsonl("{\"kind\":\"I\"}\n"),
                std::invalid_argument);  // record without an id
-  EXPECT_THROW(parse_trace_jsonl("not json\n"), std::invalid_argument);
+  EXPECT_THROW(parse_jsonl("not json\n"), std::invalid_argument);
 }
 
 // --- aggregates -----------------------------------------------------------

@@ -32,6 +32,7 @@
 #include "obs/trace.h"
 #include "simcore/rng.h"
 #include "simcore/units.h"
+#include "trace_parse.h"
 
 namespace numaio::obs {
 namespace {
@@ -203,18 +204,6 @@ TEST(TraceStream, StreamedRunReportIsByteIdentical) {
   EXPECT_EQ(model::render_markdown(in_memory),
             model::render_markdown(streamed));
   EXPECT_EQ(model::render_json(in_memory), model::render_json(streamed));
-}
-
-TEST(TraceStream, AuditFaultsMatchesAnalysisAudit) {
-  const std::vector<Event> events = degraded_capture();
-  VectorSource source(events);
-  const FaultAudit audit = audit_faults(source);
-  const FaultAudit full = analyze_trace(events).faults;
-  EXPECT_EQ(audit.transitions, full.transitions);
-  EXPECT_EQ(audit.retries, full.retries);
-  EXPECT_EQ(audit.aborts, full.aborts);
-  EXPECT_EQ(audit.caused, full.caused);
-  EXPECT_EQ(audit.by_fault, full.by_fault);
 }
 
 class CountingVisitor final : public TraceVisitor {
@@ -692,8 +681,8 @@ TEST_P(TraceRoundTrip, RandomRecordsComeBackBitForBit) {
   JsonlSink sink(text);
   for (const Event& e : events) sink.write(e);
 
-  // Line by line through parse_trace_line, then the whole document
-  // through the streaming source, which reuses one Event for every line.
+  // Line by line, a fresh source per line, then the whole document
+  // through one source, which reuses one Event for every line.
   MemorySink streamed;
   JsonlTextSource source(text.str());
   source.stream(streamed);
@@ -704,8 +693,7 @@ TEST_P(TraceRoundTrip, RandomRecordsComeBackBitForBit) {
     ASSERT_TRUE(std::getline(lines, line));
     Event expected = events[i];
     if (expected.wall_us < 0.0) expected.wall_us = -1.0;  // omitted
-    expect_identical(parse_trace_line(line, static_cast<int>(i) + 1),
-                     expected, i);
+    expect_identical(test_support::parse_jsonl(line).at(0), expected, i);
     expect_identical(streamed.events[i], expected, i);
   }
 }
@@ -761,7 +749,7 @@ TEST(TraceRoundTripEdges, FastPathCutOffsMatchPrintf) {
         std::ostringstream chrome;
         export_chrome_trace(std::vector<Event>{e}, chrome);
         EXPECT_EQ(chrome.str(), ref_chrome({e})) << v;
-        expect_identical(parse_trace_line(jsonl.str(), 1), e, 0);
+        expect_identical(test_support::parse_jsonl(jsonl.str()).at(0), e, 0);
       }
       up = std::nextafter(up, std::numeric_limits<double>::infinity());
       down = std::nextafter(down, -std::numeric_limits<double>::infinity());
