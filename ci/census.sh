@@ -47,7 +47,7 @@ functions() {
 }
 
 binary() {
-  find "$BUILD_DIR" -type f -name "$1" -perm -u+x | head -1
+  find "$BUILD_DIR" -type f -name "$1" -perm -u+x -print -quit
 }
 
 SCRATCH=$(mktemp -d "${TMPDIR:-/tmp}/numaio_census_XXXXXX")

@@ -35,9 +35,9 @@ sim::Gbps peer_aggregate_cap(const fabric::Machine& machine,
   const sim::Ns lat = peer.to_device
                           ? machine.path(peer_node, attach).dma_lat
                           : machine.path(attach, peer_node).dma_lat;
-  const double window_rate = peer.window_bits / lat;
+  const double window_gbps = peer.window_bits / lat;
   double cap = peer.residual_for(peer_node) *
-               std::min(peer.device_cap, window_rate);
+               std::min(peer.device_cap, window_gbps);
   // Peer CPU: app work on peer_node plus interrupt work on the peer's
   // device node; they share one budget when the bindings coincide.
   double cpu_weight = peer.cpu_app_per_gbps;
@@ -289,8 +289,8 @@ StreamShape shape_stream(fabric::Machine& machine, const StreamSpec& spec) {
         static_cast<double>(bytes) / static_cast<double>(total);
     const sim::Ns lat = eng.to_device ? machine.path(node, attach).dma_lat
                                       : machine.path(attach, node).dma_lat;
-    const double window_rate = eng.window_bits / lat;
-    shape.tau += share / (rho * std::min(eng.device_cap, window_rate));
+    const double window_gbps = eng.window_bits / lat;
+    shape.tau += share / (rho * std::min(eng.device_cap, window_gbps));
     if (eng.stream_window_bits > 0.0) {
       inv_window_cap +=
           share * (lat + eng.stream_extra_rtt_ns) / eng.stream_window_bits;

@@ -96,8 +96,9 @@ class ObjectCursor {
   int line_no_;
 };
 
-/// The one JSONL record parser behind both JSONL sources. Overwrites every field of `e`, keeping its strings' capacity;
-/// `scratch` receives any string token that holds an escape.
+/// The one JSONL record parser behind both JSONL sources. Overwrites
+/// every field of `e`, keeping its strings' capacity; `scratch` receives
+/// any string token that holds an escape.
 void parse_into(std::string_view line, int line_no, Event& e,
                 std::string& scratch) {
   // Absent keys take a fresh Event's defaults, except wall_us:

@@ -24,9 +24,9 @@
 //    the freeze pass mark only flows actually crossing a saturated
 //    resource instead of rescanning every unfrozen flow's usages.
 //  - A mutation epoch is bumped by add_flow/remove_flow/set_capacity/
-//    set_capacity_factor; solve() returns the cached rate
-//    vector when the epoch is unchanged, which makes aggregate_rate()
-//    and utilization() free right after a solve. All per-solve scratch
+//    set_capacity_factor; solve() returns the cached rate vector when
+//    the epoch is unchanged, which makes aggregate_rate() and
+//    utilization() free right after a solve. All per-solve scratch
 //    is reusable member storage: after warm-up a solve performs zero
 //    heap allocations (stats().scratch_grows counts the exceptions).
 //
