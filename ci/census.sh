@@ -42,8 +42,8 @@ functions() {
   nm --defined-only "$1" | awk '$2 == "T" || $2 == "W" { print $3 }' |
     grep -E '^_ZN[KVRO]*6numaio' | grep -v '_GLOBAL__N' | c++filt |
     grep -v -E '^numaio::(sim::test|obs::test_support)::|_Test::' |
-    grep -v -E '(^|[^A-Za-z0-9_])([A-Za-z_][A-Za-z0-9_]*)::~?\2\(|::operator==?\(' |
-    sort -u
+    grep -v -E '(^|[^A-Za-z0-9_])([A-Za-z_][A-Za-z0-9_]*)::~?\2\(' |
+    grep -v -E '::operator==?\(' | sort -u
 }
 
 binary() {
@@ -60,7 +60,8 @@ done | sort -u > "$SCRATCH/shipped"
 functions "$(binary numaio_tests)" > "$SCRATCH/tests"
 comm -13 "$SCRATCH/shipped" "$SCRATCH/tests" > "$SCRATCH/found"
 
-unreasoned=$(grep -v -e '^#' -e '^$' "$ROOT/ci/census.txt" | grep -v ' — .' || true)
+unreasoned=$(grep -v -e '^#' -e '^$' "$ROOT/ci/census.txt" |
+  grep -v ' — .' || true)
 if [ -n "$unreasoned" ]; then
   echo "census: every entry of ci/census.txt needs ' — reason':" >&2
   printf '%s\n' "$unreasoned" >&2

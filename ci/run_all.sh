@@ -68,4 +68,4 @@ echo "run_all: flame-fold smoke green (10^6 records, depth 32)"
 "$ROOT/ci/census.sh" "$BUILD_DIR-census"
 "$ROOT/ci/sanitize.sh" "$BUILD_DIR-sanitize"
 
-echo "run_all: build, tests, API check, perf guard, census and sanitizers all green"
+echo "run_all: build, tests, API check, perf guard, census, sanitizers green"

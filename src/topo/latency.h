@@ -7,7 +7,6 @@
 //   a per-hop router/coherence overhead.
 #pragma once
 
-
 #include "topo/routing.h"
 
 namespace numaio::topo {
