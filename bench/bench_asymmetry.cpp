@@ -21,7 +21,7 @@ int main() {
   }
 
   bench::banner("Directional asymmetries in the STREAM (PIO) matrix");
-  const auto bw = mem::stream_matrix(tb.host(), mem::StreamConfig{});
+  const auto bw = mem::stream_matrix(tb.host());
   const auto pairs = model::find_asymmetric_pairs(bw, 1.10);
   std::printf("  %zu PIO pairs above 1.10x; top finds:\n", pairs.size());
   int shown = 0;

@@ -13,7 +13,7 @@ int main() {
   using namespace numaio;
   io::Testbed tb = io::Testbed::dl585();
 
-  const auto bw = mem::stream_matrix(tb.host(), mem::StreamConfig{});
+  const auto bw = mem::stream_matrix(tb.host());
   const model::HopModel hop =
       model::fit_hop_model(bw, tb.machine().topology());
 
@@ -25,10 +25,8 @@ int main() {
 
   const auto hop_pred =
       model::predict_for_target(hop, tb.machine().topology(), 7);
-  const auto cpu_model =
-      mem::cpu_centric(tb.host(), 7, mem::StreamConfig{});
-  const auto mem_model =
-      mem::memory_centric(tb.host(), 7, mem::StreamConfig{});
+  const auto cpu_model = mem::cpu_centric(tb.host(), 7);
+  const auto mem_model = mem::memory_centric(tb.host(), 7);
   const auto wmodel =
       model::build_iomodel(tb.host(), 7, model::Direction::kDeviceWrite);
   const auto rmodel =

@@ -14,8 +14,7 @@ int main() {
   io::Testbed tb = io::Testbed::dl585();
   bench::banner("Figure 3: STREAM Copy bandwidth matrix (Gbps)");
 
-  const mem::BandwidthMatrix m =
-      mem::stream_matrix(tb.host(), mem::StreamConfig{});
+  const mem::BandwidthMatrix m = mem::stream_matrix(tb.host());
   std::printf("%s", model::format_matrix(m).c_str());
   std::printf("\n%s", model::format_heatmap(m).c_str());
 

@@ -14,8 +14,8 @@ int main() {
   io::Testbed tb = io::Testbed::dl585();
   bench::banner("Figure 4: CPU-centric and memory-centric models of node 7");
 
-  const auto cpu = mem::cpu_centric(tb.host(), 7, mem::StreamConfig{});
-  const auto mem = mem::memory_centric(tb.host(), 7, mem::StreamConfig{});
+  const auto cpu = mem::cpu_centric(tb.host(), 7);
+  const auto mem = mem::memory_centric(tb.host(), 7);
   bench::print_node_header(8);
   bench::print_series("CPU centric", cpu);
   bench::print_series("mem centric", mem);

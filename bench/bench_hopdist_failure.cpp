@@ -16,7 +16,7 @@ int main() {
   io::Testbed tb = io::Testbed::dl585();
 
   bench::banner("Hop-distance failure on the measured STREAM matrix");
-  const auto bw = mem::stream_matrix(tb.host(), mem::StreamConfig{});
+  const auto bw = mem::stream_matrix(tb.host());
   std::printf("  asymmetry index: %.3f (undirected metrics need ~0)\n",
               model::asymmetry_index(bw));
   for (const auto& fit : model::fit_magny_cours_variants(bw)) {
@@ -26,9 +26,8 @@ int main() {
   bench::note("no layout reaches ~1.0: hop distance cannot explain Fig 3");
 
   bench::banner("Rank agreement with measured I/O (Spearman)");
-  const auto cpu_model = mem::cpu_centric(tb.host(), 7, mem::StreamConfig{});
-  const auto mem_model =
-      mem::memory_centric(tb.host(), 7, mem::StreamConfig{});
+  const auto cpu_model = mem::cpu_centric(tb.host(), 7);
+  const auto mem_model = mem::memory_centric(tb.host(), 7);
   const auto wmodel =
       model::build_iomodel(tb.host(), 7, model::Direction::kDeviceWrite);
   const auto rmodel =

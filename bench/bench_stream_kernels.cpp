@@ -23,11 +23,8 @@ int main() {
     for (mem::StreamKind kind :
          {mem::StreamKind::kCopy, mem::StreamKind::kScale,
           mem::StreamKind::kAdd, mem::StreamKind::kTriad}) {
-      mem::StreamConfig config;
-      config.kind = kind;
-      values[k++] = mem::StreamBenchmark(tb.host(), config)
-                        .run(cpu, mem_node)
-                        .best;
+      values[k++] =
+          mem::StreamBenchmark(tb.host(), kind).run(cpu, mem_node).best;
     }
     const double lo = std::min({values[0], values[1], values[2], values[3]});
     const double hi = std::max({values[0], values[1], values[2], values[3]});

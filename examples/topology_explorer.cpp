@@ -44,7 +44,7 @@ int main() {
   // recover its wiring.
   fabric::Machine machine{fabric::dl585_profile()};
   nm::Host nmhost{machine};
-  const auto bw = mem::stream_matrix(nmhost, mem::StreamConfig{});
+  const auto bw = mem::stream_matrix(nmhost);
   std::printf("\nmeasured STREAM matrix: asymmetry index %.3f\n",
               model::asymmetry_index(bw));
   for (const auto& fit : model::fit_magny_cours_variants(bw)) {

@@ -298,12 +298,6 @@ void FaultInjector::restore() {
   }
 }
 
-double FaultInjector::noise_amplification(sim::Ns t) const {
-  return active_product(t, [](const FaultEvent& e) {
-    return kind_info(e.kind).severity == FaultSeverity::kNoise;
-  });
-}
-
 bool FaultInjector::device_stalled(int device, sim::Ns t) const {
   return active_product(t, [device](const FaultEvent& e) {
            return target_of(e) == FaultTarget::kDevice && e.device == device;

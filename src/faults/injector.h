@@ -13,8 +13,11 @@
 //    rates re-solve exactly at each fault boundary (fio runs, the online
 //    scheduler);
 //  - advance_to(t): applies all transitions up to logical time t directly
-//    (measurement loops that take solver snapshots, e.g. Algorithm 1's
-//    repetition sweep).
+//    (the fleet, which steps its own event engine).
+//
+// measure-noise events are applied and traced like any other kind, but
+// touch no capacity, and no measurement reads them: Algorithm 1 runs
+// fault-free.
 //
 // The injector records every applied transition; trace_to_string() renders
 // them deterministically — two runs with the same plan produce
@@ -79,8 +82,6 @@ class FaultInjector {
   void restore();
 
   // --- state queries (pure functions of the plan, usable at any time) ----
-  /// Product of all active noise amplifications at time t (>= 1).
-  double noise_amplification(sim::Ns t) const;
   bool device_stalled(int device, sim::Ns t) const;
   /// True when any capacity-affecting fault is active at time t.
   bool any_capacity_fault_active(sim::Ns t) const;
@@ -105,7 +106,6 @@ class FaultInjector {
 
   /// One line per applied transition, byte-identical across same-seed runs.
   std::string trace_to_string() const;
-  std::size_t transitions_applied() const { return cursor_; }
 
   /// Attaches an observability context (nullptr detaches). Every applied
   /// transition then emits a `fault.transition` instant event and bumps

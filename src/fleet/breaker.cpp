@@ -1,8 +1,5 @@
 #include "fleet/breaker.h"
 
-#include <algorithm>
-#include <cmath>
-
 namespace numaio::fleet {
 
 const char* to_string(BreakerState state) {
@@ -28,8 +25,6 @@ void CircuitBreaker::transition(BreakerState to, sim::Ns now,
     probe_streak_ = 0;
     probe_inflight_ = false;
     consecutive_failures_ = 0;
-    latencies_.clear();
-    latency_cursor_ = 0;
   } else if (to == BreakerState::kHalfOpen) {
     probe_streak_ = 0;
     probe_inflight_ = false;
@@ -70,41 +65,18 @@ bool CircuitBreaker::try_acquire(sim::Ns now, bool* probe) {
   return false;
 }
 
-sim::Ns CircuitBreaker::window_p99() const {
-  if (latencies_.size() < static_cast<std::size_t>(config_.latency_window)) {
-    return 0.0;
-  }
-  std::vector<sim::Ns> sorted = latencies_;
-  std::sort(sorted.begin(), sorted.end());
-  const std::size_t rank = static_cast<std::size_t>(
-      std::ceil(0.99 * static_cast<double>(sorted.size()))) - 1;
-  return sorted[std::min(rank, sorted.size() - 1)];
-}
-
-void CircuitBreaker::on_success(sim::Ns now, sim::Ns latency, bool probe) {
+void CircuitBreaker::on_success(sim::Ns now, bool probe) {
   if (state_ == BreakerState::kHalfOpen) {
     if (probe) {
       probe_inflight_ = false;
       ++probe_streak_;
-      if (probe_streak_ >= config_.probe_successes) {
+      if (probe_streak_ >= kBreakerProbeSuccesses) {
         transition(BreakerState::kClosed, now, "probes");
       }
     }
     return;
   }
   consecutive_failures_ = 0;
-  if (config_.p99_limit > 0.0 && config_.latency_window > 0) {
-    if (latencies_.size() <
-        static_cast<std::size_t>(config_.latency_window)) {
-      latencies_.push_back(latency);
-    } else {
-      latencies_[latency_cursor_] = latency;
-      latency_cursor_ = (latency_cursor_ + 1) % latencies_.size();
-    }
-    if (state_ == BreakerState::kClosed && window_p99() > config_.p99_limit) {
-      transition(BreakerState::kOpen, now, "p99");
-    }
-  }
 }
 
 void CircuitBreaker::on_failure(sim::Ns now, bool probe, const char* reason) {

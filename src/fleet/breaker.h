@@ -1,12 +1,11 @@
 // Per-host circuit breaker for the fleet serving core.
 //
 // State machine: closed -> open on `failure_threshold` consecutive
-// failures or on a p99 breach over the recent latency window; open ->
-// half-open after `open_cooldown` of simulated time; half-open admits one
-// probe at a time — `probe_successes` consecutive probe successes close
-// the breaker, any probe failure re-opens it (cooldown restarts). A
-// force-trip (host crash observed by the control plane) opens it
-// immediately from any state.
+// failures; open -> half-open after `open_cooldown` of simulated time;
+// half-open admits one probe at a time — kBreakerProbeSuccesses
+// consecutive probe successes close the breaker, any probe failure
+// re-opens it (cooldown restarts). A force-trip (host crash observed by
+// the control plane) opens it immediately from any state.
 //
 // Pure simulated-time state; every transition is reported through the
 // optional callback so the fleet layer can emit `fleet.breaker` trace
@@ -14,7 +13,6 @@
 #pragma once
 
 #include <functional>
-#include <vector>
 
 #include "simcore/units.h"
 
@@ -24,12 +22,12 @@ enum class BreakerState { kClosed, kOpen, kHalfOpen };
 
 const char* to_string(BreakerState state);
 
+/// Consecutive half-open probe successes that close the breaker.
+inline constexpr int kBreakerProbeSuccesses = 2;
+
 struct BreakerConfig {
   int failure_threshold = 4;     ///< Consecutive failures that trip it.
-  sim::Ns p99_limit = 0.0;       ///< Windowed p99 latency bound; 0 = off.
-  int latency_window = 64;       ///< Samples in the sliding p99 window.
   sim::Ns open_cooldown = 0.5e9; ///< Open dwell before half-open probes.
-  int probe_successes = 2;       ///< Probe successes needed to close.
 };
 
 class CircuitBreaker {
@@ -52,7 +50,7 @@ class CircuitBreaker {
   /// dispatch is a half-open probe (pass it back to on_success/on_failure).
   bool try_acquire(sim::Ns now, bool* probe);
 
-  void on_success(sim::Ns now, sim::Ns latency, bool probe);
+  void on_success(sim::Ns now, bool probe);
   void on_failure(sim::Ns now, bool probe, const char* reason);
 
   /// Force-open from any state (e.g. the host crashed). Resets the
@@ -65,8 +63,6 @@ class CircuitBreaker {
   int trips() const { return trips_; }
 
  private:
-  /// p99 of the latency window; 0 when the window is not yet full.
-  sim::Ns window_p99() const;
   void transition(BreakerState to, sim::Ns now, const char* reason);
 
   BreakerConfig config_;
@@ -76,8 +72,6 @@ class CircuitBreaker {
   bool probe_inflight_ = false;
   sim::Ns opened_at_ = 0.0;
   int trips_ = 0;
-  std::vector<sim::Ns> latencies_;  ///< Ring buffer of recent successes.
-  std::size_t latency_cursor_ = 0;
   TransitionCallback on_transition_;
 };
 

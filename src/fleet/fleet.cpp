@@ -170,8 +170,7 @@ class FleetRuntime {
         specs_(tenants),
         obs_(obs),
         queue_(config.queue_depth),
-        placer_(config.num_hosts,
-                PlacerConfig{/*rel_gap=*/0.08, config.summary_refresh}),
+        placer_(config.num_hosts, config.summary_refresh),
         backoff_rng_(sim::Rng(config.seed).fork(0x666c656574u, 1)),
         workload_rng_(sim::Rng(config.seed).fork(0x666c656574u, 2)) {
     build_hosts();
@@ -615,7 +614,7 @@ class FleetRuntime {
     tenant.latencies.push_back(latency);
     all_latencies_.push_back(latency);
     hosts_[static_cast<std::size_t>(req.host)].breaker.on_success(
-        now, latency, req.probe);
+        now, req.probe);
     if (obs_ != nullptr) {
       obs_->metrics.add(m_completed_);
       obs_->metrics.observe(h_latency_ms_, latency / 1e6);
@@ -1201,7 +1200,6 @@ StormScenario make_storm(int num_hosts, int num_tenants, double offered_rps,
   storm.config.retry.timeout = 0.2e9;
   storm.config.breaker.failure_threshold = 3;
   storm.config.breaker.open_cooldown = 0.4e9;
-  storm.config.breaker.probe_successes = 2;
 
   // Ascending priorities; the lowest-priority tenant carries the largest
   // share of the offered load, so shedding it first frees the most.

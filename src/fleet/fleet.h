@@ -16,7 +16,7 @@
 //   placement  least-loaded host whose breaker admits, then the host's
 //              OnlineScheduler picks the NUMA node (class-aware);
 //   breaker    per-host closed/open/half-open machine (breaker.h), tripped
-//              by consecutive failures, p99 breach, or an observed crash;
+//              by consecutive failures or an observed crash;
 //   retries    per-attempt timeouts clamped to the request's absolute
 //              deadline, exponential backoff with seeded jitter, and a
 //              per-tenant retry *budget* so storms cannot amplify load.
@@ -91,9 +91,8 @@ struct FleetConfig {
   sim::Ns deadline = 0.5e9;
   /// Per-attempt timeout / backoff. `timeout` 0 means attempts are only
   /// bounded by the absolute deadline.
-  sim::RetryPolicy retry{
-      /*max_retries=*/3, /*timeout=*/0.15e9, /*base_backoff=*/4.0e6,
-      /*multiplier=*/2.0, /*jitter_frac=*/0.25, /*max_backoff=*/0.2e9};
+  sim::RetryPolicy retry{.max_retries = 3, .timeout = 0.15e9,
+                         .base_backoff = 4.0e6, .max_backoff = 0.2e9};
   BreakerConfig breaker{};
   std::uint64_t seed = 1;
   /// Arrivals stop here; the run then drains (every pending request

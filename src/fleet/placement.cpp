@@ -10,7 +10,7 @@ void ClassPlacer::refresh(std::span<const double> capacity_gbps,
                           sim::Ns now) {
   assert(static_cast<int>(capacity_gbps.size()) == num_hosts_);
   const std::vector<int> class_of =
-      model::gap_classes(capacity_gbps, config_.rel_gap);
+      model::gap_classes(capacity_gbps, kPlacerRelGap);
   int num = 0;
   for (const int c : class_of) num = num > c + 1 ? num : c + 1;
   classes_.assign(static_cast<std::size_t>(num), {});

@@ -19,21 +19,18 @@
 
 namespace numaio::fleet {
 
-struct PlacerConfig {
-  /// Relative capacity gap that opens a new host class (§V-A walk).
-  double rel_gap = 0.08;
-  /// Minimum simulated time between class-table rebuilds.
-  sim::Ns refresh_period = 50.0e6;
-};
+/// Relative capacity gap that opens a new host class (§V-A walk).
+inline constexpr double kPlacerRelGap = 0.08;
 
 class ClassPlacer {
  public:
-  ClassPlacer(int num_hosts, PlacerConfig config)
-      : num_hosts_(num_hosts), config_(config) {}
+  /// `refresh_period`: minimum simulated time between table rebuilds.
+  ClassPlacer(int num_hosts, sim::Ns refresh_period)
+      : num_hosts_(num_hosts), refresh_period_(refresh_period) {}
 
   /// Whether the class table is due for a rebuild at `now`.
   bool stale(sim::Ns now) const {
-    return !refreshed_ || now - last_refresh_ >= config_.refresh_period;
+    return !refreshed_ || now - last_refresh_ >= refresh_period_;
   }
 
   /// Rebuilds the class table from each host's effective capacity (one
@@ -60,7 +57,7 @@ class ClassPlacer {
 
  private:
   int num_hosts_;
-  PlacerConfig config_;
+  sim::Ns refresh_period_;
   std::vector<std::vector<int>> classes_;  ///< Host ids, fastest first.
   std::size_t cursor_ = 0;
   bool refreshed_ = false;

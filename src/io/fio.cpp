@@ -20,6 +20,9 @@ namespace numaio::io {
 
 namespace {
 
+/// Seed of every job's stream jitter and retry backoff draws.
+constexpr std::uint64_t kJobSeed = 20130407;
+
 /// Aggregate capability of the peer-host process bound to `peer_node`.
 /// The peer is an identical machine, so its fabric character is read from
 /// the same profile; the peer's DMA direction is the complement of ours.
@@ -170,7 +173,7 @@ JobStreams build_streams(nm::Host& host, const std::vector<TimedJob>& jobs,
     for (std::size_t j = 0; j < jobs.size(); ++j) {
       const FioJob& job = jobs[j].job;
       sim::Rng job_rng =
-          sim::Rng(job.seed).fork(static_cast<std::uint64_t>(job.cpu_node));
+          sim::Rng(kJobSeed).fork(static_cast<std::uint64_t>(job.cpu_node));
 
       // Peer-host constraint for network engines: the whole job cannot move
       // data faster than the identically-built peer can source/sink it.
@@ -370,7 +373,7 @@ std::vector<FioResult> FioRunner::run_timed(
     StreamSetup& setup = setups[i];
     const std::size_t j = setup.job_index;
     const FioJob& job = jobs[j].job;
-    setup.backoff_rng = sim::Rng(job.seed)
+    setup.backoff_rng = sim::Rng(kJobSeed)
                             .fork(0x72657472u)
                             .fork(static_cast<std::uint64_t>(i));
     if (faults_ != nullptr) {

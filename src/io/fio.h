@@ -71,7 +71,6 @@ struct FioJob {
   /// up to the ~30% TCP loss reported for remote-core placement at either
   /// end ([3], cited in §I).
   int peer_node = -1;
-  std::uint64_t seed = 20130407;
   /// Degraded-mode policy: per-stream attempt timeout, bounded retries
   /// with exponential backoff + jitter. The default timeout of 0 disables
   /// timeouts, which (absent faults) reproduces the fault-free behaviour
@@ -134,13 +133,12 @@ struct StreamShape {
 };
 
 /// Config-aggregate description of one stream (DESIGN.md §11 "Config
-/// aggregates", same shape as mem::StreamConfig /
-/// faults::RandomPlanConfig), the shape_stream argument. When `placements`
-/// is empty the buffer lives whole on `mem_node`; otherwise it spans the
-/// listed (node, bytes) shares (interleaved policy) and DMA traffic
-/// splits across the per-node paths in proportion to the page shares,
-/// with the engine occupancy / window limits composing harmonically over
-/// them.
+/// aggregates", same shape as faults::RandomPlanConfig), the shape_stream
+/// argument. When `placements` is empty the buffer lives whole on
+/// `mem_node`; otherwise it spans the listed (node, bytes) shares
+/// (interleaved policy) and DMA traffic splits across the per-node paths
+/// in proportion to the page shares, with the engine occupancy / window
+/// limits composing harmonically over them.
 struct StreamSpec {
   const PcieDevice* device = nullptr;
   std::string engine;

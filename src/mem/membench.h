@@ -21,20 +21,17 @@ struct BandwidthMatrix {
   }
 };
 
-/// Runs STREAM for every (cpu node, memory node) pair — Figure 3. The
-/// config aggregate defaults to StreamConfig's in-struct values, matching
-/// the convention of the other entry points (IoModelConfig & co).
-BandwidthMatrix stream_matrix(nm::Host& host, const StreamConfig& config = {});
+/// Runs STREAM's Copy kernel for every (cpu node, memory node) pair —
+/// Figure 3.
+BandwidthMatrix stream_matrix(nm::Host& host);
 
 /// "CPU centric" model of `target`: benchmark runs on `target`, memory
 /// varies over all nodes — Figure 4(a). Element i is the bandwidth with
 /// data on node i.
-std::vector<sim::Gbps> cpu_centric(nm::Host& host, NodeId target,
-                                   const StreamConfig& config = {});
+std::vector<sim::Gbps> cpu_centric(nm::Host& host, NodeId target);
 
 /// "Memory centric" model of `target`: data lives on `target`, the
 /// benchmark's node varies — Figure 4(b).
-std::vector<sim::Gbps> memory_centric(nm::Host& host, NodeId target,
-                                      const StreamConfig& config = {});
+std::vector<sim::Gbps> memory_centric(nm::Host& host, NodeId target);
 
 }  // namespace numaio::mem

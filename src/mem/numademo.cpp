@@ -36,22 +36,20 @@ std::vector<DemoModule> all_demo_modules() {
 
 namespace {
 
-int demo_threads(const fabric::Machine& machine, NodeId cpu_node,
-                 const DemoConfig& config) {
-  const int cores = machine.cores_per_node(cpu_node);
-  return config.threads == 0 ? cores : std::min(config.threads, cores);
-}
+/// Working set each run binds to its memory node, as numademo allocates
+/// one before it times a module.
+constexpr sim::Bytes kDemoWorkingSet = 64 * sim::kMiB;
 
 /// Aggregate PIO load bandwidth of the whole node over path (t, m).
 double load_leg(const fabric::Machine& machine, NodeId t, NodeId m) {
   return machine.path(t, m).stream_bw * (1.0 + kPioStoreFactor);
 }
 
-/// Rate cap of the module's access loop, before fabric capacities.
+/// Rate cap of the module's access loop, one thread per core of t,
+/// before fabric capacities.
 double module_rate_cap(const fabric::Machine& machine, DemoModule module,
-                       NodeId t, NodeId m, int threads) {
-  const int cores = machine.cores_per_node(t);
-  const double scale = static_cast<double>(threads) / cores;
+                       NodeId t, NodeId m) {
+  const int threads = machine.cores_per_node(t);
   const double leg = load_leg(machine, t, m);
   const sim::Ns lat = machine.path(t, m).dma_lat;
   switch (module) {
@@ -59,16 +57,16 @@ double module_rate_cap(const fabric::Machine& machine, DemoModule module,
       // Posted stores only: each store costs a kPioStoreFactor share of
       // the issue budget, so the byte rate is leg / kPioStoreFactor
       // (fabric capacities clamp it below).
-      return scale * leg / kPioStoreFactor;
+      return leg / kPioStoreFactor;
     case DemoModule::kMemcpy:
     case DemoModule::kStreamCopy:
       // Load + posted store against the same node.
-      return scale * leg / (1.0 + kPioStoreFactor);
+      return leg / (1.0 + kPioStoreFactor);
     case DemoModule::kForwardWalk:
-      return scale * leg;
+      return leg;
     case DemoModule::kBackwardWalk:
       // The stride prefetcher recovers only part of the forward rate.
-      return scale * leg * 0.75;
+      return leg * 0.75;
     case DemoModule::kRandomAccess:
       // Independent dependent-load chains per core: latency-bound, with a
       // couple of misses overlapped by out-of-order execution.
@@ -101,10 +99,10 @@ std::vector<sim::Usage> module_usages(const fabric::Machine& machine,
 }
 
 double run_rate(fabric::Machine& machine, DemoModule module, NodeId t,
-                NodeId m, int threads) {
+                NodeId m) {
   auto& solver = machine.solver();
   const auto usages = module_usages(machine, module, t, m);
-  const double cap = module_rate_cap(machine, module, t, m, threads);
+  const double cap = module_rate_cap(machine, module, t, m);
   const sim::FlowId flow = solver.add_flow(usages, cap);
   const double rate = solver.solve()[flow];
   solver.remove_flow(flow);
@@ -114,46 +112,43 @@ double run_rate(fabric::Machine& machine, DemoModule module, NodeId t,
 }  // namespace
 
 DemoResult run_demo(nm::Host& host, DemoModule module, NodeId cpu_node,
-                    NodeId mem_node, const DemoConfig& config) {
+                    NodeId mem_node) {
   fabric::Machine& machine = host.machine();
-  const int threads = demo_threads(machine, cpu_node, config);
 
   // Touch the allocator so policies and accounting behave like the real
   // tool (working set bound to mem_node).
-  nm::Buffer buffer = host.alloc_on_node(config.working_set, mem_node);
+  nm::Buffer buffer = host.alloc_on_node(kDemoWorkingSet, mem_node);
   DemoResult result;
   result.module = module;
   result.cpu_node = cpu_node;
   result.mem_node = mem_node;
-  result.bandwidth = run_rate(machine, module, cpu_node, mem_node, threads);
+  result.bandwidth = run_rate(machine, module, cpu_node, mem_node);
   host.free(buffer);
   return result;
 }
 
-std::vector<DemoTableRow> demo_policy_table(nm::Host& host, NodeId cpu_node,
-                                            const DemoConfig& config) {
+std::vector<DemoTableRow> demo_policy_table(nm::Host& host, NodeId cpu_node) {
   fabric::Machine& machine = host.machine();
   const int n = host.num_configured_nodes();
-  const int threads = demo_threads(machine, cpu_node, config);
 
   std::vector<DemoTableRow> rows;
   for (DemoModule module : all_demo_modules()) {
     DemoTableRow row;
     row.module = module;
-    row.local = run_rate(machine, module, cpu_node, cpu_node, threads);
+    row.local = run_rate(machine, module, cpu_node, cpu_node);
     row.remote_worst = row.local;
     for (NodeId m = 0; m < n; ++m) {
       if (m == cpu_node) continue;
       row.remote_worst = std::min(
-          row.remote_worst, run_rate(machine, module, cpu_node, m, threads));
+          row.remote_worst, run_rate(machine, module, cpu_node, m));
     }
     // Interleaved pages are touched round-robin: the loop spends
     // 1/rate_m time per byte on node m, so the aggregate is the harmonic
     // mean across nodes.
-    nm::Buffer buffer = host.alloc_interleaved(config.working_set);
+    nm::Buffer buffer = host.alloc_interleaved(kDemoWorkingSet);
     double denom = 0.0;
     for (NodeId m = 0; m < n; ++m) {
-      denom += 1.0 / run_rate(machine, module, cpu_node, m, threads);
+      denom += 1.0 / run_rate(machine, module, cpu_node, m);
     }
     row.interleaved = static_cast<double>(n) / denom;
     host.free(buffer);

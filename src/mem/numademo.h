@@ -42,11 +42,6 @@ std::string to_string(DemoModule module);
 /// All seven modules, in numademo's order.
 std::vector<DemoModule> all_demo_modules();
 
-struct DemoConfig {
-  sim::Bytes working_set = 64 * sim::kMiB;
-  int threads = 0;  ///< 0 = all cores of the executing node.
-};
-
 struct DemoResult {
   DemoModule module = DemoModule::kMemset;
   NodeId cpu_node = 0;
@@ -54,10 +49,10 @@ struct DemoResult {
   sim::Gbps bandwidth = 0.0;  ///< Effective data rate of the access loop.
 };
 
-/// Runs one module with threads on cpu_node against memory on mem_node
-/// under the given policy-resolved placement.
+/// Runs one module with one thread per core of cpu_node against a 64 MiB
+/// working set on mem_node.
 DemoResult run_demo(nm::Host& host, DemoModule module, NodeId cpu_node,
-                    NodeId mem_node, const DemoConfig& config = {});
+                    NodeId mem_node);
 
 /// numademo's headline table: every module against the local node, a
 /// remote node, and interleaved memory, for a given executing node.
@@ -68,7 +63,6 @@ struct DemoTableRow {
   sim::Gbps remote_worst = 0.0;
   sim::Gbps interleaved = 0.0;
 };
-std::vector<DemoTableRow> demo_policy_table(nm::Host& host, NodeId cpu_node,
-                                            const DemoConfig& config = {});
+std::vector<DemoTableRow> demo_policy_table(nm::Host& host, NodeId cpu_node);
 
 }  // namespace numaio::mem

@@ -55,10 +55,8 @@ HostModel characterize_host(nm::Host& host,
         host, target, Direction::kDeviceWrite, iomodel));
     model.read_models.push_back(build_iomodel(
         host, target, Direction::kDeviceRead, iomodel));
-    model.write_classes.push_back(
-        classify(model.write_models.back(), topo, config.classify));
-    model.read_classes.push_back(
-        classify(model.read_models.back(), topo, config.classify));
+    model.write_classes.push_back(classify(model.write_models.back(), topo));
+    model.read_classes.push_back(classify(model.read_models.back(), topo));
   }
   if (obs != nullptr && obs->trace.enabled()) {
     bool degraded = false;

@@ -57,10 +57,10 @@ struct HostModel {
 
 struct CharacterizeConfig {
   IoModelConfig iomodel{};
-  ClassifyConfig classify{};
 };
 
-/// Runs Algorithm 1 for every node in both directions and classifies.
+/// Runs Algorithm 1 for every node in both directions and classifies
+/// each result with the default ClassifyConfig.
 HostModel characterize_host(nm::Host& host,
                             const CharacterizeConfig& config = {});
 

@@ -27,7 +27,7 @@ CrossValidation cross_validate(nm::Host& host) {
   {
     // STREAM Copy with the paper's full protocol (best of repetitions).
     cv.names.push_back("STREAM-Copy");
-    mem::StreamBenchmark bench(host, mem::StreamConfig{});
+    mem::StreamBenchmark bench(host);
     std::vector<double> flat;
     for (NodeId cpu = 0; cpu < n; ++cpu) {
       for (NodeId mem_node = 0; mem_node < n; ++mem_node) {

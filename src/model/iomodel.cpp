@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -33,28 +32,26 @@ IoModelResult build_iomodel(nm::Host& host, NodeId target,
   obs::TraceRecorder* trace =
       obs != nullptr && obs->trace.enabled() ? &obs->trace : nullptr;
   auto m_reps = obs::MetricsRegistry::kNone;
-  auto m_dropped = obs::MetricsRegistry::kNone;
-  auto m_retries = obs::MetricsRegistry::kNone;
   auto m_probes_aborted = obs::MetricsRegistry::kNone;
   if (obs != nullptr) {
     m_reps = obs->metrics.counter("iomodel.reps");
-    m_dropped = obs->metrics.counter("iomodel.reps_dropped");
-    m_retries = obs->metrics.counter("iomodel.retries");
     m_probes_aborted = obs->metrics.counter("iomodel.probes_aborted");
   }
   const char dir_char = direction == Direction::kDeviceWrite ? 'w' : 'r';
+  // The synthetic timeline the trace records: each repetition advances it
+  // by its own copy duration.
+  sim::Ns clock = 0.0;
   obs::SpanId build_span = 0;
   if (trace != nullptr) {
     obs::EventFields fields;
     fields.node_a = target;
     fields.dir = dir_char;
-    fields.t_sim = config.start_time;
+    fields.t_sim = clock;
     fields.detail = direction == Direction::kDeviceWrite ? "write-model"
                                                          : "read-model";
     build_span = trace->begin_span("iomodel.build", config.obs_parent, fields);
   }
 
-  sim::Ns clock = config.start_time;
   sim::Rng master =
       sim::Rng(config.seed).fork(static_cast<std::uint64_t>(target),
                                  direction == Direction::kDeviceWrite ? 0u
@@ -78,8 +75,8 @@ IoModelResult build_iomodel(nm::Host& host, NodeId target,
     std::vector<nm::Buffer> buffers;
     buffers.reserve(static_cast<std::size_t>(2 * m));
     for (int p = 0; p < m; ++p) {
-      buffers.push_back(host.alloc_on_node(config.buffer_bytes, src));
-      buffers.push_back(host.alloc_on_node(config.buffer_bytes, snk));
+      buffers.push_back(host.alloc_on_node(kIoModelBufferBytes, src));
+      buffers.push_back(host.alloc_on_node(kIoModelBufferBytes, snk));
     }
 
     // Lines 11-14: m copy threads bound to the target node, all running
@@ -93,130 +90,50 @@ IoModelResult build_iomodel(nm::Host& host, NodeId target,
     task.engine = mem::CopyEngine::kStreaming;
     const sim::Gbps per_thread_cap = mem::copy_rate_cap(machine, task);
     const auto usages = mem::copy_usages(machine, task);
+    std::vector<sim::FlowId> flows;
+    flows.reserve(static_cast<std::size_t>(m));
+    for (int p = 0; p < m; ++p) {
+      flows.push_back(solver.add_flow(usages, per_thread_cap));
+    }
+    const auto& rates = solver.solve();
+    sim::Gbps aggregate = 0.0;
+    for (sim::FlowId f : flows) aggregate += rates[f];
+    for (sim::FlowId f : flows) solver.remove_flow(f);
 
-    const auto solve_aggregate = [&]() {
-      std::vector<sim::FlowId> flows;
-      flows.reserve(static_cast<std::size_t>(m));
-      for (int p = 0; p < m; ++p) {
-        flows.push_back(solver.add_flow(usages, per_thread_cap));
-      }
-      const auto& rates = solver.solve();
-      sim::Gbps total = 0.0;
-      for (sim::FlowId f : flows) total += rates[f];
-      for (sim::FlowId f : flows) solver.remove_flow(f);
-      return total;
-    };
-
-    faults::FaultInjector* injector = config.injector;
-    // Attribute a drop/retry to the most recent fault transition only when
-    // a fault (capacity or measurement noise) is actually active.
-    const auto fault_cause = [&](sim::Ns t) -> obs::EventId {
-      if (injector == nullptr) return 0;
-      if (!injector->any_capacity_fault_active(t) &&
-          injector->noise_amplification(t) <= 1.0) {
-        return 0;
-      }
-      return injector->last_transition_event();
-    };
-    if (injector != nullptr) injector->advance_to(clock);
-    sim::Gbps aggregate = solve_aggregate();
-    std::size_t solved_at =
-        injector != nullptr ? injector->transitions_applied() : 0;
-
-    // Bits one repetition moves; at the current aggregate rate this sets
-    // the rep's duration on the synthetic timeline.
+    // Bits one repetition moves; at the sample's rate this sets the rep's
+    // duration on the synthetic timeline.
     const double rep_bits = static_cast<double>(m) * 8.0 *
-                            static_cast<double>(config.buffer_bytes);
+                            static_cast<double>(kIoModelBufferBytes);
 
     sim::Rng rng = master.fork(static_cast<std::uint64_t>(i));
-    sim::Rng retry_rng = master.fork(static_cast<std::uint64_t>(i), 0x72u);
     std::vector<double> samples;
-    samples.reserve(static_cast<std::size_t>(config.repetitions));
-    int retries_total = 0;
-    int aborted_reps = 0;
+    samples.reserve(static_cast<std::size_t>(std::max(config.repetitions, 0)));
     for (int rep = 0; rep < config.repetitions; ++rep) {
-      bool recorded = false;
-      for (int attempt = 0;; ++attempt) {
-        if (injector != nullptr) {
-          injector->advance_to(clock);
-          if (injector->transitions_applied() != solved_at) {
-            // A fault boundary passed: the machine's capacities changed
-            // under us, so the contention solve must be repeated.
-            aggregate = solve_aggregate();
-            solved_at = injector->transitions_applied();
-          }
-        }
-        // Streaming copies are far steadier than PIO loops; the residual
-        // one-sided jitter is well under 1%. Active measurement-noise
-        // faults amplify it into the heavy-tailed regime.
-        const double amp =
-            injector != nullptr ? injector->noise_amplification(clock) : 1.0;
-        const double slowdown = std::abs(rng.normal(0.004, 0.003)) * amp;
-        const double sample = aggregate * (1.0 - std::min(slowdown, 0.8));
-        const sim::Ns duration =
-            sample > 0.0 ? rep_bits / sample
-                         : std::numeric_limits<double>::infinity();
-        const bool timed_out =
-            config.retry.timeout > 0.0 && duration > config.retry.timeout;
-        if (!timed_out) {
-          samples.push_back(sample);
-          if (obs != nullptr) obs->metrics.add(m_reps);
-          if (trace != nullptr) {
-            obs::EventFields fields;
-            fields.t_sim = clock;
-            trace->event("iomodel.rep", probe_span, 0, "ok", fields);
-          }
-          clock += std::isfinite(duration) ? duration : 0.0;
-          recorded = true;
-          break;
-        }
-        if (attempt >= config.retry.max_retries) {
-          if (obs != nullptr) {
-            obs->metrics.add(m_reps);
-            obs->metrics.add(m_dropped);
-          }
-          if (trace != nullptr) {
-            obs::EventFields fields;
-            fields.t_sim = clock;
-            fields.detail = "timeout, retry budget exhausted";
-            trace->event("iomodel.rep", probe_span, fault_cause(clock),
-                         "drop", fields);
-          }
-          clock += config.retry.timeout;  // the abort itself took this long
-          break;
-        }
-        ++retries_total;
-        if (obs != nullptr) obs->metrics.add(m_retries);
-        if (trace != nullptr) {
-          obs::EventFields fields;
-          fields.t_sim = clock;
-          fields.detail = "timeout";
-          trace->event("iomodel.retry", probe_span, fault_cause(clock),
-                       "retry", fields);
-        }
-        clock += config.retry.timeout +
-                 sim::backoff_delay(config.retry, attempt + 1, retry_rng);
+      // Streaming copies are far steadier than PIO loops; the residual
+      // one-sided jitter is well under 1%.
+      const double slowdown = std::abs(rng.normal(0.004, 0.003));
+      const double sample = aggregate * (1.0 - std::min(slowdown, 0.8));
+      samples.push_back(sample);
+      if (obs != nullptr) obs->metrics.add(m_reps);
+      if (trace != nullptr) {
+        obs::EventFields fields;
+        fields.t_sim = clock;
+        trace->event("iomodel.rep", probe_span, 0, "ok", fields);
       }
-      if (!recorded) ++aborted_reps;
+      if (sample > 0.0) clock += rep_bits / sample;
     }
 
     sim::MeasurementOutcome outcome;
-    outcome.retries = retries_total;
     if (samples.empty()) {
       outcome.ok = false;
       outcome.aborted = true;
       outcome.confidence = 0.0;
-      result.bw[static_cast<std::size_t>(i)] = 0.0;
+      result.degraded = true;
       if (obs != nullptr) obs->metrics.add(m_probes_aborted);
     } else {
       const sim::RobustSummary robust = sim::robust_summarize(samples);
       result.bw[static_cast<std::size_t>(i)] = robust.trimmed_mean;
-      double conf = 1.0;
-      if (robust.low_confidence) conf -= 0.3;
-      conf -= 0.5 * static_cast<double>(aborted_reps) /
-              static_cast<double>(config.repetitions);
-      conf -= std::min(0.2, 0.02 * retries_total);
-      outcome.confidence = std::clamp(conf, 0.05, 1.0);
+      outcome.confidence = robust.low_confidence ? 0.7 : 1.0;
       if (trace != nullptr) {
         obs::EventFields fields;
         fields.t_sim = clock;
@@ -227,9 +144,6 @@ IoModelResult build_iomodel(nm::Host& host, NodeId target,
         trace->event("iomodel.estimator", probe_span, 0,
                      robust.low_confidence ? "low-confidence" : "ok", fields);
       }
-    }
-    if (!outcome.ok || outcome.retries > 0 || outcome.confidence < 0.5) {
-      result.degraded = true;
     }
     result.outcomes[static_cast<std::size_t>(i)] = outcome;
     if (trace != nullptr) {

@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "faults/injector.h"
 #include "nm/host.h"
 #include "obs/obs.h"
 #include "simcore/retry.h"
@@ -32,27 +31,16 @@ enum class Direction {
   kDeviceRead,   ///< Device -> host memory: DMA engine writes host memory.
 };
 
+/// Per-thread buffer each copy moves per repetition. Like STREAM's arrays
+/// it must dwarf the LLC: each copy moves 64 MiB.
+inline constexpr sim::Bytes kIoModelBufferBytes = 64 * sim::kMiB;
+
 struct IoModelConfig {
   int repetitions = 100;
-  /// Per-thread buffer size. Must dwarf the LLC like STREAM's arrays; the
-  /// default moves 64 MiB per copy.
-  sim::Bytes buffer_bytes = 64 * sim::kMiB;
   std::uint64_t seed = 20130777;
-  /// Optional fault injector: repetitions run on a synthetic timeline
-  /// (each rep advances the clock by its own copy duration), faults active
-  /// at a rep's time degrade its solve and amplify its noise, and the
-  /// retry policy below bounds how long a rep may take. nullptr = the
-  /// fault-free Algorithm 1 (same noise draws, no timeouts).
-  faults::FaultInjector* injector = nullptr;
-  /// Where this measurement starts on the injector's timeline.
-  sim::Ns start_time = 0.0;
-  /// Per-rep timeout / bounded-retry policy (timeout 0 disables; a rep
-  /// whose projected duration exceeds the timeout is retried with backoff
-  /// and, once the budget is spent, dropped as an aborted sample).
-  sim::RetryPolicy retry{};
   /// Optional observability: an `iomodel.build` span wrapping per-node
-  /// `iomodel.probe` spans with per-rep accept/drop events and the
-  /// estimator choice, plus the iomodel.* counters. nullptr = silent.
+  /// `iomodel.probe` spans with per-rep events and the estimator choice,
+  /// plus the iomodel.* counters. nullptr = silent.
   obs::Context* obs = nullptr;
   /// Parent span for the `iomodel.build` span (e.g. a characterize span).
   obs::SpanId obs_parent = 0;
@@ -63,14 +51,14 @@ struct IoModelResult {
   Direction direction = Direction::kDeviceWrite;
   /// bw[i]: robust (trimmed-mean) aggregate bandwidth with the varied end
   /// on node i (source node for the write model, sink node for the read
-  /// model). Under faults, aborted reps are excluded; a node whose every
-  /// rep aborted reports 0 with outcome.aborted set.
+  /// model). A node with no repetition to average (repetitions < 1)
+  /// reports 0 with outcome.aborted set.
   std::vector<sim::Gbps> bw;
-  /// Per-node degraded-mode accounting: retries spent, abort status and a
-  /// confidence score discounted for dispersion, aborted reps and retries.
+  /// Per-node accounting: abort status and a confidence score discounted
+  /// for dispersion.
   std::vector<sim::MeasurementOutcome> outcomes;
-  /// True when any node's samples were degraded (aborts, retries or low
-  /// confidence) — the model should be treated as provisional.
+  /// True when any node's probe aborted — the model should be treated as
+  /// provisional.
   bool degraded = false;
 };
 

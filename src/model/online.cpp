@@ -33,11 +33,10 @@ OnlineScheduler::OnlineScheduler(nm::Host& host,
       read_classes_(std::move(read_classes)),
       config_(config),
       active_(static_cast<std::size_t>(host.num_configured_nodes()), 0) {
-  assert(config_.chunks_per_task > 0);
   write_pool_ = near_best_pool(write_classes_, write_classes_.class_avg,
-                               config_.class_tolerance);
+                               kOnlineClassTolerance);
   read_pool_ = near_best_pool(read_classes_, read_classes_.class_avg,
-                              config_.class_tolerance);
+                              kOnlineClassTolerance);
 }
 
 void OnlineScheduler::set_observer(obs::Context* obs) {
@@ -234,9 +233,9 @@ OnlineReport OnlineScheduler::run(std::span<const IoTask> tasks) {
     state.index = static_cast<int>(i);
     // Tiny tasks run as one chunk; others split for migration points.
     const int chunks =
-        tasks[i].bytes < static_cast<sim::Bytes>(config_.chunks_per_task)
+        tasks[i].bytes < static_cast<sim::Bytes>(kOnlineChunksPerTask)
             ? 1
-            : config_.chunks_per_task;
+            : kOnlineChunksPerTask;
     state.chunks_left = chunks;
     state.chunk_bytes = tasks[i].bytes / static_cast<sim::Bytes>(chunks);
     state.last_chunk_bytes =

@@ -37,15 +37,17 @@ enum class OnlinePolicy {
 
 std::string to_string(OnlinePolicy policy);
 
+/// Migration granularity: a task re-evaluates placement this many times
+/// (a task of fewer bytes runs as one chunk).
+inline constexpr int kOnlineChunksPerTask = 8;
+/// Classes whose model average is within this fraction of the best
+/// remote-aware class join the placement pool.
+inline constexpr double kOnlineClassTolerance = 0.25;
+
 struct OnlineConfig {
   OnlinePolicy policy = OnlinePolicy::kModelAdaptive;
-  /// Migration granularity: a task re-evaluates placement this many times.
-  int chunks_per_task = 8;
   /// Pause per migration (buffer re-registration, page moves).
   sim::Ns migration_cost = 2.0e6;  // 2 ms
-  /// Classes whose model average is within this fraction of the best
-  /// remote-aware class join the placement pool.
-  double class_tolerance = 0.25;
 };
 
 struct TaskOutcome {

@@ -148,7 +148,7 @@ std::string render_markdown(const RunReport& report,
     out << "|---|---|---|---|---|---|\n";
     int step_no = 0;
     for (const obs::CriticalPathStep& step : a.critical_path) {
-      if (++step_no > options.max_path_steps) {
+      if (++step_no > kReportPathSteps) {
         out << "| … | | ("
             << static_cast<int>(a.critical_path.size()) - step_no + 1
             << " more steps) | | | |\n";
@@ -265,9 +265,8 @@ std::string render_json(const RunReport& report,
   out << (a.span_kinds.empty() ? "]" : "\n  ]");
 
   out << ",\n  \"critical_path\": [";
-  const std::size_t steps =
-      std::min(a.critical_path.size(),
-               static_cast<std::size_t>(options.max_path_steps));
+  const std::size_t steps = std::min(
+      a.critical_path.size(), static_cast<std::size_t>(kReportPathSteps));
   for (std::size_t i = 0; i < steps; ++i) {
     const obs::CriticalPathStep& s = a.critical_path[i];
     out << (i == 0 ? "\n" : ",\n") << "    {\"id\": " << s.id

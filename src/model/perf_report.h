@@ -27,9 +27,11 @@
 
 namespace numaio::model {
 
+/// Critical-path rows a report renders.
+inline constexpr int kReportPathSteps = 16;
+
 struct RunReportOptions {
-  int top_contended = 5;    ///< Contention rows rendered (top-k by stall).
-  int max_path_steps = 16;  ///< Critical-path rows rendered.
+  int top_contended = 5;  ///< Contention rows rendered (top-k by stall).
 };
 
 struct RunReport {

@@ -56,9 +56,9 @@ std::string model_unusable_reason(const HostModel& model, NodeId target,
 
 Placement schedule_spread(const Classification& classes,
                           std::span<const sim::Gbps> class_values,
-                          int num_processes, const SpreadConfig& config) {
+                          int num_processes) {
   return round_robin(
-      near_best_pool(classes, class_values, config.class_tolerance),
+      near_best_pool(classes, class_values, kSpreadClassTolerance),
       num_processes);
 }
 
@@ -80,9 +80,8 @@ RobustPlacement schedule_robust(const HostModel& model,
   result.reason =
       model_unusable_reason(model, target, dir, class_values, config);
   if (result.reason.empty()) {
-    result.placement =
-        schedule_spread(model.classes_for(target, dir), class_values,
-                        num_processes, config.spread);
+    result.placement = schedule_spread(model.classes_for(target, dir),
+                                       class_values, num_processes);
   } else {
     result.used_fallback = true;
     // Round-robin over the best hop class (local + package neighbour).

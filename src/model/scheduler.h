@@ -22,12 +22,10 @@
 
 namespace numaio::model {
 
-struct SpreadConfig {
-  /// Classes whose probed value is within this fraction of the best
-  /// class's value join the placement pool ("almost identical
-  /// performance" in the paper's example).
-  double class_tolerance = 0.02;
-};
+/// Classes whose probed value is within this fraction of the best class's
+/// value join the spread's pool ("almost identical performance" in the
+/// paper's example).
+inline constexpr double kSpreadClassTolerance = 0.02;
 
 struct Placement {
   /// Binding node per process.
@@ -38,14 +36,13 @@ struct Placement {
 /// round-robin. `class_values` holds the probed I/O bandwidth per class.
 Placement schedule_spread(const Classification& classes,
                           std::span<const sim::Gbps> class_values,
-                          int num_processes, const SpreadConfig& config = {});
+                          int num_processes);
 
 /// The naive policy the paper argues against: everything on the
 /// device-local node.
 Placement schedule_all_local(NodeId device_node, int num_processes);
 
 struct RobustScheduleConfig {
-  SpreadConfig spread{};
   /// A model whose probe confidence for the target fell below this is
   /// treated as unusable and triggers the hop-distance fallback.
   double min_confidence = 0.5;

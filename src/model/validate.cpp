@@ -92,8 +92,7 @@ ValidationReport validate_methodology(io::Testbed& tb,
     const double spread = worst_class_spread(*cases[i].classes, sweeps[i]);
     report.claims.push_back(
         ClaimResult{std::string("class coherence ") + cases[i].engine,
-                    spread <= config.max_within_class_spread, spread,
-                    config.max_within_class_spread,
+                    spread <= 0.12, spread, 0.12,
                     "worst within-class relative spread"});
   }
 
@@ -128,8 +127,7 @@ ValidationReport validate_methodology(io::Testbed& tb,
         io::combined_aggregate(fio.run_concurrent({a, b}));
     const double eps = relative_error(predicted, measured);
     report.claims.push_back(ClaimResult{
-        "Eq.1 prediction error", eps <= config.max_prediction_error, eps,
-        config.max_prediction_error,
+        "Eq.1 prediction error", eps <= 0.08, eps, 0.08,
         "mixed RDMA_READ, " + std::to_string(predicted).substr(0, 6) +
             " predicted vs " + std::to_string(measured).substr(0, 6)});
   }

@@ -10,14 +10,13 @@ namespace numaio::model {
 std::vector<IoTask> generate_workload(const WorkloadConfig& config) {
   assert(config.num_tasks > 0);
   assert(!config.engine_mix.empty());
-  assert(config.min_bytes > 0 && config.min_bytes <= config.max_bytes);
 
   sim::Rng rng(config.seed);
   std::vector<IoTask> tasks;
   tasks.reserve(static_cast<std::size_t>(config.num_tasks));
   sim::Ns clock = 0.0;
-  const double log_min = std::log(static_cast<double>(config.min_bytes));
-  const double log_max = std::log(static_cast<double>(config.max_bytes));
+  const double log_min = std::log(static_cast<double>(kWorkloadMinBytes));
+  const double log_max = std::log(static_cast<double>(kWorkloadMaxBytes));
   for (int i = 0; i < config.num_tasks; ++i) {
     // Exponential interarrival via inverse transform.
     const double u = rng.uniform();

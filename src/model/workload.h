@@ -20,13 +20,15 @@ struct IoTask {
   sim::Ns arrival = 0.0;   ///< Absolute arrival time.
 };
 
+/// Task sizes are log-uniform over [4 GiB, 64 GiB].
+inline constexpr sim::Bytes kWorkloadMinBytes = 4 * sim::kGiB;
+inline constexpr sim::Bytes kWorkloadMaxBytes = 64 * sim::kGiB;
+
 struct WorkloadConfig {
   std::uint64_t seed = 20130601;
   int num_tasks = 40;
   /// Mean of the exponential interarrival distribution.
   sim::Ns mean_interarrival = 2.0e9;  // 2 seconds
-  sim::Bytes min_bytes = 4 * sim::kGiB;
-  sim::Bytes max_bytes = 64 * sim::kGiB;
   /// Engines drawn uniformly per task.
   std::vector<std::string> engine_mix;
 };

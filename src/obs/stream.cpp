@@ -163,6 +163,9 @@ void parse_into(std::string_view line, int line_no, Event& e,
   if (e.id == 0) cur.fail("record without an id");
 }
 
+/// Synthetic records pair node ids of an 8-node host.
+constexpr std::uint64_t kSyntheticNodes = 8;
+
 }  // namespace
 
 void JsonlFileSource::stream(TraceVisitor& visitor) {
@@ -211,7 +214,6 @@ void SyntheticTraceSource::stream(TraceVisitor& visitor) {
   const std::uint64_t total = std::max<std::uint64_t>(config_.records, 8);
   const std::size_t window =
       static_cast<std::size_t>(std::max(config_.concurrent_streams, 1));
-  const int nodes = std::max(config_.nodes, 2);
 
   // Inline xorshift64: the obs layer depends only on the standard
   // library, and a fixed recurrence keeps every pass bit-identical.
@@ -255,8 +257,8 @@ void SyntheticTraceSource::stream(TraceVisitor& visitor) {
     b.parent = root_id;
     b.kind = 'B';
     b.name = "synth.stream";
-    b.node_a = static_cast<int>(rng() % static_cast<std::uint64_t>(nodes));
-    b.node_b = static_cast<int>(rng() % static_cast<std::uint64_t>(nodes));
+    b.node_a = static_cast<int>(rng() % kSyntheticNodes);
+    b.node_b = static_cast<int>(rng() % kSyntheticNodes);
     b.dir = (rng() & 1) != 0 ? 'w' : 'r';
     b.t_sim = t;
     b.detail = "task " + std::to_string(b.id % 7);
@@ -349,7 +351,6 @@ void SyntheticTraceSource::stream_deep(TraceVisitor& visitor) {
       static_cast<std::uint64_t>(std::max(config_.depth, 2));
   const std::uint64_t fanout =
       static_cast<std::uint64_t>(std::max(config_.fanout, 1));
-  const int nodes = std::max(config_.nodes, 2);
 
   std::uint64_t state =
       config_.seed != 0 ? config_.seed : 0x9e3779b97f4a7c15ull;
@@ -400,10 +401,8 @@ void SyntheticTraceSource::stream_deep(TraceVisitor& visitor) {
                    ? "synth.leaf" + std::to_string(block % fanout)
                    : "synth.d" + std::to_string(level + 1);
       if (level + 1 == depth) {
-        b.node_a =
-            static_cast<int>(rng() % static_cast<std::uint64_t>(nodes));
-        b.node_b =
-            static_cast<int>(rng() % static_cast<std::uint64_t>(nodes));
+        b.node_a = static_cast<int>(rng() % kSyntheticNodes);
+        b.node_b = static_cast<int>(rng() % kSyntheticNodes);
         b.dir = (rng() & 1) != 0 ? 'w' : 'r';
       }
       b.t_sim = t;

@@ -121,7 +121,6 @@ class SinkVisitor final : public TraceVisitor {
 struct SyntheticTraceConfig {
   std::uint64_t records = 1000000;  ///< Total records emitted (min 8).
   int concurrent_streams = 32;      ///< Open-span window (excl. the root).
-  int nodes = 8;                    ///< Node ids drawn for transfer pairs.
   std::uint64_t seed = 42;          ///< Generator seed.
   /// depth > 1 switches to the deep-chain shape: consecutive blocks of
   /// `depth` nested spans (synth.d1;...;synth.leafK paths), the folded-

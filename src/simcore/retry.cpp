@@ -10,11 +10,9 @@ namespace numaio::sim {
 Ns backoff_delay(const RetryPolicy& policy, int attempt, Rng& rng) {
   assert(attempt >= 1);
   const double growth =
-      std::pow(policy.multiplier, static_cast<double>(attempt - 1));
+      std::pow(kBackoffMultiplier, static_cast<double>(attempt - 1));
   Ns delay = std::min(policy.base_backoff * growth, policy.max_backoff);
-  if (policy.jitter_frac > 0.0) {
-    delay *= rng.uniform(1.0 - policy.jitter_frac, 1.0 + policy.jitter_frac);
-  }
+  delay *= rng.uniform(1.0 - kBackoffJitter, 1.0 + kBackoffJitter);
   return std::max(delay, 0.0);
 }
 

@@ -4,7 +4,7 @@
 // number plus the story of how it was obtained: did the transfer finish in
 // one attempt, how many retries did it need, was it abandoned, and how much
 // should downstream consumers (classification, scheduling) trust it. Every
-// measuring layer (io::FioRunner streams, model::build_iomodel repetitions)
+// measuring layer (io::FioRunner streams, model::build_iomodel probes)
 // attaches a MeasurementOutcome to its samples; model::scheduler and
 // model::characterize read the outcomes to decide between the full model
 // and the hop-distance fallback.
@@ -18,6 +18,10 @@
 
 namespace numaio::sim {
 
+/// Backoff growth per retry, and its uniform +/- jitter fraction.
+inline constexpr double kBackoffMultiplier = 2.0;
+inline constexpr double kBackoffJitter = 0.25;
+
 /// Bounded retry with exponential backoff and jitter. `timeout` is the
 /// per-attempt budget (0 = no timeout); an attempt exceeding it is aborted
 /// and retried until `max_retries` attempts have been burned.
@@ -25,8 +29,6 @@ struct RetryPolicy {
   int max_retries = 3;          ///< Retries after the first attempt.
   Ns timeout = 0.0;             ///< Per-attempt budget; 0 = unlimited.
   Ns base_backoff = 1.0e6;      ///< First backoff (1 ms).
-  double multiplier = 2.0;      ///< Exponential growth per retry.
-  double jitter_frac = 0.25;    ///< Uniform +/- fraction around the delay.
   Ns max_backoff = 60.0e9;      ///< Ceiling on any single delay.
 };
 

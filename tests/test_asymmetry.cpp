@@ -75,7 +75,7 @@ TEST_F(AsymmetryTest, DescriptionsNameTheDirections) {
 
 TEST_F(AsymmetryTest, FullStreamMatrixAlsoDiagnosable) {
   // The same scan works on the STREAM matrix (§IV-A's asymmetry).
-  const auto bw = mem::stream_matrix(host_, mem::StreamConfig{});
+  const auto bw = mem::stream_matrix(host_);
   const auto pairs = find_asymmetric_pairs(bw, 1.15);
   ASSERT_FALSE(pairs.empty());
   bool found_74 = false;

@@ -12,7 +12,7 @@ namespace {
 class BaselinesTest : public ::testing::Test {
  protected:
   BaselinesTest() : tb_(io::Testbed::dl585()) {
-    bw_ = mem::stream_matrix(tb_.host(), mem::StreamConfig{});
+    bw_ = mem::stream_matrix(tb_.host());
   }
 
   std::vector<double> rdma_read_sweep() {

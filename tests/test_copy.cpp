@@ -85,6 +85,18 @@ TEST_F(CopyTest, ZeroThreadsMeansAllCores) {
                    copy_rate_cap(machine_, four));
 }
 
+TEST_F(CopyTest, FewerThreadsLowerBandwidth) {
+  // STREAM's PIO copy on a local binding is issue-bound: one thread
+  // moves a quarter of what four do.
+  CopyTask one{.threads_node = 5, .src_node = 5, .dst_node = 5,
+               .threads = 1, .engine = CopyEngine::kPio};
+  CopyTask four = one;
+  four.threads = 4;
+  const double r1 = run_copy_alone(machine_, one);
+  const double r4 = run_copy_alone(machine_, four);
+  EXPECT_NEAR(r1 * 4.0, r4, 0.05 * r4);
+}
+
 TEST_F(CopyTest, PioSplitSrcDstComposesLegs) {
   // Copy with distinct src/dst nodes: rate below either single-node rate
   // because the thread's issue budget is split across legs.

@@ -275,75 +275,7 @@ TEST(DegradedObservability, OnlineMigrationCitesActiveFault) {
             static_cast<double>(report.total_migrations));
 }
 
-// --- characterization under faults ---------------------------------------
-
-TEST(DegradedIoModel, TinyTimeoutAbortsEveryRepetition) {
-  io::Testbed tb = io::Testbed::dl585();
-  model::IoModelConfig config;
-  config.repetitions = 10;
-  config.retry.timeout = 1.0;  // 1 ns: every repetition times out
-  config.retry.max_retries = 2;
-  const model::IoModelResult result =
-      model::build_iomodel(tb.host(), 7, Direction::kDeviceWrite, config);
-  EXPECT_TRUE(result.degraded);
-  for (std::size_t i = 0; i < result.bw.size(); ++i) {
-    EXPECT_EQ(result.bw[i], 0.0) << i;
-    EXPECT_FALSE(result.outcomes[i].ok) << i;
-    EXPECT_TRUE(result.outcomes[i].aborted) << i;
-    EXPECT_EQ(result.outcomes[i].confidence, 0.0) << i;
-    EXPECT_EQ(result.outcomes[i].retries, 2 * config.repetitions) << i;
-  }
-}
-
-TEST(DegradedIoModel, CharacterizationUnderActiveFaultsCompletes) {
-  io::Testbed tb = io::Testbed::dl585();
-
-  // Fault-free reference run to size a per-rep timeout: generous for any
-  // healthy repetition, far too tight for a 10x-throttled one.
-  model::IoModelConfig reference;
-  reference.repetitions = 3;
-  const auto healthy =
-      model::build_iomodel(tb.host(), 7, Direction::kDeviceWrite, reference);
-  const int n = tb.host().num_configured_nodes();
-  const int m = tb.host().num_configured_cores() / n;
-  const double rep_bits =
-      static_cast<double>(m) * 8.0 * static_cast<double>(reference.buffer_bytes);
-  double worst_healthy = 0.0;
-  for (double bw : healthy.bw) {
-    worst_healthy = std::max(worst_healthy, rep_bits / bw);
-  }
-
-  faults::FaultPlan plan;
-  faults::FaultEvent amp;
-  amp.kind = faults::FaultKind::kMeasureNoise;
-  amp.start = 0.0;
-  amp.duration = 1.0e15;  // covers the whole synthetic timeline
-  amp.severity = 49.0;    // 50x noise amplification
-  plan.add(amp);
-  plan.add(mc_throttle(3, 0.0, 1.0e15, 0.9));
-  faults::FaultInjector injector(tb.machine(), std::move(plan));
-
-  model::IoModelConfig config;
-  config.repetitions = 30;
-  config.injector = &injector;
-  config.retry.timeout = 2.0 * worst_healthy;
-  config.retry.max_retries = 2;
-  const model::IoModelResult result =
-      model::build_iomodel(tb.host(), 7, Direction::kDeviceWrite, config);
-  injector.restore();
-
-  // The run completes with degraded marking instead of crashing or
-  // hanging: the throttled node's repetitions blow the timeout and are
-  // dropped as aborted, the rest survive with discounted confidence.
-  EXPECT_TRUE(result.degraded);
-  EXPECT_TRUE(result.outcomes[3].aborted);
-  EXPECT_EQ(result.bw[3], 0.0);
-  int clean = 0;
-  for (std::size_t i = 0; i < result.bw.size(); ++i) {
-    if (result.outcomes[i].ok && result.bw[i] > 0.0) ++clean;
-  }
-  EXPECT_GE(clean, n - 2);
-}
+// --- characterization -----------------------------------------------------
 
 TEST(DegradedIoModel, FaultFreeRunsAreDeterministicAndClean) {
   io::Testbed tb = io::Testbed::dl585();
@@ -546,27 +478,28 @@ TEST_F(OnlineDegradedTest, SpreadAvoidsThrottledPoolNodes) {
 
   model::OnlineConfig config;
   config.policy = model::OnlinePolicy::kModelSpread;
-  config.class_tolerance = 1.0;  // pool = every node, including node 0
 
-  // Fault-free: round-robin over the full pool lands tasks on node 0.
+  // Fault-free: round-robin over the default pool puts the first task on
+  // one pool node and other tasks on the others.
   model::OnlineScheduler plain(tb_.host(), tb_.nic(), write_classes_,
                                read_classes_, config);
   const auto baseline = plain.run(tasks);
-  bool used_node0 = false;
-  for (const auto& t : baseline.tasks) used_node0 |= (t.first_node == 0);
-  EXPECT_TRUE(used_node0);
+  const topo::NodeId victim = baseline.tasks[0].first_node;
+  int elsewhere = 0;
+  for (const auto& t : baseline.tasks) elsewhere += t.first_node != victim;
+  EXPECT_GT(elsewhere, 0);
 
-  // Node 0's memory controller is throttled for the whole run: the
+  // That node's memory controller is throttled for the whole run: the
   // model-driven policy must steer around it.
   faults::FaultPlan plan;
-  plan.add(mc_throttle(0, 0.0, 1.0e15, 0.9));
+  plan.add(mc_throttle(victim, 0.0, 1.0e15, 0.9));
   faults::FaultInjector injector(tb_.machine(), std::move(plan));
   model::OnlineScheduler degraded(tb_.host(), tb_.nic(), write_classes_,
                                   read_classes_, config);
   degraded.set_fault_injector(&injector);
   const auto report = degraded.run(tasks);
   for (const auto& t : report.tasks) {
-    EXPECT_NE(t.first_node, 0);
+    EXPECT_NE(t.first_node, victim);
     EXPECT_GT(t.completion, t.arrival);
   }
 }

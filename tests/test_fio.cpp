@@ -316,8 +316,9 @@ TEST_F(FioTest, LowerIodepthLowersSsdThroughput) {
 
 // A stall aborts the attempts in flight on its device; an attempt that is
 // only waiting out its backoff has not started and is left alone. The
-// first stall (2.0 s) aborts attempt 1, whose retry waits to start at
-// 3.0 s; the second stall (2.5 s) opens during that wait.
+// first stall (2.0 s) aborts attempt 1, whose retry waits out a 1 s
+// backoff jittered by at most 25%; the second stall (2.5 s) opens during
+// that wait.
 TEST_F(FioTest, DeviceStallLeavesAPendingAttemptAlone) {
   faults::FaultPlan plan;
   for (const sim::Ns start : {2.0e9, 2.5e9}) {
@@ -336,15 +337,30 @@ TEST_F(FioTest, DeviceStallLeavesAPendingAttemptAlone) {
   job.bytes_per_stream = 40 * sim::kGiB;
   job.retry.timeout = 60.0e9;
   job.retry.base_backoff = 1.0e9;
-  job.retry.jitter_frac = 0.0;
+  obs::MemorySink sink;
+  obs::Context ctx;
+  ctx.trace.set_sink(&sink);
   fio_.set_fault_injector(&injector);
+  fio_.set_observer(&ctx);
   const FioResult result = fio_.run(job);
   ASSERT_EQ(result.streams.size(), 1u);
   EXPECT_TRUE(result.streams.front().outcome.ok);
   EXPECT_EQ(result.streams.front().bytes_moved, 40 * sim::kGiB);
   EXPECT_EQ(result.total_retries, 1);
-  // Attempt 2 starts at 3.0 s, not at 4.5 s after a second backoff.
-  EXPECT_NEAR(result.duration, 30.1e9, 0.05e9);
+  // The one retry record gives the abort time and attempt 2's backoff.
+  const obs::Event* retry = nullptr;
+  for (const obs::Event& e : sink.events) {
+    if (e.name == "fio.retry") retry = &e;
+  }
+  ASSERT_NE(retry, nullptr);
+  ASSERT_TRUE(retry->detail.starts_with("backoff "));
+  const double backoff = std::stod(retry->detail.substr(8));
+  EXPECT_NEAR(retry->t_sim, 2.0e9, 1.0);
+  EXPECT_GE(backoff, 0.75e9);
+  EXPECT_LE(backoff, 1.25e9);
+  // Attempt 2 starts one backoff after the abort, not after a second
+  // one; the rest of the transfer then takes 27.1 s.
+  EXPECT_NEAR(result.duration, retry->t_sim + backoff + 27.1e9, 0.05e9);
 }
 
 // Property sweep: every engine x binding yields a positive aggregate that

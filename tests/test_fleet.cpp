@@ -264,7 +264,6 @@ BreakerConfig small_breaker() {
   BreakerConfig config;
   config.failure_threshold = 3;
   config.open_cooldown = 1.0e9;
-  config.probe_successes = 2;
   return config;
 }
 
@@ -272,7 +271,7 @@ TEST(CircuitBreakerTest, ConsecutiveFailuresTripSuccessResets) {
   CircuitBreaker b(small_breaker());
   b.on_failure(0.0, false, "timeout");
   b.on_failure(0.0, false, "timeout");
-  b.on_success(0.0, 1.0e6, false);  // streak broken
+  b.on_success(0.0, false);  // streak broken
   b.on_failure(0.0, false, "timeout");
   b.on_failure(0.0, false, "timeout");
   EXPECT_EQ(b.state(), BreakerState::kClosed);
@@ -296,11 +295,11 @@ TEST(CircuitBreakerTest, HalfOpenProbeSequencing) {
   bool probe2 = false;
   EXPECT_FALSE(b.try_acquire(1.0e9, &probe2));
 
-  b.on_success(1.1e9, 1.0e6, /*probe=*/true);
+  b.on_success(1.1e9, /*probe=*/true);
   EXPECT_EQ(b.state(), BreakerState::kHalfOpen);  // needs 2 successes
   ASSERT_TRUE(b.try_acquire(1.1e9, &probe));
   EXPECT_TRUE(probe);
-  b.on_success(1.2e9, 1.0e6, /*probe=*/true);
+  b.on_success(1.2e9, /*probe=*/true);
   EXPECT_EQ(b.state(), BreakerState::kClosed);
 }
 
@@ -316,18 +315,6 @@ TEST(CircuitBreakerTest, ProbeFailureReopensAndRestartsCooldown) {
   EXPECT_DOUBLE_EQ(b.reopen_at(), 2.1e9);
 }
 
-TEST(CircuitBreakerTest, P99BreachTripsOnceWindowIsFull) {
-  BreakerConfig config;
-  config.failure_threshold = 1000;  // only the p99 path can trip
-  config.p99_limit = 10.0e6;
-  config.latency_window = 4;
-  CircuitBreaker b(config);
-  for (int i = 0; i < 3; ++i) b.on_success(0.0, 50.0e6, false);
-  EXPECT_EQ(b.state(), BreakerState::kClosed);  // window not yet full
-  b.on_success(0.0, 50.0e6, false);
-  EXPECT_EQ(b.state(), BreakerState::kOpen);
-}
-
 TEST(CircuitBreakerTest, TransitionCallbackSeesEveryEdge) {
   CircuitBreaker b(small_breaker());
   std::vector<std::string> edges;
@@ -339,9 +326,9 @@ TEST(CircuitBreakerTest, TransitionCallbackSeesEveryEdge) {
   b.trip(0.0, "crash");
   bool probe = false;
   b.try_acquire(1.0e9, &probe);
-  b.on_success(1.1e9, 1e6, true);
+  b.on_success(1.1e9, true);
   b.try_acquire(1.1e9, &probe);
-  b.on_success(1.2e9, 1e6, true);
+  b.on_success(1.2e9, true);
   const std::vector<std::string> want = {"closed>open:crash",
                                          "open>half-open:cooldown",
                                          "half-open>closed:probes"};

@@ -62,9 +62,6 @@ FleetCase draw_case(std::uint64_t index) {
   cfg.retry.max_backoff = rng.uniform(20.0e6, 200.0e6);
   cfg.breaker.failure_threshold = 2 + pick(5);
   cfg.breaker.open_cooldown = rng.uniform(0.02e9, 0.5e9);
-  cfg.breaker.probe_successes = 1 + pick(3);
-  cfg.breaker.p99_limit =
-      pick(2) == 0 ? 0.0 : cfg.deadline * rng.uniform(0.3, 1.0);
   cfg.service_model = bit(0) ? ServiceModel::kCoarse : ServiceModel::kFluid;
   cfg.placement =
       bit(1) ? PlacementPolicy::kClassSpread : PlacementPolicy::kLeastLoaded;

@@ -11,14 +11,14 @@ namespace {
 mem::BandwidthMatrix measure_dl585() {
   fabric::Machine machine{fabric::dl585_profile()};
   nm::Host host{machine};
-  return mem::stream_matrix(host, mem::StreamConfig{});
+  return mem::stream_matrix(host);
 }
 
 mem::BandwidthMatrix measure_derived(char variant) {
   fabric::Machine machine{
       fabric::derived_profile(topo::magny_cours_4p(variant))};
   nm::Host host{machine};
-  return mem::stream_matrix(host, mem::StreamConfig{});
+  return mem::stream_matrix(host);
 }
 
 TEST(Inference, HopDistanceExplainsAnIdealizedHost) {

@@ -74,9 +74,8 @@ TEST_F(PaperClaims, MemcpyModelRanksReadEnginesWell) {
 TEST_F(PaperClaims, StreamModelsFailForRdmaRead) {
   // §IV-B2: RDMA_READ "does not match with neither the CPU centric model
   // nor memory centric model".
-  mem::StreamConfig config;
-  const auto cpu_model = mem::cpu_centric(testbed_.host(), 7, config);
-  const auto mem_model = mem::memory_centric(testbed_.host(), 7, config);
+  const auto cpu_model = mem::cpu_centric(testbed_.host(), 7);
+  const auto mem_model = mem::memory_centric(testbed_.host(), 7);
   const auto rdma_read = io_per_node(io::kRdmaRead);
 
   const auto read_model = model::build_iomodel(
@@ -88,8 +87,7 @@ TEST_F(PaperClaims, StreamModelsFailForRdmaRead) {
 
 TEST_F(PaperClaims, StreamRanksZeroOneAboveTwoThreeButRdmaReadInverts) {
   // The paper's sharpest mismatch example, in one assertion.
-  mem::StreamConfig config;
-  const auto mem_model = mem::memory_centric(testbed_.host(), 7, config);
+  const auto mem_model = mem::memory_centric(testbed_.host(), 7);
   const auto rdma_read = io_per_node(io::kRdmaRead);
   EXPECT_GT((mem_model[0] + mem_model[1]) / 2,
             (mem_model[2] + mem_model[3]) / 2 * 1.3);
@@ -101,8 +99,7 @@ TEST_F(PaperClaims, TcpSendFollowsCpuCentricShape) {
   // §IV-B1: "TCP send performance ... is close to that in the CPU centric
   // model" — at least in rank terms, and closer than the memory-centric
   // alternative is to RDMA_READ-style inversions.
-  mem::StreamConfig config;
-  const auto cpu_model = mem::cpu_centric(testbed_.host(), 7, config);
+  const auto cpu_model = mem::cpu_centric(testbed_.host(), 7);
   const auto tcp_send = io_per_node(io::kTcpSend);
   EXPECT_GT(model::spearman(cpu_model, tcp_send), 0.4);
   // Excluding the interrupt-loaded device node itself, the agreement is

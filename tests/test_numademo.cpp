@@ -101,15 +101,6 @@ TEST_F(NumademoTest, PolicyTableShapesAndOrdering) {
   }
 }
 
-TEST_F(NumademoTest, ThreadScalingForBandwidthModules) {
-  DemoConfig one;
-  one.threads = 1;
-  DemoConfig all;
-  const double r1 = run_demo(host_, DemoModule::kMemcpy, 3, 3, one).bandwidth;
-  const double r4 = run_demo(host_, DemoModule::kMemcpy, 3, 3, all).bandwidth;
-  EXPECT_NEAR(r4, 4.0 * r1, 1e-6);
-}
-
 // Property sweep: every module on every binding yields a positive rate not
 // exceeding the local memory-controller limit.
 class DemoSweep

@@ -141,10 +141,14 @@ TEST_F(OnlineTest, HigherMigrationCostReducesNothingButDelays) {
 }
 
 TEST_F(OnlineTest, SingleChunkDisablesMigration) {
-  const auto tasks = workload();
+  // A task of fewer bytes than kOnlineChunksPerTask runs as one chunk, so
+  // it never reaches a migration point.
+  auto tasks = workload();
+  for (IoTask& t : tasks) {
+    t.bytes = static_cast<sim::Bytes>(kOnlineChunksPerTask - 1);
+  }
   OnlineConfig config;
   config.policy = OnlinePolicy::kModelAdaptive;
-  config.chunks_per_task = 1;
   OnlineScheduler scheduler(tb_.host(), tb_.nic(), write_classes_,
                             read_classes_, config);
   EXPECT_EQ(scheduler.run(tasks).total_migrations, 0);

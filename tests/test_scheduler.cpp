@@ -96,27 +96,17 @@ TEST_F(SchedulerEndToEnd, SpreadBeatsAllLocalForTcp) {
 TEST_F(SchedulerEndToEnd, TightToleranceKeepsOnlyBestClass) {
   // With probed values {23.3, 23.3, 17.1}-ish, a zero tolerance still
   // pools classes 1 and 2 (they tie); a synthetic value set with class 2
-  // slightly lower excludes it.
+  // slightly lower excludes it under the spread's 2% tolerance.
   const std::vector<sim::Gbps> values{23.3, 22.0, 17.1};
-  SpreadConfig tight;
-  tight.class_tolerance = 0.01;
-  const Placement p = schedule_spread(classes_, values, 4, tight);
+  const Placement p = schedule_spread(classes_, values, 4);
   EXPECT_EQ(p.nodes, (std::vector<NodeId>{6, 7, 6, 7}));
 }
 
 TEST_F(SchedulerEndToEnd, LooseToleranceAdmitsEverything) {
-  const std::vector<sim::Gbps> values{23.3, 23.2, 17.1};
-  SpreadConfig loose;
-  loose.class_tolerance = 0.5;
-  const Placement p = schedule_spread(classes_, values, 8);
-  (void)loose;
-  const Placement all = schedule_spread(classes_, values, 8, loose);
-  EXPECT_EQ(all.nodes.size(), 8u);
   // With every class admitted the pool is all 8 nodes.
-  std::vector<NodeId> sorted = all.nodes;
-  std::sort(sorted.begin(), sorted.end());
-  EXPECT_EQ(sorted, (std::vector<NodeId>{0, 1, 2, 3, 4, 5, 6, 7}));
-  (void)p;
+  const std::vector<sim::Gbps> values{23.3, 23.2, 17.1};
+  EXPECT_EQ(near_best_pool(classes_, values, 0.5),
+            (std::vector<NodeId>{0, 1, 2, 3, 4, 5, 6, 7}));
 }
 
 }  // namespace

@@ -37,9 +37,14 @@ TEST(Validate, StrictThresholdsCanFail) {
   ValidateConfig impossible;
   impossible.iomodel_repetitions = 5;
   impossible.min_offloaded_spearman = 0.9999;
-  impossible.max_prediction_error = 1e-6;
   const auto report = validate_methodology(tb, impossible);
   EXPECT_FALSE(report.all_passed());
+  // The Spearman bound is the one the config tightened.
+  bool rank_failed = false;
+  for (const ClaimResult& c : report.claims) {
+    if (c.name.starts_with("rank agreement") && !c.passed) rank_failed = true;
+  }
+  EXPECT_TRUE(rank_failed);
   EXPECT_NE(report.to_string().find("NOT validated"), std::string::npos);
 }
 

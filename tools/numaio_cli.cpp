@@ -14,7 +14,9 @@
 //
 // The global options (--trace-out, --metrics-out, --prom-out, --chrome-out,
 // --trace-deterministic) thread the observability layer of src/obs through
-// the measurement pipeline of any subcommand.
+// the measurement pipeline of every subcommand whose library calls take a
+// context; `hardware`, `stream-matrix`, `demo` and `validate` accept them
+// but trace no records.
 //
 // Everything runs against the simulated DL585 testbed; on real hardware
 // the same library calls would sit on top of libnuma (see DESIGN.md).
@@ -149,6 +151,7 @@ int usage() {
       "                                   exposition format\n"
       "  --chrome-out FILE                write the trace as Chrome\n"
       "                                   trace-event JSON (Perfetto)\n"
+      "  (hardware, stream-matrix, demo and validate trace no records)\n"
       "every subcommand rejects an unknown option, a flag without its value\n"
       "and an out-of-range or out-of-set value with exit 2\n"
       "exit codes: 0 ok, 1 runtime failure, 2 usage, 3 unreadable file,\n"
@@ -317,7 +320,7 @@ int cmd_hardware(io::Testbed& tb, const Args& args) {
 
 int cmd_stream_matrix(io::Testbed& tb, const Args& args) {
   args.finish();
-  const auto m = mem::stream_matrix(tb.host(), mem::StreamConfig{});
+  const auto m = mem::stream_matrix(tb.host());
   std::printf("%s", model::format_matrix(m).c_str());
   return 0;
 }
@@ -425,12 +428,14 @@ int cmd_classes(Args& args) {
   return 0;
 }
 
-int cmd_asymmetry(io::Testbed& tb, Args& args) {
+int cmd_asymmetry(io::Testbed& tb, obs::Context& ctx, Args& args) {
   const int target = args.take("--target", 7);
   const double min_ratio = args.take("--min-ratio", 1.15);
   args.finish();
   check_node("--target", target, tb.machine().num_nodes());
-  const auto m = model::iomodel_matrix(tb.host(), target);
+  model::IoModelConfig config;
+  config.obs = &ctx;
+  const auto m = model::iomodel_matrix(tb.host(), target, config);
   const auto pairs = model::find_asymmetric_pairs(m, min_ratio);
   if (pairs.empty()) {
     std::printf("no directional asymmetry above %.2fx around node %d\n",
@@ -1088,7 +1093,7 @@ int dispatch(const std::string& cmd, Args& args, obs::Context& ctx,
   if (cmd == "replay") return cmd_replay(tb, ctx, args);
   if (cmd == "online") return cmd_online(tb, ctx, args);
   if (cmd == "validate") return cmd_validate(tb, args);
-  if (cmd == "asymmetry") return cmd_asymmetry(tb, args);
+  if (cmd == "asymmetry") return cmd_asymmetry(tb, ctx, args);
   return -1;
 }
 
