@@ -1,12 +1,8 @@
 #include "model/characterize.h"
 
-#include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <iomanip>
-#include <limits>
 #include <sstream>
-#include <stdexcept>
 #include <string_view>
 #include <system_error>
 
@@ -32,6 +28,9 @@ const char* dir_name(Direction dir) {
 
 HostModel characterize_host(nm::Host& host,
                             const CharacterizeConfig& config) {
+  if (const Status status = config.iomodel.validate(); !status.ok()) {
+    throw StatusError(status);
+  }
   obs::Context* obs = config.iomodel.obs;
   obs::SpanId span = 0;
   if (obs != nullptr) {
@@ -59,120 +58,15 @@ HostModel characterize_host(nm::Host& host,
     model.read_classes.push_back(classify(model.read_models.back(), topo));
   }
   if (obs != nullptr && obs->trace.enabled()) {
-    bool degraded = false;
-    for (const IoModelResult& m : model.write_models) degraded |= m.degraded;
-    for (const IoModelResult& m : model.read_models) degraded |= m.degraded;
-    obs->trace.end_span(span, degraded ? "degraded" : "ok");
+    obs->trace.end_span(span, "ok");
   }
   return model;
-}
-
-DriftReport check_drift(nm::Host& host, HostModel& model, NodeId target,
-                        Direction dir, const DriftConfig& config) {
-  DriftReport report;
-  const IoModelResult& stored = model.model_for(target, dir);
-  const Classification& classes = model.classes_for(target, dir);
-
-  obs::Context* obs = config.iomodel.obs;
-  obs::TraceRecorder* trace =
-      obs != nullptr && obs->trace.enabled() ? &obs->trace : nullptr;
-  const auto m_drift_flags =
-      obs != nullptr ? obs->metrics.counter("characterize.drift_flags")
-                     : obs::MetricsRegistry::kNone;
-
-  // One fresh measurement run covers every class's representative.
-  const IoModelResult fresh = build_iomodel(host, target, dir, config.iomodel);
-
-  for (int cls = 0; cls < classes.num_classes(); ++cls) {
-    const NodeId probe =
-        classes.classes[static_cast<std::size_t>(cls)].front();
-    const auto p = static_cast<std::size_t>(probe);
-    char buf[160];
-    if (p < fresh.outcomes.size() && !fresh.outcomes[p].ok) {
-      // An aborted probe is no evidence of drift — just of a bad day.
-      std::snprintf(buf, sizeof buf,
-                    "class %d node %d probe aborted (%d retries)", cls,
-                    probe, fresh.outcomes[p].retries);
-      report.notes.emplace_back(buf);
-      if (trace != nullptr) {
-        obs::EventFields fields;
-        fields.node_a = probe;
-        fields.node_b = target;
-        fields.detail = report.notes.back();
-        trace->event("drift.probe", config.iomodel.obs_parent, 0, "aborted",
-                     fields);
-      }
-      continue;
-    }
-    const double old_bw = stored.bw[p];
-    const double new_bw = fresh.bw[p];
-    const double rel = old_bw > 0.0
-                           ? std::abs(new_bw - old_bw) / old_bw
-                           : std::numeric_limits<double>::infinity();
-    // Boundary check: a probe may drift within tolerance of its own old
-    // value yet land inside another class's bandwidth band — that moves a
-    // class boundary, which is what placement decisions key off.
-    const auto [lo, hi] = classes.class_range[static_cast<std::size_t>(cls)];
-    const bool outside_class = new_bw < lo * (1.0 - config.rel_tolerance) ||
-                               new_bw > hi * (1.0 + config.rel_tolerance);
-    const bool moved = rel > config.rel_tolerance || outside_class;
-    std::snprintf(buf, sizeof buf,
-                  "class %d node %d: %9.3f -> %9.3f Gbps (%+.1f%%)%s", cls,
-                  probe, old_bw, new_bw, 100.0 * (new_bw - old_bw) / old_bw,
-                  moved ? " DRIFT" : "");
-    report.notes.emplace_back(buf);
-    if (moved) {
-      report.drifted = true;
-      if (obs != nullptr) obs->metrics.add(m_drift_flags);
-    }
-    if (trace != nullptr) {
-      obs::EventFields fields;
-      fields.node_a = probe;
-      fields.node_b = target;
-      fields.detail = report.notes.back();
-      trace->event("drift.probe", config.iomodel.obs_parent, 0,
-                   moved ? "drift" : "steady", fields);
-    }
-  }
-  if (report.drifted) model.stale = true;
-  return report;
-}
-
-bool refresh_if_drifted(nm::Host& host, HostModel& model,
-                        const CharacterizeConfig& config,
-                        const DriftConfig& drift) {
-  bool drifted = false;
-  for (NodeId target = 0; target < model.num_nodes; ++target) {
-    drifted |= check_drift(host, model, target, Direction::kDeviceWrite,
-                           drift).drifted;
-    drifted |= check_drift(host, model, target, Direction::kDeviceRead,
-                           drift).drifted;
-  }
-  if (!drifted) return false;
-  const int revision = model.revision;
-  model = characterize_host(host, config);
-  model.revision = revision + 1;
-  model.stale = false;
-  if (obs::Context* obs = config.iomodel.obs; obs != nullptr) {
-    obs->metrics.add(obs->metrics.counter("model.refreshes"));
-    if (obs->trace.enabled()) {
-      obs::EventFields fields;
-      fields.detail = "revision " + std::to_string(model.revision);
-      obs->trace.event("model.refresh", config.iomodel.obs_parent, 0,
-                       "refreshed", fields);
-    }
-  }
-  return true;
 }
 
 std::string serialize(const HostModel& model) {
   std::ostringstream out;
   out << "numaio-model v1\n";
   out << "host " << model.host_name << " nodes " << model.num_nodes << '\n';
-  if (model.revision != 1 || model.stale) {
-    out << "status " << model.revision << ' '
-        << (model.stale ? "stale" : "fresh") << '\n';
-  }
   auto emit = [&](const IoModelResult& m, const Classification& c,
                   Direction dir) {
     out << "model " << m.target << ' ' << dir_name(dir);
@@ -249,15 +143,6 @@ HostModel parse_host_model(const std::string& text) {
   while (next_line() && line != "end") {
     const std::vector<std::string_view> words = obs::text::split_words(line);
     if (words.size() < 3) fail(line_no, "malformed record header");
-    if (words[0] == "status") {
-      if (words.size() != 3 || (words[2] != "fresh" && words[2] != "stale")) {
-        fail(line_no, "malformed status line");
-      }
-      model.revision = read_int(words[1], 1, std::numeric_limits<int>::max(),
-                                "revision");
-      model.stale = words[2] == "stale";
-      continue;
-    }
     const int target =
         read_int(words[1], 0, model.num_nodes - 1, "target node");
     const std::string_view dir = words[2];

@@ -2,9 +2,17 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <limits>
 
 namespace numaio::model {
+
+Status ClassifyConfig::validate() const {
+  if (!std::isfinite(rel_gap) || rel_gap < 0.0 || rel_gap > 1.0) {
+    return Status{StatusCode::kUsage, "rel_gap must be finite and in [0, 1]"};
+  }
+  return Status{};
+}
 
 Classification classify(const IoModelResult& model,
                         const topo::Topology& topo,
@@ -15,6 +23,9 @@ Classification classify(const IoModelResult& model,
 Classification classify_values(std::span<const sim::Gbps> bw, NodeId target,
                                const topo::Topology& topo,
                                const ClassifyConfig& config) {
+  if (const Status status = config.validate(); !status.ok()) {
+    throw StatusError(status);
+  }
   const int n = static_cast<int>(bw.size());
   assert(n == topo.num_nodes());
   assert(target >= 0 && target < n);

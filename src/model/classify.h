@@ -20,6 +20,10 @@ namespace numaio::model {
 struct ClassifyConfig {
   /// Relative gap that opens a new class among remote nodes.
   double rel_gap = 0.08;
+
+  /// ok(), or kUsage naming `rel_gap` when it is not a finite value in
+  /// [0, 1].
+  Status validate() const;
 };
 
 struct Classification {
@@ -42,7 +46,8 @@ Classification classify(const IoModelResult& model,
                         const topo::Topology& topo,
                         const ClassifyConfig& config = {});
 
-/// Generic form over a raw per-node bandwidth vector.
+/// Generic form over a raw per-node bandwidth vector. Both forms throw
+/// StatusError(kUsage) when config.validate() fails.
 Classification classify_values(std::span<const sim::Gbps> bw, NodeId target,
                                const topo::Topology& topo,
                                const ClassifyConfig& config = {});

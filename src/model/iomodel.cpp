@@ -12,8 +12,18 @@
 
 namespace numaio::model {
 
+Status IoModelConfig::validate() const {
+  if (repetitions < 1) {
+    return Status{StatusCode::kUsage, "repetitions must be >= 1"};
+  }
+  return Status{};
+}
+
 IoModelResult build_iomodel(nm::Host& host, NodeId target,
                             Direction direction, const IoModelConfig& config) {
+  if (const Status status = config.validate(); !status.ok()) {
+    throw StatusError(status);
+  }
   fabric::Machine& machine = host.machine();
   auto& solver = machine.solver();
 
@@ -25,18 +35,12 @@ IoModelResult build_iomodel(nm::Host& host, NodeId target,
   result.target = target;
   result.direction = direction;
   result.bw.assign(static_cast<std::size_t>(n), 0.0);
-  result.outcomes.assign(static_cast<std::size_t>(n),
-                         sim::MeasurementOutcome{});
 
   obs::Context* obs = config.obs;
   obs::TraceRecorder* trace =
       obs != nullptr && obs->trace.enabled() ? &obs->trace : nullptr;
-  auto m_reps = obs::MetricsRegistry::kNone;
-  auto m_probes_aborted = obs::MetricsRegistry::kNone;
-  if (obs != nullptr) {
-    m_reps = obs->metrics.counter("iomodel.reps");
-    m_probes_aborted = obs->metrics.counter("iomodel.probes_aborted");
-  }
+  const auto m_reps = obs != nullptr ? obs->metrics.counter("iomodel.reps")
+                                     : obs::MetricsRegistry::kNone;
   const char dir_char = direction == Direction::kDeviceWrite ? 'w' : 'r';
   // The synthetic timeline the trace records: each repetition advances it
   // by its own copy duration.
@@ -107,7 +111,7 @@ IoModelResult build_iomodel(nm::Host& host, NodeId target,
 
     sim::Rng rng = master.fork(static_cast<std::uint64_t>(i));
     std::vector<double> samples;
-    samples.reserve(static_cast<std::size_t>(std::max(config.repetitions, 0)));
+    samples.reserve(static_cast<std::size_t>(config.repetitions));
     for (int rep = 0; rep < config.repetitions; ++rep) {
       // Streaming copies are far steadier than PIO loops; the residual
       // one-sided jitter is well under 1%.
@@ -123,33 +127,20 @@ IoModelResult build_iomodel(nm::Host& host, NodeId target,
       if (sample > 0.0) clock += rep_bits / sample;
     }
 
-    sim::MeasurementOutcome outcome;
-    if (samples.empty()) {
-      outcome.ok = false;
-      outcome.aborted = true;
-      outcome.confidence = 0.0;
-      result.degraded = true;
-      if (obs != nullptr) obs->metrics.add(m_probes_aborted);
-    } else {
-      const sim::RobustSummary robust = sim::robust_summarize(samples);
-      result.bw[static_cast<std::size_t>(i)] = robust.trimmed_mean;
-      outcome.confidence = robust.low_confidence ? 0.7 : 1.0;
-      if (trace != nullptr) {
-        obs::EventFields fields;
-        fields.t_sim = clock;
-        const std::string detail =
-            "trimmed_mean over " + std::to_string(samples.size()) + " of " +
-            std::to_string(config.repetitions) + " reps";
-        fields.detail = detail;
-        trace->event("iomodel.estimator", probe_span, 0,
-                     robust.low_confidence ? "low-confidence" : "ok", fields);
-      }
-    }
-    result.outcomes[static_cast<std::size_t>(i)] = outcome;
+    const sim::RobustSummary robust = sim::robust_summarize(samples);
+    result.bw[static_cast<std::size_t>(i)] = robust.trimmed_mean;
     if (trace != nullptr) {
       obs::EventFields fields;
       fields.t_sim = clock;
-      trace->end_span(probe_span, outcome.aborted ? "aborted" : "ok", fields);
+      const std::string detail =
+          "trimmed_mean over " + std::to_string(samples.size()) + " of " +
+          std::to_string(config.repetitions) + " reps";
+      fields.detail = detail;
+      trace->event("iomodel.estimator", probe_span, 0,
+                   robust.low_confidence ? "low-confidence" : "ok", fields);
+      obs::EventFields end;
+      end.t_sim = clock;
+      trace->end_span(probe_span, "ok", end);
     }
 
     for (auto& b : buffers) host.free(b);
@@ -157,7 +148,7 @@ IoModelResult build_iomodel(nm::Host& host, NodeId target,
   if (trace != nullptr) {
     obs::EventFields fields;
     fields.t_sim = clock;
-    trace->end_span(build_span, result.degraded ? "degraded" : "ok", fields);
+    trace->end_span(build_span, "ok", fields);
   }
   return result;
 }

@@ -19,7 +19,7 @@
 
 #include "nm/host.h"
 #include "obs/obs.h"
-#include "simcore/retry.h"
+#include "simcore/status.h"
 #include "simcore/units.h"
 
 namespace numaio::model {
@@ -44,6 +44,10 @@ struct IoModelConfig {
   obs::Context* obs = nullptr;
   /// Parent span for the `iomodel.build` span (e.g. a characterize span).
   obs::SpanId obs_parent = 0;
+
+  /// ok(), or kUsage naming `repetitions` when it is below 1: Algorithm 1
+  /// averages at least one repetition per node.
+  Status validate() const;
 };
 
 struct IoModelResult {
@@ -51,18 +55,13 @@ struct IoModelResult {
   Direction direction = Direction::kDeviceWrite;
   /// bw[i]: robust (trimmed-mean) aggregate bandwidth with the varied end
   /// on node i (source node for the write model, sink node for the read
-  /// model). A node with no repetition to average (repetitions < 1)
-  /// reports 0 with outcome.aborted set.
+  /// model).
   std::vector<sim::Gbps> bw;
-  /// Per-node accounting: abort status and a confidence score discounted
-  /// for dispersion.
-  std::vector<sim::MeasurementOutcome> outcomes;
-  /// True when any node's probe aborted — the model should be treated as
-  /// provisional.
-  bool degraded = false;
 };
 
-/// Runs Algorithm 1 for one target node and direction.
+/// Runs Algorithm 1 for one target node and direction. Throws
+/// StatusError(kUsage) when config.validate() fails, before any span
+/// opens or any buffer is allocated.
 IoModelResult build_iomodel(nm::Host& host, NodeId target,
                             Direction direction,
                             const IoModelConfig& config = {});

@@ -112,9 +112,7 @@ std::string render_markdown(const RunReport& report,
 
   if (report.has_model) {
     out << "\n## Performance classes (" << report.model.host_name << ", "
-        << report.model.num_nodes << " nodes, revision "
-        << report.model.revision << (report.model.stale ? ", STALE" : "")
-        << ")\n\n";
+        << report.model.num_nodes << " nodes)\n\n";
     out << "| target | dir | classes | class avg Gbps |\n";
     out << "|---|---|---|---|\n";
     for (NodeId t = 0; t < report.model.num_nodes; ++t) {

@@ -2,8 +2,8 @@
 // run measure, what dominated its time, and what got in the way".
 //
 // The paper's deliverables are the Tables IV/V class structure and the
-// Eq. 1 validation; the degraded-mode PRs added retries, aborts and
-// fault-shaped estimates on top. A RunReport bundles all of it —
+// Eq. 1 validation; fio's degraded mode adds retries and aborts under
+// faults on top. A RunReport bundles all of it —
 //
 //   - the class table of the characterized host (when the run built one),
 //   - the trace analysis: span aggregates, the critical path with real

@@ -55,6 +55,9 @@ std::string ValidationReport::to_string() const {
 
 ValidationReport validate_methodology(io::Testbed& tb,
                                       const ValidateConfig& config) {
+  if (config.iomodel_repetitions < 1) {
+    throw StatusError(StatusCode::kUsage, "iomodel_repetitions must be >= 1");
+  }
   ValidationReport report;
   const NodeId device_node = tb.device_node();
   IoModelConfig model_config;

@@ -48,7 +48,8 @@ struct ValidateConfig {
 /// Runs the full validation chain on a testbed. Exercises the NIC and SSD
 /// engines; leaves the testbed state unchanged. The other bounds are
 /// fixed: at most 12% measured spread within a class, at most 8% Eq.-1
-/// error and a cost ratio of at most 0.75.
+/// error and a cost ratio of at most 0.75. Throws StatusError(kUsage)
+/// naming `iomodel_repetitions` when it is below 1, before any work.
 ValidationReport validate_methodology(io::Testbed& testbed,
                                       const ValidateConfig& config = {});
 

@@ -1,15 +1,27 @@
 #include "model/workload.h"
 
-#include <cassert>
 #include <cmath>
 
 #include "simcore/rng.h"
 
 namespace numaio::model {
 
+Status WorkloadConfig::validate() const {
+  const auto usage = [](const char* message) {
+    return Status{StatusCode::kUsage, message};
+  };
+  if (num_tasks < 1) return usage("num_tasks must be >= 1");
+  if (engine_mix.empty()) return usage("engine_mix must not be empty");
+  if (!std::isfinite(mean_interarrival) || mean_interarrival <= 0.0) {
+    return usage("mean_interarrival must be finite and > 0");
+  }
+  return Status{};
+}
+
 std::vector<IoTask> generate_workload(const WorkloadConfig& config) {
-  assert(config.num_tasks > 0);
-  assert(!config.engine_mix.empty());
+  if (const Status status = config.validate(); !status.ok()) {
+    throw StatusError(status);
+  }
 
   sim::Rng rng(config.seed);
   std::vector<IoTask> tasks;

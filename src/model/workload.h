@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "simcore/status.h"
 #include "simcore/units.h"
 
 namespace numaio::model {
@@ -31,11 +32,17 @@ struct WorkloadConfig {
   sim::Ns mean_interarrival = 2.0e9;  // 2 seconds
   /// Engines drawn uniformly per task.
   std::vector<std::string> engine_mix;
+
+  /// ok(), or kUsage naming the first bad field: `num_tasks` below 1, an
+  /// empty `engine_mix`, or a `mean_interarrival` that is not finite
+  /// and > 0.
+  Status validate() const;
 };
 
 /// Generates `num_tasks` tasks with exponential interarrivals and
 /// log-uniform sizes, cycling deterministically through the engine mix
-/// weights via the seeded RNG.
+/// weights via the seeded RNG. Throws StatusError(kUsage) when
+/// config.validate() fails.
 std::vector<IoTask> generate_workload(const WorkloadConfig& config);
 
 }  // namespace numaio::model

@@ -2,9 +2,9 @@
 //
 // The paper's methodology stands on *attributable* bandwidth numbers
 // (Algorithm 1's per-node samples, Eq. 1's 3.1% validation); once the
-// degraded-mode paths landed (retries, timed-out repetitions, stale-model
-// fallbacks) a reported Gbps stopped telling the whole story. A
-// TraceRecorder captures that story as a flat stream of records:
+// degraded-mode paths landed (retries, timed-out streams, migrations) a
+// reported Gbps stopped telling the whole story. A TraceRecorder
+// captures that story as a flat stream of records:
 //
 //   span begin  ('B')  an operation opens: a fio job, one of its streams,
 //                      an Algorithm 1 probe, an online-scheduler run;

@@ -3,11 +3,9 @@
 // Under fault injection a bandwidth sample is no longer a number — it is a
 // number plus the story of how it was obtained: did the transfer finish in
 // one attempt, how many retries did it need, was it abandoned, and how much
-// should downstream consumers (classification, scheduling) trust it. Every
-// measuring layer (io::FioRunner streams, model::build_iomodel probes)
-// attaches a MeasurementOutcome to its samples; model::scheduler and
-// model::characterize read the outcomes to decide between the full model
-// and the hop-distance fallback.
+// should a reader trust it. io::FioRunner attaches a MeasurementOutcome to
+// each stream; `numaio_cli faults` prints them. Algorithm 1
+// (model::build_iomodel) runs fault-free and records none.
 #pragma once
 
 #include <cstdint>

@@ -29,8 +29,8 @@ TEST_F(CharacterizeTest, CoversEveryNodeBothDirections) {
   ASSERT_EQ(model_.write_models.size(), 8u);
   ASSERT_EQ(model_.read_models.size(), 8u);
   for (NodeId t = 0; t < 8; ++t) {
-    EXPECT_EQ(model_.model_for(t, Direction::kDeviceWrite).target, t);
-    EXPECT_EQ(model_.model_for(t, Direction::kDeviceRead).target, t);
+    EXPECT_EQ(model_.write_models[static_cast<std::size_t>(t)].target, t);
+    EXPECT_EQ(model_.read_models[static_cast<std::size_t>(t)].target, t);
     EXPECT_EQ(model_.classes_for(t, Direction::kDeviceWrite)
                   .classes.front()
                   .size() +
@@ -44,7 +44,7 @@ TEST_F(CharacterizeTest, Node7MatchesSingleTargetRun) {
   quick.repetitions = 5;
   const auto direct =
       build_iomodel(host_, 7, Direction::kDeviceRead, quick);
-  const auto& from_sweep = model_.model_for(7, Direction::kDeviceRead);
+  const auto& from_sweep = model_.read_models[7];
   for (std::size_t i = 0; i < 8; ++i) {
     EXPECT_DOUBLE_EQ(direct.bw[i], from_sweep.bw[i]);
   }
@@ -55,14 +55,17 @@ TEST_F(CharacterizeTest, SerializeRoundTripsExactly) {
   const HostModel parsed = parse_host_model(text);
   EXPECT_EQ(parsed.host_name, model_.host_name);
   EXPECT_EQ(parsed.num_nodes, model_.num_nodes);
+  for (std::size_t t = 0; t < 8; ++t) {
+    for (std::size_t i = 0; i < 8; ++i) {
+      EXPECT_DOUBLE_EQ(model_.write_models[t].bw[i],
+                       parsed.write_models[t].bw[i]) << t;
+      EXPECT_DOUBLE_EQ(model_.read_models[t].bw[i],
+                       parsed.read_models[t].bw[i]) << t;
+    }
+  }
   for (NodeId t = 0; t < 8; ++t) {
     for (Direction dir :
          {Direction::kDeviceWrite, Direction::kDeviceRead}) {
-      const auto& a = model_.model_for(t, dir);
-      const auto& b = parsed.model_for(t, dir);
-      for (std::size_t i = 0; i < 8; ++i) {
-        EXPECT_DOUBLE_EQ(a.bw[i], b.bw[i]) << t;
-      }
       const auto& ca = model_.classes_for(t, dir);
       const auto& cb = parsed.classes_for(t, dir);
       EXPECT_EQ(ca.classes, cb.classes) << t;
@@ -138,11 +141,17 @@ TEST_F(CharacterizeTest, ParserRejectsNonPartitionClasses) {
 }
 
 TEST_F(CharacterizeTest, ParserReportsLineNumbers) {
-  try {
-    parse_host_model("numaio-model v1\nhost x nodes 2\nbogus 0 write\nend\n");
-    FAIL() << "expected throw";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos);
+  // The format has no `status` record: one is malformed input.
+  for (const std::string bad : {"bogus 0 write", "status 1 fresh"}) {
+    try {
+      parse_host_model("numaio-model v1\nhost x nodes 2\n" + bad +
+                       "\nend\n");
+      ADD_FAILURE() << "accepted '" << bad << "'";
+    } catch (const StatusError& e) {
+      EXPECT_EQ(e.status().code, StatusCode::kParse) << e.what();
+      EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos)
+          << e.what();
+    }
   }
 }
 
@@ -187,7 +196,7 @@ TEST_F(CharacterizeTest, MinimalValidDocumentParses) {
       "classes 1 read 1 { 0 1 }\n"
       "end\n");
   EXPECT_EQ(m.num_nodes, 2);
-  EXPECT_DOUBLE_EQ(m.model_for(1, Direction::kDeviceRead).bw[0], 38.0);
+  EXPECT_DOUBLE_EQ(m.read_models[1].bw[0], 38.0);
   EXPECT_NEAR(m.classes_for(0, Direction::kDeviceWrite).class_avg[0], 45.0,
               1e-9);
 }

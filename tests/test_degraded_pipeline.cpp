@@ -1,10 +1,12 @@
 // Degraded-mode pipeline tests: retry/backoff and timeout aborts in the
-// fio runner, degraded characterization under active faults, the robust
-// scheduler's hop-distance fallback, drift detection + versioned stale
-// marking, and online migration away from fault-degraded nodes.
+// fio runner and their trace correlation, fault-free Algorithm 1 runs,
+// typed usage errors for hostile library configs, and online migration
+// away from fault-degraded nodes.
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <cstdint>
+#include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -13,12 +15,12 @@
 #include "io/fio.h"
 #include "io/nic.h"
 #include "io/testbed.h"
-#include "model/baselines.h"
 #include "model/characterize.h"
 #include "model/online.h"
-#include "model/scheduler.h"
+#include "model/validate.h"
 #include "model/workload.h"
 #include "obs/obs.h"
+#include "simcore/status.h"
 
 namespace numaio {
 namespace {
@@ -285,167 +287,113 @@ TEST(DegradedIoModel, FaultFreeRunsAreDeterministicAndClean) {
       model::build_iomodel(tb.host(), 7, Direction::kDeviceRead, config);
   const auto b =
       model::build_iomodel(tb.host(), 7, Direction::kDeviceRead, config);
-  EXPECT_FALSE(a.degraded);
   ASSERT_EQ(a.bw.size(), b.bw.size());
   for (std::size_t i = 0; i < a.bw.size(); ++i) {
     EXPECT_EQ(a.bw[i], b.bw[i]) << i;
-    EXPECT_TRUE(a.outcomes[i].ok) << i;
-    EXPECT_DOUBLE_EQ(a.outcomes[i].confidence, 1.0) << i;
   }
 }
 
-// --- robust scheduling: hop-distance fallback -----------------------------
+// --- hostile library configs ----------------------------------------------
 
-class RobustSchedulerTest : public ::testing::Test {
- protected:
-  RobustSchedulerTest() : tb_(io::Testbed::dl585()) {
-    model::CharacterizeConfig config;
-    config.iomodel.repetitions = 5;
-    model_ = model::characterize_host(tb_.host(), config);
-  }
-
-  std::vector<sim::Gbps> class_values(topo::NodeId target,
-                                      Direction dir) const {
-    return model_.classes_for(target, dir).class_avg;
-  }
-
-  io::Testbed tb_;
-  model::HostModel model_;
-};
-
-TEST_F(RobustSchedulerTest, HealthyModelMatchesPlainSpread) {
-  const auto values = class_values(7, Direction::kDeviceWrite);
-  const auto robust = model::schedule_robust(
-      model_, tb_.machine().topology(), 7, Direction::kDeviceWrite, values,
-      8);
-  EXPECT_FALSE(robust.used_fallback);
-  EXPECT_TRUE(robust.reason.empty());
-  const auto spread = model::schedule_spread(
-      model_.classes_for(7, Direction::kDeviceWrite), values, 8);
-  EXPECT_EQ(robust.placement.nodes, spread.nodes);
-}
-
-TEST_F(RobustSchedulerTest, StaleModelFallsBackToHopDistance) {
-  model_.stale = true;
-  const auto values = class_values(7, Direction::kDeviceWrite);
-  const auto robust = model::schedule_robust(
-      model_, tb_.machine().topology(), 7, Direction::kDeviceWrite, values,
-      6);
-  EXPECT_TRUE(robust.used_fallback);
-  EXPECT_EQ(robust.reason, "model marked stale");
-  // Fallback spreads over the local+neighbour hop class only.
-  const auto hops =
-      model::classify_by_hops(tb_.machine().topology(), 7).classes.front();
-  ASSERT_EQ(robust.placement.nodes.size(), 6u);
-  for (topo::NodeId n : robust.placement.nodes) {
-    EXPECT_NE(std::find(hops.begin(), hops.end(), n), hops.end()) << n;
-  }
-}
-
-TEST_F(RobustSchedulerTest, AbortedOrLowConfidenceProbesFallBack) {
-  const auto values = class_values(7, Direction::kDeviceWrite);
-  {
-    model::HostModel m = model_;
-    m.write_models[7].outcomes[3].ok = false;
-    const auto robust = model::schedule_robust(
-        m, tb_.machine().topology(), 7, Direction::kDeviceWrite, values, 4);
-    EXPECT_TRUE(robust.used_fallback);
-    EXPECT_EQ(robust.reason, "a model probe aborted");
-  }
-  {
-    model::HostModel m = model_;
-    m.write_models[7].outcomes[1].confidence = 0.2;
-    const auto robust = model::schedule_robust(
-        m, tb_.machine().topology(), 7, Direction::kDeviceWrite, values, 4);
-    EXPECT_TRUE(robust.used_fallback);
-    EXPECT_EQ(robust.reason, "a model probe reported low confidence");
-  }
-}
-
-TEST_F(RobustSchedulerTest, UnusableClassValuesFallBack) {
-  const std::vector<sim::Gbps> zeros(
-      static_cast<std::size_t>(
-          model_.classes_for(7, Direction::kDeviceWrite).num_classes()),
-      0.0);
-  const auto robust = model::schedule_robust(
-      model_, tb_.machine().topology(), 7, Direction::kDeviceWrite, zeros,
-      4);
-  EXPECT_TRUE(robust.used_fallback);
-  EXPECT_EQ(robust.reason, "no usable class probe values");
-
-  const std::vector<sim::Gbps> mismatched{10.0};
-  const auto robust2 = model::schedule_robust(
-      model_, tb_.machine().topology(), 7, Direction::kDeviceWrite,
-      mismatched, 4);
-  EXPECT_TRUE(robust2.used_fallback);
-  EXPECT_EQ(robust2.reason, "class value count mismatch");
-}
-
-// --- drift detection & versioned stale marking ----------------------------
-
-TEST(DriftTest, SteadyHostShowsNoDrift) {
+// Each checked config field, set to a value its type holds but the code
+// cannot use, is a usage error that names the field. The checks run on
+// entry: no trace record is written and no buffer is allocated.
+TEST(HostileConfig, EveryCheckedFieldIsAUsageErrorNamingIt) {
   io::Testbed tb = io::Testbed::dl585();
-  model::CharacterizeConfig config;
-  config.iomodel.repetitions = 5;
-  model::HostModel model = model::characterize_host(tb.host(), config);
+  obs::MemorySink sink;
+  obs::Context ctx;
+  ctx.trace.set_sink(&sink);
+  const topo::Topology& topo = tb.machine().topology();
+  const model::IoModelResult write_model =
+      model::build_iomodel(tb.host(), 7, Direction::kDeviceWrite,
+                           model::IoModelConfig{.repetitions = 3});
+  // numastat counts every allocation as a hit or a miss.
+  const auto allocations = [&] {
+    std::uint64_t count = 0;
+    for (topo::NodeId n = 0; n < topo.num_nodes(); ++n) {
+      const nm::NodeStats& stats = tb.host().stats().node(n);
+      count += stats.numa_hit + stats.numa_miss;
+    }
+    return count;
+  };
+  const std::uint64_t allocated_before = allocations();
 
-  model::DriftConfig drift;
-  drift.iomodel.repetitions = 5;  // matches the stored model's measurement
-  const auto report = model::check_drift(tb.host(), model, 7,
-                                         Direction::kDeviceWrite, drift);
-  EXPECT_FALSE(report.drifted);
-  EXPECT_FALSE(model.stale);
-  EXPECT_FALSE(report.notes.empty());
-}
+  constexpr int kIntMin = std::numeric_limits<int>::min();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  model::WorkloadConfig workload;
+  workload.engine_mix = {io::kRdmaWrite};
 
-TEST(DriftTest, DriftMarksStaleAndRefreshBumpsRevision) {
-  io::Testbed tb = io::Testbed::dl585();
-  model::CharacterizeConfig config;
-  config.iomodel.repetitions = 5;
-  model::HostModel model = model::characterize_host(tb.host(), config);
-  EXPECT_EQ(model.revision, 1);
-
-  // Corrupt the stored write model of node 7: the fresh re-probe will
-  // deviate ~33% from these inflated values.
-  for (double& bw : model.write_models[7].bw) bw *= 1.5;
-
-  model::DriftConfig drift;
-  drift.iomodel.repetitions = 5;
-  const auto report = model::check_drift(tb.host(), model, 7,
-                                         Direction::kDeviceWrite, drift);
-  EXPECT_TRUE(report.drifted);
-  EXPECT_TRUE(model.stale);
-  bool flagged = false;
-  for (const std::string& note : report.notes) {
-    if (note.find("DRIFT") != std::string::npos) flagged = true;
+  struct Case {
+    std::string entry;  ///< The function that must reject the config.
+    std::string field;
+    std::string value;
+    std::function<void()> call;
+  };
+  std::vector<Case> cases;
+  for (const int reps : {0, -1, -5, kIntMin}) {
+    const std::string value = std::to_string(reps);
+    model::IoModelConfig iomodel;
+    iomodel.repetitions = reps;
+    iomodel.obs = &ctx;
+    cases.push_back({"build_iomodel", "repetitions", value, [&, iomodel] {
+                       model::build_iomodel(tb.host(), 7,
+                                            Direction::kDeviceWrite, iomodel);
+                     }});
+    cases.push_back({"characterize_host", "repetitions", value,
+                     [&, iomodel] {
+                       model::characterize_host(tb.host(), {iomodel});
+                     }});
+    model::ValidateConfig validate;
+    validate.iomodel_repetitions = reps;
+    cases.push_back({"validate_methodology", "iomodel_repetitions", value,
+                     [&, validate] {
+                       model::validate_methodology(tb, validate);
+                     }});
   }
-  EXPECT_TRUE(flagged);
+  for (const int n : {0, -5, kIntMin}) {
+    model::WorkloadConfig bad = workload;
+    bad.num_tasks = n;
+    cases.push_back({"generate_workload", "num_tasks", std::to_string(n),
+                     [bad] { model::generate_workload(bad); }});
+  }
+  model::WorkloadConfig no_mix = workload;
+  no_mix.engine_mix.clear();
+  cases.push_back({"generate_workload", "engine_mix", "{}",
+                   [no_mix] { model::generate_workload(no_mix); }});
+  for (const double mean : {0.0, -5.0, nan, inf, -inf}) {
+    model::WorkloadConfig bad = workload;
+    bad.mean_interarrival = mean;
+    cases.push_back({"generate_workload", "mean_interarrival",
+                     std::to_string(mean),
+                     [bad] { model::generate_workload(bad); }});
+  }
+  for (const double gap : {-5.0, 1.5, nan, inf, -inf}) {
+    const model::ClassifyConfig bad{.rel_gap = gap};
+    cases.push_back({"classify", "rel_gap", std::to_string(gap), [&, bad] {
+                       model::classify(write_model, topo, bad);
+                     }});
+  }
 
-  EXPECT_TRUE(model::refresh_if_drifted(tb.host(), model, config, drift));
-  EXPECT_EQ(model.revision, 2);
-  EXPECT_FALSE(model.stale);
-  // And the refreshed model is healthy again: no further drift.
-  EXPECT_FALSE(model::refresh_if_drifted(tb.host(), model, config, drift));
-  EXPECT_EQ(model.revision, 2);
-}
-
-TEST(DriftTest, StatusRecordRoundTripsAndDefaultsStayImplicit) {
-  io::Testbed tb = io::Testbed::dl585();
-  model::CharacterizeConfig config;
-  config.iomodel.repetitions = 3;
-  model::HostModel model = model::characterize_host(tb.host(), config);
-
-  // Default revision/fresh: no status record in the serialized form.
-  EXPECT_EQ(model::serialize(model).find("status"), std::string::npos);
-
-  model.revision = 3;
-  model.stale = true;
-  const std::string text = model::serialize(model);
-  EXPECT_NE(text.find("status 3 stale"), std::string::npos);
-  const model::HostModel parsed = model::parse_host_model(text);
-  EXPECT_EQ(parsed.revision, 3);
-  EXPECT_TRUE(parsed.stale);
-  EXPECT_EQ(model::serialize(parsed), text);
+  for (const Case& c : cases) {
+    const std::string label = c.entry + ": " + c.field + " = " + c.value;
+    try {
+      c.call();
+      ADD_FAILURE() << label << " was accepted";
+    } catch (const StatusError& e) {
+      EXPECT_EQ(e.code(), StatusCode::kUsage) << label << ": " << e.what();
+      EXPECT_NE(std::string(e.what()).find(c.field), std::string::npos)
+          << label << ": " << e.what();
+    }
+  }
+  EXPECT_TRUE(sink.events.empty());
+  EXPECT_EQ(allocations(), allocated_before);
+  // The edges of each valid range pass.
+  EXPECT_NO_THROW(model::classify(write_model, topo, {.rel_gap = 0.0}));
+  EXPECT_NO_THROW(model::classify(write_model, topo, {.rel_gap = 1.0}));
+  model::WorkloadConfig one = workload;
+  one.num_tasks = 1;
+  EXPECT_EQ(model::generate_workload(one).size(), 1u);
 }
 
 // --- online scheduling under faults ---------------------------------------
