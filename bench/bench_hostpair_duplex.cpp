@@ -1,8 +1,7 @@
 // Extension: the full two-host model (both DL585s simulated end to end).
 // Regenerates the both-ends binding effect with real chained resources
-// and adds the full-duplex scenario the analytic peer model cannot
-// express: simultaneous send + receive sharing host CPUs and fabric but
-// not the wire.
+// and adds the full-duplex scenario: simultaneous send + receive sharing
+// host CPUs and fabric but not the wire.
 #include <cstdio>
 
 #include "bench/common.h"

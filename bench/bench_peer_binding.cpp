@@ -1,16 +1,17 @@
 // Extension: sender x receiver binding grid for TCP across the host pair.
 // The paper's Fig 5 varies one side at a time; [3] (cited in §I) reports
 // that placement on remote cores at *either* end can cost ~30% of TCP
-// bandwidth. The grid shows both effects and their composition: the
-// transfer runs at the minimum of what each side's binding supports.
+// bandwidth. Both hosts are simulated end to end (io::HostPair), and the
+// grid shows both effects and their composition: the transfer runs at
+// the minimum of what each side's binding supports.
 #include <cstdio>
 
 #include "bench/common.h"
+#include "io/hostpair.h"
 
 int main() {
   using namespace numaio;
-  io::Testbed tb = io::Testbed::dl585();
-  io::FioRunner fio(tb.host());
+  io::HostPair pair = io::HostPair::dl585();
 
   bench::banner("TCP send: local binding x peer (receiver) binding (Gbps)");
   std::printf("  %-10s", "send\\recv");
@@ -20,13 +21,12 @@ int main() {
   for (topo::NodeId node = 0; node < 8; ++node) {
     std::printf("  node%-6d", node);
     for (int peer = 0; peer < 8; ++peer) {
-      io::FioJob j;
-      j.devices = {&tb.nic()};
+      io::HostPair::NetJob j;
       j.engine = io::kTcpSend;
-      j.cpu_node = node;
-      j.num_streams = 4;
+      j.local_node = node;
       j.peer_node = peer;
-      const double agg = fio.run(j).aggregate;
+      j.num_streams = 4;
+      const double agg = pair.run(j).aggregate;
       diag_best = std::max(diag_best, agg);
       grid_worst = std::min(grid_worst, agg);
       std::printf(" %7.2f", agg);

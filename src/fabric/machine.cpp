@@ -135,10 +135,6 @@ sim::ResourceId Machine::cpu(NodeId node) const {
   return cpu_[static_cast<std::size_t>(node)];
 }
 
-double Machine::cpu_capacity(NodeId node) const {
-  return profile_.cpu_units_per_core * topology().node(node).cores;
-}
-
 const std::vector<sim::Usage>& Machine::fabric_usages(NodeId src,
                                                       NodeId dst) const {
   assert(src != dst);

@@ -50,9 +50,6 @@ class Machine {
   sim::ResourceId mc_write(NodeId node) const;
   sim::ResourceId cpu(NodeId node) const;
 
-  /// Total CPU budget of a node (units; 1 unit ~ 1 Gbps of TCP work).
-  double cpu_capacity(NodeId node) const;
-
   /// Usage footprint of a streaming memory copy executed by an engine on
   /// node `via`, loading from memory on `src` and storing to memory on
   /// `dst`: mc_read(src) [+ fabric src->via] + [fabric via->dst +]

@@ -42,13 +42,6 @@ const EngineSpec& PcieDevice::engine(std::string_view engine_name) const {
                           std::string(engine_name) + "'");
 }
 
-bool PcieDevice::has_engine(std::string_view engine_name) const {
-  for (const EngineSpec& e : engines_) {
-    if (e.name == engine_name) return true;
-  }
-  return false;
-}
-
 sim::ResourceId PcieDevice::engine_resource(
     std::string_view engine_name) const {
   for (std::size_t i = 0; i < engines_.size(); ++i) {

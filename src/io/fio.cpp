@@ -6,11 +6,9 @@
 #include <functional>
 #include <limits>
 #include <map>
-#include <optional>
 #include <span>
 #include <stdexcept>
 
-#include "io/nic.h"
 #include "io/ssd.h"
 #include "simcore/fluid_sim.h"
 #include "simcore/rng.h"
@@ -22,34 +20,6 @@ namespace {
 
 /// Seed of every job's stream jitter and retry backoff draws.
 constexpr std::uint64_t kJobSeed = 20130407;
-
-/// Aggregate capability of the peer-host process bound to `peer_node`.
-/// The peer is an identical machine, so its fabric character is read from
-/// the same profile; the peer's DMA direction is the complement of ours.
-sim::Gbps peer_aggregate_cap(const fabric::Machine& machine,
-                             const PcieDevice& device,
-                             const std::string& engine, NodeId peer_node) {
-  const char* peer_name = complementary_engine(engine);
-  if (peer_name == nullptr || !device.has_engine(peer_name)) {
-    return sim::kUnlimited;
-  }
-  const EngineSpec& peer = device.engine(peer_name);
-  const NodeId attach = device.attach_node();
-  const sim::Ns lat = peer.to_device
-                          ? machine.path(peer_node, attach).dma_lat
-                          : machine.path(attach, peer_node).dma_lat;
-  const double window_gbps = peer.window_bits / lat;
-  double cap = peer.residual_for(peer_node) *
-               std::min(peer.device_cap, window_gbps);
-  // Peer CPU: app work on peer_node plus interrupt work on the peer's
-  // device node; they share one budget when the bindings coincide.
-  double cpu_weight = peer.cpu_app_per_gbps;
-  if (peer_node == attach) cpu_weight += peer.cpu_irq_per_gbps;
-  if (cpu_weight > 0.0) {
-    cap = std::min(cap, machine.cpu_capacity(peer_node) / cpu_weight);
-  }
-  return cap;
-}
 
 struct StreamSetup {
   std::size_t job_index = 0;
@@ -120,14 +90,11 @@ void release(nm::Host& host, JobStreams& built) {
 
 /// Checks every job, then builds its streams: worker buffers under the
 /// job's memory policy, per-stream options with the seeded contention
-/// jitter, shapes with the peer-host cap, and the mixed-service penalty
-/// on shared engines. A job that fails a check leaves host and solver
-/// untouched, and an allocation failing part-way frees the buffers
-/// already taken.
-/// `peers[j]` is the peer-cap resource of job slot j, added once and
-/// reused after. release() undoes the buffers and the penalty.
-JobStreams build_streams(nm::Host& host, const std::vector<TimedJob>& jobs,
-                         std::map<std::size_t, sim::ResourceId>& peers) {
+/// jitter, and the mixed-service penalty on shared engines. A job that
+/// fails a check leaves host and solver untouched, and an allocation
+/// failing part-way frees the buffers already taken. release() undoes
+/// the buffers and the penalty.
+JobStreams build_streams(nm::Host& host, const std::vector<TimedJob>& jobs) {
   fabric::Machine& machine = host.machine();
   auto& solver = machine.solver();
 
@@ -145,7 +112,6 @@ JobStreams build_streams(nm::Host& host, const std::vector<TimedJob>& jobs,
                             std::to_string(nodes - 1));
     };
     check("cpu_node", job.cpu_node);
-    if (job.peer_node >= 0) check("peer_node", job.peer_node);
     if (job.mem_policy.cpu_node) {
       check("memory policy cpu node", *job.mem_policy.cpu_node);
     }
@@ -174,23 +140,6 @@ JobStreams build_streams(nm::Host& host, const std::vector<TimedJob>& jobs,
       const FioJob& job = jobs[j].job;
       sim::Rng job_rng =
           sim::Rng(kJobSeed).fork(static_cast<std::uint64_t>(job.cpu_node));
-
-      // Peer-host constraint for network engines: the whole job cannot move
-      // data faster than the identically-built peer can source/sink it.
-      std::optional<sim::ResourceId> peer;
-      if (job.peer_node >= 0) {
-        const sim::Gbps peer_cap = peer_aggregate_cap(
-            machine, *job.devices.front(), job.engine, job.peer_node);
-        if (std::isfinite(peer_cap)) {
-          auto it = peers.find(j);
-          if (it == peers.end()) {
-            it = peers.emplace(j, solver.add_resource(peer_cap)).first;
-          }
-          solver.set_capacity(it->second, peer_cap);
-          peer = it->second;
-        }
-      }
-
       for (int s = 0; s < job.num_streams; ++s) {
         // Listed before its buffer exists, so release() frees whatever
         // a failed allocation part-way through has taken.
@@ -211,7 +160,6 @@ JobStreams build_streams(nm::Host& host, const std::vector<TimedJob>& jobs,
         stream.options =
             stream_options(job, setup.device->engine(job.engine), job_rng);
         setup.shape = shape_stream(machine, stream);
-        if (peer) setup.shape.usages.push_back({*peer, 1.0});
       }
     }
   } catch (...) {
@@ -366,7 +314,7 @@ std::vector<FioResult> FioRunner::run_timed(
   obs::TraceRecorder* trace =
       obs_ != nullptr && obs_->trace.enabled() ? &obs_->trace : nullptr;
 
-  JobStreams built = build_streams(host_, jobs, peer_resources_);
+  JobStreams built = build_streams(host_, jobs);
   std::vector<StreamSetup>& setups = built.setups;
   std::vector<obs::SpanId> job_spans(jobs.size(), 0);
   for (std::size_t i = 0; i < setups.size(); ++i) {

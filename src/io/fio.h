@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -65,12 +64,6 @@ struct FioJob {
   sim::Bytes block_size = 128 * sim::kKiB;
   int iodepth = 16;
   IoMode io_mode = IoMode::kAsyncDirect;
-  /// For network engines: NUMA binding of the process on the *peer* host
-  /// (an identical machine). -1 means the peer side is optimally placed.
-  /// A bad peer binding caps the transfer just like a bad local one —
-  /// up to the ~30% TCP loss reported for remote-core placement at either
-  /// end ([3], cited in §I).
-  int peer_node = -1;
   /// Degraded-mode policy: per-stream attempt timeout, bounded retries
   /// with exponential backoff + jitter. The default timeout of 0 disables
   /// timeouts, which (absent faults) reproduces the fault-free behaviour
@@ -187,20 +180,16 @@ class FioRunner {
   /// Runs jobs that start at the given absolute times (an open-loop
   /// arrival process); results are indexed like `jobs`. All three run
   /// forms check every job before any buffer is allocated: they throw
-  /// StatusError(kUsage) when a job's cpu_node, its peer_node when set or
-  /// a node of its mem_policy is not a node of the host;
-  /// std::invalid_argument for a job with no device, no stream or fewer
-  /// SSD streams than cards; and std::out_of_range for an engine one of
-  /// its devices lacks. A std::bad_alloc from the buffers frees those
-  /// already taken. A peer-bound job adds a peer cap resource to the
-  /// solver once per job slot; later runs reuse it.
+  /// StatusError(kUsage) when a job's cpu_node or a node of its
+  /// mem_policy is not a node of the host; std::invalid_argument for a
+  /// job with no device, no stream or fewer SSD streams than cards; and
+  /// std::out_of_range for an engine one of its devices lacks. A
+  /// std::bad_alloc from the buffers frees those already taken.
   std::vector<FioResult> run_timed(const std::vector<TimedJob>& jobs);
 
  private:
   nm::Host& host_;
   faults::FaultInjector* faults_ = nullptr;
-  /// Peer-cap solver resources by job slot, reused by every later run.
-  std::map<std::size_t, sim::ResourceId> peer_resources_;
 
   obs::Context* obs_ = nullptr;
   obs::MetricsRegistry::Id m_streams_ = obs::MetricsRegistry::kNone;

@@ -6,6 +6,7 @@
 
 #include "fabric/calibration.h"
 #include "simcore/fluid_sim.h"
+#include "simcore/status.h"
 
 namespace numaio::io {
 
@@ -45,6 +46,31 @@ FioResult HostPair::run(const NetJob& job) {
 
 std::vector<FioResult> HostPair::run_concurrent(
     std::span<const NetJob> jobs) {
+  // Nodes index per-node tables that only assert their bound, so every
+  // job is checked before any buffer or flow exists.
+  const int nodes = machine_->num_nodes() / 2;
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    const NetJob& job = jobs[j];
+    if (complementary_engine(job.engine) == nullptr) {
+      throw std::invalid_argument("HostPair: '" + job.engine +
+                                  "' is not a network engine");
+    }
+    if (job.num_streams < 1) {
+      throw std::invalid_argument("HostPair: at least one stream");
+    }
+    const auto check = [&](const char* field, NodeId node) {
+      if (node >= 0 && node < nodes) return;
+      throw StatusError(StatusCode::kUsage,
+                        "HostPair job " + std::to_string(j) + " (" +
+                            job.engine + "): " + field + " " +
+                            std::to_string(node) +
+                            " is outside the host's nodes 0-" +
+                            std::to_string(nodes - 1));
+    };
+    check("local_node", job.local_node);
+    check("peer_node", job.peer_node);
+  }
+
   auto& solver = machine_->solver();
   sim::FluidSimulation fluid(solver);
 
@@ -59,13 +85,6 @@ std::vector<FioResult> HostPair::run_concurrent(
   for (std::size_t j = 0; j < jobs.size(); ++j) {
     const NetJob& job = jobs[j];
     const char* peer_name = complementary_engine(job.engine);
-    if (peer_name == nullptr) {
-      throw std::invalid_argument("HostPair: '" + job.engine +
-                                  "' is not a network engine");
-    }
-    if (job.num_streams < 1) {
-      throw std::invalid_argument("HostPair: at least one stream");
-    }
     const NodeId b_node = peer(job.peer_node);
     const bool a_sends = nic_a_->engine(job.engine).to_device;
     // One-sided RDMA never schedules the peer's CPU or its initiator
@@ -139,7 +158,7 @@ std::vector<FioResult> HostPair::run_concurrent(
     bytes[s.job_index] += st.bytes;
     results[s.job_index].streams.push_back(
         FioStreamStats{s.buf_a.home(), nic_a_.get(), st.avg_rate(),
-                       fluid.rate_stability(s.transfer).cv});
+                       fluid.rate_stability(s.transfer).cv, st.bytes_moved});
     host_->free(s.buf_a);
     host_->free(s.buf_b);
   }

@@ -2,12 +2,11 @@
 // resource network (Fig 2: "Another identical host is used in the network
 // performance test").
 //
-// The single-host FioRunner approximates the far end with an analytic
-// aggregate cap (FioJob::peer_node). HostPair models it fully: host B's
-// fabric, memory controllers and CPUs live in the same solver, each
-// stream chains the send-side NIC engine, the 40 GbE wire, and the
-// receive-side NIC engine, and contention composes end to end — including
-// full-duplex scenarios the analytic form cannot express.
+// The single-host FioRunner assumes an optimally placed peer (see
+// io::Testbed); HostPair is the model of a bound one. Host B's fabric,
+// memory controllers and CPUs live in the same solver, each stream chains
+// the send-side NIC engine, the 40 GbE wire, and the receive-side NIC
+// engine, and contention composes end to end — full duplex included.
 #pragma once
 
 #include <memory>
@@ -47,7 +46,10 @@ class HostPair {
   FioResult run(const NetJob& job);
 
   /// Runs jobs concurrently (e.g. full-duplex: a send job and a receive
-  /// job at once). Results indexed like `jobs`.
+  /// job at once). Results indexed like `jobs`. Every job is checked
+  /// before any buffer or flow exists: std::invalid_argument for a
+  /// non-network engine or no stream, StatusError(kUsage) naming the job
+  /// and the field for a local_node or peer_node outside nodes 0-7.
   std::vector<FioResult> run_concurrent(std::span<const NetJob> jobs);
 
  private:

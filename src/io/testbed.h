@@ -2,7 +2,8 @@
 // the DL585 host with a ConnectX-3 NIC and two Nytro WarpDrive SSDs, all
 // attached to node 7. The "other identical host" of the network tests is
 // never the bottleneck (both ends are tuned per vendor recommendations),
-// so the network peer is represented by the NIC engines' ceilings.
+// so the network peer is represented by the NIC engines' ceilings: an
+// optimally placed peer. io::HostPair models a peer with its own binding.
 #pragma once
 
 #include <memory>

@@ -15,6 +15,10 @@ Status WorkloadConfig::validate() const {
   if (!std::isfinite(mean_interarrival) || mean_interarrival <= 0.0) {
     return usage("mean_interarrival must be finite and > 0");
   }
+  // Past 2^53 ns (~104 days) adjacent doubles are more than 1 ns apart.
+  if (num_tasks * mean_interarrival > 0x1p53) {
+    return usage("mean_interarrival x num_tasks must not exceed 2^53 ns");
+  }
   return Status{};
 }
 

@@ -34,8 +34,9 @@ struct WorkloadConfig {
   std::vector<std::string> engine_mix;
 
   /// ok(), or kUsage naming the first bad field: `num_tasks` below 1, an
-  /// empty `engine_mix`, or a `mean_interarrival` that is not finite
-  /// and > 0.
+  /// empty `engine_mix`, or a `mean_interarrival` that is not finite and
+  /// > 0, or whose product with `num_tasks` exceeds 2^53 ns (~104 days;
+  /// past it, double nanoseconds no longer resolve 1 ns).
   Status validate() const;
 };
 

@@ -361,7 +361,9 @@ TEST(HostileConfig, EveryCheckedFieldIsAUsageErrorNamingIt) {
   no_mix.engine_mix.clear();
   cases.push_back({"generate_workload", "engine_mix", "{}",
                    [no_mix] { model::generate_workload(no_mix); }});
-  for (const double mean : {0.0, -5.0, nan, inf, -inf}) {
+  // 40 tasks at 1e27 ns each put arrivals past 2^53 ns, where adjacent
+  // doubles are more than 1 ns apart.
+  for (const double mean : {0.0, -5.0, nan, inf, -inf, 1e27, 1e307}) {
     model::WorkloadConfig bad = workload;
     bad.mean_interarrival = mean;
     cases.push_back({"generate_workload", "mean_interarrival",
@@ -393,6 +395,8 @@ TEST(HostileConfig, EveryCheckedFieldIsAUsageErrorNamingIt) {
   EXPECT_NO_THROW(model::classify(write_model, topo, {.rel_gap = 1.0}));
   model::WorkloadConfig one = workload;
   one.num_tasks = 1;
+  EXPECT_EQ(model::generate_workload(one).size(), 1u);
+  one.mean_interarrival = 0x1p53;
   EXPECT_EQ(model::generate_workload(one).size(), 1u);
 }
 

@@ -31,11 +31,10 @@ class DeviceTest : public ::testing::Test {
 
 TEST_F(DeviceTest, NicHasFourEngines) {
   auto nic = make_connectx3(machine_, 7);
-  EXPECT_TRUE(nic->has_engine(kTcpSend));
-  EXPECT_TRUE(nic->has_engine(kTcpRecv));
-  EXPECT_TRUE(nic->has_engine(kRdmaWrite));
-  EXPECT_TRUE(nic->has_engine(kRdmaRead));
-  EXPECT_FALSE(nic->has_engine("udp"));
+  for (const char* engine : {kTcpSend, kTcpRecv, kRdmaWrite, kRdmaRead}) {
+    EXPECT_NO_THROW(nic->engine(engine)) << engine;
+  }
+  EXPECT_THROW(nic->engine("udp"), std::out_of_range);
   EXPECT_EQ(nic->attach_node(), 7);
   EXPECT_EQ(nic->name(), "mlx4_0");
 }

@@ -219,8 +219,6 @@ TEST_F(FioTest, RejectsZeroStreams) {
 // the host, even when a valid job precedes it. Memory-policy nodes were
 // once left unchecked: --membind=8 read past the free-bytes table.
 TEST_F(FioTest, CpuNodeOutsideTheHostIsAUsageError) {
-  FioJob peer = nic_job(kTcpSend, 2, 1);
-  peer.peer_node = 8;
   const auto with_policy = [this](const std::string& spec) {
     FioJob j = nic_job(kRdmaWrite, 2, 1);
     j.mem_policy = nm::parse_numactl(spec);
@@ -230,7 +228,7 @@ TEST_F(FioTest, CpuNodeOutsideTheHostIsAUsageError) {
   const std::size_t resources = solver.resource_count();
   const sim::Bytes free = testbed_.host().node_free_bytes(2);
   for (const FioJob& bad :
-       {nic_job(kRdmaWrite, 8, 4), nic_job(kRdmaWrite, -1, 4), peer,
+       {nic_job(kRdmaWrite, 8, 4), nic_job(kRdmaWrite, -1, 4),
         with_policy("--membind=8"), with_policy("--interleave=0,8"),
         with_policy("--preferred=8"), with_policy("--cpunodebind=8")}) {
     const std::vector<FioJob> jobs{nic_job(kRdmaWrite, 2, 2), bad};
@@ -279,27 +277,6 @@ TEST_F(FioTest, RejectedRunLeavesEveryNodesMemory) {
   hungry.iodepth = 2;
   EXPECT_THROW(fio_.run_concurrent({good, hungry}), std::bad_alloc);
   EXPECT_EQ(free_bytes(), before);
-}
-
-// A peer-bound job's cap resource is made once per job slot and reused,
-// with the later job's cap; it once grew the solver by one per run.
-TEST_F(FioTest, PeerBoundRunsReuseTheirPeerResource) {
-  FioJob j = nic_job(kTcpRecv, 7, 4);
-  j.peer_node = 2;
-  const sim::FlowSolver& solver = testbed_.machine().solver();
-  const double first = fio_.run(j).aggregate;
-  const std::size_t resources = solver.resource_count();
-  for (int i = 0; i < 9; ++i) EXPECT_EQ(fio_.run(j).aggregate, first);
-  EXPECT_EQ(solver.resource_count(), resources);
-  j.peer_node = 5;
-  const double reused = fio_.run(j).aggregate;
-  EXPECT_EQ(solver.resource_count(), resources);
-  FioRunner fresh(testbed_.host());
-  EXPECT_EQ(fresh.run(j).aggregate, reused);
-  EXPECT_NE(reused, first);
-  // Node 2 sinks less than node 7 sends: the peer binding, not the local
-  // host, is the limit.
-  EXPECT_LT(first, fio_.run(nic_job(kTcpRecv, 7, 4)).aggregate);
 }
 
 TEST_F(FioTest, SsdJobsNeedAStreamPerCard) {

@@ -2,9 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "io/hostpair.h"
-#include "io/testbed.h"
+#include "simcore/status.h"
 
 namespace numaio::io {
 namespace {
@@ -64,6 +66,9 @@ TEST_F(HostPairTest, TargetSideMemoryPlacementMatters) {
 TEST_F(HostPairTest, WeakSendSideBindsEndToEnd) {
   EXPECT_NEAR(run(kRdmaWrite, 2, 5), 17.1, 0.2);
   EXPECT_NEAR(run(kTcpSend, 2, 6), 16.2, 0.3);
+  // The send side is the peer's: a node-2 peer caps a node-7 receiver
+  // that sinks 20.0 Gbps from a peer on node 6.
+  EXPECT_NEAR(run(kTcpRecv, 7, 2), 16.2, 0.3);
 }
 
 TEST_F(HostPairTest, WeakReceiveSideBindsEndToEnd) {
@@ -77,25 +82,6 @@ TEST_F(HostPairTest, WeakReceiveSideBindsEndToEnd) {
 TEST_F(HostPairTest, BothEndsWeakTakeTheMinimum) {
   const double both = run(kTcpSend, 2, 4);
   EXPECT_NEAR(both, std::min(16.2, 14.4), 0.4);
-}
-
-TEST_F(HostPairTest, AgreesWithAnalyticPeerApproximation) {
-  // The single-host FioRunner's peer cap should approximate the full
-  // two-host chain for one-directional traffic.
-  Testbed tb = Testbed::dl585();
-  FioRunner fio(tb.host());
-  for (const auto& [a, b] : std::vector<std::pair<NodeId, NodeId>>{
-           {5, 6}, {2, 6}, {5, 4}, {0, 2}}) {
-    FioJob j;
-    j.devices = {&tb.nic()};
-    j.engine = kTcpSend;
-    j.cpu_node = a;
-    j.num_streams = 4;
-    j.peer_node = b;
-    const double approx = fio.run(j).aggregate;
-    const double full = run(kTcpSend, a, b);
-    EXPECT_NEAR(full, approx, 0.05 * approx) << a << "->" << b;
-  }
 }
 
 TEST_F(HostPairTest, FullDuplexSharesHostResourcesNotTheWire) {
@@ -115,6 +101,12 @@ TEST_F(HostPairTest, FullDuplexSharesHostResourcesNotTheWire) {
   // independent.
   EXPECT_NEAR(results[0].aggregate, 18.8, 0.3);
   EXPECT_NEAR(results[1].aggregate, 18.3, 0.3);
+  for (const FioResult& result : results) {
+    ASSERT_EQ(result.streams.size(), 4u);
+    for (const FioStreamStats& stream : result.streams) {
+      EXPECT_EQ(stream.bytes_moved, send.bytes_per_stream);
+    }
+  }
 }
 
 TEST_F(HostPairTest, FullDuplexTcpContendsOnCpu) {
@@ -154,18 +146,66 @@ TEST_F(HostPairTest, PcieCapsConcurrentEnginesBeforeTheWire) {
   EXPECT_LT(total, 37.6);
 }
 
+// Every job is checked before any buffer or flow exists, even when a
+// good job precedes the bad one. A node outside a host once read past
+// the per-node tables (peer_node 8 crashed; local_node 8 ran at 0 Gbps).
 TEST_F(HostPairTest, RejectsNonNetworkEngines) {
-  HostPair::NetJob j;
-  j.engine = "ssd_write";
-  EXPECT_THROW(pair_.run(j), std::invalid_argument);
+  HostPair::NetJob good;
+  good.num_streams = 4;
+  HostPair::NetJob ssd = good;
+  ssd.engine = "ssd_write";
+  EXPECT_THROW(pair_.run(ssd), std::invalid_argument);
+  HostPair::NetJob no_stream = good;
+  no_stream.num_streams = 0;
+  for (const HostPair::NetJob& bad : {ssd, no_stream}) {
+    EXPECT_THROW(pair_.run_concurrent(std::vector{good, bad}),
+                 std::invalid_argument);
+  }
+  for (const bool peer_side : {false, true}) {
+    const std::string field = peer_side ? "peer_node" : "local_node";
+    for (const NodeId node : {8, -1, 12}) {
+      HostPair::NetJob bad = good;
+      (peer_side ? bad.peer_node : bad.local_node) = node;
+      try {
+        pair_.run_concurrent(std::vector{good, bad});
+        ADD_FAILURE() << "accepted " << field << " " << node;
+      } catch (const StatusError& e) {
+        EXPECT_EQ(e.code(), StatusCode::kUsage);
+        const std::string what = e.what();
+        EXPECT_NE(what.find("job 1"), std::string::npos) << what;
+        EXPECT_NE(what.find(field), std::string::npos) << what;
+      }
+    }
+  }
 }
 
+// A rejected run once kept the good job's flows and buffers, halving
+// every later run on the pair (5 -> 6 read 10.45 Gbps, not 20.90).
 TEST_F(HostPairTest, MemoryReleasedOnBothHosts) {
-  const auto a_before = pair_.host().node_free_bytes(5);
-  const auto b_before = pair_.host().node_free_bytes(pair_.peer(6));
+  const auto free_bytes = [this] {
+    std::vector<sim::Bytes> free;
+    for (NodeId n = 0; n < pair_.machine().num_nodes(); ++n) {
+      free.push_back(pair_.host().node_free_bytes(n));
+    }
+    return free;
+  };
+  const std::vector<sim::Bytes> before = free_bytes();
   run(kTcpSend, 5, 6);
-  EXPECT_EQ(pair_.host().node_free_bytes(5), a_before);
-  EXPECT_EQ(pair_.host().node_free_bytes(pair_.peer(6)), b_before);
+  EXPECT_EQ(free_bytes(), before);
+
+  const HostPair::NetJob good{kTcpSend, 5, 6, 4};
+  HostPair::NetJob bad = good;
+  bad.engine = "ssd_read";
+  EXPECT_THROW(pair_.run_concurrent(std::vector{good, bad}),
+               std::invalid_argument);
+  bad = good;
+  bad.peer_node = 8;
+  EXPECT_THROW(pair_.run_concurrent(std::vector{good, bad}), StatusError);
+  EXPECT_EQ(free_bytes(), before);
+  EXPECT_EQ(pair_.machine().solver().live_flow_count(), 0u);
+  const double fresh = HostPair::dl585().run(good).aggregate;
+  EXPECT_NEAR(fresh, 20.9, 0.01);
+  EXPECT_EQ(pair_.run(good).aggregate, fresh);
 }
 
 }  // namespace

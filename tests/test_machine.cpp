@@ -23,7 +23,7 @@ TEST_F(MachineTest, McResourcesMatchLocalCopyLimit) {
 }
 
 TEST_F(MachineTest, CpuCapacityIsCoresTimesUnits) {
-  EXPECT_DOUBLE_EQ(machine_.cpu_capacity(3), 4 * 7.0);
+  // 4 cores of 7 units each.
   EXPECT_DOUBLE_EQ(machine_.solver().capacity(machine_.cpu(3)), 28.0);
 }
 
