@@ -3,12 +3,14 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstddef>
 
 namespace numaio::sim {
 
 namespace {
 
-/// The one sort: every order statistic below reads this copy.
+/// robust_summarize's one sort: its trimmed mean sums in sorted order,
+/// and its median and MAD read the same copy.
 std::vector<double> sorted_copy(std::span<const double> values) {
   std::vector<double> sorted(values.begin(), values.end());
   std::sort(sorted.begin(), sorted.end());
@@ -86,9 +88,18 @@ std::vector<double> percentiles(std::span<const double> values,
                                 std::initializer_list<double> ps) {
   std::vector<double> out(ps.size(), 0.0);
   if (values.empty()) return out;
-  const std::vector<double> sorted = sorted_copy(values);
-  std::transform(ps.begin(), ps.end(), out.begin(),
-                 [&](double p) { return percentile(sorted, p); });
+  // A percentile reads two adjacent order statistics, so selection finds
+  // the sort's values without the sort: once rank lo is in place, every
+  // value after it is at least as large, and rank hi is their least.
+  std::vector<double> copy(values.begin(), values.end());
+  std::transform(ps.begin(), ps.end(), out.begin(), [&](double p) {
+    const Rank r = rank_of(copy.size(), p);
+    const auto lo = copy.begin() + static_cast<std::ptrdiff_t>(r.lo);
+    std::nth_element(copy.begin(), lo, copy.end());
+    const double at_hi =
+        r.hi == r.lo ? *lo : *std::min_element(lo + 1, copy.end());
+    return interpolate(*lo, at_hi, r.frac);
+  });
   return out;
 }
 

@@ -10,9 +10,10 @@
 namespace numaio::sim {
 
 /// Linear-interpolated percentiles of a series, one per entry of `ps`
-/// (each in [0, 1]) and in the order asked. All of them read one sorted
-/// copy; the input need not be sorted and is left unchanged. An empty span
-/// yields 0 for every p.
+/// (each in [0, 1]) and in the order asked. Each selects its two order
+/// statistics in one copy of the series, so the values are a sort's
+/// without the sort; the input need not be sorted and is left unchanged.
+/// An empty span yields 0 for every p.
 std::vector<double> percentiles(std::span<const double> values,
                                 std::initializer_list<double> ps);
 
