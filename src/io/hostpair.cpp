@@ -71,9 +71,6 @@ std::vector<FioResult> HostPair::run_concurrent(
     check("peer_node", job.peer_node);
   }
 
-  auto& solver = machine_->solver();
-  sim::FluidSimulation fluid(solver);
-
   struct StreamSetup {
     std::size_t job_index = 0;
     nm::Buffer buf_a;
@@ -82,6 +79,42 @@ std::vector<FioResult> HostPair::run_concurrent(
   };
   std::vector<StreamSetup> setups;
 
+  // Every buffer is placed before any transfer starts, and each stays on
+  // its own host: the binding node first, then the host's other nodes.
+  // The pair's cross-host coherent paths are near zero, so a buffer on
+  // the far host would stall its stream. A host without room frees this
+  // run's buffers and throws std::bad_alloc, as FioRunner does.
+  const auto alloc_on_host = [&](NodeId node) {
+    nm::Policy policy;
+    policy.mode = nm::MemMode::kBind;
+    policy.mem_nodes.push_back(node);
+    const NodeId first = node < nodes ? 0 : nodes;
+    for (NodeId n = first; n < first + nodes; ++n) {
+      if (n != node) policy.mem_nodes.push_back(n);
+    }
+    return host_->alloc_with_policy(2 * sim::kMiB, policy, node);
+  };
+  try {
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+      for (int s = 0; s < jobs[j].num_streams; ++s) {
+        // Listed before its buffers exist, so the catch frees whatever a
+        // failed allocation part-way through has taken.
+        StreamSetup& setup = setups.emplace_back();
+        setup.job_index = j;
+        setup.buf_a = alloc_on_host(jobs[j].local_node);
+        setup.buf_b = alloc_on_host(peer(jobs[j].peer_node));
+      }
+    }
+  } catch (...) {
+    for (StreamSetup& setup : setups) {
+      host_->free(setup.buf_a);
+      host_->free(setup.buf_b);
+    }
+    throw;
+  }
+
+  sim::FluidSimulation fluid(machine_->solver());
+  std::size_t next = 0;
   for (std::size_t j = 0; j < jobs.size(); ++j) {
     const NetJob& job = jobs[j];
     const char* peer_name = complementary_engine(job.engine);
@@ -94,10 +127,7 @@ std::vector<FioResult> HostPair::run_concurrent(
     const bool one_sided = job.engine.rfind("rdma", 0) == 0;
 
     for (int s = 0; s < job.num_streams; ++s) {
-      StreamSetup setup;
-      setup.job_index = j;
-      setup.buf_a = host_->alloc_local(2 * sim::kMiB, job.local_node);
-      setup.buf_b = host_->alloc_local(2 * sim::kMiB, b_node);
+      StreamSetup& setup = setups[next++];
 
       StreamSpec spec_a;
       spec_a.device = nic_a_.get();
@@ -140,7 +170,6 @@ std::vector<FioResult> HostPair::run_concurrent(
 
       setup.transfer =
           fluid.start_transfer(std::move(usages), job.bytes_per_stream, cap);
-      setups.push_back(std::move(setup));
     }
   }
 

@@ -50,6 +50,9 @@ class HostPair {
   /// before any buffer or flow exists: std::invalid_argument for a
   /// non-network engine or no stream, StatusError(kUsage) naming the job
   /// and the field for a local_node or peer_node outside nodes 0-7.
+  /// Each stream's 2 MiB buffer at each end goes on its binding node, or
+  /// else on another node of the same host; when a host has no room the
+  /// run frees its buffers, starts no flow and throws std::bad_alloc.
   std::vector<FioResult> run_concurrent(std::span<const NetJob> jobs);
 
  private:

@@ -1,6 +1,7 @@
 // HostPair: both network endpoints fully simulated.
 #include <gtest/gtest.h>
 
+#include <new>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -206,6 +207,71 @@ TEST_F(HostPairTest, MemoryReleasedOnBothHosts) {
   const double fresh = HostPair::dl585().run(good).aggregate;
   EXPECT_NEAR(fresh, 20.9, 0.01);
   EXPECT_EQ(pair_.run(good).aggregate, fresh);
+}
+
+// A full binding node spills a buffer onto another node of the same host.
+// The fallback once took the most-free node of either host: with node 5
+// nearly full and one page gone from each other node of host A, host A's
+// buffers landed on host B's nodes 8-11, behind the near-zero cross-host
+// coherent paths, and the job read 0.0000 Gbps over 2.1e6 simulated s.
+TEST_F(HostPairTest, BuffersStayOnTheirOwnHost) {
+  nm::Host& host = pair_.host();
+  std::vector<nm::Buffer> fill;
+  fill.push_back(host.alloc_on_node(host.node_free_bytes(5) - sim::kMiB, 5));
+  for (NodeId n = 0; n < 8; ++n) {
+    if (n != 5) fill.push_back(host.alloc_on_node(4 * sim::kKiB, n));
+  }
+  const FioResult result =
+      pair_.run(HostPair::NetJob{kTcpSend, 5, 6, 4, sim::kGiB});
+  ASSERT_EQ(result.streams.size(), 4u);
+  for (const FioStreamStats& stream : result.streams) {
+    EXPECT_GE(stream.mem_node, 0);
+    EXPECT_LT(stream.mem_node, 8);
+  }
+  EXPECT_GT(result.aggregate, 14.0);
+  for (nm::Buffer& buffer : fill) host.free(buffer);
+}
+
+// A host without room for a stream's buffer fails the run with
+// std::bad_alloc before any transfer starts, and takes nothing: a failed
+// allocation part-way through once left the started transfers' flows in
+// the solver.
+TEST_F(HostPairTest, FullHostThrowsAndLeavesNoTrace) {
+  nm::Host& host = pair_.host();
+  const auto free_bytes = [&host] {
+    std::vector<sim::Bytes> free;
+    for (NodeId n = 0; n < 16; ++n) free.push_back(host.node_free_bytes(n));
+    return free;
+  };
+  // `room` left on each node of host A (nodes 0-7) or host B (8-15).
+  const auto fill_host = [&host](NodeId first, sim::Bytes room) {
+    std::vector<nm::Buffer> fill;
+    for (NodeId n = first; n < first + 8; ++n) {
+      fill.push_back(host.alloc_on_node(host.node_free_bytes(n) - room, n));
+    }
+    return fill;
+  };
+  const double fresh =
+      HostPair::dl585().run(HostPair::NetJob{kTcpSend, 5, 6, 4}).aggregate;
+  // Host A full: the first buffer fails.
+  std::vector<nm::Buffer> fill = fill_host(0, sim::kMiB);
+  std::vector<sim::Bytes> before = free_bytes();
+  EXPECT_THROW(pair_.run(HostPair::NetJob{kTcpSend, 5, 6, 4}),
+               std::bad_alloc);
+  EXPECT_EQ(free_bytes(), before);
+  EXPECT_EQ(pair_.machine().solver().live_flow_count(), 0u);
+  for (nm::Buffer& buffer : fill) host.free(buffer);
+  // Host B holds one buffer per node: the ninth stream fails.
+  fill = fill_host(8, 3 * sim::kMiB);
+  before = free_bytes();
+  EXPECT_THROW(pair_.run(HostPair::NetJob{kTcpSend, 5, 6, 12}),
+               std::bad_alloc);
+  EXPECT_EQ(free_bytes(), before);
+  EXPECT_EQ(pair_.machine().solver().live_flow_count(), 0u);
+  for (nm::Buffer& buffer : fill) host.free(buffer);
+
+  EXPECT_NEAR(fresh, 20.9, 0.01);
+  EXPECT_EQ(pair_.run(HostPair::NetJob{kTcpSend, 5, 6, 4}).aggregate, fresh);
 }
 
 }  // namespace
