@@ -2,9 +2,10 @@
 // ordering and chaining, alarms before control at shared instants, the
 // merge hook after each round, (host, seq) drain order within a round,
 // same-host rescheduling from the handler, run_until clock semantics,
-// cancelling control closures through their handles (stale, fired and
-// default handles included), and randomized checks of the whole drain
-// order, with and without cancels, against a sorted reference.
+// cancelling alarms and control closures through their handles (stale,
+// fired and default handles included), and randomized checks of the
+// whole drain order, with alarm and closure cancels, against a sorted
+// reference.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -77,8 +78,8 @@ TEST(AlarmEngineTest, AlarmsDrainBeforeControlAtTheSameInstant) {
     order.push_back("merge@" + std::to_string(static_cast<int>(at)));
   });
   eng.schedule_at(10.0, [&] { order.push_back("control"); });
-  eng.schedule_alarm(1, 10.0, /*gen=*/0);
-  eng.schedule_alarm(0, 10.0, /*gen=*/0);
+  eng.schedule_alarm(1, 10.0);
+  eng.schedule_alarm(0, 10.0);
   eng.run();
   // Both alarms fire in host order, then the merge hook, then the
   // control closure — all at t = 10.
@@ -92,18 +93,19 @@ TEST(AlarmEngineTest, RoundDrainsHostMajorThenSchedulingOrder) {
   // Within one instant the drain order is (host, seq), whatever order the
   // alarms were scheduled in — host by host, each host's alarms FIFO.
   AlarmEngine eng;
-  std::vector<std::pair<int, std::uint64_t>> fired;
+  std::vector<AlarmEngine::Handle> fired;
   eng.set_alarm_handler([&](const AlarmEngine::Alarm& alarm) {
-    fired.emplace_back(alarm.host, alarm.gen);
+    fired.push_back(alarm.handle);
   });
-  eng.schedule_alarm(2, 5.0, /*gen=*/20);
-  eng.schedule_alarm(0, 5.0, /*gen=*/1);
-  eng.schedule_alarm(2, 5.0, /*gen=*/21);
-  eng.schedule_alarm(1, 5.0, /*gen=*/10);
-  eng.schedule_alarm(0, 5.0, /*gen=*/2);
+  const AlarmEngine::Handle host2_first = eng.schedule_alarm(2, 5.0);
+  const AlarmEngine::Handle host0_first = eng.schedule_alarm(0, 5.0);
+  const AlarmEngine::Handle host2_second = eng.schedule_alarm(2, 5.0);
+  const AlarmEngine::Handle host1 = eng.schedule_alarm(1, 5.0);
+  const AlarmEngine::Handle host0_second = eng.schedule_alarm(0, 5.0);
   eng.run();
-  EXPECT_EQ(fired, (std::vector<std::pair<int, std::uint64_t>>{
-                       {0, 1}, {0, 2}, {1, 10}, {2, 20}, {2, 21}}));
+  EXPECT_EQ(fired, (std::vector<AlarmEngine::Handle>{
+                       host0_first, host0_second, host1, host2_first,
+                       host2_second}));
   EXPECT_EQ(eng.rounds(), 1);
 }
 
@@ -111,14 +113,11 @@ TEST(AlarmEngineTest, AlarmHandlerMayRescheduleItsOwnHost) {
   AlarmEngine eng;
   std::vector<long long> fired(3, 0);
   eng.set_alarm_handler([&](const AlarmEngine::Alarm& alarm) {
-    ++fired[static_cast<std::size_t>(alarm.host)];
-    if (alarm.gen > 0) {
-      eng.schedule_alarm(alarm.host, alarm.at + 5.0, alarm.gen - 1);
+    if (++fired[static_cast<std::size_t>(alarm.host)] < 4) {
+      eng.schedule_alarm(alarm.host, alarm.at + 5.0);
     }
   });
-  for (int host = 0; host < 3; ++host) {
-    eng.schedule_alarm(host, 10.0, /*gen=*/3);
-  }
+  for (int host = 0; host < 3; ++host) eng.schedule_alarm(host, 10.0);
   const Ns end = eng.run();
   // Each host fires at 10, 15, 20, 25.
   EXPECT_EQ(fired, (std::vector<long long>{4, 4, 4}));
@@ -132,7 +131,7 @@ TEST(AlarmEngineTest, RunUntilStopsAndAdvancesTheClock) {
   std::vector<Ns> fired;
   eng.schedule_at(10.0, [&] { fired.push_back(10.0); });
   eng.schedule_at(30.0, [&] { fired.push_back(30.0); });
-  eng.schedule_alarm(0, 25.0, 0);
+  eng.schedule_alarm(0, 25.0);
   eng.set_alarm_handler(
       [&](const AlarmEngine::Alarm& alarm) { fired.push_back(alarm.at); });
 
@@ -158,14 +157,66 @@ TEST(AlarmEngineTest, MergeHookMayScheduleAlarmsAndControl) {
   });
   eng.set_merge_hook([&](Ns at) {
     if (at == 10.0) {
-      eng.schedule_alarm(1, 20.0, 0);
+      eng.schedule_alarm(1, 20.0);
       eng.schedule_at(15.0, [&] { order.push_back("control"); });
     }
   });
-  eng.schedule_alarm(0, 10.0, 0);
+  eng.schedule_alarm(0, 10.0);
   const Ns end = eng.run();
   EXPECT_EQ(order, (std::vector<std::string>{"host0", "control", "host1"}));
   EXPECT_DOUBLE_EQ(end, 20.0);
+}
+
+TEST(AlarmEngineTest, CancelledAlarmNeverFiresAndItsInstantRunsNoRound) {
+  // Alarms cancel like closures: a cancelled alarm leaves the heap at
+  // once and never fires, the others keep their (host, seq) order, and an
+  // instant that held only cancelled alarms runs no round and does not
+  // move the clock. A closure replaces host 3's alarm the way a
+  // reprojection does: cancel, then schedule.
+  AlarmEngine eng;
+  std::vector<AlarmEngine::Handle> fired;
+  std::vector<Ns> merges;
+  eng.set_alarm_handler([&](const AlarmEngine::Alarm& alarm) {
+    fired.push_back(alarm.handle);
+    eng.cancel(alarm.handle);  // already fired: a no-op
+  });
+  eng.set_merge_hook([&](Ns at) { merges.push_back(at); });
+  const AlarmEngine::Handle host0 = eng.schedule_alarm(0, 10.0);
+  const AlarmEngine::Handle host1 = eng.schedule_alarm(1, 10.0);
+  const AlarmEngine::Handle host2 = eng.schedule_alarm(2, 10.0);
+  const AlarmEngine::Handle lone = eng.schedule_alarm(0, 20.0);
+  AlarmEngine::Handle host3 = eng.schedule_alarm(3, 20.0);
+  const AlarmEngine::Handle superseded = host3;
+  eng.schedule_at(15.0, [&] {
+    eng.cancel(host3);
+    host3 = eng.schedule_alarm(3, 25.0);
+  });
+  eng.cancel(host1);
+  eng.cancel(lone);
+  eng.cancel(lone);  // twice: a no-op
+  EXPECT_EQ(eng.pending(), 4u);
+  EXPECT_DOUBLE_EQ(eng.next_event_time(), 10.0);
+
+  EXPECT_DOUBLE_EQ(eng.run_until(22.0), 22.0);
+  EXPECT_EQ(fired, (std::vector<AlarmEngine::Handle>{host0, host2}));
+  EXPECT_EQ(merges, (std::vector<Ns>{10.0}));
+  EXPECT_EQ(eng.pending(), 1u);
+  EXPECT_DOUBLE_EQ(eng.next_event_time(), 25.0);
+
+  EXPECT_DOUBLE_EQ(eng.run(), 25.0);
+  EXPECT_EQ(fired, (std::vector<AlarmEngine::Handle>{host0, host2, host3}));
+  EXPECT_NE(host3, superseded);
+  EXPECT_EQ(merges, (std::vector<Ns>{10.0, 25.0}));
+  EXPECT_EQ(eng.rounds(), 2);
+  EXPECT_EQ(eng.alarms_fired(), 3);
+  EXPECT_EQ(eng.pending(), 0u);
+
+  // Cancelled alarms alone leave an idle engine at its clock.
+  const AlarmEngine::Handle late = eng.schedule_alarm(1, 40.0);
+  eng.cancel(late);
+  EXPECT_EQ(eng.next_event_time(), kUnlimited);
+  EXPECT_DOUBLE_EQ(eng.run(), 25.0);
+  EXPECT_EQ(eng.rounds(), 2);
 }
 
 TEST(AlarmEngineTest, CancelledClosureNeverFiresAndTheRestKeepTheirOrder) {
@@ -263,10 +314,12 @@ class AlarmEngineProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(AlarmEngineProperty, DrainMatchesSortedReference) {
   // Random alarms and control events on a coarse time grid (so instants
-  // are shared), where some control events schedule a later alarm. The
-  // engine's log must equal the order derived by sorting: per instant,
-  // alarms by (host, scheduling order), one merge, then control events in
-  // scheduling order.
+  // are shared), where some control events schedule a later alarm and
+  // some cancel a pre-scheduled alarm, and some alarms are cancelled
+  // before the run. The engine's log must equal the order derived by
+  // sorting the surviving alarms: per instant, alarms by (host,
+  // scheduling order), one merge, then control events in scheduling
+  // order. An instant left with only cancelled alarms runs no round.
   constexpr int kHosts = 5;
   constexpr std::size_t kAlarms = 60;
   constexpr std::size_t kControls = 25;
@@ -274,6 +327,7 @@ TEST_P(AlarmEngineProperty, DrainMatchesSortedReference) {
   struct Planned {
     Ns at;
     int host;  ///< Controls: host of the alarm they schedule, or -1.
+    int victim = -1;  ///< Controls: the alarm they cancel, or -1.
   };
   std::vector<Planned> alarms, controls;
   for (std::size_t i = 0; i < kAlarms; ++i) {
@@ -285,6 +339,13 @@ TEST_P(AlarmEngineProperty, DrainMatchesSortedReference) {
     const int host =
         rng.below(2) == 0 ? -1 : static_cast<int>(rng.below(kHosts));
     controls.push_back({at, host});
+  }
+  for (Planned& c : controls) {
+    if (rng.below(2) == 0) c.victim = static_cast<int>(rng.below(kAlarms));
+  }
+  std::vector<std::size_t> outside_cancels;
+  for (std::size_t i = 0; i < kAlarms / 6; ++i) {
+    outside_cancels.push_back(rng.below(kAlarms));  // repeats included
   }
   const auto at_suffix = [](std::string s, Ns at) {
     s += '@';
@@ -305,38 +366,66 @@ TEST_P(AlarmEngineProperty, DrainMatchesSortedReference) {
   };
   const auto merge_entry = [&](Ns at) { return at_suffix("M", at); };
 
-  // The engine. An alarm's gen is its reference key: the setup index for
-  // pre-scheduled alarms, kAlarms + firing order for control-spawned ones.
+  // The engine. An alarm's reference key, found through its handle, is
+  // its setup index for pre-scheduled alarms and kAlarms + firing order
+  // for control-spawned ones. A handle is never reused, so it keys the
+  // map for the whole run.
   AlarmEngine eng;
+  std::vector<AlarmEngine::Handle> handles;
+  std::map<std::pair<std::uint32_t, std::uint32_t>, std::uint64_t> key_of;
+  const auto schedule_alarm = [&](int host, Ns at, std::uint64_t key) {
+    const AlarmEngine::Handle handle = eng.schedule_alarm(host, at);
+    EXPECT_TRUE(key_of.emplace(std::pair(handle.slot, handle.gen), key)
+                    .second);
+    return handle;
+  };
   std::vector<std::string> log;
   eng.set_alarm_handler([&](const AlarmEngine::Alarm& alarm) {
-    log.push_back(alarm_entry(alarm.host, alarm.gen, alarm.at));
+    const std::uint64_t key =
+        key_of.at(std::pair(alarm.handle.slot, alarm.handle.gen));
+    log.push_back(alarm_entry(alarm.host, key, alarm.at));
   });
   eng.set_merge_hook([&](Ns at) { log.push_back(merge_entry(at)); });
   for (std::size_t i = 0; i < kAlarms; ++i) {
-    eng.schedule_alarm(alarms[i].host, alarms[i].at, i);
+    handles.push_back(schedule_alarm(alarms[i].host, alarms[i].at, i));
   }
   std::uint64_t spawned = 0;
   for (std::size_t c = 0; c < kControls; ++c) {
     eng.schedule_at(controls[c].at, [&, c] {
       log.push_back(control_entry(c, eng.now()));
+      if (controls[c].victim >= 0) {
+        eng.cancel(handles[static_cast<std::size_t>(controls[c].victim)]);
+      }
       if (controls[c].host >= 0) {
-        eng.schedule_alarm(controls[c].host, eng.now() + 5.0,
-                           kAlarms + spawned++);
+        schedule_alarm(controls[c].host, eng.now() + 5.0,
+                       kAlarms + spawned++);
       }
     });
   }
+  for (const std::size_t i : outside_cancels) eng.cancel(handles[i]);
+  const std::set<std::size_t> cancelled_outside(outside_cancels.begin(),
+                                                outside_cancels.end());
+  EXPECT_EQ(eng.pending(), kAlarms + kControls - cancelled_outside.size());
   eng.run();
 
-  // The reference, by sorting.
+  // The reference, by sorting. A control cancels its victim only if the
+  // victim is still pending: alarms drain before controls at an instant,
+  // so an alarm due at or before the control has already fired.
   struct Keyed {
     Ns at;
     int host;
     std::uint64_t key;
   };
+  std::vector<bool> survives(kAlarms, true);
+  for (const std::size_t i : cancelled_outside) survives[i] = false;
+  for (const Planned& c : controls) {
+    if (c.victim < 0) continue;
+    const std::size_t v = static_cast<std::size_t>(c.victim);
+    if (alarms[v].at > c.at) survives[v] = false;
+  }
   std::vector<Keyed> all;
   for (std::size_t i = 0; i < kAlarms; ++i) {
-    all.push_back({alarms[i].at, alarms[i].host, i});
+    if (survives[i]) all.push_back({alarms[i].at, alarms[i].host, i});
   }
   std::vector<std::size_t> control_order(kControls);
   std::iota(control_order.begin(), control_order.end(), 0);
@@ -378,6 +467,7 @@ TEST_P(AlarmEngineProperty, DrainMatchesSortedReference) {
   EXPECT_EQ(log, expected);
   EXPECT_EQ(eng.rounds(), rounds);
   EXPECT_EQ(eng.alarms_fired(), static_cast<long long>(all.size()));
+  EXPECT_DOUBLE_EQ(eng.now(), *instants.rbegin());
 }
 
 TEST_P(AlarmEngineProperty, CancelMatchesSortedReference) {

@@ -109,7 +109,6 @@ TEST(FleetScaleTest, MixedSkuFleetSplitsIntoClassesAndSpreads) {
   // The completion-alarm instrumentation of the scale scenario is live.
   EXPECT_GT(ctx.metrics.value("engine.lane_events"), 0.0);
   EXPECT_GT(ctx.metrics.value("engine.lane_rounds"), 0.0);
-  EXPECT_GT(report.lane_rounds, 0);
 }
 
 TEST(FleetScaleTest, SheddingIsSpreadFairlyAcrossShards) {
