@@ -108,10 +108,6 @@ int FaultInjector::device_index(std::string_view name) const {
   return -1;
 }
 
-void FaultInjector::set_stall_handler(StallHandler handler) {
-  stall_handler_ = std::move(handler);
-}
-
 void FaultInjector::set_transition_handler(TransitionHandler handler) {
   transition_handler_ = std::move(handler);
 }
@@ -259,9 +255,6 @@ void FaultInjector::apply_transition(std::size_t index) {
     }
   }
 
-  if (tr.on && kind.target == FaultTarget::kDevice && stall_handler_) {
-    stall_handler_(e.device, tr.at);
-  }
   if (transition_handler_) transition_handler_(e, tr.on, tr.at);
 }
 

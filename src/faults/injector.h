@@ -53,19 +53,15 @@ class FaultInjector {
                       std::vector<sim::ResourceId> resources);
   int num_devices() const { return static_cast<int>(devices_.size()); }
   /// Index of a registered device by name; -1 when unknown. Consumers that
-  /// receive a stall callback use this to map their own device handles to
+  /// react to device stalls use this to map their own device handles to
   /// the plan's indices.
   int device_index(std::string_view name) const;
 
-  /// Called when a device-stall window opens (after capacities drop), so
-  /// the owner can abort in-flight transfers on that device.
-  using StallHandler = std::function<void(int device, sim::Ns at)>;
-  void set_stall_handler(StallHandler handler);
-
-  /// Called after *every* applied transition (trace line and obs event
-  /// already emitted, so last_transition_event() is the cause id). The
-  /// fleet layer uses this to react to host crash/hang/recover
-  /// boundaries; `on` is true when the fault window opens.
+  /// Called after *every* applied transition (capacities already changed,
+  /// trace line and obs event already emitted, so last_transition_event()
+  /// is the cause id); `on` is true when the fault window opens. The
+  /// fleet reacts to host crashes, and fio runs abort the transfers on a
+  /// device whose stall window opens.
   using TransitionHandler =
       std::function<void(const FaultEvent& event, bool on, sim::Ns at)>;
   void set_transition_handler(TransitionHandler handler);
@@ -113,8 +109,8 @@ class FaultInjector {
   /// the transition that caused them via last_transition_event().
   void set_observer(obs::Context* obs);
   /// Trace-event id of the most recently applied transition (0 when none
-  /// was recorded). The stall handler runs after the transition event is
-  /// emitted, so it can already cite this id.
+  /// was recorded). The transition handler runs after the transition
+  /// event is emitted, so it can already cite this id.
   obs::EventId last_transition_event() const {
     return last_transition_event_;
   }
@@ -147,7 +143,6 @@ class FaultInjector {
   std::vector<Transition> transitions_;  // ascending (at, event, !on)
   std::vector<Device> devices_;
   std::vector<bool> stalled_applied_;    // per device, currently applied
-  StallHandler stall_handler_;
   TransitionHandler transition_handler_;
   std::size_t cursor_ = 0;               // next transition to apply
   std::vector<std::string> trace_;

@@ -449,13 +449,18 @@ std::vector<FioResult> FioRunner::run_timed(
     // pending (waiting out a backoff) are left alone — they will start
     // into the stall and crawl until their own deadline or the stall end.
     // A pending transfer's stats().start is its scheduled start.
-    faults_->set_stall_handler([&](int device, sim::Ns at) {
+    faults_->set_transition_handler([&](const faults::FaultEvent& e, bool on,
+                                        sim::Ns at) {
+      if (!on || faults::kind_info(e.kind).target !=
+                     faults::FaultTarget::kDevice) {
+        return;
+      }
       // The injector emits its fault.transition trace event before
       // invoking this handler, so the id below names the stall that is
       // killing these transfers.
       const obs::EventId cause = faults_->last_transition_event();
       for (StreamSetup& s : setups) {
-        if (s.fault_device != device || s.attempts == 0) continue;
+        if (s.fault_device != e.device || s.attempts == 0) continue;
         if (s.finished || s.gave_up) continue;
         const auto& st = fluid.stats(s.transfer);
         if (st.done || st.start > at) continue;
@@ -471,7 +476,7 @@ std::vector<FioResult> FioRunner::run_timed(
   fluid.run();
 
   if (faults_ != nullptr) {
-    faults_->set_stall_handler(nullptr);
+    faults_->set_transition_handler(nullptr);
     faults_->restore();  // leave the machine healthy for the next caller
   }
 
