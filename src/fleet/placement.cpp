@@ -26,18 +26,10 @@ void ClassPlacer::refresh(std::span<const double> capacity_gbps,
 int ClassPlacer::pick(std::span<const int> live_load,
                       const std::function<bool(int)>& eligible) {
   assert(static_cast<int>(live_load.size()) == num_hosts_);
+  assert(!classes_.empty() && "pick before the first refresh");
   const auto load = [&live_load](int h) {
     return live_load[static_cast<std::size_t>(h)];
   };
-  if (classes_.empty()) {
-    // Not yet refreshed: global least-loaded, the PR 6 policy.
-    int best = -1;
-    for (int h = 0; h < num_hosts_; ++h) {
-      if (!eligible(h)) continue;
-      if (best < 0 || load(h) < load(best)) best = h;
-    }
-    return best;
-  }
   const std::size_t k = classes_.size();
   for (std::size_t attempt = 0; attempt < k; ++attempt) {
     const std::size_t cls = (cursor_ + attempt) % k;

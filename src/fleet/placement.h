@@ -43,8 +43,8 @@ class ClassPlacer {
   /// has one, then advance the cursor past that class. `live_load` is
   /// current inflight per host (live, not summary — load changes every
   /// dispatch; class membership does not). Returns -1 when no host is
-  /// eligible. Before the first refresh there are no classes and the
-  /// scan degrades to global least-loaded.
+  /// eligible. Needs a refresh first: a placer that never refreshed is
+  /// stale(), and a refresh over one or more hosts builds a class.
   int pick(std::span<const int> live_load,
            const std::function<bool(int)>& eligible);
 
