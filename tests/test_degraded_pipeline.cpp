@@ -122,6 +122,37 @@ TEST(DegradedFio, DeviceStallAbortsInFlightStreamsThenRecovers) {
   }
 }
 
+TEST(DegradedFio, OnlyADeviceStallWindowAbortsStreams) {
+  // A memory-controller throttle that names device 0 (a plan file may set
+  // the field on any kind) opens while the NIC's streams run, and aborts
+  // none of them: only a device-stall window does.
+  io::Testbed tb = io::Testbed::dl585();
+  faults::FaultPlan plan;
+  faults::FaultEvent throttle = mc_throttle(2, 5.0e9, 2.0e9, 0.5);
+  throttle.device = 0;
+  plan.add(throttle);
+  faults::FaultInjector injector(tb.machine(), std::move(plan));
+  ASSERT_EQ(injector.register_device(tb.nic().name(), tb.nic().attach_node(),
+                                     tb.nic().fault_resources()),
+            0);
+
+  io::FioJob job = basic_job(tb, 2, 40 * sim::kGiB);  // runs well past 5 s
+  job.retry.timeout = 1.0e15;  // never fires
+  job.retry.max_retries = 3;
+
+  io::FioRunner fio(tb.host());
+  fio.set_fault_injector(&injector);
+  const io::FioResult result = fio.run(job);
+  EXPECT_GT(result.duration, 7.0e9);
+  EXPECT_EQ(result.total_retries, 0);
+  EXPECT_EQ(result.aborted_streams, 0);
+  for (const io::FioStreamStats& st : result.streams) {
+    EXPECT_TRUE(st.outcome.ok);
+    EXPECT_EQ(st.outcome.retries, 0);
+    EXPECT_EQ(st.bytes_moved, 40 * sim::kGiB);
+  }
+}
+
 // --- observability of degraded runs ---------------------------------------
 
 TEST(DegradedObservability, AbortedStreamsEmitCorrelatedRetryEvents) {
