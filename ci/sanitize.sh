@@ -52,7 +52,8 @@ run_gtest "$BUILD_DIR" '*SolverProperty*:FlowSolverCache.*:FlowSolverFreeList.*:
 # pointer or double-detach would surface as a use-after-free. The scale
 # suite (FleetScale) adds the batched admission path and 2,000-tenant
 # storm runs; FleetProperty runs random configs under random host-fault
-# plans; AlarmEngine covers the completion-alarm heap and its merge hook.
+# plans; AlarmEngine covers the one heap's alarm and closure cancels, its
+# slot arena and its merge hook.
 # The fault plan and injector suites run here too: the fleet asks
 # FaultInjector::host_factor on every host touch, and both read every
 # kind through the one kind table.
